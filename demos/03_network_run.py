@@ -8,10 +8,8 @@ while the network is live, then closes the books.
 """
 
 from geowsn.backend import Backend
-from geowsn.energy import battery_lifetime_hours
+from geowsn.energy import HOURS_PER_YEAR, battery_lifetime_hours
 from geowsn.scenario import build_simulator, default_scenario, node_directory
-
-HOURS_PER_YEAR = 8766.0
 
 config = default_scenario()
 print("scenario:", config.node_count, "nodes across",

@@ -13,6 +13,7 @@ import io
 import numpy as np
 
 from geowsn.energy import (
+    HOURS_PER_YEAR,
     TegParams,
     calibrate_electrical_resistance,
     default_stack,
@@ -81,7 +82,7 @@ budget = node_energy_budget(
 )
 print()
 print("node draws %.1f uW on average, battery alone lasts %.1f years"
-      % (budget.mean_power_w * 1e6, budget.lifetime_hours / 8766.0))
+      % (budget.mean_power_w * 1e6, budget.lifetime_hours / HOURS_PER_YEAR))
 report = analyze_trace(series, stack, teg,
                        node_power_w=budget.mean_power_w)
 print()

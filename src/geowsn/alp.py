@@ -19,6 +19,8 @@ NODE_CONFIG_FILE = 0x41
 
 #: opcode (u8), file id (u8), offset (u32 LE), length (u32 LE)
 _ACTION_HEADER = struct.Struct("<BBII")
+#: bytes an encoded action takes ahead of its payload
+ACTION_HEADER_SIZE = _ACTION_HEADER.size
 
 _U32_MAX = 0xFFFFFFFF
 

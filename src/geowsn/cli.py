@@ -31,8 +31,6 @@ OPCODE_DISPLAY = {
     Opcode.STATUS: "Status",
 }
 
-HOURS_PER_YEAR = 8766.0
-
 ACTION_GRAMMAR = """\
 action specs for proto-encode (repeatable, executed in order):
   read:FILE:OFFSET:LENGTH        request a byte range of a file
@@ -244,7 +242,7 @@ def _cmd_sim_run(args) -> int:
         charge = sum(runtime.charges_c.values())
         mean_a = charge / duration_s
         years = energy.battery_lifetime_hours(
-            energy.BATTERY_CAPACITY_AH, mean_a) / HOURS_PER_YEAR
+            energy.BATTERY_CAPACITY_AH, mean_a) / energy.HOURS_PER_YEAR
         if worst_years is None or years < worst_years:
             worst_years = years
         print(f"{uid:<5} {runtime.site.site_id:<6} {charge:>9.4f}"

@@ -41,7 +41,8 @@ CALIBRATED_ELECTRICAL_RESISTANCE_OHM = 3.69
 
 BATTERY_CAPACITY_AH = 19.0
 SUPPLY_VOLTAGE_V = 3.6
-SLEEP_CURRENT_A = 10e-6
+#: a mean year of 365.25 days
+HOURS_PER_YEAR = 8766.0
 
 
 class NonPositiveArgumentError(ValueError):

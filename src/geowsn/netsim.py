@@ -56,24 +56,7 @@ class EventKind(IntEnum):
     RESET_DONE = 7
 
 
-#: names used in log rows
-KIND_NAMES = {
-    EventKind.SAMPLE_TIMER: "SampleTimer",
-    EventKind.UPLINK_TX: "UplinkTx",
-    EventKind.UPLINK_ARRIVAL: "UplinkArrival",
-    EventKind.DOWNLINK_QUEUE: "DownlinkQueue",
-    EventKind.LISTEN_WINDOW: "ListenWindow",
-    EventKind.WATCHDOG_CHECK: "WatchdogCheck",
-    EventKind.HANG_INJECTION: "HangInjection",
-    EventKind.RESET_DONE: "ResetDone",
-}
-
 ENERGY_ROW_KIND = "EnergyCharge"
-
-
-class DeliveryResult(Enum):
-    DELIVERED = "Delivered"
-    DROPPED = "Dropped"
 
 
 class DownlinkState(Enum):
@@ -173,7 +156,8 @@ class NodeRuntime:
     pending: deque[DownlinkTicket] = field(default_factory=deque)
     window_scheduled: bool = False
     timer_event_ms: int = -1
-    check_event_ms: int = -1
+    #: boot or last watchdog reset, from which the periodic pets count
+    anchor_ms: int = 0
     tx_ms: float = 0.0
     sample_ms: float = 0.0
     uplinks_attempted: int = 0
@@ -322,7 +306,13 @@ class Simulator:
 
     def inject_hang(self, node_uid: int, at_s: float) -> None:
         """Schedule a firmware hang: the node stops sampling, listening
-        and petting its watchdog until the watchdog resets it."""
+        and petting its watchdog until the watchdog resets it.
+
+        Healthy nodes log no watchdog checks.  The hang freezes the
+        deadline the node held under a watchdog that also petted itself
+        every period from boot or its last reset, and the node resets at
+        that deadline.  A hang at the same ms as such a pet comes first.
+        """
         self.runtime(node_uid)
         self._push(round(at_s * MS_PER_S), EventKind.HANG_INJECTION, node_uid)
 
@@ -338,8 +328,6 @@ class Simulator:
                 self._drain(runtime, 0)
                 runtime.timer_event_ms = round(node.next_sample_at * MS_PER_S)
                 self._push(runtime.timer_event_ms, EventKind.SAMPLE_TIMER, node.uid)
-                runtime.check_event_ms = round(node.watchdog_deadline * MS_PER_S)
-                self._push(runtime.check_event_ms, EventKind.WATCHDOG_CHECK, node.uid)
 
     def step(self) -> bool:
         """Process one event; False when none remain within duration."""
@@ -400,15 +388,14 @@ class Simulator:
     def _handle_uplink_tx(self, rt: NodeRuntime, at: int, uplink: Uplink) -> None:
         node = rt.node
         rt.tx_ms += self.profile.tx_duration_ms
-        result = self._deliver(rt, at, uplink.payload, uplink.kind)
-        node.on_uplink_result(uplink, result is DeliveryResult.DELIVERED,
-                              at / MS_PER_S)
+        delivered = self._deliver(rt, at, uplink.payload, uplink.kind)
+        node.on_uplink_result(uplink, delivered, at / MS_PER_S)
         node.notify_activity(at / MS_PER_S)
         self._drain(rt, at)
         self._reconcile(rt, at)
 
     def _deliver(self, rt: NodeRuntime, at: int, payload: bytes,
-                 kind: str) -> DeliveryResult:
+                 kind: str) -> bool:
         link = rt.site.link
         if len(payload) > link.max_payload:
             raise PayloadTooLargeError(len(payload), link.max_payload)
@@ -417,19 +404,13 @@ class Simulator:
             rt.uplinks_dropped += 1
             self._log(at, "UplinkTx", rt.node.uid,
                       f"dropped len={len(payload)} kind={kind}")
-            return DeliveryResult.DROPPED
+            return False
         rt.uplinks_delivered += 1
         self._log(at, "UplinkTx", rt.node.uid,
                   f"delivered len={len(payload)} kind={kind}")
         self._push(at + link.latency_ms, EventKind.UPLINK_ARRIVAL,
                    rt.node.uid, payload)
-        return DeliveryResult.DELIVERED
-
-    def deliver_uplink(self, node_uid: int, payload: bytes,
-                       kind: str = "raw") -> DeliveryResult:
-        """One radio frame from node to gateway: a single loss draw,
-        then arrival after the link latency."""
-        return self._deliver(self.runtime(node_uid), self.now_ms, payload, kind)
+        return True
 
     def _handle_uplink_arrival(self, rt: NodeRuntime, at: int,
                                payload: bytes) -> None:
@@ -512,30 +493,29 @@ class Simulator:
             self._ensure_window(rt, at)
 
     def _handle_watchdog_check(self, rt: NodeRuntime, at: int, payload) -> None:
+        """Reset a hung node at the deadline its hang froze.  This is the
+        only check a node ever gets: healthy nodes log none."""
         node = rt.node
-        if at != rt.check_event_ms:
-            return
-        deadline_ms = round(node.watchdog_deadline * MS_PER_S)
-        if node.hung and at >= deadline_ms:
-            node.reset(at / MS_PER_S)
-            self._close_hang(rt, at)
-            self._log(at, "WatchdogCheck", node.uid, "reset")
-            self._push(at, EventKind.RESET_DONE, node.uid)
-            self._drain(rt, at)
-        elif node.hung:
-            self._log(at, "WatchdogCheck", node.uid, "pending")
-        else:
-            node.notify_activity(at / MS_PER_S)
-            self._log(at, "WatchdogCheck", node.uid, "ok")
-        rt.check_event_ms = round(node.watchdog_deadline * MS_PER_S)
-        self._push(rt.check_event_ms, EventKind.WATCHDOG_CHECK, node.uid)
+        node.reset(at / MS_PER_S)
+        rt.anchor_ms = at
+        self._close_hang(rt, at)
+        self._log(at, "WatchdogCheck", node.uid, "reset")
+        self._push(at, EventKind.RESET_DONE, node.uid)
+        self._drain(rt, at)
         self._reconcile(rt, at)
 
     def _handle_hang_injection(self, rt: NodeRuntime, at: int, payload) -> None:
-        if not rt.node.hung:
-            rt.node.inject_hang()
+        node = rt.node
+        if not node.hung:
+            node.inject_hang()
             rt.open_hang_ms = at
-        self._log(at, "HangInjection", rt.node.uid, "hang")
+            # the first periodic pet at or after the hang comes too late
+            # and finds it hung; the reset waits for the frozen deadline
+            period = round(node.watchdog_period_s * MS_PER_S)
+            pet_ms = at + (rt.anchor_ms - at) % period
+            deadline_ms = max(round(node.watchdog_deadline * MS_PER_S), pet_ms)
+            self._push(deadline_ms, EventKind.WATCHDOG_CHECK, node.uid)
+        self._log(at, "HangInjection", node.uid, "hang")
 
     def _handle_reset_done(self, rt: NodeRuntime, at: int, payload) -> None:
         self._log(at, "ResetDone", rt.node.uid, "boot")
@@ -559,15 +539,12 @@ class Simulator:
 
     def _reconcile(self, rt: NodeRuntime, at: int) -> None:
         """Line the heap up with the node's own idea of its next sample
-        and watchdog deadline (both can move under remote commands)."""
+        (it can move under remote commands)."""
         node = rt.node
         want = round(node.next_sample_at * MS_PER_S)
         if want != rt.timer_event_ms and want > at and not node.hung:
             self._push(want, EventKind.SAMPLE_TIMER, node.uid)
             rt.timer_event_ms = want
-        if rt.check_event_ms == -1:
-            rt.check_event_ms = round(node.watchdog_deadline * MS_PER_S)
-            self._push(rt.check_event_ms, EventKind.WATCHDOG_CHECK, node.uid)
 
     def _close_hang(self, rt: NodeRuntime, end_ms: int) -> None:
         if rt.open_hang_ms is not None:

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .alp import (
+    ACTION_HEADER_SIZE,
     NODE_CONFIG_FILE,
     SENSOR_DATA_FILE,
     STATUS_DRIVER_FAULT,
@@ -385,7 +386,6 @@ class SensorNode:
         self.buffer = FlashBuffer(flash_capacity)
         self.outbox: deque[Uplink] = deque()
         self.counters = NodeCounters()
-        self.mode = NodeMode.SLEEP
         self.hung = False
         self._config = config
         self._active_driver: SensorDriver | None = None
@@ -440,7 +440,6 @@ class SensorNode:
         self.outbox.clear()
         self.files.reset()
         self._config = NodeConfig.from_bytes(self.files.raw(NODE_CONFIG_FILE))
-        self.mode = NodeMode.SLEEP
         self._reload()
         self.next_sample_at = now_s + self.effective_rate
         self.watchdog_deadline = now_s + self.watchdog_period_s
@@ -609,27 +608,23 @@ class SensorNode:
         if self._active_driver is None:
             self._queue_status(STATUS_UNKNOWN_SENSOR_TYPE)
             return
-        self.mode = NodeMode.SAMPLING
+        values = self._active_driver.measure(self._active_address, now_s)
+        if not values:
+            self.counters.driver_faults += 1
+            self._queue_status(STATUS_DRIVER_FAULT)
+            return
+        reading = SensorReading(
+            self.clock(now_s),
+            self._active_kind,
+            tuple(int(round(v * 1000.0)) for v in values),
+        )
+        record = reading.to_bytes()
+        self._sampling_in_progress = True
         try:
-            values = self._active_driver.measure(self._active_address, now_s)
-            if not values:
-                self.counters.driver_faults += 1
-                self._queue_status(STATUS_DRIVER_FAULT)
-                return
-            reading = SensorReading(
-                self.clock(now_s),
-                self._active_kind,
-                tuple(int(round(v * 1000.0)) for v in values),
-            )
-            record = reading.to_bytes()
-            self._sampling_in_progress = True
-            try:
-                self.files.write(SENSOR_DATA_FILE, 0, record)
-            finally:
-                self._sampling_in_progress = False
-            self.counters.samples_produced += 1
+            self.files.write(SENSOR_DATA_FILE, 0, record)
         finally:
-            self.mode = NodeMode.SLEEP
+            self._sampling_in_progress = False
+        self.counters.samples_produced += 1
 
     def _queue_uplink(
         self,
@@ -658,7 +653,7 @@ class SensorNode:
         size = 0
         for record in candidates:
             action = AlpAction.return_data(SENSOR_DATA_FILE, 0, record)
-            frame = 10 + len(record)
+            frame = ACTION_HEADER_SIZE + len(record)
             if actions and size + frame > self.max_uplink_bytes:
                 break
             actions.append(action)

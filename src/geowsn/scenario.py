@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .alp import ACTION_HEADER_SIZE
 from .netsim import (
     DEFAULT_LISTEN_INTERVAL_S,
     LinkModel,
@@ -28,6 +29,7 @@ from .node import (
     SensorDriver,
     SensorKind,
     SensorNode,
+    SensorReading,
     SignalDriver,
     SineSignal,
     load_sensor_trace,
@@ -251,7 +253,9 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> ScenarioConfig:
                     f"{node_where}: duplicate node uid {spec.uid}"
                 )
             seen_uids[spec.uid] = site_id
-            frame = 16 + 4 * len(CHANNELS[SensorKind(spec.sensor_type)])
+            kind = SensorKind(spec.sensor_type)
+            reading = SensorReading(0, kind, (0,) * len(CHANNELS[kind]))
+            frame = ACTION_HEADER_SIZE + len(reading.to_bytes())
             if frame > link.max_payload:
                 raise InvalidScenarioError(
                     f"{node_where}: a single reading frame of {frame} bytes"

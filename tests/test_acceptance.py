@@ -25,6 +25,7 @@ from geowsn.alp import (
 )
 from geowsn.backend import Backend
 from geowsn.energy import (
+    HOURS_PER_YEAR,
     TegParams,
     battery_lifetime_hours,
     calibrate_electrical_resistance,
@@ -45,8 +46,6 @@ from geowsn.node import (
     SignalDriver,
 )
 from geowsn.scenario import build_simulator, default_scenario, node_directory
-
-HOURS_PER_YEAR = 8766.0
 
 # yearly mean soil-air gradients and harvested power by transect, as
 # measured at the field site over one year

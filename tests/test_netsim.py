@@ -168,22 +168,35 @@ def test_rate_rewrite_cancels_stale_timer():
     assert sampled[1] == 11000
 
 
-def test_watchdog_resets_hung_node():
-    sim = build_sim(duration_s=600, loss=0.0, rate_s=60)
-    sim.inject_hang(1, at_s=90.0)
-    log = sim.run()
-    resets = [row for row in log.rows if row[1] == "WatchdogCheck"
-              and row[3] == "reset"]
-    assert len(resets) == 1
+@pytest.mark.parametrize("rate_s, hang_s, run_first_ms, reset_ms, sniffs", [
     # last pet at the 60 s sample, so the deadline lapses at 180 s
-    assert resets[0][0] == 180000
+    (60, 90.0, None, 180_000, 3510),
+    # the 600 s sample pets last; the periodic check at 960 s finds the hang
+    (600, 900.0, None, 960_000, 3540),
+    # a hang on a periodic check comes before that check's pet
+    (600, 720.0, None, 720_000, 3600),
+    (600, 600.0, None, 600_000, 3600),
+    (3600, 0.0, None, 120_000, 3480),
+    (600, 1199.999, None, 1_200_000, 3599),
+    # injected after the run has passed 700 s: the same deadline (the
+    # per-tick watchdog, already holding its 720 s check, reset at 840 s)
+    (600, 720.0, 700_000, 720_000, 3600),
+])
+def test_watchdog_resets_hung_node(rate_s, hang_s, run_first_ms, reset_ms,
+                                   sniffs):
+    sim = build_sim(duration_s=3600, loss=0.0, rate_s=rate_s)
+    if run_first_ms is not None:
+        sim.run_until(lambda: False, deadline_ms=run_first_ms)
+    sim.inject_hang(1, at_s=hang_s)
+    log = sim.run()
+    checks = [(row[0], row[3]) for row in log.rows if row[1] == "WatchdogCheck"]
+    assert checks == [(reset_ms, "reset")]
     assert log.summary["resets"] == 1
-    hung_timers = log.count("SampleTimer", detail_prefix="hung")
-    assert hung_timers >= 1
-    # sampling resumes after the reset
+    assert log.summary["node.1.sniffs"] == sniffs
+    # sampling resumes on its own cadence from the reset
     post = [row for row in log.rows if row[1] == "SampleTimer"
-            and row[0] > 180000 and row[3].startswith("ok")]
-    assert post
+            and row[0] > reset_ms and row[3] == "ok"]
+    assert len(post) == (3_600_000 - reset_ms) // (rate_s * 1000)
 
 
 def test_energy_ledger_accounts_every_millisecond():
