@@ -54,7 +54,7 @@ poke = encode_command(AlpCommand((
 )))
 node.on_downlink(poke, 65.0)
 frames = node.drain_outbox()
-print("frames after the poke:", [f.kind for f in frames])
+print("frames after the poke:", [f.kind.value for f in frames])
 
 # When the radio drops a frame the records spool to flash instead of
 # vanishing; the next delivered uplink flushes them oldest first.

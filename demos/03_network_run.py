@@ -8,7 +8,11 @@ while the network is live, then closes the books.
 """
 
 from geowsn.backend import Backend
-from geowsn.energy import HOURS_PER_YEAR, battery_lifetime_hours
+from geowsn.energy import (
+    BATTERY_CAPACITY_AH,
+    HOURS_PER_YEAR,
+    battery_lifetime_hours,
+)
 from geowsn.scenario import build_simulator, default_scenario, node_directory
 
 config = default_scenario()
@@ -47,7 +51,8 @@ print("quarantined frames:", len(backend.quarantine))
 # Per-node charge ledgers turn into battery lifetimes.  A 19 Ah
 # lithium thionyl chloride D-cell is the reference battery.
 worst = min(
-    battery_lifetime_hours(19.0, sim.mean_current_a(uid)) / HOURS_PER_YEAR
+    battery_lifetime_hours(BATTERY_CAPACITY_AH, sim.mean_current_a(uid))
+    / HOURS_PER_YEAR
     for uid in sim.node_uids
 )
 print("worst-case projected battery life: %.1f years" % worst)

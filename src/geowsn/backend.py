@@ -185,8 +185,7 @@ class CsvSink:
 
 @dataclass
 class _PendingRequest:
-    kind: str
-    length: int
+    action: AlpAction
     done: bool = False
     result: object = None
 
@@ -266,7 +265,7 @@ class Backend:
         records: list[TimeSeriesRecord] = []
         for action in command:
             if action.opcode is Opcode.RETURN_FILE_DATA:
-                resolved = self._resolve_read(envelope.node_uid, action)
+                resolved = self._resolve(envelope.node_uid, action)
                 if action.file_id == SENSOR_DATA_FILE:
                     records.extend(
                         self._decode_reading(envelope, action,
@@ -274,7 +273,7 @@ class Backend:
                     )
             elif action.opcode is Opcode.STATUS:
                 self.status_log.append((envelope, action))
-                self._resolve_write(envelope.node_uid, action)
+                self._resolve(envelope.node_uid, action)
             else:
                 self.quarantine.append(QuarantineEntry(
                     envelope, message.payload,
@@ -309,60 +308,62 @@ class Backend:
             records.append(record)
         return records
 
-    def _resolve_read(self, node_uid: int, action: AlpAction) -> bool:
-        key = (node_uid, action.file_id, action.offset)
+    def _resolve(self, node_uid: int, answer: AlpAction) -> bool:
+        """Hand an answer to the request outstanding for its (node, file,
+        offset): returned data of the asked length answers a read, a
+        status answers a write."""
+        key = (node_uid, answer.file_id, answer.offset)
         request = self._pending.get(key)
-        if request is None or request.kind != "read":
-            if action.file_id != SENSOR_DATA_FILE:
+        returned = answer.opcode is Opcode.RETURN_FILE_DATA
+        asked = Opcode.READ_FILE_DATA if returned else Opcode.WRITE_FILE_DATA
+        if request is None or request.action.opcode is not asked:
+            if returned and answer.file_id != SENSOR_DATA_FILE:
                 self.unmatched_returns += 1
             return False
-        if action.length != request.length:
+        if returned and answer.length != request.action.length:
             return False
-        request.result = action.payload
+        request.result = answer.payload if returned else answer.payload[0]
         request.done = True
         del self._pending[key]
         return True
 
-    def _resolve_write(self, node_uid: int, action: AlpAction) -> None:
-        key = (node_uid, action.file_id, action.offset)
-        request = self._pending.get(key)
-        if request is None or request.kind != "write":
-            return
-        request.result = action.payload[0]
-        request.done = True
-        del self._pending[key]
-
     # -- remote file access --------------------------------------------------
 
-    def _directory_entry(self, node_uid: int) -> dict:
+    def _request(self, node_uid: int, action: AlpAction, timeout_s: float):
+        """Send one action to a node over the air and drive the attached
+        network until the node answers it or the timeout lapses.
+
+        At most one request per (node, file, offset) may be outstanding;
+        a request that fails or times out frees its slot.
+        """
         try:
-            return self.directory[node_uid]
+            entry = self.directory[node_uid]
         except KeyError:
             raise NodeUnknownError(node_uid) from None
-
-    def _send_down(self, entry: dict, node_uid: int, payload: bytes) -> None:
+        transport = self._transport
+        if transport is None:
+            raise BackendError("remote file access needs an attached transport")
+        key = (node_uid, action.file_id, action.offset)
+        if key in self._pending:
+            raise RequestInFlightError(key)
+        request = self._pending[key] = _PendingRequest(action)
         site_id = entry["site_id"]
         gateway_id = entry.get("gateway_id", f"gw-{site_id}")
         envelope = Envelope(node_uid, gateway_id, site_id,
-                            self._now_s())
-        self.bus.publish(down_topic(site_id, gateway_id), payload, envelope)
-
-    def _now_s(self) -> float:
-        return self._transport.now_ms / 1000 if self._transport else 0.0
-
-    def _await(self, key: tuple[int, int, int], request: _PendingRequest,
-               timeout_s: float) -> None:
-        if self._transport is None:
-            raise BackendError(
-                "remote file access needs an attached transport"
-            )
-        deadline = self._transport.now_ms + round(timeout_s * 1000)
-        self._transport.run_until(lambda: request.done, deadline)
-        if not request.done:
+                            transport.now_ms / 1000)
+        try:
+            self.bus.publish(down_topic(site_id, gateway_id),
+                             encode_command(AlpCommand((action,))), envelope)
+            transport.run_until(lambda: request.done,
+                                transport.now_ms + round(timeout_s * 1000))
+            if not request.done:
+                raise RequestTimeoutError(
+                    f"node {node_uid} did not answer within {timeout_s} s"
+                )
+        except BaseException:
             self._pending.pop(key, None)
-            raise RequestTimeoutError(
-                f"node {key[0]} did not answer within {timeout_s} s"
-            )
+            raise
+        return request.result
 
     def remote_read_file(self, node_uid: int, file_id: int, offset: int,
                          length: int, timeout_s: float = 60.0) -> bytes:
@@ -372,28 +373,12 @@ class Backend:
         arrives or the timeout lapses.  At most one request per
         (node, file, offset) may be outstanding.
         """
-        entry = self._directory_entry(node_uid)
-        key = (node_uid, file_id, offset)
-        if key in self._pending:
-            raise RequestInFlightError(key)
-        request = _PendingRequest("read", length)
-        self._pending[key] = request
-        command = AlpCommand((AlpAction.read(file_id, offset, length),))
-        self._send_down(entry, node_uid, encode_command(command))
-        self._await(key, request, timeout_s)
-        return request.result
+        return self._request(node_uid, AlpAction.read(file_id, offset, length),
+                             timeout_s)
 
     def remote_write_file(self, node_uid: int, file_id: int, offset: int,
                           payload: bytes, timeout_s: float = 60.0) -> int:
         """Write bytes into a node file over the air; returns the
         node's status byte (0 is success)."""
-        entry = self._directory_entry(node_uid)
-        key = (node_uid, file_id, offset)
-        if key in self._pending:
-            raise RequestInFlightError(key)
-        request = _PendingRequest("write", len(payload))
-        self._pending[key] = request
-        command = AlpCommand((AlpAction.write(file_id, offset, payload),))
-        self._send_down(entry, node_uid, encode_command(command))
-        self._await(key, request, timeout_s)
-        return request.result
+        return self._request(node_uid, AlpAction.write(file_id, offset, payload),
+                             timeout_s)

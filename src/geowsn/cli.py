@@ -236,11 +236,10 @@ def _cmd_sim_run(args) -> int:
     print(f"sink rows: {len(sink.records)}")
     print("node  site   charge_C   mean_uA   battery_years")
     worst_years = None
-    duration_s = config.duration_s
     for uid in sim.node_uids:
         runtime = sim.runtime(uid)
         charge = sum(runtime.charges_c.values())
-        mean_a = charge / duration_s
+        mean_a = sim.mean_current_a(uid)
         years = energy.battery_lifetime_hours(
             energy.BATTERY_CAPACITY_AH, mean_a) / energy.HOURS_PER_YEAR
         if worst_years is None or years < worst_years:

@@ -17,10 +17,10 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import IntEnum
 from typing import Callable
 
-from .node import NodeMode, SensorKind, SensorNode, Uplink
+from .node import SensorKind, SensorNode, Uplink
 
 MS_PER_S = 1000
 
@@ -59,13 +59,6 @@ class EventKind(IntEnum):
 ENERGY_ROW_KIND = "EnergyCharge"
 
 
-class DownlinkState(Enum):
-    PENDING = "Pending"
-    DELIVERED = "Delivered"
-    DROPPED = "Dropped"
-    EXPIRED = "Expired"
-
-
 @dataclass(frozen=True)
 class LinkModel:
     """Per-site radio link parameters."""
@@ -102,35 +95,19 @@ class PowerProfile:
         }
     )
 
-    def current_a(self, mode: NodeMode) -> float:
-        return {
-            NodeMode.SLEEP: self.sleep_current_a,
-            NodeMode.TRANSMITTING: self.tx_current_a,
-            NodeMode.LISTENING: self.listen_current_a,
-            NodeMode.SAMPLING: self.sample_current_a,
-        }[mode]
-
-    def charge_c(self, mode: NodeMode, interval_s: float) -> float:
-        """Charge drawn by ``interval_s`` seconds spent in ``mode``."""
-        return self.current_a(mode) * interval_s
-
     def sample_ms(self, kind: SensorKind | None) -> float:
         if kind is None:
             return 0.0
         return self.sample_duration_ms.get(kind, 1000.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DownlinkTicket:
     """One queued downlink command waiting at a gateway."""
 
     ticket_id: int
-    node_uid: int
     payload: bytes
-    queued_at_ms: int
-    ttl_ms: int
-    state: DownlinkState = DownlinkState.PENDING
-    resolved_at_ms: int | None = None
+    expires_at_ms: int
 
 
 #: forwarder(payload, node_uid, gateway_id, site_id, rx_timestamp_s)
@@ -144,7 +121,6 @@ class SiteRuntime:
     link: LinkModel
     nodes: dict[int, "NodeRuntime"] = field(default_factory=dict)
     forwarder: Forwarder | None = None
-    uplinks_forwarded: int = 0
 
 
 @dataclass
@@ -152,7 +128,6 @@ class NodeRuntime:
     node: SensorNode
     site: SiteRuntime
     rng: random.Random
-    transect: str = ""
     pending: deque[DownlinkTicket] = field(default_factory=deque)
     window_scheduled: bool = False
     timer_event_ms: int = -1
@@ -166,7 +141,6 @@ class NodeRuntime:
     downlinks_queued: int = 0
     downlinks_delivered: int = 0
     downlinks_expired: int = 0
-    downlinks_dropped: int = 0
     hang_intervals: list[tuple[int, int]] = field(default_factory=list)
     open_hang_ms: int | None = None
     sniffs: int = 0
@@ -240,7 +214,6 @@ class Simulator:
         self.profile = power_profile or PowerProfile()
         self.now_ms = 0
         self.sites: dict[str, SiteRuntime] = {}
-        self.tickets: list[DownlinkTicket] = []
         self._by_uid: dict[int, NodeRuntime] = {}
         self._heap: list = []
         self._seq = 0
@@ -261,8 +234,7 @@ class Simulator:
         self.sites[site_id] = site
         return site
 
-    def add_node(self, site_id: str, node: SensorNode,
-                 transect: str = "") -> NodeRuntime:
+    def add_node(self, site_id: str, node: SensorNode) -> NodeRuntime:
         if self._started:
             raise SimulationError("cannot add nodes after start")
         site = self.sites[site_id]
@@ -272,7 +244,6 @@ class Simulator:
             node,
             site,
             random.Random(node_stream_seed(self.seed, site_id, node.uid)),
-            transect,
         )
         site.nodes[node.uid] = runtime
         self._by_uid[node.uid] = runtime
@@ -388,7 +359,7 @@ class Simulator:
     def _handle_uplink_tx(self, rt: NodeRuntime, at: int, uplink: Uplink) -> None:
         node = rt.node
         rt.tx_ms += self.profile.tx_duration_ms
-        delivered = self._deliver(rt, at, uplink.payload, uplink.kind)
+        delivered = self._deliver(rt, at, uplink.payload, uplink.kind.value)
         node.on_uplink_result(uplink, delivered, at / MS_PER_S)
         node.notify_activity(at / MS_PER_S)
         self._drain(rt, at)
@@ -415,7 +386,6 @@ class Simulator:
     def _handle_uplink_arrival(self, rt: NodeRuntime, at: int,
                                payload: bytes) -> None:
         site = rt.site
-        site.uplinks_forwarded += 1
         self._log(at, "UplinkArrival", rt.node.uid, f"len={len(payload)}")
         if site.forwarder is not None:
             site.forwarder(payload, rt.node.uid, site.gateway_id,
@@ -431,12 +401,9 @@ class Simulator:
             raise PayloadTooLargeError(len(payload), rt.site.link.max_payload)
         if self._finished:
             raise SimulationError("run already finished")
-        ticket = DownlinkTicket(
-            self._ticket_seq, node_uid, bytes(payload), self.now_ms,
-            round(ttl_s * MS_PER_S),
-        )
+        ticket = DownlinkTicket(self._ticket_seq, bytes(payload),
+                                self.now_ms + round(ttl_s * MS_PER_S))
         self._ticket_seq += 1
-        self.tickets.append(ticket)
         self._push(self.now_ms, EventKind.DOWNLINK_QUEUE, node_uid, ticket)
         return ticket
 
@@ -459,14 +426,9 @@ class Simulator:
     def _handle_listen_window(self, rt: NodeRuntime, at: int, payload) -> None:
         rt.window_scheduled = False
         node = rt.node
-        if not rt.pending:
-            self._log(at, "ListenWindow", node.uid, "idle")
-            return
-        # the gateway ages out stale commands whether or not the node hears
-        for ticket in [t for t in rt.pending
-                       if at - t.queued_at_ms >= t.ttl_ms]:
-            ticket.state = DownlinkState.EXPIRED
-            ticket.resolved_at_ms = at
+        # a window is only scheduled while commands wait for the node;
+        # the gateway ages out stale ones whether or not the node hears
+        for ticket in [t for t in rt.pending if at >= t.expires_at_ms]:
             rt.pending.remove(ticket)
             rt.downlinks_expired += 1
             self._log(at, "ListenWindow", node.uid,
@@ -481,8 +443,6 @@ class Simulator:
                           f"retry ticket={ticket.ticket_id}")
             else:
                 rt.pending.popleft()
-                ticket.state = DownlinkState.DELIVERED
-                ticket.resolved_at_ms = at
                 rt.downlinks_delivered += 1
                 self._log(at, "ListenWindow", node.uid,
                           f"delivered ticket={ticket.ticket_id}")
@@ -594,19 +554,19 @@ class Simulator:
             rt.sniffs = self._sniff_count(rt)
             listen_ms = rt.sniffs * self.profile.sniff_duration_ms
             sleep_ms = self.duration_ms - rt.tx_ms - rt.sample_ms - listen_ms
-            mode_ms = {
-                NodeMode.SLEEP: sleep_ms,
-                NodeMode.SAMPLING: rt.sample_ms,
-                NodeMode.TRANSMITTING: rt.tx_ms,
-                NodeMode.LISTENING: listen_ms,
-            }
+            profile = self.profile
             rt.charges_c = {}
-            for mode, ms in mode_ms.items():
-                charge = self.profile.charge_c(mode, ms / MS_PER_S)
-                rt.charges_c[mode.value] = charge
+            for mode, ms, current_a in (
+                ("Sleep", sleep_ms, profile.sleep_current_a),
+                ("Sampling", rt.sample_ms, profile.sample_current_a),
+                ("Transmitting", rt.tx_ms, profile.tx_current_a),
+                ("Listening", listen_ms, profile.listen_current_a),
+            ):
+                charge = current_a * (ms / MS_PER_S)
+                rt.charges_c[mode] = charge
                 self._log(
                     self.duration_ms, ENERGY_ROW_KIND, rt.node.uid,
-                    f"mode={mode.value} time_ms={ms!r} charge_c={charge!r}",
+                    f"mode={mode} time_ms={ms!r} charge_c={charge!r}",
                 )
             counters = rt.node.counters
             totals["uplinks_attempted"] += rt.uplinks_attempted

@@ -57,12 +57,6 @@ DATA_FILE_SIZE = 32
 _CONFIG = struct.Struct("<BHBII")
 _RECORD_HEAD = struct.Struct("<IBB")
 
-CONFIG_OFFSET_SENSOR_TYPE = 0
-CONFIG_OFFSET_SENSOR_ADDRESS = 1
-CONFIG_OFFSET_SENSOR_ACTION = 3
-CONFIG_OFFSET_SAMPLING_RATE = 4
-CONFIG_OFFSET_RTC_TIME = 8
-
 #: writing this to config byte 3 makes the node measure and transmit now
 ACTION_MEASURE_AND_TRANSMIT = 0xAA
 ACTION_NONE = 0x00
@@ -327,11 +321,13 @@ class FlashBuffer:
         return False
 
 
-class NodeMode(Enum):
-    SLEEP = "Sleep"
-    SAMPLING = "Sampling"
-    TRANSMITTING = "Transmitting"
-    LISTENING = "Listening"
+class UplinkKind(Enum):
+    """What an uplink frame carries; the value is its run-log name."""
+
+    READING = "reading"
+    RESPONSE = "response"
+    STATUS = "status"
+    FLUSH = "flush"
 
 
 @dataclass
@@ -340,8 +336,7 @@ class Uplink:
 
     payload: bytes
     records: tuple[bytes, ...] = ()
-    flush_on_delivery: bool = False
-    kind: str = "status"
+    kind: UplinkKind = UplinkKind.STATUS
 
 
 @dataclass
@@ -349,7 +344,6 @@ class NodeCounters:
     samples_produced: int = 0
     records_delivered: int = 0
     records_overwritten: int = 0
-    uplinks_queued: int = 0
     status_uplinks: int = 0
     driver_faults: int = 0
     commands_received: int = 0
@@ -502,15 +496,16 @@ class SensorNode:
         self._now = now_s
         if delivered:
             for record in uplink.records:
-                if uplink.kind == "flush":
+                if uplink.kind is UplinkKind.FLUSH:
                     if self.buffer.pop_head_if(record):
                         self.counters.records_delivered += 1
                 else:
                     self.counters.records_delivered += 1
-            if uplink.flush_on_delivery and len(self.buffer):
+            # a delivered fresh reading means the link is up: spool
+            if uplink.kind is UplinkKind.READING and len(self.buffer):
                 self._queue_flush()
         else:
-            if uplink.kind != "flush":
+            if uplink.kind is not UplinkKind.FLUSH:
                 for record in uplink.records:
                     evicted = self.buffer.append(record)
                     if evicted is not None:
@@ -532,7 +527,7 @@ class SensorNode:
                 return
             self._queue_uplink(
                 [AlpAction.return_data(action.file_id, action.offset, data)],
-                kind="response",
+                kind=UplinkKind.RESPONSE,
             )
         elif action.opcode is Opcode.WRITE_FILE_DATA:
             try:
@@ -572,16 +567,13 @@ class SensorNode:
         # any write to the data file goes straight out as returned data;
         # only the node's own sampling path marks it as a fresh record
         if self._sampling_in_progress:
-            records = (access.data,)
-            uplink_kind = "reading"
+            records, kind = (access.data,), UplinkKind.READING
         else:
-            records = ()
-            uplink_kind = "response"
+            records, kind = (), UplinkKind.RESPONSE
         self._queue_uplink(
             [AlpAction.return_data(SENSOR_DATA_FILE, access.offset, access.data)],
             records=records,
-            flush_on_delivery=bool(records),
-            kind=uplink_kind,
+            kind=kind,
         )
 
     def _on_data_read(self, access: FileAccess) -> None:
@@ -591,18 +583,16 @@ class SensorNode:
 
     # -- internals -------------------------------------------------------
 
-    def _reload(self) -> bool:
+    def _reload(self) -> None:
         """Bind the driver named by the config; keep the old binding and
         report a status error if the type code has no driver."""
-        code = self._config.sensor_type
-        driver = self.drivers.get(code)
+        driver = self.drivers.get(self._config.sensor_type)
         if driver is None:
             self._queue_status(STATUS_UNKNOWN_SENSOR_TYPE)
-            return False
+            return
         self._active_driver = driver
         self._active_kind = driver.kind
         self._active_address = self._config.sensor_address
-        return True
 
     def _sample_and_store(self, now_s: float) -> None:
         if self._active_driver is None:
@@ -630,12 +620,10 @@ class SensorNode:
         self,
         actions: list[AlpAction],
         records: tuple[bytes, ...] = (),
-        flush_on_delivery: bool = False,
-        kind: str = "status",
+        kind: UplinkKind = UplinkKind.STATUS,
     ) -> None:
         payload = encode_command(AlpCommand(tuple(actions)))
-        self.outbox.append(Uplink(payload, records, flush_on_delivery, kind))
-        self.counters.uplinks_queued += 1
+        self.outbox.append(Uplink(payload, records, kind))
 
     def _queue_status(self, code: int, echo: AlpAction | None = None) -> None:
         if echo is not None:
@@ -643,7 +631,7 @@ class SensorNode:
         else:
             action = AlpAction.status(code, NODE_CONFIG_FILE, 0, 0)
         self.counters.status_uplinks += 1
-        self._queue_uplink([action], kind="status")
+        self._queue_uplink([action])
 
     def _queue_flush(self) -> None:
         """Spool buffered records uplink, oldest first, one frame."""
@@ -660,4 +648,4 @@ class SensorNode:
             records.append(record)
             size += frame
         if actions:
-            self._queue_uplink(actions, tuple(records), kind="flush")
+            self._queue_uplink(actions, tuple(records), UplinkKind.FLUSH)

@@ -310,8 +310,7 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
     for site in config.sites:
         sim.add_site(site.site_id, site.link)
         for spec in site.nodes:
-            sim.add_node(site.site_id, build_node(spec, config.base_dir, site.link),
-                         spec.transect)
+            sim.add_node(site.site_id, build_node(spec, config.base_dir, site.link))
     return sim
 
 

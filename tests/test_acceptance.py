@@ -219,7 +219,7 @@ def test_criterion_7_split_stack_remote_access():
         drivers={1: SignalDriver(SensorKind.SOIL_TEMPERATURE,
                                  (ConstantSignal(4.0),))},
     )
-    sim.add_node("north", node, transect="E")
+    sim.add_node("north", node)
     backend = Backend(directory={42: {"site_id": "north", "transect": "E"}})
     backend.attach_transport(sim)
     sim.start()

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from geowsn.scenario import build_simulator, default_scenario
+from geowsn.backend import Backend
+from geowsn.scenario import build_simulator, default_scenario, node_directory
 
 SEED = 4021
 
@@ -99,3 +100,41 @@ def test_hang_sets_reset_where_the_per_tick_watchdog_did(seed):
     log = run_hang_set(seed)
     assert log.summary["resets"] > 0
     assert hash_per_node(log.rows, log.summary) == HANG_SET_HASHES[seed]
+
+
+#: one scripted remote-access run on the bundled 1-day scenario, in the
+#: style of criterion 7: per node, trigger a measurement through config
+#: byte 3, read the config back and clear the byte; then read one node's
+#: data file
+REMOTE_OPS_NODES = (1001, 2013, 3026)
+REMOTE_OPS_ANSWERS = [
+    0, "010000aa5802000000000000", 0,
+    0, "020000aa5802000000000000", 0,
+    0, "030000aa5802000000000000", 0,
+    "0a0000000101b90b0000",
+]
+REMOTE_OPS_NOW_MS = 10_018
+REMOTE_OPS_RUN = (
+    25_669, "b38016d8221b4c4586e4803292272c09a5d4d0db7bd50ef33e176b9fbf7156fe")
+#: sink records, quarantined, ingested
+REMOTE_OPS_BACKEND = (8_584, 0, 8_279)
+
+
+def test_scripted_remote_access_run_is_pinned():
+    config = default_scenario()
+    sim = build_simulator(config)
+    backend = Backend(directory=node_directory(config))
+    backend.attach_transport(sim)
+    sim.start()
+    answers = []
+    for uid in REMOTE_OPS_NODES:
+        answers.append(backend.remote_write_file(uid, 0x41, 3, b"\xAA"))
+        answers.append(backend.remote_read_file(uid, 0x41, 0, 12).hex())
+        answers.append(backend.remote_write_file(uid, 0x41, 3, b"\x00"))
+    answers.append(backend.remote_read_file(1001, 0x40, 0, 10).hex())
+    assert answers == REMOTE_OPS_ANSWERS
+    assert sim.now_ms == REMOTE_OPS_NOW_MS
+    log = sim.run()
+    assert (len(log.rows), log.stable_hash()) == REMOTE_OPS_RUN
+    assert (len(backend.sink.records), len(backend.quarantine),
+            backend.ingested) == REMOTE_OPS_BACKEND

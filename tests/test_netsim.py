@@ -14,7 +14,6 @@ from geowsn.netsim import (
 from geowsn.node import (
     ConstantSignal,
     NodeConfig,
-    NodeMode,
     SensorKind,
     SensorNode,
     SignalDriver,
@@ -37,8 +36,7 @@ def build_sim(duration_s: float = 600.0, loss: float = 0.0,
     sim = Simulator(seed=seed, duration_s=duration_s)
     sim.add_site("north", LinkModel(loss_probability=loss,
                                     latency_ms=latency_ms))
-    sim.add_node("north", soil_node(rate_s=rate_s, **node_kwargs),
-                 transect="E")
+    sim.add_node("north", soil_node(rate_s=rate_s, **node_kwargs))
     return sim
 
 
@@ -210,13 +208,13 @@ def test_energy_ledger_accounts_every_millisecond():
     assert rt.sniffs == 600
     listen_ms = 600 * profile.sniff_duration_ms
     sleep_ms = 600_000 - 7500 - 600 - listen_ms
-    assert rt.charges_c[NodeMode.SLEEP.value] == pytest.approx(
+    assert rt.charges_c["Sleep"] == pytest.approx(
         profile.sleep_current_a * sleep_ms / 1000)
-    assert rt.charges_c[NodeMode.SAMPLING.value] == pytest.approx(
+    assert rt.charges_c["Sampling"] == pytest.approx(
         profile.sample_current_a * 7.5)
-    assert rt.charges_c[NodeMode.TRANSMITTING.value] == pytest.approx(
+    assert rt.charges_c["Transmitting"] == pytest.approx(
         profile.tx_current_a * 0.6)
-    assert rt.charges_c[NodeMode.LISTENING.value] == pytest.approx(
+    assert rt.charges_c["Listening"] == pytest.approx(
         profile.listen_current_a * listen_ms / 1000)
     total_ms = rt.sample_ms + rt.tx_ms + listen_ms + sleep_ms
     assert total_ms == pytest.approx(600_000)

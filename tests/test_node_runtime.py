@@ -27,6 +27,7 @@ from geowsn.node import (
     SensorNode,
     SensorReading,
     SignalDriver,
+    UplinkKind,
 )
 
 
@@ -83,7 +84,7 @@ def test_sample_timer_emits_fresh_reading():
     node.on_sample_timer(60.0)
     uplinks = node.drain_outbox()
     assert len(uplinks) == 1
-    assert uplinks[0].kind == "reading"
+    assert uplinks[0].kind is UplinkKind.READING
     action = decode_command(uplinks[0].payload).actions[0]
     assert action.opcode is Opcode.RETURN_FILE_DATA
     assert action.file_id == SENSOR_DATA_FILE
@@ -129,7 +130,7 @@ def test_clearing_then_setting_action_byte_triggers_again():
     node.drain_outbox()
     node.on_downlink(write_command(NODE_CONFIG_FILE, 3, b"\xAA"), 7.0)
     kinds = [u.kind for u in node.outbox]
-    assert kinds == ["reading", "status"]
+    assert kinds == [UplinkKind.READING, UplinkKind.STATUS]
     assert node.counters.samples_produced == 2
 
 
@@ -227,7 +228,7 @@ def test_remote_read_of_data_file_triggers_fresh_sample():
     node.on_downlink(read_command(SENSOR_DATA_FILE, 0, 10), 5.0)
     uplinks = node.drain_outbox()
     kinds = [u.kind for u in uplinks]
-    assert kinds == ["reading", "response"]
+    assert kinds == [UplinkKind.READING, UplinkKind.RESPONSE]
     assert node.counters.samples_produced == 1
 
 
@@ -266,7 +267,7 @@ def test_delivered_reading_flushes_backlog():
     node.on_uplink_result(second, delivered=True, now_s=120.0)
     flush = node.drain_outbox()
     assert len(flush) == 1
-    assert flush[0].kind == "flush"
+    assert flush[0].kind is UplinkKind.FLUSH
     assert flush[0].records == (first.records[0],)
     node.on_uplink_result(flush[0], delivered=True, now_s=121.0)
     assert len(node.buffer) == 0

@@ -5,11 +5,12 @@ import pytest
 from geowsn.alp import NODE_CONFIG_FILE, SENSOR_DATA_FILE
 from geowsn.backend import (
     Backend,
+    BackendError,
     NodeUnknownError,
     RequestInFlightError,
     RequestTimeoutError,
 )
-from geowsn.netsim import LinkModel, Simulator
+from geowsn.netsim import LinkModel, PayloadTooLargeError, Simulator
 from geowsn.node import (
     ConstantSignal,
     NodeConfig,
@@ -29,7 +30,7 @@ def wire_up(loss: float = 0.0, duration_s: float = 600.0, rate_s: int = 300):
         drivers={1: SignalDriver(SensorKind.SOIL_TEMPERATURE,
                                  (ConstantSignal(4.2),))},
     )
-    sim.add_node("north", node, transect="E")
+    sim.add_node("north", node)
     backend = Backend(directory={
         42: {"site_id": "north", "transect": "E",
              "gateway_id": "gw-north"},
@@ -117,6 +118,34 @@ def test_out_of_range_read_times_out_with_status_logged():
     assert backend.status_log, "expected the node's error status"
     env, action = backend.status_log[-1]
     assert env.node_uid == 42
+
+
+def test_request_without_transport_leaves_no_request_in_flight():
+    backend = Backend(directory={42: {"site_id": "north"}})
+    for _ in range(2):
+        with pytest.raises(BackendError) as caught:
+            backend.remote_read_file(42, NODE_CONFIG_FILE, 0, 12)
+        assert not isinstance(caught.value, RequestInFlightError)
+    with pytest.raises(BackendError) as caught:
+        backend.remote_write_file(42, NODE_CONFIG_FILE, 0, b"\x01")
+    assert not isinstance(caught.value, RequestInFlightError)
+
+
+def test_refused_downlink_leaves_no_request_in_flight():
+    sim = Simulator(seed=5, duration_s=600.0)
+    sim.add_site("north", LinkModel(max_payload=16))
+    sim.add_node("north", SensorNode(
+        uid=42, config=NodeConfig(sensor_type=1),
+        drivers={1: SignalDriver(SensorKind.SOIL_TEMPERATURE,
+                                 (ConstantSignal(4.2),))},
+    ))
+    backend = Backend(directory={42: {"site_id": "north"}})
+    backend.attach_transport(sim)
+    sim.start()
+    # a 10-byte header plus 12 bytes of payload exceeds the link
+    for _ in range(2):
+        with pytest.raises(PayloadTooLargeError):
+            backend.remote_write_file(42, NODE_CONFIG_FILE, 0, bytes(12))
 
 
 def test_duplicate_in_flight_request_rejected():
