@@ -29,6 +29,7 @@ from .alp import (
     decode_command,
     encode_command,
 )
+from .netsim import PayloadTooLargeError
 from .node import SensorReading
 
 SINK_HEADER = ("timestamp", "site", "node_uid", "transect", "channel",
@@ -55,6 +56,10 @@ class RequestInFlightError(BackendError):
 
 class RequestTimeoutError(BackendError):
     pass
+
+
+class DownlinkTooLargeError(BackendError):
+    """A command too large for the target node's link."""
 
 
 @dataclass(frozen=True)
@@ -240,8 +245,11 @@ class Backend:
         )
 
     def _on_down(self, message: BusMessage) -> None:
-        self._transport.queue_downlink(message.envelope.node_uid,
-                                       message.payload)
+        node_uid = message.envelope.node_uid
+        try:
+            self._transport.queue_downlink(node_uid, message.payload)
+        except PayloadTooLargeError as exc:
+            raise DownlinkTooLargeError(f"node {node_uid}: {exc}") from exc
 
     # -- ingestion ---------------------------------------------------------
 

@@ -8,6 +8,11 @@ nodes around one gateway; uplinks suffer one loss draw and a fixed
 latency, downlinks wait at the gateway until the target node's next
 listen window.  Per-node RNG streams are split from the scenario seed
 by hashing, so adding a node never perturbs the others' draws.
+
+The heap holds only what waits for its time: sample timers, uplink
+arrivals, listen windows, watchdog resets and injected hangs.  Within
+one ms a node finishes its own interaction before the next event: it
+transmits what it queued, and what their results queue, inline.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable
 
-from .node import SensorKind, SensorNode, Uplink
+from .node import SensorKind, SensorNode
 
 MS_PER_S = 1000
 
@@ -47,13 +52,10 @@ class PayloadTooLargeError(SimulationError):
 
 class EventKind(IntEnum):
     SAMPLE_TIMER = 0
-    UPLINK_TX = 1
-    UPLINK_ARRIVAL = 2
-    DOWNLINK_QUEUE = 3
-    LISTEN_WINDOW = 4
-    WATCHDOG_CHECK = 5
-    HANG_INJECTION = 6
-    RESET_DONE = 7
+    UPLINK_ARRIVAL = 1
+    LISTEN_WINDOW = 2
+    WATCHDOG_CHECK = 3
+    HANG_INJECTION = 4
 
 
 ENERGY_ROW_KIND = "EnergyCharge"
@@ -95,9 +97,7 @@ class PowerProfile:
         }
     )
 
-    def sample_ms(self, kind: SensorKind | None) -> float:
-        if kind is None:
-            return 0.0
+    def sample_ms(self, kind: SensorKind) -> float:
         return self.sample_duration_ms.get(kind, 1000.0)
 
 
@@ -294,11 +294,8 @@ class Simulator:
         self._started = True
         for site in self.sites.values():
             for runtime in site.nodes.values():
-                node = runtime.node
-                node.boot(0.0)
-                self._drain(runtime, 0)
-                runtime.timer_event_ms = round(node.next_sample_at * MS_PER_S)
-                self._push(runtime.timer_event_ms, EventKind.SAMPLE_TIMER, node.uid)
+                runtime.node.boot(0.0)
+                self._settle(runtime, 0)
 
     def step(self) -> bool:
         """Process one event; False when none remain within duration."""
@@ -351,19 +348,8 @@ class Simulator:
             self._log(at, "SampleTimer", node.uid, "hung")
             return
         node.on_sample_timer(at / MS_PER_S)
-        rt.sample_ms += self.profile.sample_ms(node.active_kind)
         self._log(at, "SampleTimer", node.uid, "ok")
-        self._drain(rt, at)
-        self._reconcile(rt, at)
-
-    def _handle_uplink_tx(self, rt: NodeRuntime, at: int, uplink: Uplink) -> None:
-        node = rt.node
-        rt.tx_ms += self.profile.tx_duration_ms
-        delivered = self._deliver(rt, at, uplink.payload, uplink.kind.value)
-        node.on_uplink_result(uplink, delivered, at / MS_PER_S)
-        node.notify_activity(at / MS_PER_S)
-        self._drain(rt, at)
-        self._reconcile(rt, at)
+        self._settle(rt, at)
 
     def _deliver(self, rt: NodeRuntime, at: int, payload: bytes,
                  kind: str) -> bool:
@@ -404,16 +390,12 @@ class Simulator:
         ticket = DownlinkTicket(self._ticket_seq, bytes(payload),
                                 self.now_ms + round(ttl_s * MS_PER_S))
         self._ticket_seq += 1
-        self._push(self.now_ms, EventKind.DOWNLINK_QUEUE, node_uid, ticket)
-        return ticket
-
-    def _handle_downlink_queue(self, rt: NodeRuntime, at: int,
-                               ticket: DownlinkTicket) -> None:
         rt.pending.append(ticket)
         rt.downlinks_queued += 1
-        self._log(at, "DownlinkQueue", rt.node.uid,
+        self._log(self.now_ms, "DownlinkQueue", node_uid,
                   f"ticket={ticket.ticket_id} len={len(ticket.payload)}")
-        self._ensure_window(rt, at)
+        self._ensure_window(rt, self.now_ms)
+        return ticket
 
     def _ensure_window(self, rt: NodeRuntime, at: int) -> None:
         if rt.window_scheduled:
@@ -447,8 +429,7 @@ class Simulator:
                 self._log(at, "ListenWindow", node.uid,
                           f"delivered ticket={ticket.ticket_id}")
                 node.on_downlink(ticket.payload, at / MS_PER_S)
-                self._drain(rt, at)
-                self._reconcile(rt, at)
+                self._settle(rt, at)
         if rt.pending:
             self._ensure_window(rt, at)
 
@@ -460,9 +441,8 @@ class Simulator:
         rt.anchor_ms = at
         self._close_hang(rt, at)
         self._log(at, "WatchdogCheck", node.uid, "reset")
-        self._push(at, EventKind.RESET_DONE, node.uid)
-        self._drain(rt, at)
-        self._reconcile(rt, at)
+        self._log(at, "ResetDone", node.uid, "boot")
+        self._settle(rt, at)
 
     def _handle_hang_injection(self, rt: NodeRuntime, at: int, payload) -> None:
         node = rt.node
@@ -477,30 +457,30 @@ class Simulator:
             self._push(deadline_ms, EventKind.WATCHDOG_CHECK, node.uid)
         self._log(at, "HangInjection", node.uid, "hang")
 
-    def _handle_reset_done(self, rt: NodeRuntime, at: int, payload) -> None:
-        self._log(at, "ResetDone", rt.node.uid, "boot")
-
     _HANDLERS = {
         EventKind.SAMPLE_TIMER: _handle_sample_timer,
-        EventKind.UPLINK_TX: _handle_uplink_tx,
         EventKind.UPLINK_ARRIVAL: _handle_uplink_arrival,
-        EventKind.DOWNLINK_QUEUE: _handle_downlink_queue,
         EventKind.LISTEN_WINDOW: _handle_listen_window,
         EventKind.WATCHDOG_CHECK: _handle_watchdog_check,
         EventKind.HANG_INJECTION: _handle_hang_injection,
-        EventKind.RESET_DONE: _handle_reset_done,
     }
 
     # -- plumbing ----------------------------------------------------------
 
-    def _drain(self, rt: NodeRuntime, at: int) -> None:
-        for uplink in rt.node.drain_outbox():
-            self._push(at, EventKind.UPLINK_TX, rt.node.uid, uplink)
-
-    def _reconcile(self, rt: NodeRuntime, at: int) -> None:
-        """Line the heap up with the node's own idea of its next sample
-        (it can move under remote commands)."""
+    def _settle(self, rt: NodeRuntime, at: int) -> None:
+        """Finish the node's interaction at this ms: transmit what it
+        queued, and what the results of those transmissions queue in
+        turn, then line the heap up with the node's own idea of its next
+        sample (it can move under remote commands)."""
         node = rt.node
+        now_s = at / MS_PER_S
+        while node.outbox:
+            for uplink in node.drain_outbox():
+                rt.tx_ms += self.profile.tx_duration_ms
+                delivered = self._deliver(rt, at, uplink.payload,
+                                          uplink.kind.value)
+                node.on_uplink_result(uplink, delivered, now_s)
+                node.notify_activity(now_s)
         want = round(node.next_sample_at * MS_PER_S)
         if want != rt.timer_event_ms and want > at and not node.hung:
             self._push(want, EventKind.SAMPLE_TIMER, node.uid)
@@ -551,10 +531,14 @@ class Simulator:
         for rt in self._by_uid.values():
             if rt.node.hung:
                 self._close_hang(rt, self.duration_ms)
-            rt.sniffs = self._sniff_count(rt)
-            listen_ms = rt.sniffs * self.profile.sniff_duration_ms
-            sleep_ms = self.duration_ms - rt.tx_ms - rt.sample_ms - listen_ms
             profile = self.profile
+            counters = rt.node.counters
+            rt.sniffs = self._sniff_count(rt)
+            # one sample duration per driver measurement, whatever triggered it
+            rt.sample_ms = sum(profile.sample_ms(kind) * count
+                               for kind, count in counters.measurements.items())
+            listen_ms = rt.sniffs * profile.sniff_duration_ms
+            sleep_ms = self.duration_ms - rt.tx_ms - rt.sample_ms - listen_ms
             rt.charges_c = {}
             for mode, ms, current_a in (
                 ("Sleep", sleep_ms, profile.sleep_current_a),
@@ -568,7 +552,6 @@ class Simulator:
                     self.duration_ms, ENERGY_ROW_KIND, rt.node.uid,
                     f"mode={mode} time_ms={ms!r} charge_c={charge!r}",
                 )
-            counters = rt.node.counters
             totals["uplinks_attempted"] += rt.uplinks_attempted
             totals["uplinks_delivered"] += rt.uplinks_delivered
             totals["uplinks_dropped"] += rt.uplinks_dropped

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import struct
 from abc import ABC, abstractmethod
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter, deque
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from itertools import islice
 from math import sin, tau
@@ -349,6 +349,8 @@ class NodeCounters:
     commands_received: int = 0
     command_errors: int = 0
     resets: int = 0
+    #: driver measurements per sensor kind, whatever triggered them
+    measurements: Counter = field(default_factory=Counter)
 
 
 class SensorNode:
@@ -459,10 +461,6 @@ class SensorNode:
         """Sampling cadence in seconds, floored at one second so a
         zero written over the air cannot wedge the timer."""
         return max(1, self._config.sampling_rate)
-
-    @property
-    def active_kind(self) -> SensorKind | None:
-        return self._active_kind
 
     def clock(self, now_s: float) -> int:
         """The node's idea of the current timestamp."""
@@ -599,6 +597,7 @@ class SensorNode:
             self._queue_status(STATUS_UNKNOWN_SENSOR_TYPE)
             return
         values = self._active_driver.measure(self._active_address, now_s)
+        self.counters.measurements[self._active_kind] += 1
         if not values:
             self.counters.driver_faults += 1
             self._queue_status(STATUS_DRIVER_FAULT)
@@ -623,7 +622,14 @@ class SensorNode:
         kind: UplinkKind = UplinkKind.STATUS,
     ) -> None:
         payload = encode_command(AlpCommand(tuple(actions)))
-        self.outbox.append(Uplink(payload, records, kind))
+        uplink = Uplink(payload, records, kind)
+        if len(payload) > self.max_uplink_bytes and kind is not UplinkKind.STATUS:
+            # the link cannot carry the frame: it counts as undelivered,
+            # and a status echoing what it answered goes in its place
+            self.on_uplink_result(uplink, False, self._now)
+            self._queue_status(STATUS_FILE_ACCESS_ERROR, actions[0])
+            return
+        self.outbox.append(uplink)
 
     def _queue_status(self, code: int, echo: AlpAction | None = None) -> None:
         if echo is not None:

@@ -12,12 +12,14 @@ from geowsn.scenario import build_simulator, default_scenario, node_directory
 
 SEED = 4021
 
-#: bundled scenario, seed 4021: (days, rows, stable_hash)
+#: bundled scenario, seed 4021: (days, rows, stable_hash, hash_per_node)
 GOLDEN_RUNS = [
     (1, 25_621,
-     "373af76ad186b05aa54ec326b5aadbc7ca27382ecc74f78d95f9d8521dcb341a"),
+     "de5eb9ca7b84eca05bbc1c5480898a1c35fa392ca94d54308192ef6a62500d6c",
+     "960eeb766be0996a469befc48d9a5f3fe3361a9e2291e81d5ea37ace01275544"),
     (7, 178_231,
-     "b9e691b0571a7b9901e39469c40a735bae96f5479177a4020b35dbea7830e28e"),
+     "28e57c24ef78cbf42c3d6757886edab953b92cd6b0a1147e3e98a0e1cce6d8b6",
+     "7f792fc841cd0a6a4ea7a02ce88f11dc75a94fbeb3fb9e6ffbea0c78d18e11d7"),
 ]
 
 HANG_RUN_S = 6 * 3600
@@ -41,13 +43,14 @@ HANG_SET_HASHES = {
 }
 
 
-@pytest.mark.parametrize("days, rows, digest", GOLDEN_RUNS,
+@pytest.mark.parametrize("days, rows, digest, per_node", GOLDEN_RUNS,
                          ids=["1-day", "7-day"])
-def test_bundled_scenario_log_is_pinned(days, rows, digest):
+def test_bundled_scenario_log_is_pinned(days, rows, digest, per_node):
     config = default_scenario()
     assert config.seed == SEED
     log = build_simulator(config.with_duration(days * 86400)).run()
     assert len(log.rows) == rows
+    assert hash_per_node(log.rows, log.summary) == per_node
     assert log.stable_hash() == digest
 
 
@@ -115,7 +118,7 @@ REMOTE_OPS_ANSWERS = [
 ]
 REMOTE_OPS_NOW_MS = 10_018
 REMOTE_OPS_RUN = (
-    25_669, "b38016d8221b4c4586e4803292272c09a5d4d0db7bd50ef33e176b9fbf7156fe")
+    25_669, "f59631e6615c570133745b731bc67340eddff2acb49e6ec068b35d30c19f4a1f")
 #: sink records, quarantined, ingested
 REMOTE_OPS_BACKEND = (8_584, 0, 8_279)
 

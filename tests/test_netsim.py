@@ -222,6 +222,21 @@ def test_energy_ledger_accounts_every_millisecond():
     assert energy_rows == 4
 
 
+def test_remotely_triggered_samples_are_charged():
+    sim = build_sim(duration_s=600, loss=0.0, rate_s=300)
+    sim.start()
+    # three measure-now round trips on config byte 3, one per window
+    for value in (b"\xAA", b"\x00") * 3:
+        sim.queue_downlink(1, action_write(3, value), ttl_s=60)
+    sim.run()
+    rt = sim.runtime(1)
+    # timer samples at 300 s and 600 s plus three measured on command
+    assert rt.node.counters.samples_produced == 5
+    assert rt.sample_ms == 3750.0
+    assert rt.charges_c["Sampling"] == pytest.approx(
+        PowerProfile().sample_current_a * 3.75)
+
+
 def test_hang_suspends_listening_energy():
     quiet = build_sim(duration_s=600, loss=0.0, rate_s=3600)
     quiet.run()

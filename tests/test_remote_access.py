@@ -2,15 +2,16 @@
 
 import pytest
 
-from geowsn.alp import NODE_CONFIG_FILE, SENSOR_DATA_FILE
+from geowsn.alp import NODE_CONFIG_FILE, SENSOR_DATA_FILE, STATUS_FILE_ACCESS_ERROR
 from geowsn.backend import (
     Backend,
     BackendError,
+    DownlinkTooLargeError,
     NodeUnknownError,
     RequestInFlightError,
     RequestTimeoutError,
 )
-from geowsn.netsim import LinkModel, PayloadTooLargeError, Simulator
+from geowsn.netsim import LinkModel, Simulator
 from geowsn.node import (
     ConstantSignal,
     NodeConfig,
@@ -21,14 +22,17 @@ from geowsn.node import (
 )
 
 
-def wire_up(loss: float = 0.0, duration_s: float = 600.0, rate_s: int = 300):
+def wire_up(loss: float = 0.0, duration_s: float = 600.0, rate_s: int = 300,
+            max_payload: int = 256):
     sim = Simulator(seed=5, duration_s=duration_s)
-    sim.add_site("north", LinkModel(loss_probability=loss, latency_ms=20.0))
+    sim.add_site("north", LinkModel(loss_probability=loss, latency_ms=20.0,
+                                    max_payload=max_payload))
     node = SensorNode(
         uid=42,
         config=NodeConfig(sensor_type=1, sampling_rate=rate_s),
         drivers={1: SignalDriver(SensorKind.SOIL_TEMPERATURE,
                                  (ConstantSignal(4.2),))},
+        max_uplink_bytes=max_payload,
     )
     sim.add_node("north", node)
     backend = Backend(directory={
@@ -120,6 +124,33 @@ def test_out_of_range_read_times_out_with_status_logged():
     assert env.node_uid == 42
 
 
+def test_reply_too_large_for_the_link_times_out_with_status_logged():
+    # a soil reading frame is exactly 20 bytes; a 10-byte header plus
+    # the 12-byte config image is not
+    sim, backend, node = wire_up(max_payload=20)
+    with pytest.raises(RequestTimeoutError):
+        backend.remote_read_file(42, NODE_CONFIG_FILE, 0, 12, timeout_s=5.0)
+    env, action = backend.status_log[-1]
+    assert env.node_uid == 42
+    assert action.payload == bytes([STATUS_FILE_ACCESS_ERROR])
+    assert (action.file_id, action.offset, action.length) == (
+        NODE_CONFIG_FILE, 0, 12)
+    log = sim.run()
+    s = log.summary
+    assert s["records_produced"] == 2
+    assert s["records_produced"] == (
+        s["records_delivered"] + s["records_buffered"]
+        + s["records_overwritten"])
+    assert s["uplinks_attempted"] == (
+        s["uplinks_delivered"] + s["uplinks_dropped"])
+    assert s["downlinks_queued"] == (
+        s["downlinks_delivered"] + s["downlinks_expired"]
+        + s["downlinks_pending"])
+    ledger_ms = [float(detail.split()[1].removeprefix("time_ms="))
+                 for _, kind, _, detail in log.rows if kind == "EnergyCharge"]
+    assert sum(ledger_ms) == pytest.approx(s["duration_ms"])
+
+
 def test_request_without_transport_leaves_no_request_in_flight():
     backend = Backend(directory={42: {"site_id": "north"}})
     for _ in range(2):
@@ -144,7 +175,7 @@ def test_refused_downlink_leaves_no_request_in_flight():
     sim.start()
     # a 10-byte header plus 12 bytes of payload exceeds the link
     for _ in range(2):
-        with pytest.raises(PayloadTooLargeError):
+        with pytest.raises(DownlinkTooLargeError):
             backend.remote_write_file(42, NODE_CONFIG_FILE, 0, bytes(12))
 
 
