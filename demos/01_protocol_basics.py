@@ -8,13 +8,11 @@ through building frames by hand and watching them come back out.
 """
 
 from geowsn.alp import (
-    ActionHook,
     AlpAction,
     AlpCommand,
     DecodeError,
     FileHeader,
     FileStore,
-    HookTrigger,
     NODE_CONFIG_FILE,
     SENSOR_DATA_FILE,
     decode_command,
@@ -47,13 +45,9 @@ try:
 except DecodeError as exc:
     print("truncated frame:", exc)
 
-# The file store underneath enforces bounds and permissions and lets
-# you watch accesses, which is how a node notices config writes.
+# The file store underneath holds each file's bytes and enforces
+# bounds and permissions; a write changes only the range it names.
 store = FileStore()
 store.create(FileHeader(NODE_CONFIG_FILE, 12, persistent=True))
-seen = []
-store.register_hook(ActionHook(NODE_CONFIG_FILE, HookTrigger.ON_WRITE,
-                               lambda access: seen.append(access.offset)))
 store.write(NODE_CONFIG_FILE, 3, b"\xAA")
-print("hook saw a write at offset:", seen)
 print("file image now:", store.raw(NODE_CONFIG_FILE).hex())

@@ -1,18 +1,19 @@
-"""File registry, action hooks and wire codec for the file-operation protocol.
+"""File registry and wire codec for the file-operation protocol.
 
 Everything a node exposes is a small fixed-length file.  Remote peers
 interact with a node exclusively through offset-addressed reads and
 writes on those files, and the node answers with returned file data or
 a status byte.  The same byte format travels in both directions, so a
 single codec serves node firmware, gateway forwarding and the backend.
+The registry only stores bytes and enforces bounds and permissions;
+what an access makes the device do is the firmware's business.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from enum import Enum, IntEnum
-from typing import Callable
+from dataclasses import dataclass
+from enum import IntEnum
 
 SENSOR_DATA_FILE = 0x40
 NODE_CONFIG_FILE = 0x41
@@ -221,11 +222,6 @@ def decode_command(data: bytes) -> AlpCommand:
     return AlpCommand(tuple(actions))
 
 
-class HookTrigger(Enum):
-    ON_READ = "read"
-    ON_WRITE = "write"
-
-
 @dataclass(frozen=True)
 class FileHeader:
     """Fixed metadata of one file in the registry.
@@ -247,37 +243,13 @@ class FileHeader:
             raise ValueError("file length must be positive")
 
 
-@dataclass(frozen=True)
-class FileAccess:
-    """What a hook callback learns about the access that fired it."""
-
-    file_id: int
-    trigger: HookTrigger
-    offset: int
-    data: bytes
-
-
-@dataclass(frozen=True)
-class ActionHook:
-    """A callback bound to accesses of one file.
-
-    Hooks fire after the access has completed, once per matching
-    access, in registration order.
-    """
-
-    file_id: int
-    trigger: HookTrigger
-    callback: Callable[[FileAccess], None]
-    name: str = ""
-
-
 class FileStore:
-    """A node's file registry: fixed-size files plus action hooks."""
+    """A node's file registry: fixed-size files with bounds and
+    permission checks."""
 
     def __init__(self) -> None:
         self._headers: dict[int, FileHeader] = {}
         self._content: dict[int, bytearray] = {}
-        self._hooks: list[ActionHook] = []
 
     def create(self, header: FileHeader, content: bytes | None = None) -> None:
         if header.file_id in self._headers:
@@ -299,7 +271,7 @@ class FileStore:
             raise NoSuchFileError(file_id) from None
 
     def raw(self, file_id: int) -> bytes:
-        """Owner's view of a file: full content, no checks, no hooks."""
+        """Owner's view of a file: full content, no permission checks."""
         self.header(file_id)
         return bytes(self._content[file_id])
 
@@ -312,9 +284,7 @@ class FileStore:
         if not header.readable:
             raise PermissionDeniedError(file_id, "readable")
         self._check_range(header, offset, length)
-        data = bytes(self._content[file_id][offset:offset + length])
-        self._fire(FileAccess(file_id, HookTrigger.ON_READ, offset, data))
-        return data
+        return bytes(self._content[file_id][offset:offset + length])
 
     def write(self, file_id: int, offset: int, payload: bytes) -> None:
         header = self.header(file_id)
@@ -322,16 +292,6 @@ class FileStore:
             raise PermissionDeniedError(file_id, "writable")
         self._check_range(header, offset, len(payload))
         self._content[file_id][offset:offset + len(payload)] = payload
-        self._fire(FileAccess(file_id, HookTrigger.ON_WRITE, offset, bytes(payload)))
-
-    def register_hook(self, hook: ActionHook) -> None:
-        self.header(hook.file_id)
-        self._hooks.append(hook)
-
-    def _fire(self, access: FileAccess) -> None:
-        for hook in list(self._hooks):
-            if hook.file_id == access.file_id and hook.trigger is access.trigger:
-                hook.callback(access)
 
     def reset(self) -> None:
         """Zero every volatile file, as a device reset would."""

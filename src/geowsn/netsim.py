@@ -63,7 +63,11 @@ ENERGY_ROW_KIND = "EnergyCharge"
 
 @dataclass(frozen=True)
 class LinkModel:
-    """Per-site radio link parameters."""
+    """Per-site radio link parameters.
+
+    ``latency_ms`` may be given as a whole-number float; it is stored as
+    an ``int`` so that event times stay integer milliseconds.
+    """
 
     loss_probability: float = 0.0
     latency_ms: int = 0
@@ -74,6 +78,10 @@ class LinkModel:
             raise ValueError("loss_probability must lie in [0, 1]")
         if self.latency_ms < 0:
             raise ValueError("latency_ms must not be negative")
+        # NaN and infinity leave a NaN remainder, which is true
+        if self.latency_ms % 1:
+            raise ValueError("latency_ms must be a whole number of ms")
+        object.__setattr__(self, "latency_ms", int(self.latency_ms))
         if self.max_payload < 1:
             raise ValueError("max_payload must be positive")
 
@@ -311,13 +319,15 @@ class Simulator:
     def run_until(self, predicate: Callable[[], bool],
                   deadline_ms: int | None = None) -> bool:
         """Process events until the predicate holds, the deadline or the
-        scenario duration passes, or the heap empties."""
+        scenario duration passes, or the heap empties.  Waiting out the
+        limit takes simulated time: the clock then reads the limit."""
         self.start()
         limit = self.duration_ms if deadline_ms is None else min(
             deadline_ms, self.duration_ms
         )
         while not predicate():
             if not self._heap or self._heap[0][0] > limit:
+                self.now_ms = max(self.now_ms, limit)
                 return predicate()
             self.step()
         return True

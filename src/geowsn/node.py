@@ -1,14 +1,15 @@
 """Firmware model of a buried sensor node.
 
 A node is a small file server with a sensor attached.  Its behaviour
-is driven entirely by file accesses: writing the configuration file
-reconfigures it (and byte 3 doubles as a remote-command slot), any
-operation on the sensor-data file triggers a transmission, and a
-periodic timer samples the bound sensor driver.  The node never talks
-to a network directly; it appends ready-to-send byte strings to an
-outbox that a transport (the simulator) drains, and the transport
-reports each uplink's fate back so the node can spool undelivered
-readings through its flash buffer.
+is driven entirely by file accesses, whose side effects the node runs
+itself once an access has succeeded: writing the configuration file
+reconfigures it (and byte 3 doubles as a remote-command slot), a write
+to the sensor-data file is echoed uplink, a read of it wakes the sensor
+for a fresh reading, and a periodic timer samples the bound sensor
+driver.  The node never talks to a network directly; it appends
+ready-to-send byte strings to an outbox that a transport (the
+simulator) drains, and the transport reports each uplink's fate back
+so the node can spool undelivered readings through its flash buffer.
 """
 
 from __future__ import annotations
@@ -34,15 +35,12 @@ from .alp import (
     STATUS_OK,
     STATUS_RESERVED_ACTION_CODE,
     STATUS_UNKNOWN_SENSOR_TYPE,
-    ActionHook,
     AlpAction,
     AlpCommand,
     DecodeError,
-    FileAccess,
     FileAccessError,
     FileHeader,
     FileStore,
-    HookTrigger,
     Opcode,
     decode_command,
     encode_command,
@@ -389,7 +387,6 @@ class SensorNode:
         self._active_address = 0
         self._rtc_base = 0.0
         self._rtc_set_at = 0.0
-        self._sampling_in_progress = False
         self._now = 0.0
         self.next_sample_at = 0.0
         self.watchdog_deadline = 0.0
@@ -398,7 +395,7 @@ class SensorNode:
     # -- lifecycle ---------------------------------------------------
 
     def boot(self, now_s: float) -> None:
-        """Power-on: create files, bind hooks, load the stored config."""
+        """Power-on: create files, load the stored config."""
         if self._booted:
             raise RuntimeError("node already booted")
         self._booted = True
@@ -409,18 +406,6 @@ class SensorNode:
         self.files.create(
             FileHeader(NODE_CONFIG_FILE, NODE_CONFIG_SIZE, persistent=True),
             self._config.to_bytes(),
-        )
-        self.files.register_hook(
-            ActionHook(NODE_CONFIG_FILE, HookTrigger.ON_WRITE, self._on_config_write,
-                       "config-reload")
-        )
-        self.files.register_hook(
-            ActionHook(SENSOR_DATA_FILE, HookTrigger.ON_WRITE, self._on_data_write,
-                       "data-uplink")
-        )
-        self.files.register_hook(
-            ActionHook(SENSOR_DATA_FILE, HookTrigger.ON_READ, self._on_data_read,
-                       "read-triggers-measurement")
         )
         if self._config.rtc_time:
             self._rtc_base = float(self._config.rtc_time)
@@ -517,29 +502,42 @@ class SensorNode:
     # -- command execution ---------------------------------------------
 
     def _execute(self, action: AlpAction) -> None:
+        """Carry out one action, then the side effect its file has."""
+        file_id, offset = action.file_id, action.offset
         if action.opcode is Opcode.READ_FILE_DATA:
             try:
-                data = self.files.read(action.file_id, action.offset, action.length)
+                data = self.files.read(file_id, offset, action.length)
             except FileAccessError:
                 self._queue_status(STATUS_FILE_ACCESS_ERROR, action)
                 return
+            # reading the data file wakes the sensor; the fresh reading
+            # goes out first, the answer holds the bytes read before it
+            if file_id == SENSOR_DATA_FILE:
+                self._sample_and_store(self._now)
             self._queue_uplink(
-                [AlpAction.return_data(action.file_id, action.offset, data)],
+                [AlpAction.return_data(file_id, offset, data)],
                 kind=UplinkKind.RESPONSE,
             )
         elif action.opcode is Opcode.WRITE_FILE_DATA:
             try:
-                self.files.write(action.file_id, action.offset, action.payload)
+                self.files.write(file_id, offset, action.payload)
             except FileAccessError:
                 self._queue_status(STATUS_FILE_ACCESS_ERROR, action)
                 return
+            if file_id == NODE_CONFIG_FILE:
+                self._apply_config()
+            elif file_id == SENSOR_DATA_FILE:
+                # a remote write to the data file goes straight back out
+                self._queue_uplink(
+                    [AlpAction.return_data(file_id, offset, action.payload)],
+                    kind=UplinkKind.RESPONSE,
+                )
             self._queue_status(STATUS_OK, action)
         # returned data or status sent *to* a node is not meaningful;
         # ignore it rather than answer an answer.
 
-    # -- hooks ----------------------------------------------------------
-
-    def _on_config_write(self, access: FileAccess) -> None:
+    def _apply_config(self) -> None:
+        """Take up the config file's new content."""
         old = self._config
         new = NodeConfig.from_bytes(self.files.raw(NODE_CONFIG_FILE))
         self._config = new
@@ -560,24 +558,6 @@ class SensorNode:
             self._sample_and_store(self._now)
             return
         self._queue_status(STATUS_RESERVED_ACTION_CODE)
-
-    def _on_data_write(self, access: FileAccess) -> None:
-        # any write to the data file goes straight out as returned data;
-        # only the node's own sampling path marks it as a fresh record
-        if self._sampling_in_progress:
-            records, kind = (access.data,), UplinkKind.READING
-        else:
-            records, kind = (), UplinkKind.RESPONSE
-        self._queue_uplink(
-            [AlpAction.return_data(SENSOR_DATA_FILE, access.offset, access.data)],
-            records=records,
-            kind=kind,
-        )
-
-    def _on_data_read(self, access: FileAccess) -> None:
-        # reading the data file wakes the sensor for a fresh measurement
-        if not self._sampling_in_progress:
-            self._sample_and_store(self._now)
 
     # -- internals -------------------------------------------------------
 
@@ -608,11 +588,12 @@ class SensorNode:
             tuple(int(round(v * 1000.0)) for v in values),
         )
         record = reading.to_bytes()
-        self._sampling_in_progress = True
-        try:
-            self.files.write(SENSOR_DATA_FILE, 0, record)
-        finally:
-            self._sampling_in_progress = False
+        self.files.write(SENSOR_DATA_FILE, 0, record)
+        self._queue_uplink(
+            [AlpAction.return_data(SENSOR_DATA_FILE, 0, record)],
+            records=(record,),
+            kind=UplinkKind.READING,
+        )
         self.counters.samples_produced += 1
 
     def _queue_uplink(

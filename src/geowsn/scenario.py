@@ -11,6 +11,7 @@ ready-to-run network.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -118,15 +119,25 @@ def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
         )
 
 
+def _power_number(value, where: str) -> float:
+    """A power-profile figure: a current, or a duration in ms."""
+    number = float(value)
+    if not 0 <= number < math.inf:
+        raise InvalidScenarioError(f"{where} must be finite and not negative")
+    return number
+
+
 def parse_power_profile(doc: dict) -> PowerProfile:
     _check_keys(doc, _PROFILE_SCALAR_KEYS | {"sample_duration_ms"},
                 "power_profile")
-    kwargs = {key: float(doc[key]) for key in _PROFILE_SCALAR_KEYS if key in doc}
+    kwargs = {key: _power_number(doc[key], f"power_profile: {key}")
+              for key in _PROFILE_SCALAR_KEYS if key in doc}
     if "sample_duration_ms" in doc:
         durations = dict(PowerProfile().sample_duration_ms)
         for name, ms in doc["sample_duration_ms"].items():
-            kind = _sensor_kind(name, "power_profile.sample_duration_ms")
-            durations[kind] = float(ms)
+            where = "power_profile.sample_duration_ms"
+            kind = _sensor_kind(name, where)
+            durations[kind] = _power_number(ms, f"{where}: {name}")
         kwargs["sample_duration_ms"] = durations
     return PowerProfile(**kwargs)
 
@@ -205,7 +216,7 @@ def _parse_link(doc: dict, where: str) -> LinkModel:
             latency_ms=int(doc.get("latency_ms", 0)),
             max_payload=int(doc.get("max_payload", 256)),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InvalidScenarioError(f"{where}: {exc}") from None
 
 
@@ -221,11 +232,13 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> ScenarioConfig:
     if not isinstance(seed, int) or seed < 0:
         raise InvalidScenarioError("scenario: seed must be a non-negative integer")
     duration = _require(doc, "duration_s", "scenario")
-    if not isinstance(duration, (int, float)) or duration <= 0:
-        raise InvalidScenarioError("scenario: duration_s must be positive")
+    if not isinstance(duration, (int, float)) or not 0 < duration < math.inf:
+        raise InvalidScenarioError(
+            "scenario: duration_s must be a positive finite number")
     listen = doc.get("listen_interval_s", DEFAULT_LISTEN_INTERVAL_S)
-    if not isinstance(listen, (int, float)) or listen <= 0:
-        raise InvalidScenarioError("scenario: listen_interval_s must be positive")
+    if not isinstance(listen, (int, float)) or not 0 < listen < math.inf:
+        raise InvalidScenarioError(
+            "scenario: listen_interval_s must be a positive finite number")
     sites_doc = _require(doc, "sites", "scenario")
     if not isinstance(sites_doc, list) or not sites_doc:
         raise InvalidScenarioError("scenario: sites must be a non-empty list")

@@ -1,15 +1,12 @@
-"""File registry behavior: bounds, permissions, hooks, reset."""
+"""File registry behavior: bounds, permissions, reset."""
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from geowsn.alp import (
-    ActionHook,
-    FileAccess,
     FileHeader,
     FileStore,
-    HookTrigger,
     NoSuchFileError,
     OutOfBoundsError,
     PermissionDeniedError,
@@ -87,80 +84,6 @@ def test_permission_bits_enforced():
     # the opposite operation still works
     store.write(0x10, 0, b"\x01")
     assert store.read(0x11, 0, 4) == bytes(4)
-
-
-def test_write_hook_fires_once_per_write():
-    store = store_with_config()
-    fired: list[FileAccess] = []
-    store.register_hook(
-        ActionHook(CONFIG_FILE, HookTrigger.ON_WRITE, fired.append))
-    store.write(CONFIG_FILE, 3, b"\xAA")
-    assert len(fired) == 1
-    access = fired[0]
-    assert access.file_id == CONFIG_FILE
-    assert access.trigger is HookTrigger.ON_WRITE
-    assert access.offset == 3
-    assert access.data == b"\xAA"
-
-
-def test_write_hook_does_not_fire_on_read():
-    store = store_with_config()
-    fired = []
-    store.register_hook(
-        ActionHook(CONFIG_FILE, HookTrigger.ON_WRITE, fired.append))
-    store.read(CONFIG_FILE, 0, 12)
-    assert fired == []
-
-
-def test_hook_sees_state_after_the_access():
-    """Hooks run once the write has landed, so a callback reading the
-    file back observes the new content."""
-    store = store_with_config()
-    seen = []
-    store.register_hook(ActionHook(
-        CONFIG_FILE, HookTrigger.ON_WRITE,
-        lambda access: seen.append(store.raw(CONFIG_FILE)[3])))
-    store.write(CONFIG_FILE, 3, b"\xAA")
-    assert seen == [0xAA]
-
-
-def test_hooks_fire_in_registration_order():
-    store = store_with_config()
-    order = []
-    store.register_hook(ActionHook(
-        CONFIG_FILE, HookTrigger.ON_WRITE, lambda a: order.append("first")))
-    store.register_hook(ActionHook(
-        CONFIG_FILE, HookTrigger.ON_WRITE, lambda a: order.append("second")))
-    store.write(CONFIG_FILE, 0, b"\x01")
-    assert order == ["first", "second"]
-
-
-def test_hook_for_other_file_stays_quiet():
-    store = store_with_config()
-    store.create(FileHeader(DATA_FILE, 32))
-    fired = []
-    store.register_hook(
-        ActionHook(DATA_FILE, HookTrigger.ON_WRITE, fired.append))
-    store.write(CONFIG_FILE, 0, b"\x01")
-    assert fired == []
-
-
-def test_hook_needs_existing_file():
-    store = FileStore()
-    with pytest.raises(NoSuchFileError):
-        store.register_hook(
-            ActionHook(0x50, HookTrigger.ON_WRITE, lambda a: None))
-
-
-def test_read_hook_fires_on_read():
-    store = store_with_config()
-    fired = []
-    store.register_hook(
-        ActionHook(CONFIG_FILE, HookTrigger.ON_READ, fired.append))
-    store.read(CONFIG_FILE, 2, 4)
-    assert len(fired) == 1
-    assert fired[0].offset == 2
-    assert fired[0].data == bytes(4)
 
 
 def test_reset_zeroes_volatile_keeps_persistent():

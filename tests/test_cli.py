@@ -231,6 +231,28 @@ def test_sim_run_seed_override_changes_hash(capsys, tmp_path):
     assert run_with_seed(1, "c") == run_with_seed(1, "a2")
 
 
+def test_sim_run_rejects_infinite_duration(capsys, tmp_path):
+    # Python's json reads the non-standard Infinity literal
+    scenario = tmp_path / "forever.json"
+    scenario.write_text("""
+    {
+      "seed": 9,
+      "duration_s": Infinity,
+      "sites": [{
+        "site_id": "north",
+        "nodes": [{
+          "uid": 1, "sensor_type": 1, "sampling_rate_s": 30,
+          "trace": {"kind": "constant", "value": 4.0}
+        }]
+      }]
+    }
+    """)
+    code, _, err = run_cli(capsys, "sim-run", "--scenario", str(scenario),
+                           "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "duration_s" in err
+
+
 def test_sim_run_rejects_bad_scenario(capsys, tmp_path):
     scenario = tmp_path / "broken.json"
     scenario.write_text('{"seed": 1}')

@@ -280,6 +280,8 @@ def test_log_text_shape():
     assert event_lines
     first_fields = event_lines[0].split(",")
     assert first_fields[0].isdigit()
+    # the link was given latency_ms=20.0: arrivals stay on integer ms
+    assert all(type(at) is int for at, _, _, _ in log.rows)
     assert first_fields[1] in {"SampleTimer", "UplinkTx", "UplinkArrival"}
     assert len(log.stable_hash()) == 64
 
@@ -289,6 +291,8 @@ def test_invalid_link_parameters_rejected():
         LinkModel(loss_probability=1.5)
     with pytest.raises(ValueError):
         LinkModel(latency_ms=-1.0)
+    with pytest.raises(ValueError):
+        LinkModel(latency_ms=20.5)
     with pytest.raises(ValueError):
         LinkModel(max_payload=0)
 

@@ -225,11 +225,34 @@ def test_remote_read_returns_config_bytes():
 
 def test_remote_read_of_data_file_triggers_fresh_sample():
     node = make_node(rate_s=600)
-    node.on_downlink(read_command(SENSOR_DATA_FILE, 0, 10), 5.0)
+    node.on_sample_timer(600.0)
+    before = node.files.raw(SENSOR_DATA_FILE)[:10]
+    node.drain_outbox()
+    node.on_downlink(read_command(SENSOR_DATA_FILE, 0, 10), 605.0)
     uplinks = node.drain_outbox()
     kinds = [u.kind for u in uplinks]
     assert kinds == [UplinkKind.READING, UplinkKind.RESPONSE]
-    assert node.counters.samples_produced == 1
+    assert node.counters.samples_produced == 2
+    fresh = SensorReading.from_bytes(uplinks[0].records[0])
+    assert fresh.timestamp == 605
+    # the answer holds what was read, from before the fresh sample
+    answer = decode_command(uplinks[1].payload).actions[0]
+    assert answer.payload == before
+    assert SensorReading.from_bytes(before).timestamp == 600
+
+
+def test_remote_write_to_data_file_is_echoed_without_measuring():
+    node = make_node(rate_s=600)
+    node.on_downlink(write_command(SENSOR_DATA_FILE, 2, b"\x01\x02"), 5.0)
+    uplinks = node.drain_outbox()
+    assert [(u.kind, u.records) for u in uplinks] == [
+        (UplinkKind.RESPONSE, ()), (UplinkKind.STATUS, ())]
+    echo = decode_command(uplinks[0].payload).actions[0]
+    assert echo == AlpAction.return_data(SENSOR_DATA_FILE, 2, b"\x01\x02")
+    status = decode_command(uplinks[1].payload).actions[0]
+    assert status.payload[0] == STATUS_OK
+    assert node.counters.samples_produced == 0
+    assert sum(node.counters.measurements.values()) == 0
 
 
 def test_out_of_bounds_read_reports_file_access_error():
@@ -237,6 +260,18 @@ def test_out_of_bounds_read_reports_file_access_error():
     node.on_downlink(read_command(NODE_CONFIG_FILE, 0, 13), 5.0)
     actions = sent_actions(node)
     assert [a.payload[0] for a in actions] == [STATUS_FILE_ACCESS_ERROR]
+
+
+def test_out_of_bounds_config_write_changes_nothing():
+    node = make_node(rate_s=600)
+    before = node.files.raw(NODE_CONFIG_FILE)
+    # the range covers the action byte, so a partial write would measure
+    node.on_downlink(write_command(NODE_CONFIG_FILE, 3, b"\xAA" * 10), 5.0)
+    actions = sent_actions(node)
+    assert [a.payload[0] for a in actions] == [STATUS_FILE_ACCESS_ERROR]
+    assert node.files.raw(NODE_CONFIG_FILE) == before
+    assert node.config == NodeConfig.from_bytes(before)
+    assert sum(node.counters.measurements.values()) == 0
 
 
 def test_malformed_downlink_reports_status():

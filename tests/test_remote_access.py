@@ -109,6 +109,19 @@ def test_remote_read_times_out_on_dead_link():
         backend.remote_read_file(42, NODE_CONFIG_FILE, 0, 12, timeout_s=5.0)
 
 
+def test_timed_out_request_takes_its_timeout_in_simulated_time():
+    sim, backend, node = wire_up()
+    with pytest.raises(RequestTimeoutError):
+        backend.remote_write_file(42, NODE_CONFIG_FILE, 3, b"\xAA",
+                                  timeout_s=0.5)
+    assert sim.now_ms == 500
+    backend.remote_write_file(42, NODE_CONFIG_FILE, 3, b"\x01",
+                              timeout_s=30.0)
+    log = sim.run()
+    queued = [at for at, kind, _, _ in log.rows if kind == "DownlinkQueue"]
+    assert queued == [0, 500]
+
+
 def test_remote_access_needs_directory_entry():
     sim, backend, node = wire_up()
     with pytest.raises(NodeUnknownError):

@@ -1,6 +1,7 @@
 """Scenario file validation and the bundled reference deployment."""
 
 import json
+import math
 
 import pytest
 
@@ -94,6 +95,36 @@ def test_duplicate_uid_is_named():
     doc["sites"][0]["nodes"].append(twin)
     with pytest.raises(InvalidScenarioError, match="1"):
         parse_scenario(doc)
+
+
+def _set(doc: dict, path: str, value) -> dict:
+    """Set the dotted ``path`` in ``doc``; digits index lists."""
+    *parents, key = path.split(".")
+    target = doc
+    for name in parents:
+        if isinstance(target, list):
+            target = target[int(name)]
+        else:
+            target = target.setdefault(name, {})
+    target[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value", [
+    ("duration_s", math.inf),
+    ("duration_s", math.nan),
+    ("listen_interval_s", math.inf),
+    ("listen_interval_s", math.nan),
+    ("sites.0.link.latency_ms", math.inf),
+    ("sites.0.link.max_payload", math.inf),
+    ("power_profile.tx_current_a", math.nan),
+    ("power_profile.sleep_current_a", math.inf),
+    ("power_profile.sleep_current_a", -1.0),
+    ("power_profile.sample_duration_ms.soil_temperature", math.nan),
+])
+def test_non_finite_numbers_rejected(path, value):
+    with pytest.raises(InvalidScenarioError):
+        parse_scenario(_set(minimal_doc(), path, value))
 
 
 def test_zero_sampling_rate_rejected():
