@@ -9,6 +9,7 @@ naming the offending element (line, uid or byte offset).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -150,12 +151,15 @@ def _cmd_feas_analyze(args) -> int:
     except ValueError as exc:
         return _fail(f"{args.params}: {exc}")
     node_power_w = args.node_power_mw / 1e3 if args.node_power_mw is not None else None
-    report = feasibility.analyze_trace(
-        series, stack, teg,
-        clamp_positive=args.clamp_positive,
-        node_power_w=node_power_w,
-        converter_efficiency=args.efficiency,
-    )
+    try:
+        report = feasibility.analyze_trace(
+            series, stack, teg,
+            clamp_positive=args.clamp_positive,
+            node_power_w=node_power_w,
+            converter_efficiency=args.efficiency,
+        )
+    except ValueError as exc:
+        return _fail(str(exc))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     feasibility.write_report_csv(report, out)
@@ -209,10 +213,13 @@ def _cmd_sim_run(args) -> int:
         return _fail(str(exc))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
+    try:
+        sim = build_simulator(config)
+    except InvalidScenarioError as exc:
+        return _fail(str(exc))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sink = CsvSink(out_dir / "readings.csv")
-    sim = build_simulator(config)
     backend = Backend(directory=node_directory(config), sink=sink)
     backend.attach_transport(sim)
     log = sim.run()
@@ -240,8 +247,11 @@ def _cmd_sim_run(args) -> int:
         runtime = sim.runtime(uid)
         charge = sum(runtime.charges_c.values())
         mean_a = sim.mean_current_a(uid)
-        years = energy.battery_lifetime_hours(
-            energy.BATTERY_CAPACITY_AH, mean_a) / energy.HOURS_PER_YEAR
+        if mean_a > 0:
+            years = energy.battery_lifetime_hours(
+                energy.BATTERY_CAPACITY_AH, mean_a) / energy.HOURS_PER_YEAR
+        else:
+            years = math.inf  # a node that draws nothing never drains its cell
         if worst_years is None or years < worst_years:
             worst_years = years
         print(f"{uid:<5} {runtime.site.site_id:<6} {charge:>9.4f}"

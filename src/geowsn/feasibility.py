@@ -13,8 +13,10 @@ means of daily means.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import date
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,10 @@ REPORT_HEADER = ("date", "transect", "mean_dt_c", "mean_dt_teg_k",
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 SECONDS_PER_DAY = 86400
+
+#: rows the trace loader reads and converts per pass
+_CHUNK_ROWS = 4096
+_INT64 = np.iinfo(np.int64)
 
 AVERAGING_NOTE = (
     "power is computed per sample and then averaged; whole-window rows are"
@@ -67,9 +73,14 @@ def load_temperature_trace(path: str | Path) -> dict[str, TransectSeries]:
     """Read a temperature trace CSV into per-transect series.
 
     Expects the exact header ``timestamp_unix,transect,t_soil_c,t_air_c``;
-    timestamps must be non-decreasing within each transect.
+    timestamps must be non-decreasing within each transect.  Rows are
+    read ``_CHUNK_ROWS`` at a time and each chunk is converted column by
+    column, so beyond one chunk of text the memory held is the output
+    arrays.  A malformed row raises :class:`TraceFormatError` naming its
+    line, counted in CSV records with the header as line 1.
     """
-    rows: dict[str, list[tuple[int, float, float]]] = {}
+    parts: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+    last: dict[str, int] = {}
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -77,37 +88,106 @@ def load_temperature_trace(path: str | Path) -> dict[str, TransectSeries]:
             raise TraceFormatError(
                 f"expected header {','.join(TRACE_HEADER)}", line=1
             )
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise TraceFormatError(f"expected 4 fields, got {len(row)}", line)
+        line = 2
+        while True:
+            chunk: list[list[str]] = []
             try:
-                timestamp = int(row[0])
-                t_soil = float(row[2])
-                t_air = float(row[3])
-            except ValueError as exc:
-                raise TraceFormatError(str(exc), line) from None
-            transect = row[1].strip()
-            if not transect:
-                raise TraceFormatError("empty transect label", line)
-            samples = rows.setdefault(transect, [])
-            if samples and timestamp < samples[-1][0]:
-                raise TraceFormatError(
-                    f"timestamp goes backwards within transect {transect}", line
-                )
-            samples.append((timestamp, t_soil, t_air))
-    if not rows:
+                chunk.extend(islice(reader, _CHUNK_ROWS))
+            except csv.Error:
+                # a bad row before a record the csv module cannot read
+                # is reported first, as a row-by-row read would
+                _check_rows(chunk, line, last)
+                raise
+            if not chunk:
+                break
+            groups = _chunk_columns(chunk, last)
+            if groups is None:
+                _check_rows(chunk, line, last)
+                raise AssertionError("trace chunk rejected, yet no row is bad")
+            for transect, timestamps, t_soil, t_air in groups:
+                parts.setdefault(transect, []).append(
+                    (timestamps, t_soil, t_air))
+                last[transect] = int(timestamps[-1])
+            line += len(chunk)
+    if not parts:
         raise TraceFormatError("no samples")
     return {
         transect: TransectSeries(
-            transect,
-            np.array([s[0] for s in samples], dtype=np.int64),
-            np.array([s[1] for s in samples], dtype=float),
-            np.array([s[2] for s in samples], dtype=float),
+            transect, *(np.concatenate(column) for column in zip(*chunks))
         )
-        for transect, samples in rows.items()
+        for transect, chunks in parts.items()
     }
+
+
+def _chunk_columns(chunk: list[list[str]], last: dict[str, int]):
+    """One chunk of rows as per-transect columns, in first-seen order.
+
+    Returns ``(transect, timestamps, t_soil_c, t_air_c)`` per transect, or
+    ``None`` if any row breaks a rule; ``last`` holds each transect's last
+    timestamp from earlier chunks.
+    """
+    rows = list(filter(None, chunk))
+    if not rows:
+        return []
+    if set(map(len, rows)) != {4}:
+        return None
+    stamp_col, label_col, soil_col, air_col = zip(*rows)
+    n = len(rows)
+    try:
+        timestamps = np.fromiter(map(int, stamp_col), np.int64, n)
+        t_soil = np.fromiter(map(float, soil_col), np.float64, n)
+        t_air = np.fromiter(map(float, air_col), np.float64, n)
+    except (ValueError, OverflowError):
+        return None
+    # each distinct label is stripped once; code = first-seen order
+    codes: dict[str, int] = {}
+    code_of = dict.fromkeys(label_col)
+    for label in code_of:
+        code_of[label] = codes.setdefault(label.strip(), len(codes))
+    if "" in codes:
+        return None
+    code = np.fromiter(map(code_of.__getitem__, label_col), np.intp, n)
+    order = np.argsort(code, kind="stable")
+    bounds = np.searchsorted(code[order], np.arange(len(codes) + 1))
+    groups = []
+    for transect, start, end in zip(codes, bounds[:-1], bounds[1:]):
+        pick = order[start:end]
+        stamps = timestamps[pick]
+        if (stamps[0] < last.get(transect, stamps[0])
+                or (stamps[1:] < stamps[:-1]).any()):
+            return None
+        groups.append((transect, stamps, t_soil[pick], t_air[pick]))
+    return groups
+
+
+def _check_rows(chunk: list[list[str]], line: int,
+                last: dict[str, int]) -> None:
+    """Raise the error of the first row in ``chunk`` that breaks a rule.
+
+    ``line`` is the first row's line; ``last`` as for :func:`_chunk_columns`.
+    """
+    last = dict(last)
+    for line, row in enumerate(chunk, start=line):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise TraceFormatError(f"expected 4 fields, got {len(row)}", line)
+        try:
+            timestamp = int(row[0])
+            float(row[2])
+            float(row[3])
+        except ValueError as exc:
+            raise TraceFormatError(str(exc), line) from None
+        if not _INT64.min <= timestamp <= _INT64.max:
+            raise TraceFormatError("timestamp out of range", line)
+        transect = row[1].strip()
+        if not transect:
+            raise TraceFormatError("empty transect label", line)
+        if timestamp < last.get(transect, timestamp):
+            raise TraceFormatError(
+                f"timestamp goes backwards within transect {transect}", line
+            )
+        last[transect] = timestamp
 
 
 @dataclass(frozen=True)
@@ -159,8 +239,16 @@ def analyze_trace(
     ``clamp_positive`` zeroes power wherever the soil-air gradient is
     negative (a harvester behind an ideal rectifier would still see the
     squared gradient; a converter with a minimum startup gradient would
-    not, which is what this models).
+    not, which is what this models).  A ``converter_efficiency`` outside
+    (0, 1] or a ``node_power_w`` that is not finite and positive raises
+    ``ValueError``.
     """
+    if not 0.0 < converter_efficiency <= 1.0:
+        raise ValueError(
+            f"converter efficiency must lie in (0, 1], got {converter_efficiency}")
+    if node_power_w is not None and not 0.0 < node_power_w < math.inf:
+        raise ValueError(
+            f"node power must be finite and positive, got {node_power_w} W")
     if not series_by_transect:
         raise TraceFormatError("no samples")
     analyses = []
@@ -173,17 +261,19 @@ def analyze_trace(
         power = teg_power(dt_teg, teg)
         if clamp_positive:
             power = np.where(dt_env < 0.0, 0.0, power)
+        # one stable sort puts each day's samples in a contiguous run, in
+        # their original order, so each mean sums exactly what a mask
+        # ``day_index == day`` would pick
         day_index = series.timestamps // SECONDS_PER_DAY
-        daily = []
-        for day in np.unique(day_index):
-            mask = day_index == day
-            daily.append(PeriodMeans(
-                _day_label(day),
-                transect,
-                float(dt_env[mask].mean()),
-                float(dt_teg[mask].mean()),
-                float(power[mask].mean()),
-            ))
+        order = np.argsort(day_index, kind="stable")
+        days, starts = np.unique(day_index[order], return_index=True)
+        ends = np.append(starts[1:], len(order))
+        by_day = dt_env[order], dt_teg[order], power[order]
+        daily = [
+            PeriodMeans(_day_label(day), transect,
+                        *(float(x[start:end].mean()) for x in by_day))
+            for day, start, end in zip(days, starts, ends)
+        ]
         yearly = PeriodMeans(
             "yearly",
             transect,

@@ -18,6 +18,7 @@ from pathlib import Path
 from .alp import ACTION_HEADER_SIZE
 from .netsim import (
     DEFAULT_LISTEN_INTERVAL_S,
+    MS_PER_S,
     LinkModel,
     PowerProfile,
     Simulator,
@@ -119,25 +120,41 @@ def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
         )
 
 
-def _power_number(value, where: str) -> float:
-    """A power-profile figure: a current, or a duration in ms."""
-    number = float(value)
-    if not 0 <= number < math.inf:
-        raise InvalidScenarioError(f"{where} must be finite and not negative")
-    return number
+def _number(value, where: str, *, minimum: float, integer: bool = False):
+    """A finite JSON number of at least ``minimum``, as a ``float``; with
+    ``integer``, a whole number, as an ``int``."""
+    if type(value) not in (int, float):  # bool is not a number here
+        raise InvalidScenarioError(f"{where} must be a number, got {value!r}")
+    if not (minimum <= value and -math.inf < value < math.inf):
+        raise InvalidScenarioError(
+            f"{where} must be finite and at least {minimum:g}")
+    if not integer:
+        return float(value)
+    if value % 1:
+        raise InvalidScenarioError(f"{where} must be a whole number")
+    return int(value)
+
+
+def _whole_ms(value, where: str) -> float:
+    """A positive time in s that stays at least 1 ms once the simulator
+    rounds it to whole ms."""
+    seconds = _number(value, where, minimum=0.0)
+    if round(seconds * MS_PER_S) < 1:
+        raise InvalidScenarioError(f"{where} must be at least 1 ms")
+    return seconds
 
 
 def parse_power_profile(doc: dict) -> PowerProfile:
     _check_keys(doc, _PROFILE_SCALAR_KEYS | {"sample_duration_ms"},
                 "power_profile")
-    kwargs = {key: _power_number(doc[key], f"power_profile: {key}")
+    kwargs = {key: _number(doc[key], f"power_profile: {key}", minimum=0.0)
               for key in _PROFILE_SCALAR_KEYS if key in doc}
     if "sample_duration_ms" in doc:
         durations = dict(PowerProfile().sample_duration_ms)
         for name, ms in doc["sample_duration_ms"].items():
             where = "power_profile.sample_duration_ms"
             kind = _sensor_kind(name, where)
-            durations[kind] = _power_number(ms, f"{where}: {name}")
+            durations[kind] = _number(ms, f"{where}: {name}", minimum=0.0)
         kwargs["sample_duration_ms"] = durations
     return PowerProfile(**kwargs)
 
@@ -146,15 +163,23 @@ def _parse_signal(doc: dict, where: str) -> ChannelSignal:
     kind = _require(doc, "kind", where)
     if kind == "constant":
         _check_keys(doc, {"kind", "value"}, where)
-        return ConstantSignal(float(_require(doc, "value", where)))
+        return ConstantSignal(_number(_require(doc, "value", where),
+                                      f"{where}: value", minimum=-math.inf))
     if kind == "sine":
         _check_keys(doc, {"kind", "mean", "amplitude", "period_s", "phase_rad"},
                     where)
+        period = _number(_require(doc, "period_s", where),
+                         f"{where}: period_s", minimum=0.0)
+        if not period:
+            raise InvalidScenarioError(f"{where}: period_s must be positive")
         return SineSignal(
-            float(_require(doc, "mean", where)),
-            float(_require(doc, "amplitude", where)),
-            float(_require(doc, "period_s", where)),
-            float(doc.get("phase_rad", 0.0)),
+            _number(_require(doc, "mean", where), f"{where}: mean",
+                    minimum=-math.inf),
+            _number(_require(doc, "amplitude", where), f"{where}: amplitude",
+                    minimum=-math.inf),
+            period,
+            _number(doc.get("phase_rad", 0.0), f"{where}: phase_rad",
+                    minimum=-math.inf),
         )
     raise InvalidScenarioError(f"{where}: unknown signal kind {kind!r}")
 
@@ -190,15 +215,11 @@ def build_driver(spec: NodeSpec, base_dir: Path) -> SensorDriver:
 def _parse_node(doc: dict, where: str) -> NodeSpec:
     _check_keys(doc, {"uid", "transect", "sensor_type", "sampling_rate_s",
                       "trace"}, where)
-    uid = _require(doc, "uid", where)
-    if not isinstance(uid, int) or uid < 0:
-        raise InvalidScenarioError(f"{where}: uid must be a non-negative integer")
+    uid = _number(_require(doc, "uid", where), f"{where}: uid",
+                  minimum=0, integer=True)
     kind = _sensor_kind(_require(doc, "sensor_type", where), where)
-    rate = _require(doc, "sampling_rate_s", where)
-    if not isinstance(rate, int) or rate < 1:
-        raise InvalidScenarioError(
-            f"{where}: sampling_rate_s must be an integer of at least 1"
-        )
+    rate = _number(_require(doc, "sampling_rate_s", where),
+                   f"{where}: sampling_rate_s", minimum=1, integer=True)
     return NodeSpec(
         uid=uid,
         transect=str(doc.get("transect", "")),
@@ -210,13 +231,15 @@ def _parse_node(doc: dict, where: str) -> NodeSpec:
 
 def _parse_link(doc: dict, where: str) -> LinkModel:
     _check_keys(doc, {"loss_probability", "latency_ms", "max_payload"}, where)
+    loss = _number(doc.get("loss_probability", 0.0),
+                   f"{where}: loss_probability", minimum=0.0)
+    latency = _number(doc.get("latency_ms", 0), f"{where}: latency_ms",
+                      minimum=0, integer=True)
+    payload = _number(doc.get("max_payload", 256), f"{where}: max_payload",
+                      minimum=1, integer=True)
     try:
-        return LinkModel(
-            loss_probability=float(doc.get("loss_probability", 0.0)),
-            latency_ms=int(doc.get("latency_ms", 0)),
-            max_payload=int(doc.get("max_payload", 256)),
-        )
-    except (ValueError, OverflowError) as exc:
+        return LinkModel(loss, latency, payload)
+    except ValueError as exc:
         raise InvalidScenarioError(f"{where}: {exc}") from None
 
 
@@ -228,17 +251,12 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> ScenarioConfig:
         raise InvalidScenarioError("scenario root must be an object")
     _check_keys(doc, {"seed", "duration_s", "listen_interval_s", "sites",
                       "power_profile"}, "scenario")
-    seed = _require(doc, "seed", "scenario")
-    if not isinstance(seed, int) or seed < 0:
-        raise InvalidScenarioError("scenario: seed must be a non-negative integer")
-    duration = _require(doc, "duration_s", "scenario")
-    if not isinstance(duration, (int, float)) or not 0 < duration < math.inf:
-        raise InvalidScenarioError(
-            "scenario: duration_s must be a positive finite number")
-    listen = doc.get("listen_interval_s", DEFAULT_LISTEN_INTERVAL_S)
-    if not isinstance(listen, (int, float)) or not 0 < listen < math.inf:
-        raise InvalidScenarioError(
-            "scenario: listen_interval_s must be a positive finite number")
+    seed = _number(_require(doc, "seed", "scenario"), "scenario: seed",
+                   minimum=0, integer=True)
+    duration = _whole_ms(_require(doc, "duration_s", "scenario"),
+                         "scenario: duration_s")
+    listen = _whole_ms(doc.get("listen_interval_s", DEFAULT_LISTEN_INTERVAL_S),
+                       "scenario: listen_interval_s")
     sites_doc = _require(doc, "sites", "scenario")
     if not isinstance(sites_doc, list) or not sites_doc:
         raise InvalidScenarioError("scenario: sites must be a non-empty list")
@@ -280,8 +298,8 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> ScenarioConfig:
         raise InvalidScenarioError("scenario: no nodes defined")
     return ScenarioConfig(
         seed=seed,
-        duration_s=float(duration),
-        listen_interval_s=float(listen),
+        duration_s=duration,
+        listen_interval_s=listen,
         sites=tuple(sites),
         power_profile=profile,
         base_dir=base_dir,

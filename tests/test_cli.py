@@ -1,6 +1,8 @@
 """Exit codes and printed output of the command-line tool."""
 
 import csv
+import json
+from pathlib import Path
 
 import pytest
 
@@ -259,4 +261,84 @@ def test_sim_run_rejects_bad_scenario(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sim-run", "--scenario", str(scenario),
                            "--out", str(tmp_path / "out"))
     assert code == 2
+    assert "error:" in err
+
+
+def one_node_scenario(tmp_path, *, link=None, power_profile=None,
+                      **top) -> str:
+    """A one-node, 600 s scenario file; keyword arguments replace fields."""
+    doc = {
+        "seed": 9,
+        "duration_s": 600,
+        "listen_interval_s": 1.0,
+        "sites": [{
+            "site_id": "north",
+            "link": {"loss_probability": 0.0, "latency_ms": 20,
+                     "max_payload": 256, **(link or {})},
+            "nodes": [{
+                "uid": 1, "transect": "E", "sensor_type": 1,
+                "sampling_rate_s": 60,
+                "trace": {"kind": "constant", "value": 4.0},
+            }],
+        }],
+        "power_profile": power_profile or {},
+        **top,
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"listen_interval_s": 0.0004}, "listen_interval_s"),
+    ({"power_profile": {"tx_current_a": "abc"}}, "tx_current_a"),
+    ({"link": {"latency_ms": None}}, "latency_ms"),
+])
+def test_sim_run_rejects_numbers_it_cannot_run(capsys, tmp_path, fields,
+                                               named):
+    scenario = one_node_scenario(tmp_path, **fields)
+    code, _, err = run_cli(capsys, "sim-run", "--scenario", scenario,
+                           "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert named in err
+
+
+def test_sim_run_rejects_a_bad_signal_number(capsys, tmp_path):
+    path = Path(one_node_scenario(tmp_path))
+    doc = json.loads(path.read_text())
+    doc["sites"][0]["nodes"][0]["trace"]["value"] = "warm"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "sim-run", "--scenario", str(path),
+                           "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "value" in err
+
+
+def test_sim_run_prints_infinite_years_for_a_node_that_draws_nothing(
+        capsys, tmp_path):
+    scenario = one_node_scenario(tmp_path, power_profile={
+        "sleep_current_a": 0.0, "tx_current_a": 0.0,
+        "listen_current_a": 0.0, "sample_current_a": 0.0,
+    })
+    code, out, _ = run_cli(capsys, "sim-run", "--scenario", scenario,
+                           "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert "projected battery lifetime (worst node): inf years" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--efficiency", "nan", "--node-power-mw", "0.4"],
+    ["--efficiency", "-1", "--node-power-mw", "0.4"],
+    ["--efficiency", "1.5"],
+    ["--node-power-mw", "-1"],
+    ["--node-power-mw", "nan"],
+    ["--node-power-mw", "0"],
+])
+def test_feas_analyze_rejects_nonsense_figures(capsys, tmp_path, trace_file,
+                                               flags):
+    code, out, err = run_cli(capsys, "feas-analyze", "--trace",
+                             str(trace_file), "--out",
+                             str(tmp_path / "r.csv"), *flags)
+    assert code == 2
+    assert "feasible" not in out
     assert "error:" in err

@@ -1,14 +1,23 @@
 """Trace loading, daily/yearly reduction and the report CSV."""
 
+import csv
+import math
+from unittest import mock
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from geowsn import feasibility
 from geowsn.energy import default_stack, default_teg
 from geowsn.feasibility import (
     AVERAGING_NOTE,
     CONVEXITY_CAVEAT,
     REPORT_HEADER,
+    TRACE_HEADER,
     TraceFormatError,
+    TransectSeries,
     analyze_trace,
     load_temperature_trace,
     write_report_csv,
@@ -195,3 +204,194 @@ def test_report_csv_includes_verdict_comments(tmp_path):
 def test_empty_series_map_rejected():
     with pytest.raises(TraceFormatError):
         analyze_trace({}, default_stack(), default_teg())
+
+
+# -- the chunked loader against a row-by-row reference ------------------------
+
+def reference_load(path):
+    """The trace loader as one Python loop body per row: the oracle."""
+    rows: dict[str, list[tuple[int, float, float]]] = {}
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != TRACE_HEADER:
+            raise TraceFormatError(
+                f"expected header {','.join(TRACE_HEADER)}", line=1)
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise TraceFormatError(f"expected 4 fields, got {len(row)}",
+                                       line)
+            try:
+                timestamp = int(row[0])
+                t_soil = float(row[2])
+                t_air = float(row[3])
+            except ValueError as exc:
+                raise TraceFormatError(str(exc), line) from None
+            transect = row[1].strip()
+            if not transect:
+                raise TraceFormatError("empty transect label", line)
+            samples = rows.setdefault(transect, [])
+            if samples and timestamp < samples[-1][0]:
+                raise TraceFormatError(
+                    f"timestamp goes backwards within transect {transect}",
+                    line)
+            samples.append((timestamp, t_soil, t_air))
+    if not rows:
+        raise TraceFormatError("no samples")
+    return {
+        transect: TransectSeries(
+            transect,
+            np.array([s[0] for s in samples], dtype=np.int64),
+            np.array([s[1] for s in samples], dtype=float),
+            np.array([s[2] for s in samples], dtype=float),
+        )
+        for transect, samples in rows.items()
+    }
+
+
+def outcome(load, path):
+    """The series a loader returns, or its error message and line."""
+    try:
+        series = load(path)
+    except TraceFormatError as exc:
+        return ("error", str(exc), exc.line)
+    return ("series", [
+        (name, s.transect, s.timestamps.dtype, s.timestamps.tolist(),
+         s.t_soil_c.dtype, s.t_soil_c.tobytes(),
+         s.t_air_c.dtype, s.t_air_c.tobytes())
+        for name, s in series.items()
+    ])
+
+
+def assert_matches_reference(path, chunk_rows):
+    with mock.patch.object(feasibility, "_CHUNK_ROWS", chunk_rows):
+        assert outcome(load_temperature_trace, path) == outcome(
+            reference_load, path)
+
+
+STAMPS = st.one_of(st.integers(-3, 40).map(str),
+                   st.sampled_from(["1_0", " 7 ", "+3", "x", "", "1.5"]))
+LABELS = st.sampled_from(["A", "B", " A ", "a,b", 'q"x', "", "  "])
+TEMPS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-inf", "1_0.5", " 2.5 ", "soup", ""]),
+)
+ROWS = st.one_of(
+    st.tuples(STAMPS, LABELS, TEMPS, TEMPS).map(list),
+    st.just([]),
+    st.lists(st.sampled_from(["1", "A", "2.0"]), min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(ROWS, max_size=10), sort_stamps=st.booleans(),
+       chunk_rows=st.integers(1, 3))
+def test_chunked_loader_matches_the_row_loop(tmp_path_factory, rows,
+                                             sort_stamps, chunk_rows):
+    if sort_stamps:
+        # most generated traces go backwards somewhere; sorting the whole
+        # numbers lets more of them load
+        stamps = iter(sorted(int(r[0]) for r in rows
+                             if len(r) == 4 and r[0].lstrip("-").isdigit()))
+        rows = [[str(next(stamps)), *r[1:]]
+                if len(r) == 4 and r[0].lstrip("-").isdigit() else r
+                for r in rows]
+    path = tmp_path_factory.getbasetemp() / "fuzzed-trace.csv"
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(TRACE_HEADER)
+        writer.writerows(rows)
+    assert_matches_reference(path, chunk_rows)
+
+
+@pytest.mark.parametrize("body, line", [
+    # backwards step across a chunk boundary, with E between the A rows
+    ("600,A,1,1\n0,E,1,1\n0,A,1,1\n", 4),
+    # a bad row past the first chunk
+    ("0,A,1,1\n600,A,1,1\n1200,A,1,1\n1800,A,soup,1\n", 5),
+    ("0,A,1,1\n600,A,1,1\n1200,A,1,1\n1800,A,1\n", 5),
+    ("0,A,1,1\n600,A,1,1\n1200,A,1,1\n1800, ,1,1\n", 5),
+    # a blank row at a chunk edge still counts as a line
+    ("0,A,1,1\n\n600,A,1,1\n0,A,1,1\n", 5),
+])
+def test_chunk_edges_keep_the_row_loop_error(tmp_path, body, line):
+    path = write_trace(tmp_path, body)
+    for chunk_rows in (1, 2, 3, 4096):
+        assert_matches_reference(path, chunk_rows)
+        with mock.patch.object(feasibility, "_CHUNK_ROWS", chunk_rows), \
+                pytest.raises(TraceFormatError) as info:
+            load_temperature_trace(path)
+        assert info.value.line == line
+
+
+def test_quoted_labels_and_blank_rows_load(tmp_path):
+    path = write_trace(tmp_path,
+                       '0,"GN1, E",1.5,0.5\n'
+                       "\n"
+                       '600," GN1, E ",2.5,0.5\n'
+                       "0,A,1e1,-2\n")
+    for chunk_rows in (1, 2, 3, 4096):
+        assert_matches_reference(path, chunk_rows)
+    series = load_temperature_trace(path)
+    assert list(series) == ["GN1, E", "A"]
+    assert series["GN1, E"].t_soil_c.tolist() == [1.5, 2.5]
+    assert series["A"].t_soil_c.tolist() == [10.0]
+
+
+def test_timestamp_outside_int64_names_its_line(tmp_path):
+    path = write_trace(tmp_path, "0,A,1,1\n99999999999999999999,A,1,1\n")
+    for chunk_rows in (1, 4096):
+        with mock.patch.object(feasibility, "_CHUNK_ROWS", chunk_rows), \
+                pytest.raises(TraceFormatError, match="out of range") as info:
+            load_temperature_trace(path)
+        assert info.value.line == 3
+
+
+def test_bad_row_before_an_unreadable_record_is_reported_first(tmp_path):
+    path = write_trace(tmp_path,
+                       "0,A,soup,1\n" + "0,A," + "9" * 200_000 + ",1\n")
+    with pytest.raises(TraceFormatError) as info:
+        load_temperature_trace(path)
+    assert info.value.line == 2
+
+
+# -- daily means --------------------------------------------------------------
+
+def test_daily_means_equal_the_masked_means_exactly():
+    rng = np.random.default_rng(7)
+    n = 500
+    timestamps = rng.integers(0, 5 * 86400, n)     # unsorted, five days
+    series = TransectSeries("E", timestamps, rng.normal(8.0, 5.0, n),
+                            rng.normal(2.0, 6.0, n))
+    stack, teg = default_stack(), default_teg()
+    analysis = analyze_trace({"E": series}, stack, teg).transects[0]
+    day_index = timestamps // 86400
+    days = np.unique(day_index)
+    assert len(analysis.daily) == len(days) == 5
+    for row, day in zip(analysis.daily, days):
+        mask = day_index == day
+        assert row.mean_dt_c == float(analysis.dt_env_c[mask].mean())
+        assert row.mean_dt_teg_k == float(analysis.dt_teg_k[mask].mean())
+        assert row.mean_power_w == float(analysis.power_w[mask].mean())
+    assert analysis.yearly.mean_power_w == float(analysis.power_w.mean())
+
+
+# -- node power and converter efficiency --------------------------------------
+
+@pytest.mark.parametrize("kwargs", [
+    {"node_power_w": 4e-4, "converter_efficiency": math.nan},
+    {"node_power_w": 4e-4, "converter_efficiency": -1.0},
+    {"node_power_w": 4e-4, "converter_efficiency": 0.0},
+    {"node_power_w": 4e-4, "converter_efficiency": 1.5},
+    {"converter_efficiency": math.inf},
+    {"node_power_w": -1e-3},
+    {"node_power_w": 0.0},
+    {"node_power_w": math.nan},
+    {"node_power_w": math.inf},
+])
+def test_nonsense_power_figures_are_rejected(tmp_path, kwargs):
+    path = write_trace(tmp_path, "0,E,29.0,0.0\n")
+    with pytest.raises(ValueError):
+        analyze(path, **kwargs)

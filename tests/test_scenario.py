@@ -127,6 +127,42 @@ def test_non_finite_numbers_rejected(path, value):
         parse_scenario(_set(minimal_doc(), path, value))
 
 
+@pytest.mark.parametrize("path, value", [
+    ("seed", True),
+    ("duration_s", 0.0004),
+    ("listen_interval_s", 0.0004),
+    ("listen_interval_s", "1.0"),
+    ("sites.0.link.latency_ms", None),
+    ("sites.0.link.latency_ms", 2.5),
+    ("sites.0.link.loss_probability", 1.5),
+    ("sites.0.link.max_payload", 0),
+    ("sites.0.nodes.0.uid", -1),
+    ("sites.0.nodes.0.sampling_rate_s", 1.5),
+    ("power_profile.tx_current_a", "abc"),
+    ("power_profile.listen_current_a", False),
+])
+def test_numbers_the_simulator_cannot_use_are_rejected(path, value):
+    with pytest.raises(InvalidScenarioError, match=path.split(".")[-1]):
+        parse_scenario(_set(minimal_doc(), path, value))
+
+
+def test_whole_number_floats_are_accepted():
+    doc = _set(minimal_doc(), "sites.0.link.latency_ms", 20.0)
+    link = parse_scenario(doc).sites[0].link
+    assert link.latency_ms == 20 and isinstance(link.latency_ms, int)
+
+
+@pytest.mark.parametrize("trace", [
+    {"kind": "constant", "value": "warm"},
+    {"kind": "sine", "mean": 1.0, "amplitude": 1.0, "period_s": 0},
+    {"kind": "sine", "mean": None, "amplitude": 1.0, "period_s": 60},
+])
+def test_signal_numbers_are_checked(trace):
+    config = parse_scenario(minimal_doc(trace=trace))
+    with pytest.raises(InvalidScenarioError):
+        build_simulator(config)
+
+
 def test_zero_sampling_rate_rejected():
     with pytest.raises(InvalidScenarioError):
         parse_scenario(minimal_doc(sampling_rate_s=0))
