@@ -9,13 +9,15 @@ methods can replace it.
 
 Decoded sensor readings land in an append-only CSV sink.  Anything that
 does not decode is quarantined with its envelope rather than dropped.
-Remote reads and writes of node files ride the same bus downlink and
-correlate answers on (node uid, file id, offset).
+Remote reads and writes of node files ride the same bus downlink, each
+in a dialog of its own: the node's answers carry the dialog id back, so
+an answer resolves its own request and no other.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
@@ -46,14 +48,6 @@ class NodeUnknownError(BackendError):
         self.node_uid = node_uid
 
 
-class RequestInFlightError(BackendError):
-    def __init__(self, key):
-        super().__init__(
-            f"a request for node {key[0]} file 0x{key[1]:02X}"
-            f" offset {key[2]} is already outstanding"
-        )
-
-
 class RequestTimeoutError(BackendError):
     pass
 
@@ -64,12 +58,14 @@ class DownlinkTooLargeError(BackendError):
 
 @dataclass(frozen=True)
 class Envelope:
-    """Transport metadata a gateway attaches to forwarded bytes."""
+    """Transport metadata a gateway attaches to forwarded bytes;
+    ``dialog`` ties a request to its answers (None on anything else)."""
 
     node_uid: int
     gateway_id: str
     site_id: str
     rx_timestamp: float
+    dialog: int | None = None
 
 
 @dataclass(frozen=True)
@@ -191,7 +187,6 @@ class CsvSink:
 @dataclass
 class _PendingRequest:
     action: AlpAction
-    done: bool = False
     result: object = None
 
 
@@ -204,7 +199,8 @@ class SimTransport(Protocol):
 
     def set_forwarder(self, site_id: str, forwarder) -> None: ...
 
-    def queue_downlink(self, node_uid: int, payload: bytes, ttl_s: float = ...): ...
+    def queue_downlink(self, node_uid: int, payload: bytes, ttl_s: float = ...,
+                       dialog: int | None = None): ...
 
     def run_until(self, predicate, deadline_ms: int | None = None) -> bool: ...
 
@@ -221,9 +217,10 @@ class Backend:
         self.sink = sink if sink is not None else CsvSink()
         self.status_log: list[tuple[Envelope, AlpAction]] = []
         self.quarantine: list[QuarantineEntry] = []
-        self.unmatched_returns = 0
+        self.late_answers = 0
         self.ingested = 0
-        self._pending: dict[tuple[int, int, int], _PendingRequest] = {}
+        self._dialogs = itertools.count(1)
+        self._pending: dict[int, _PendingRequest] = {}
         self._transport: SimTransport | None = None
         self.bus.subscribe("site/+/gw/+/up", self.ingest)
 
@@ -238,16 +235,18 @@ class Backend:
         self.bus.subscribe("site/+/gw/+/down", self._on_down)
 
     def _forward(self, payload: bytes, node_uid: int, gateway_id: str,
-                 site_id: str, rx_timestamp_s: float) -> None:
+                 site_id: str, rx_timestamp_s: float,
+                 dialog: int | None) -> None:
         gateway_forward(
             self.bus, payload,
-            Envelope(node_uid, gateway_id, site_id, rx_timestamp_s),
+            Envelope(node_uid, gateway_id, site_id, rx_timestamp_s, dialog),
         )
 
     def _on_down(self, message: BusMessage) -> None:
         node_uid = message.envelope.node_uid
         try:
-            self._transport.queue_downlink(node_uid, message.payload)
+            self._transport.queue_downlink(node_uid, message.payload,
+                                           dialog=message.envelope.dialog)
         except PayloadTooLargeError as exc:
             raise DownlinkTooLargeError(f"node {node_uid}: {exc}") from exc
 
@@ -256,10 +255,11 @@ class Backend:
     def ingest(self, message: BusMessage) -> list[TimeSeriesRecord]:
         """Decode one uplink message into time-series records.
 
-        Returned file data from the sensor-data file becomes one record
-        per channel (milli-units scaled back exactly); status actions go
-        to the status log and resolve outstanding writes; anything
-        undecodable is quarantined with its envelope.
+        Statuses go to the status log.  A frame stamped with a dialog
+        only answers that dialog's request.  In an unstamped frame,
+        sensor data becomes one record per channel (milli-units scaled
+        back exactly); anything else undecodable or unasked for is
+        quarantined with its envelope.
         """
         self.ingested += 1
         envelope = message.envelope
@@ -270,35 +270,34 @@ class Backend:
                 QuarantineEntry(envelope, message.payload, str(exc))
             )
             return []
+        dialog = envelope.dialog
+        if dialog is not None and dialog not in self._pending:
+            self.late_answers += 1  # its request timed out or is answered
         records: list[TimeSeriesRecord] = []
         for action in command:
-            if action.opcode is Opcode.RETURN_FILE_DATA:
-                resolved = self._resolve(envelope.node_uid, action)
-                if action.file_id == SENSOR_DATA_FILE:
-                    records.extend(
-                        self._decode_reading(envelope, action,
-                                             quarantine=not resolved)
-                    )
-            elif action.opcode is Opcode.STATUS:
+            if action.opcode is Opcode.STATUS:
                 self.status_log.append((envelope, action))
-                self._resolve(envelope.node_uid, action)
-            else:
+            if dialog is not None:
+                self._resolve(dialog, action)
+            elif (action.opcode is Opcode.RETURN_FILE_DATA
+                  and action.file_id == SENSOR_DATA_FILE):
+                records.extend(self._decode_reading(envelope, action))
+            elif action.opcode is not Opcode.STATUS:
                 self.quarantine.append(QuarantineEntry(
                     envelope, message.payload,
-                    f"unexpected uplink opcode {action.opcode.name}",
+                    f"unexpected uplink opcode {action.opcode.name}"
+                    f" for file 0x{action.file_id:02X}",
                 ))
         return records
 
-    def _decode_reading(self, envelope: Envelope, action: AlpAction,
-                        quarantine: bool = True) -> list[TimeSeriesRecord]:
+    def _decode_reading(self, envelope: Envelope,
+                        action: AlpAction) -> list[TimeSeriesRecord]:
         try:
             reading = SensorReading.from_bytes(action.payload)
         except ValueError as exc:
-            # a slice that only answers a remote read is not a record
-            if quarantine:
-                self.quarantine.append(
-                    QuarantineEntry(envelope, action.payload, str(exc))
-                )
+            self.quarantine.append(
+                QuarantineEntry(envelope, action.payload, str(exc))
+            )
             return []
         entry = self.directory.get(envelope.node_uid, {})
         records = []
@@ -316,33 +315,35 @@ class Backend:
             records.append(record)
         return records
 
-    def _resolve(self, node_uid: int, answer: AlpAction) -> bool:
-        """Hand an answer to the request outstanding for its (node, file,
-        offset): returned data of the asked length answers a read, a
-        status answers a write."""
-        key = (node_uid, answer.file_id, answer.offset)
-        request = self._pending.get(key)
-        returned = answer.opcode is Opcode.RETURN_FILE_DATA
-        asked = Opcode.READ_FILE_DATA if returned else Opcode.WRITE_FILE_DATA
-        if request is None or request.action.opcode is not asked:
-            if returned and answer.file_id != SENSOR_DATA_FILE:
-                self.unmatched_returns += 1
-            return False
-        if returned and answer.length != request.action.length:
-            return False
-        request.result = answer.payload if returned else answer.payload[0]
-        request.done = True
-        del self._pending[key]
-        return True
+    def _resolve(self, dialog: int, answer: AlpAction) -> None:
+        """Hand an answer to the request pending in its dialog: returned
+        data answers a read, a status echoing a write answers the write.
+        Anything else in the dialog answers nothing."""
+        request = self._pending.get(dialog)
+        if request is None:
+            return
+        asked = request.action
+        if asked.opcode is Opcode.READ_FILE_DATA:
+            if answer.opcode is not Opcode.RETURN_FILE_DATA:
+                return
+            request.result = answer.payload
+        elif answer.opcode is Opcode.STATUS and (
+                (answer.file_id, answer.offset, answer.length)
+                == (asked.file_id, asked.offset, asked.length)):
+            request.result = answer.payload[0]
+        else:
+            return
+        del self._pending[dialog]
 
     # -- remote file access --------------------------------------------------
 
     def _request(self, node_uid: int, action: AlpAction, timeout_s: float):
-        """Send one action to a node over the air and drive the attached
-        network until the node answers it or the timeout lapses.
+        """Send one action to a node over the air in a dialog of its own,
+        and drive the attached network until the node answers in that
+        dialog or the timeout lapses.
 
-        At most one request per (node, file, offset) may be outstanding;
-        a request that fails or times out frees its slot.
+        Requests to the same file range need not wait for one another:
+        an answer resolves only the request whose dialog it carries.
         """
         try:
             entry = self.directory[node_uid]
@@ -351,25 +352,23 @@ class Backend:
         transport = self._transport
         if transport is None:
             raise BackendError("remote file access needs an attached transport")
-        key = (node_uid, action.file_id, action.offset)
-        if key in self._pending:
-            raise RequestInFlightError(key)
-        request = self._pending[key] = _PendingRequest(action)
+        dialog = next(self._dialogs)
+        request = self._pending[dialog] = _PendingRequest(action)
         site_id = entry["site_id"]
         gateway_id = entry.get("gateway_id", f"gw-{site_id}")
         envelope = Envelope(node_uid, gateway_id, site_id,
-                            transport.now_ms / 1000)
+                            transport.now_ms / 1000, dialog)
         try:
             self.bus.publish(down_topic(site_id, gateway_id),
                              encode_command(AlpCommand((action,))), envelope)
-            transport.run_until(lambda: request.done,
+            transport.run_until(lambda: dialog not in self._pending,
                                 transport.now_ms + round(timeout_s * 1000))
-            if not request.done:
+            if dialog in self._pending:
                 raise RequestTimeoutError(
                     f"node {node_uid} did not answer within {timeout_s} s"
                 )
         except BaseException:
-            self._pending.pop(key, None)
+            self._pending.pop(dialog, None)
             raise
         return request.result
 
@@ -378,8 +377,9 @@ class Backend:
         """Read a byte range of a node file over the air.
 
         Blocks (driving the attached network) until the node's answer
-        arrives or the timeout lapses.  At most one request per
-        (node, file, offset) may be outstanding.
+        arrives or the timeout lapses.  A read of the sensor-data file
+        wakes the sensor: it returns the bytes held before that sample,
+        and the fresh reading reaches the sink as a record.
         """
         return self._request(node_uid, AlpAction.read(file_id, offset, length),
                              timeout_s)

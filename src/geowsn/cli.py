@@ -241,6 +241,8 @@ def _cmd_sim_run(args) -> int:
           f" buffered {summary['records_buffered']},"
           f" overwritten {summary['records_overwritten']}")
     print(f"sink rows: {len(sink.records)}")
+    print(f"backend: quarantined {len(backend.quarantine)},"
+          f" late answers {backend.late_answers}")
     print("node  site   charge_C   mean_uA   battery_years")
     worst_years = None
     for uid in sim.node_uids:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable
 
-from .node import SensorKind, SensorNode
+from .node import SensorKind, SensorNode, UplinkKind
 
 MS_PER_S = 1000
 
@@ -116,10 +116,14 @@ class DownlinkTicket:
     ticket_id: int
     payload: bytes
     expires_at_ms: int
+    dialog: int | None = None
 
 
-#: forwarder(payload, node_uid, gateway_id, site_id, rx_timestamp_s)
-Forwarder = Callable[[bytes, int, str, str, float], None]
+#: forwarder(payload, node_uid, gateway_id, site_id, rx_timestamp_s, dialog)
+Forwarder = Callable[[bytes, int, str, str, float, int | None], None]
+
+#: the uplinks that carry the dialog of the command they answer
+_ANSWER_KINDS = (UplinkKind.RESPONSE, UplinkKind.STATUS)
 
 
 @dataclass
@@ -362,7 +366,7 @@ class Simulator:
         self._settle(rt, at)
 
     def _deliver(self, rt: NodeRuntime, at: int, payload: bytes,
-                 kind: str) -> bool:
+                 kind: str, dialog: int | None) -> bool:
         link = rt.site.link
         if len(payload) > link.max_payload:
             raise PayloadTooLargeError(len(payload), link.max_payload)
@@ -376,29 +380,32 @@ class Simulator:
         self._log(at, "UplinkTx", rt.node.uid,
                   f"delivered len={len(payload)} kind={kind}")
         self._push(at + link.latency_ms, EventKind.UPLINK_ARRIVAL,
-                   rt.node.uid, payload)
+                   rt.node.uid, (payload, dialog))
         return True
 
     def _handle_uplink_arrival(self, rt: NodeRuntime, at: int,
-                               payload: bytes) -> None:
+                               arrival: tuple[bytes, int | None]) -> None:
+        payload, dialog = arrival
         site = rt.site
         self._log(at, "UplinkArrival", rt.node.uid, f"len={len(payload)}")
         if site.forwarder is not None:
             site.forwarder(payload, rt.node.uid, site.gateway_id,
-                           site.site_id, at / MS_PER_S)
+                           site.site_id, at / MS_PER_S, dialog)
 
     def queue_downlink(self, node_uid: int, payload: bytes,
-                       ttl_s: float = DEFAULT_DOWNLINK_TTL_S) -> DownlinkTicket:
+                       ttl_s: float = DEFAULT_DOWNLINK_TTL_S,
+                       dialog: int | None = None) -> DownlinkTicket:
         """Hand a command to the target node's gateway.  It waits there
         and is offered at each of the node's listen windows until it is
-        delivered or its TTL lapses."""
+        delivered or its TTL lapses.  The node's answers to it carry
+        ``dialog`` up to the forwarder."""
         rt = self.runtime(node_uid)
         if len(payload) > rt.site.link.max_payload:
             raise PayloadTooLargeError(len(payload), rt.site.link.max_payload)
         if self._finished:
             raise SimulationError("run already finished")
         ticket = DownlinkTicket(self._ticket_seq, bytes(payload),
-                                self.now_ms + round(ttl_s * MS_PER_S))
+                                self.now_ms + round(ttl_s * MS_PER_S), dialog)
         self._ticket_seq += 1
         rt.pending.append(ticket)
         rt.downlinks_queued += 1
@@ -439,7 +446,7 @@ class Simulator:
                 self._log(at, "ListenWindow", node.uid,
                           f"delivered ticket={ticket.ticket_id}")
                 node.on_downlink(ticket.payload, at / MS_PER_S)
-                self._settle(rt, at)
+                self._settle(rt, at, ticket.dialog)
         if rt.pending:
             self._ensure_window(rt, at)
 
@@ -477,18 +484,21 @@ class Simulator:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _settle(self, rt: NodeRuntime, at: int) -> None:
+    def _settle(self, rt: NodeRuntime, at: int,
+                dialog: int | None = None) -> None:
         """Finish the node's interaction at this ms: transmit what it
         queued, and what the results of those transmissions queue in
         turn, then line the heap up with the node's own idea of its next
-        sample (it can move under remote commands)."""
+        sample (it can move under remote commands).  Answers carry the
+        dialog of the command delivered at this ms, if any."""
         node = rt.node
         now_s = at / MS_PER_S
         while node.outbox:
             for uplink in node.drain_outbox():
                 rt.tx_ms += self.profile.tx_duration_ms
-                delivered = self._deliver(rt, at, uplink.payload,
-                                          uplink.kind.value)
+                delivered = self._deliver(
+                    rt, at, uplink.payload, uplink.kind.value,
+                    dialog if uplink.kind in _ANSWER_KINDS else None)
                 node.on_uplink_result(uplink, delivered, now_s)
                 node.notify_activity(now_s)
         want = round(node.next_sample_at * MS_PER_S)

@@ -262,7 +262,8 @@ class TraceDriver(SensorDriver):
 
 def load_sensor_trace(path: str | Path, kind: SensorKind) -> TraceDriver:
     """Load a per-node sensor trace CSV: timestamp_unix plus one
-    column per channel of the given sensor kind."""
+    column per channel of the given sensor kind.  A malformed file raises
+    ``ValueError`` naming its line."""
     import csv
 
     want = len(CHANNELS[kind])
@@ -278,9 +279,17 @@ def load_sensor_trace(path: str | Path, kind: SensorKind) -> TraceDriver:
         for row in reader:
             if not row:
                 continue
-            times.append(float(row[0]))
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != want + 1:
+                raise ValueError(
+                    f"{where}: expected {want + 1} fields, got {len(row)}")
+            try:
+                values = [float(field) for field in row]
+            except ValueError:
+                raise ValueError(f"{where}: not a number in {row!r}") from None
+            times.append(values[0])
             for i in range(want):
-                columns[i].append(float(row[i + 1]))
+                columns[i].append(values[i + 1])
     return TraceDriver(kind, times, columns)
 
 

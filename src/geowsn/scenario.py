@@ -10,6 +10,7 @@ ready-to-run network.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, replace
@@ -112,7 +113,19 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _object(doc, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise InvalidScenarioError(f"{where} must be an object")
+
+
+def _list(doc, where: str) -> list:
+    if not isinstance(doc, list):
+        raise InvalidScenarioError(f"{where} must be a list")
+    return doc
+
+
 def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
+    _object(doc, where)
     unknown = set(doc) - allowed
     if unknown:
         raise InvalidScenarioError(
@@ -150,9 +163,10 @@ def parse_power_profile(doc: dict) -> PowerProfile:
     kwargs = {key: _number(doc[key], f"power_profile: {key}", minimum=0.0)
               for key in _PROFILE_SCALAR_KEYS if key in doc}
     if "sample_duration_ms" in doc:
+        where = "power_profile.sample_duration_ms"
+        _object(doc["sample_duration_ms"], where)
         durations = dict(PowerProfile().sample_duration_ms)
         for name, ms in doc["sample_duration_ms"].items():
-            where = "power_profile.sample_duration_ms"
             kind = _sensor_kind(name, where)
             durations[kind] = _number(ms, f"{where}: {name}", minimum=0.0)
         kwargs["sample_duration_ms"] = durations
@@ -160,6 +174,7 @@ def parse_power_profile(doc: dict) -> PowerProfile:
 
 
 def _parse_signal(doc: dict, where: str) -> ChannelSignal:
+    _object(doc, where)
     kind = _require(doc, "kind", where)
     if kind == "constant":
         _check_keys(doc, {"kind", "value"}, where)
@@ -191,12 +206,21 @@ def build_driver(spec: NodeSpec, base_dir: Path) -> SensorDriver:
     where = f"node {spec.uid} trace"
     trace = spec.trace
     if isinstance(trace, str):
-        return load_sensor_trace(base_dir / trace, kind)
+        path = base_dir / trace
+        try:
+            return load_sensor_trace(path, kind)
+        except OSError as exc:
+            raise InvalidScenarioError(
+                f"{where}: cannot read {path}: {exc.strerror or exc}") from None
+        except ValueError as exc:
+            raise InvalidScenarioError(f"{where}: {exc}") from None
+        except csv.Error as exc:
+            raise InvalidScenarioError(f"{where}: {path}: {exc}") from None
     if not isinstance(trace, dict):
         raise InvalidScenarioError(f"{where}: expected a path or an object")
     if trace.get("kind") == "multi":
         _check_keys(trace, {"kind", "channels"}, where)
-        specs = _require(trace, "channels", where)
+        specs = _list(_require(trace, "channels", where), f"{where}: channels")
         if len(specs) != len(channels):
             raise InvalidScenarioError(
                 f"{where}: {len(specs)} channel signals for"
@@ -276,7 +300,8 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> ScenarioConfig:
         seen_sites.add(site_id)
         link = _parse_link(site_doc.get("link", {}), f"{where}.link")
         nodes: list[NodeSpec] = []
-        for n_index, node_doc in enumerate(_require(site_doc, "nodes", where)):
+        nodes_doc = _list(_require(site_doc, "nodes", where), f"{where}: nodes")
+        for n_index, node_doc in enumerate(nodes_doc):
             node_where = f"{where}.nodes[{n_index}]"
             spec = _parse_node(node_doc, node_where)
             if spec.uid in seen_uids:

@@ -5,6 +5,7 @@ import csv
 import pytest
 
 from geowsn.alp import (
+    NODE_CONFIG_FILE,
     AlpAction,
     AlpCommand,
     SENSOR_DATA_FILE,
@@ -35,9 +36,9 @@ def reading_frame(timestamp: int = 1000,
         AlpAction.return_data(SENSOR_DATA_FILE, 0, record),)))
 
 
-def envelope(uid: int = 7) -> Envelope:
+def envelope(uid: int = 7, dialog: int | None = None) -> Envelope:
     return Envelope(node_uid=uid, gateway_id="gw-north", site_id="north",
-                    rx_timestamp=12.5)
+                    rx_timestamp=12.5, dialog=dialog)
 
 
 def test_topic_layout():
@@ -208,3 +209,22 @@ def test_csv_sink_keeps_memory_copy_without_path():
     sink.append(record)
     assert sink.records == [record]
     sink.close()
+
+
+def test_ingest_quarantines_file_data_no_request_asked_for():
+    frame = encode_command(AlpCommand((
+        AlpAction.return_data(NODE_CONFIG_FILE, 0, bytes(12)),)))
+    backend = Backend()
+    backend.ingest(BusMessage("site/north/gw/gw-north/up", frame, envelope()))
+    assert len(backend.quarantine) == 1
+    assert "0x41" in backend.quarantine[0].reason
+
+
+def test_answer_in_an_unknown_dialog_is_counted_and_not_a_record():
+    backend = Backend()
+    records = backend.ingest(BusMessage(
+        "site/north/gw/gw-north/up", reading_frame(), envelope(dialog=3)))
+    assert records == []
+    assert backend.sink.records == []
+    assert backend.quarantine == []
+    assert backend.late_answers == 1

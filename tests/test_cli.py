@@ -303,6 +303,68 @@ def test_sim_run_rejects_numbers_it_cannot_run(capsys, tmp_path, fields,
     assert named in err
 
 
+def _replace_in_scenario(path: Path, keys: list, value) -> None:
+    doc = json.loads(path.read_text())
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    path.write_text(json.dumps(doc))
+
+
+TRACE = ["sites", 0, "nodes", 0, "trace"]
+
+
+@pytest.mark.parametrize("keys, value, named", [
+    (["sites"], [5], "sites[0] must be an object"),
+    (["sites", 0, "nodes"], 5, "nodes must be a list"),
+    (["sites", 0, "nodes"], [5], "nodes[0] must be an object"),
+    (["sites", 0, "link"], 5, "link must be an object"),
+    (["power_profile"], {"sample_duration_ms": 5},
+     "sample_duration_ms must be an object"),
+    (TRACE, {"kind": "multi", "channels": 5}, "channels must be a list"),
+    (TRACE, {"kind": "multi", "channels": [5]},
+     "channels[0] must be an object"),
+])
+def test_sim_run_rejects_a_structure_of_the_wrong_type(capsys, tmp_path,
+                                                       keys, value, named):
+    path = Path(one_node_scenario(tmp_path))
+    _replace_in_scenario(path, keys, value)
+    code, _, err = run_cli(capsys, "sim-run", "--scenario", str(path),
+                           "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert named in err
+
+
+@pytest.mark.parametrize("csv_text, named", [
+    (None, "cannot read"),
+    ("time,t_soil\n0,4.0\n", "expected header"),
+    ("timestamp_unix,t_soil\n0\n", "line 2: expected 2 fields"),
+    ("timestamp_unix,t_soil\n0,4.0\n60,abc\n", "line 3: not a number"),
+    ("timestamp_unix,t_soil\n0," + "1" * 200_000 + "\n", "field larger"),
+], ids=["missing", "header", "short row", "not a number", "huge field"])
+def test_sim_run_rejects_a_trace_file_it_cannot_load(capsys, tmp_path,
+                                                     csv_text, named):
+    path = Path(one_node_scenario(tmp_path))
+    _replace_in_scenario(path, TRACE, "trace.csv")
+    if csv_text is not None:
+        (tmp_path / "trace.csv").write_text(csv_text)
+    code, _, err = run_cli(capsys, "sim-run", "--scenario", str(path),
+                           "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "node 1 trace" in err
+    assert "trace.csv" in err
+    assert named in err
+
+
+def test_sim_run_prints_backend_counters(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "sim-run", "--scenario",
+                           one_node_scenario(tmp_path),
+                           "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert "backend: quarantined 0, late answers 0" in out.splitlines()
+
+
 def test_sim_run_rejects_a_bad_signal_number(capsys, tmp_path):
     path = Path(one_node_scenario(tmp_path))
     doc = json.loads(path.read_text())

@@ -108,19 +108,19 @@ def test_hang_sets_reset_where_the_per_tick_watchdog_did(seed):
 #: one scripted remote-access run on the bundled 1-day scenario, in the
 #: style of criterion 7: per node, trigger a measurement through config
 #: byte 3, read the config back and clear the byte; then read one node's
-#: data file
+#: data file, which answers with the reading the config write triggered
 REMOTE_OPS_NODES = (1001, 2013, 3026)
 REMOTE_OPS_ANSWERS = [
     0, "010000aa5802000000000000", 0,
     0, "020000aa5802000000000000", 0,
     0, "030000aa5802000000000000", 0,
-    "0a0000000101b90b0000",
+    "010000000101b80b0000",
 ]
 REMOTE_OPS_NOW_MS = 10_018
 REMOTE_OPS_RUN = (
     25_669, "f59631e6615c570133745b731bc67340eddff2acb49e6ec068b35d30c19f4a1f")
 #: sink records, quarantined, ingested
-REMOTE_OPS_BACKEND = (8_584, 0, 8_279)
+REMOTE_OPS_BACKEND = (8_583, 0, 8_279)
 
 
 def test_scripted_remote_access_run_is_pinned():

@@ -88,7 +88,7 @@ def test_uplink_arrival_carries_link_latency():
     arrivals = []
     sim.set_forwarder(
         "north",
-        lambda payload, uid, gw, site, at_s: arrivals.append(at_s))
+        lambda payload, uid, gw, site, at_s, dialog: arrivals.append(at_s))
     sim.run()
     assert arrivals, "expected forwarded uplinks"
     assert arrivals[0] == pytest.approx(60.0 + 0.250)
