@@ -9,14 +9,15 @@ methods can replace it.
 
 Decoded sensor readings land in an append-only CSV sink.  Anything that
 does not decode is quarantined with its envelope rather than dropped.
-Remote reads and writes of node files ride the same bus downlink, each
-in a dialog of its own: the node's answers carry the dialog id back, so
-an answer resolves its own request and no other.
+Remote reads and writes of node files are queued at the node's gateway,
+each in a dialog of its own; the node's answers ride the bus up with the
+dialog id, so an answer resolves its own request and no other.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,7 @@ from .alp import (
     decode_command,
     encode_command,
 )
-from .netsim import PayloadTooLargeError
+from .netsim import MS_PER_S, Envelope, PayloadTooLargeError
 from .node import SensorReading
 
 SINK_HEADER = ("timestamp", "site", "node_uid", "transect", "channel",
@@ -57,18 +58,6 @@ class DownlinkTooLargeError(BackendError):
 
 
 @dataclass(frozen=True)
-class Envelope:
-    """Transport metadata a gateway attaches to forwarded bytes;
-    ``dialog`` ties a request to its answers (None on anything else)."""
-
-    node_uid: int
-    gateway_id: str
-    site_id: str
-    rx_timestamp: float
-    dialog: int | None = None
-
-
-@dataclass(frozen=True)
 class BusMessage:
     topic: str
     payload: bytes
@@ -77,10 +66,6 @@ class BusMessage:
 
 def up_topic(site_id: str, gateway_id: str) -> str:
     return f"site/{site_id}/gw/{gateway_id}/up"
-
-
-def down_topic(site_id: str, gateway_id: str) -> str:
-    return f"site/{site_id}/gw/{gateway_id}/down"
 
 
 def topic_matches(pattern: str, topic: str) -> bool:
@@ -227,28 +212,13 @@ class Backend:
     # -- wiring ---------------------------------------------------------
 
     def attach_transport(self, sim: SimTransport) -> None:
-        """Wire a simulated network to the bus: its gateways publish
-        uplinks here and downlink messages feed its gateway queues."""
+        """Wire a simulated network to the backend: its gateways publish
+        uplinks on the bus, and remote commands are queued at the
+        target node's gateway."""
         self._transport = sim
         for site_id in sim.sites:
-            sim.set_forwarder(site_id, self._forward)
-        self.bus.subscribe("site/+/gw/+/down", self._on_down)
-
-    def _forward(self, payload: bytes, node_uid: int, gateway_id: str,
-                 site_id: str, rx_timestamp_s: float,
-                 dialog: int | None) -> None:
-        gateway_forward(
-            self.bus, payload,
-            Envelope(node_uid, gateway_id, site_id, rx_timestamp_s, dialog),
-        )
-
-    def _on_down(self, message: BusMessage) -> None:
-        node_uid = message.envelope.node_uid
-        try:
-            self._transport.queue_downlink(node_uid, message.payload,
-                                           dialog=message.envelope.dialog)
-        except PayloadTooLargeError as exc:
-            raise DownlinkTooLargeError(f"node {node_uid}: {exc}") from exc
+            sim.set_forwarder(site_id, functools.partial(gateway_forward,
+                                                         self.bus))
 
     # -- ingestion ---------------------------------------------------------
 
@@ -338,31 +308,29 @@ class Backend:
     # -- remote file access --------------------------------------------------
 
     def _request(self, node_uid: int, action: AlpAction, timeout_s: float):
-        """Send one action to a node over the air in a dialog of its own,
+        """Queue one action at the node's gateway in a dialog of its own,
         and drive the attached network until the node answers in that
         dialog or the timeout lapses.
 
         Requests to the same file range need not wait for one another:
         an answer resolves only the request whose dialog it carries.
         """
-        try:
-            entry = self.directory[node_uid]
-        except KeyError:
-            raise NodeUnknownError(node_uid) from None
+        if node_uid not in self.directory:
+            raise NodeUnknownError(node_uid)
         transport = self._transport
         if transport is None:
             raise BackendError("remote file access needs an attached transport")
         dialog = next(self._dialogs)
-        request = self._pending[dialog] = _PendingRequest(action)
-        site_id = entry["site_id"]
-        gateway_id = entry.get("gateway_id", f"gw-{site_id}")
-        envelope = Envelope(node_uid, gateway_id, site_id,
-                            transport.now_ms / 1000, dialog)
         try:
-            self.bus.publish(down_topic(site_id, gateway_id),
-                             encode_command(AlpCommand((action,))), envelope)
+            transport.queue_downlink(node_uid,
+                                     encode_command(AlpCommand((action,))),
+                                     dialog=dialog)
+        except PayloadTooLargeError as exc:
+            raise DownlinkTooLargeError(f"node {node_uid}: {exc}") from exc
+        request = self._pending[dialog] = _PendingRequest(action)
+        try:
             transport.run_until(lambda: dialog not in self._pending,
-                                transport.now_ms + round(timeout_s * 1000))
+                                transport.now_ms + round(timeout_s * MS_PER_S))
             if dialog in self._pending:
                 raise RequestTimeoutError(
                     f"node {node_uid} did not answer within {timeout_s} s"

@@ -243,6 +243,10 @@ def _cmd_sim_run(args) -> int:
     print(f"sink rows: {len(sink.records)}")
     print(f"backend: quarantined {len(backend.quarantine)},"
           f" late answers {backend.late_answers}")
+    counters = [sim.runtime(uid).node.counters for uid in sim.node_uids]
+    print(f"nodes: driver faults {sum(c.driver_faults for c in counters)},"
+          f" command errors {sum(c.command_errors for c in counters)},"
+          f" status uplinks {sum(c.status_uplinks for c in counters)}")
     print("node  site   charge_C   mean_uA   battery_years")
     worst_years = None
     for uid in sim.node_uids:

@@ -119,8 +119,20 @@ class DownlinkTicket:
     dialog: int | None = None
 
 
-#: forwarder(payload, node_uid, gateway_id, site_id, rx_timestamp_s, dialog)
-Forwarder = Callable[[bytes, int, str, str, float, int | None], None]
+@dataclass(frozen=True)
+class Envelope:
+    """Transport metadata a gateway attaches to forwarded bytes;
+    ``dialog`` ties a request to its answers (None on anything else)."""
+
+    node_uid: int
+    gateway_id: str
+    site_id: str
+    rx_timestamp: float
+    dialog: int | None = None
+
+
+#: forwarder(payload, envelope): what a gateway does with node bytes
+Forwarder = Callable[[bytes, Envelope], None]
 
 #: the uplinks that carry the dialog of the command they answer
 _ANSWER_KINDS = (UplinkKind.RESPONSE, UplinkKind.STATUS)
@@ -236,13 +248,12 @@ class Simulator:
 
     # -- construction ---------------------------------------------------
 
-    def add_site(self, site_id: str, link: LinkModel,
-                 gateway_id: str | None = None) -> SiteRuntime:
+    def add_site(self, site_id: str, link: LinkModel) -> SiteRuntime:
         if self._started:
             raise SimulationError("cannot add sites after start")
         if site_id in self.sites:
             raise ValueError(f"duplicate site {site_id!r}")
-        site = SiteRuntime(site_id, gateway_id or f"gw-{site_id}", link)
+        site = SiteRuntime(site_id, f"gw-{site_id}", link)
         self.sites[site_id] = site
         return site
 
@@ -389,8 +400,9 @@ class Simulator:
         site = rt.site
         self._log(at, "UplinkArrival", rt.node.uid, f"len={len(payload)}")
         if site.forwarder is not None:
-            site.forwarder(payload, rt.node.uid, site.gateway_id,
-                           site.site_id, at / MS_PER_S, dialog)
+            site.forwarder(payload, Envelope(rt.node.uid, site.gateway_id,
+                                             site.site_id, at / MS_PER_S,
+                                             dialog))
 
     def queue_downlink(self, node_uid: int, payload: bytes,
                        ttl_s: float = DEFAULT_DOWNLINK_TTL_S,

@@ -195,7 +195,8 @@ class SensorDriver(ABC):
         """Return one engineering-unit value per channel.
 
         An empty tuple means the hardware produced no data (a driver
-        fault); the node reports it as a status uplink.
+        fault); the node reports it as a status uplink, as it does a
+        value no reading can hold (NaN, infinite, beyond i32 milli-units).
         """
 
 
@@ -457,8 +458,9 @@ class SensorNode:
         return max(1, self._config.sampling_rate)
 
     def clock(self, now_s: float) -> int:
-        """The node's idea of the current timestamp."""
-        return int(self._rtc_base + (now_s - self._rtc_set_at))
+        """The node's idea of the current timestamp: a u32 RTC, which
+        wraps past its top."""
+        return int(self._rtc_base + (now_s - self._rtc_set_at)) % 2**32
 
     # -- timer and radio entry points ---------------------------------
 
@@ -587,16 +589,18 @@ class SensorNode:
             return
         values = self._active_driver.measure(self._active_address, now_s)
         self.counters.measurements[self._active_kind] += 1
-        if not values:
+        try:
+            # no values, or one no i32 milli-unit holds (NaN, infinite or
+            # too large), leaves no record to store: a driver fault
+            record = SensorReading(
+                self.clock(now_s),
+                self._active_kind,
+                tuple([int(round(v * 1000.0)) for v in values]),
+            ).to_bytes()
+        except (ValueError, OverflowError, struct.error):
             self.counters.driver_faults += 1
             self._queue_status(STATUS_DRIVER_FAULT)
             return
-        reading = SensorReading(
-            self.clock(now_s),
-            self._active_kind,
-            tuple(int(round(v * 1000.0)) for v in values),
-        )
-        record = reading.to_bytes()
         self.files.write(SENSOR_DATA_FILE, 0, record)
         self._queue_uplink(
             [AlpAction.return_data(SENSOR_DATA_FILE, 0, record)],

@@ -392,114 +392,6 @@ def default_scenario() -> ScenarioConfig:
     return load_scenario(default_scenario_path())
 
 
-# -- reference deployment ----------------------------------------------------
-
-#: warming treatment (degC above ambient) by transect letter; soils at
-#: the unwarmed transect sit near the site's background temperature
-_WARMING_BY_TRANSECT = {"A": 0.0, "B": 1.0, "C": 3.0, "D": 5.0, "E": 8.0,
-                        "F": 10.0}
-_TRANSECT_LETTERS = "ABCDEF"
-
-
-def _soil_node(uid: int, plot: str, letter: str, index: int) -> dict:
-    mean = 3.0 + _WARMING_BY_TRANSECT[letter]
-    return {
-        "uid": uid,
-        "transect": f"{plot}-{letter}",
-        "sensor_type": "soil_temperature",
-        "sampling_rate_s": 600,
-        "trace": {
-            "kind": "sine",
-            "mean": round(mean, 4),
-            "amplitude": 1.5,
-            "period_s": 86400,
-            "phase_rad": round((index * 0.39) % 6.2832, 4),
-        },
-    }
-
-
-def _water_node(uid: int, plot: str) -> dict:
-    return {
-        "uid": uid,
-        "transect": f"{plot}-W",
-        "sensor_type": "soil_water_content",
-        "sampling_rate_s": 600,
-        "trace": {"kind": "constant", "value": 31.5},
-    }
-
-
-def _weather_node(uid: int, plot: str) -> dict:
-    return {
-        "uid": uid,
-        "transect": f"{plot}-WS",
-        "sensor_type": "weather_station",
-        "sampling_rate_s": 600,
-        "trace": {
-            "kind": "multi",
-            "channels": [
-                {"kind": "sine", "mean": 1.5, "amplitude": 5.0,
-                 "period_s": 86400, "phase_rad": 0.0},
-                {"kind": "sine", "mean": 82.0, "amplitude": 8.0,
-                 "period_s": 86400, "phase_rad": 3.1416},
-                {"kind": "sine", "mean": 4.5, "amplitude": 3.0,
-                 "period_s": 86400, "phase_rad": 1.2},
-            ],
-        },
-    }
-
-
 def make_reference_deployment() -> dict:
-    """Build the document behind the bundled scenario file.
-
-    Three sites, 58 nodes: two warming grids of six transects per plot
-    (GN 1-3 with 18 soil nodes, GN 4-5 with 12) and an older grid of 24
-    soil nodes (GO), plus one water-content node per site and a weather
-    station at GO.
-    """
-    index = 0
-
-    def soil_nodes(first_uid: int, plots: list[str]) -> list[dict]:
-        nonlocal index
-        nodes = []
-        uid = first_uid
-        for plot in plots:
-            for letter in _TRANSECT_LETTERS:
-                nodes.append(_soil_node(uid, plot, letter, index))
-                uid += 1
-                index += 1
-        return nodes
-
-    gn13 = soil_nodes(1001, ["GN1", "GN2", "GN3"])
-    gn13.append(_water_node(1019, "GN3"))
-    gn45 = soil_nodes(2001, ["GN4", "GN5"])
-    gn45.append(_water_node(2013, "GN5"))
-    go = soil_nodes(3001, ["GO1", "GO2", "GO3", "GO4"])
-    go.append(_water_node(3025, "GO2"))
-    go.append(_weather_node(3026, "GO"))
-
-    return {
-        "seed": 4021,
-        "duration_s": 86400,
-        "listen_interval_s": 1.0,
-        "sites": [
-            {
-                "site_id": "GN13",
-                "link": {"loss_probability": 0.05, "latency_ms": 18,
-                         "max_payload": 256},
-                "nodes": gn13,
-            },
-            {
-                "site_id": "GN45",
-                "link": {"loss_probability": 0.06, "latency_ms": 22,
-                         "max_payload": 256},
-                "nodes": gn45,
-            },
-            {
-                "site_id": "GO",
-                "link": {"loss_probability": 0.04, "latency_ms": 15,
-                         "max_payload": 256},
-                "nodes": go,
-            },
-        ],
-        "power_profile": {},
-    }
+    """The document behind the bundled scenario file."""
+    return json.loads(default_scenario_path().read_text())

@@ -20,7 +20,6 @@ from geowsn.backend import (
     InProcessBus,
     SINK_HEADER,
     TimeSeriesRecord,
-    down_topic,
     gateway_forward,
     topic_matches,
     up_topic,
@@ -43,7 +42,6 @@ def envelope(uid: int = 7, dialog: int | None = None) -> Envelope:
 
 def test_topic_layout():
     assert up_topic("north", "gw-1") == "site/north/gw/gw-1/up"
-    assert down_topic("north", "gw-1") == "site/north/gw/gw-1/down"
 
 
 @pytest.mark.parametrize("pattern,topic,matched", [

@@ -362,7 +362,29 @@ def test_sim_run_prints_backend_counters(capsys, tmp_path):
                            one_node_scenario(tmp_path),
                            "--out", str(tmp_path / "out"))
     assert code == 0
-    assert "backend: quarantined 0, late answers 0" in out.splitlines()
+    lines = out.splitlines()
+    assert "backend: quarantined 0, late answers 0" in lines
+    assert "nodes: driver faults 0, command errors 0, status uplinks 0" in lines
+
+
+@pytest.mark.parametrize("trace, csv_text", [
+    ("trace.csv", "timestamp_unix,t_soil\n0,nan\n600,nan\n"),
+    ({"kind": "constant", "value": 1e300}, None),
+], ids=["nan trace", "1e300 constant"])
+def test_sim_run_counts_a_measurement_it_cannot_encode_as_a_driver_fault(
+        capsys, tmp_path, trace, csv_text):
+    path = Path(one_node_scenario(tmp_path))
+    _replace_in_scenario(path, TRACE, trace)
+    if csv_text is not None:
+        (tmp_path / "trace.csv").write_text(csv_text)
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli(capsys, "sim-run", "--scenario", str(path),
+                           "--out", str(out_dir))
+    assert code == 0
+    assert "# summary" in (out_dir / "runlog.txt").read_text()
+    # one sample a minute for 600 s, each a fault reported by a status
+    assert ("nodes: driver faults 10, command errors 0, status uplinks 10"
+            in out.splitlines())
 
 
 def test_sim_run_rejects_a_bad_signal_number(capsys, tmp_path):

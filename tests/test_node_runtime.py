@@ -1,6 +1,10 @@
 """Firmware behavior: sampling, remote config, triggers, reset, spooling."""
 
+import math
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from geowsn.alp import (
     AlpAction,
@@ -19,6 +23,7 @@ from geowsn.alp import (
 )
 from geowsn.node import (
     ACTION_MEASURE_AND_TRANSMIT,
+    CHANNELS,
     ConfigError,
     ConstantSignal,
     NodeConfig,
@@ -212,6 +217,64 @@ def test_driver_fault_reports_status():
     assert [a.payload[0] for a in actions] == [STATUS_DRIVER_FAULT]
     assert node.counters.samples_produced == 0
     assert node.counters.driver_faults == 1
+
+
+class ScriptedDriver(SensorDriver):
+    """Returns the given measurements, one per call, in order."""
+
+    def __init__(self, kind: SensorKind, measurements):
+        self.kind = kind
+        self._measurements = iter(measurements)
+
+    def measure(self, address, at_s):
+        return next(self._measurements)
+
+
+def _storable(value: float) -> bool:
+    """True if the value has an i32 milli-unit for a reading record."""
+    scaled = value * 1000.0
+    return math.isfinite(scaled) and -2**31 <= round(scaled) < 2**31
+
+
+@st.composite
+def _sampling_runs(draw):
+    kind = draw(st.sampled_from(SensorKind))
+    width = len(CHANNELS[kind])
+    measurement = st.one_of(
+        st.just(()),
+        st.tuples(*[st.floats(allow_subnormal=True)] * width),
+        st.tuples(*[st.sampled_from([math.nan, math.inf, -math.inf, 1e300,
+                                     2147483.6475, -2147483.6485, 5e-324,
+                                     3.456])] * width),
+    )
+    return kind, draw(st.lists(measurement, min_size=1, max_size=6))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(run=_sampling_runs(), rtc=st.integers(0, 2**32 - 1))
+def test_every_sample_queues_one_reading_or_one_driver_fault(run, rtc):
+    kind, measurements = run
+    config = NodeConfig(sensor_type=int(kind), sampling_rate=60,
+                        rtc_time=rtc)
+    node = SensorNode(uid=1, config=config,
+                      drivers={int(kind): ScriptedDriver(kind, measurements)})
+    node.boot(0.0)
+    for at_s, values in zip(range(60, 3600, 60), measurements):
+        node.on_sample_timer(float(at_s))
+        (uplink,) = node.drain_outbox()
+        (action,) = decode_command(uplink.payload)
+        if values and all(_storable(v) for v in values):
+            assert uplink.kind is UplinkKind.READING
+            reading = SensorReading.from_bytes(action.payload)
+            assert reading.timestamp == (rtc + at_s) % 2**32
+            assert reading.values_milli == tuple(round(v * 1000.0)
+                                                 for v in values)
+        else:
+            assert uplink.kind is UplinkKind.STATUS
+            assert action.payload[0] == STATUS_DRIVER_FAULT
+    counters = node.counters
+    assert counters.samples_produced + counters.driver_faults == sum(
+        counters.measurements.values()) == len(measurements)
 
 
 def test_remote_read_returns_config_bytes():

@@ -47,8 +47,7 @@ def wire_up(loss: float = 0.0, duration_s: float = 600.0, rate_s: int = 300,
     )
     sim.add_node("north", node)
     backend = Backend(directory={
-        42: {"site_id": "north", "transect": "E",
-             "gateway_id": "gw-north"},
+        42: {"site_id": "north", "transect": "E"},
     })
     backend.attach_transport(sim)
     sim.start()
@@ -229,6 +228,20 @@ def test_refused_downlink_leaves_no_request_in_flight():
     for _ in range(2):
         with pytest.raises(DownlinkTooLargeError):
             backend.remote_write_file(42, NODE_CONFIG_FILE, 0, bytes(12))
+
+
+def test_rtc_written_near_its_top_wraps_in_the_readings():
+    sim, backend, node = wire_up(duration_s=3600)
+    assert backend.remote_write_file(42, NODE_CONFIG_FILE, 8,
+                                     b"\xff\xff\xff\xff") == 0
+    assert sim.now_ms == 1020  # set at the 1 s window, answered 20 ms later
+    sim.run()
+    # the u32 RTC reads 2**32 - 1 at 1 s and wraps a second later; the
+    # reading taken at 3600 s is still in the air when the run ends
+    stamps = [record.timestamp for record in backend.sink.records]
+    assert stamps == [(2**32 - 1 + at_s - 1) % 2**32
+                      for at_s in range(300, 3600, 300)]
+    assert stamps[0] == 298
 
 
 def test_two_nodes_resolve_independently():

@@ -1,6 +1,5 @@
 """Scenario file validation and the bundled reference deployment."""
 
-import json
 import math
 
 import pytest
@@ -14,7 +13,6 @@ from geowsn.scenario import (
     default_scenario,
     default_scenario_path,
     load_scenario,
-    make_reference_deployment,
     node_directory,
     parse_scenario,
 )
@@ -229,11 +227,6 @@ def test_build_simulator_registers_all_nodes():
     assert sim.node_uids == (1,)
     assert sim.seed == 3
     assert "north" in sim.sites
-
-
-def test_bundled_scenario_matches_generator():
-    bundled = json.loads(default_scenario_path().read_text())
-    assert bundled == make_reference_deployment()
 
 
 def test_bundled_scenario_shape():
