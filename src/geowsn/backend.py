@@ -32,7 +32,8 @@ from .alp import (
     decode_command,
     encode_command,
 )
-from .netsim import MS_PER_S, Envelope, PayloadTooLargeError
+from .netsim import (MS_PER_S, Envelope, Forwarder, NoSuchNodeError,
+                     PayloadTooLargeError)
 from .node import SensorReading
 
 SINK_HEADER = ("timestamp", "site", "node_uid", "transect", "channel",
@@ -45,7 +46,7 @@ class BackendError(Exception):
 
 class NodeUnknownError(BackendError):
     def __init__(self, node_uid: int):
-        super().__init__(f"node {node_uid} is not in the directory")
+        super().__init__(f"node {node_uid} is not in the network")
         self.node_uid = node_uid
 
 
@@ -180,9 +181,7 @@ class SimTransport(Protocol):
     operations to completion."""
 
     now_ms: int
-    sites: dict
-
-    def set_forwarder(self, site_id: str, forwarder) -> None: ...
+    forwarder: Forwarder | None
 
     def queue_downlink(self, node_uid: int, payload: bytes, ttl_s: float = ...,
                        dialog: int | None = None): ...
@@ -192,7 +191,9 @@ class SimTransport(Protocol):
 
 class Backend:
     """Application layer: decodes uplinks, answers nothing it cannot
-    parse silently, and drives remote file access."""
+    parse silently, and drives remote file access.  ``directory`` maps
+    a uid to ``{"transect": ...}`` for the sink; the site comes from the
+    forwarding gateway, and which nodes exist from the attached network."""
 
     def __init__(self, bus: BusClient | None = None,
                  directory: dict[int, dict] | None = None,
@@ -214,11 +215,10 @@ class Backend:
     def attach_transport(self, sim: SimTransport) -> None:
         """Wire a simulated network to the backend: its gateways publish
         uplinks on the bus, and remote commands are queued at the
-        target node's gateway."""
+        target node's gateway.  The network alone says which nodes
+        exist and at which site."""
         self._transport = sim
-        for site_id in sim.sites:
-            sim.set_forwarder(site_id, functools.partial(gateway_forward,
-                                                         self.bus))
+        sim.forwarder = functools.partial(gateway_forward, self.bus)
 
     # -- ingestion ---------------------------------------------------------
 
@@ -274,7 +274,7 @@ class Backend:
         for name, unit, value in reading.channel_values():
             record = TimeSeriesRecord(
                 timestamp=reading.timestamp,
-                site=entry.get("site_id", envelope.site_id),
+                site=envelope.site_id,
                 node_uid=envelope.node_uid,
                 transect=entry.get("transect", ""),
                 channel=name,
@@ -315,8 +315,6 @@ class Backend:
         Requests to the same file range need not wait for one another:
         an answer resolves only the request whose dialog it carries.
         """
-        if node_uid not in self.directory:
-            raise NodeUnknownError(node_uid)
         transport = self._transport
         if transport is None:
             raise BackendError("remote file access needs an attached transport")
@@ -325,6 +323,8 @@ class Backend:
             transport.queue_downlink(node_uid,
                                      encode_command(AlpCommand((action,))),
                                      dialog=dialog)
+        except NoSuchNodeError:
+            raise NodeUnknownError(node_uid) from None
         except PayloadTooLargeError as exc:
             raise DownlinkTooLargeError(f"node {node_uid}: {exc}") from exc
         request = self._pending[dialog] = _PendingRequest(action)

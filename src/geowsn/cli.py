@@ -213,10 +213,7 @@ def _cmd_sim_run(args) -> int:
         return _fail(str(exc))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    try:
-        sim = build_simulator(config)
-    except InvalidScenarioError as exc:
-        return _fail(str(exc))
+    sim = build_simulator(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sink = CsvSink(out_dir / "readings.csv")

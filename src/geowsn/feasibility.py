@@ -204,10 +204,6 @@ class PeriodMeans:
 @dataclass(frozen=True)
 class TransectAnalysis:
     transect: str
-    timestamps: np.ndarray
-    dt_env_c: np.ndarray
-    dt_teg_k: np.ndarray
-    power_w: np.ndarray
     daily: tuple[PeriodMeans, ...]
     yearly: PeriodMeans
 
@@ -281,10 +277,7 @@ def analyze_trace(
             float(dt_teg.mean()),
             float(power.mean()),
         )
-        analyses.append(TransectAnalysis(
-            transect, series.timestamps, dt_env, dt_teg, power,
-            tuple(daily), yearly,
-        ))
+        analyses.append(TransectAnalysis(transect, tuple(daily), yearly))
         if node_power_w is not None:
             harvested = converter_efficiency * yearly.mean_power_w
             verdicts[transect] = (

@@ -144,7 +144,6 @@ class SiteRuntime:
     gateway_id: str
     link: LinkModel
     nodes: dict[int, "NodeRuntime"] = field(default_factory=dict)
-    forwarder: Forwarder | None = None
 
 
 @dataclass
@@ -238,6 +237,8 @@ class Simulator:
         self.profile = power_profile or PowerProfile()
         self.now_ms = 0
         self.sites: dict[str, SiteRuntime] = {}
+        #: what every gateway does with the uplinks that reach it
+        self.forwarder: Forwarder | None = None
         self._by_uid: dict[int, NodeRuntime] = {}
         self._heap: list = []
         self._seq = 0
@@ -258,11 +259,14 @@ class Simulator:
         return site
 
     def add_node(self, site_id: str, node: SensorNode) -> NodeRuntime:
+        """Place a node at a site; the site's link sets the largest frame
+        the node may send."""
         if self._started:
             raise SimulationError("cannot add nodes after start")
         site = self.sites[site_id]
         if node.uid in self._by_uid:
             raise ValueError(f"duplicate node uid {node.uid}")
+        node.max_uplink_bytes = site.link.max_payload
         runtime = NodeRuntime(
             node,
             site,
@@ -271,9 +275,6 @@ class Simulator:
         site.nodes[node.uid] = runtime
         self._by_uid[node.uid] = runtime
         return runtime
-
-    def set_forwarder(self, site_id: str, forwarder: Forwarder) -> None:
-        self.sites[site_id].forwarder = forwarder
 
     def runtime(self, node_uid: int) -> NodeRuntime:
         try:
@@ -399,8 +400,8 @@ class Simulator:
         payload, dialog = arrival
         site = rt.site
         self._log(at, "UplinkArrival", rt.node.uid, f"len={len(payload)}")
-        if site.forwarder is not None:
-            site.forwarder(payload, Envelope(rt.node.uid, site.gateway_id,
+        if self.forwarder is not None:
+            self.forwarder(payload, Envelope(rt.node.uid, site.gateway_id,
                                              site.site_id, at / MS_PER_S,
                                              dialog))
 

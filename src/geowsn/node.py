@@ -196,7 +196,8 @@ class SensorDriver(ABC):
 
         An empty tuple means the hardware produced no data (a driver
         fault); the node reports it as a status uplink, as it does a
-        value no reading can hold (NaN, infinite, beyond i32 milli-units).
+        value no reading can hold (NaN, infinite, beyond i32 milli-units)
+        and a ``ValueError`` or ``OverflowError`` the driver raises.
         """
 
 
@@ -385,6 +386,7 @@ class SensorNode:
         self.drivers = dict(drivers)
         self.flush_batch = flush_batch
         self.watchdog_period_s = watchdog_period_s
+        # a simulator sets this to the link limit of the node's site
         self.max_uplink_bytes = max_uplink_bytes
         self.files = FileStore()
         self.buffer = FlashBuffer(flash_capacity)
@@ -587,11 +589,11 @@ class SensorNode:
         if self._active_driver is None:
             self._queue_status(STATUS_UNKNOWN_SENSOR_TYPE)
             return
-        values = self._active_driver.measure(self._active_address, now_s)
         self.counters.measurements[self._active_kind] += 1
         try:
-            # no values, or one no i32 milli-unit holds (NaN, infinite or
-            # too large), leaves no record to store: a driver fault
+            # a failing driver, no values, or one no i32 milli-unit holds
+            # (NaN, infinite or too large) leaves no record: a driver fault
+            values = self._active_driver.measure(self._active_address, now_s)
             record = SensorReading(
                 self.clock(now_s),
                 self._active_kind,

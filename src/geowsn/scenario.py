@@ -4,8 +4,9 @@ A scenario names the seed, the run duration, the per-site radio links
 and every node with its sensor feed.  A sensor feed (``trace``) is
 either a path to a recorded CSV (relative to the scenario file) or an
 inline deterministic generator, so a scenario can be fully
-self-contained.  ``build_simulator`` turns a parsed scenario into a
-ready-to-run network.
+self-contained.  ``parse_scenario`` checks everything, the sensor feeds
+included, and resolves each feed into its driver; ``build_simulator``
+turns a parsed scenario into a ready-to-run network and cannot fail.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from .netsim import (
 from .node import (
     CHANNELS,
     ChannelSignal,
+    ConfigError,
     ConstantSignal,
     NodeConfig,
     SensorDriver,
@@ -64,7 +67,7 @@ class NodeSpec:
     transect: str
     sensor_type: int
     sampling_rate_s: int
-    trace: object
+    driver: SensorDriver
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,6 @@ class ScenarioConfig:
     listen_interval_s: float
     sites: tuple[SiteSpec, ...]
     power_profile: PowerProfile
-    base_dir: Path
 
     def with_duration(self, duration_s: float) -> "ScenarioConfig":
         return replace(self, duration_s=duration_s)
@@ -92,19 +94,14 @@ class ScenarioConfig:
 
 
 def _sensor_kind(value, where: str) -> SensorKind:
-    if isinstance(value, str):
-        try:
-            return SENSOR_TYPE_NAMES[value]
-        except KeyError:
-            raise InvalidScenarioError(
-                f"{where}: unknown sensor_type {value!r}"
-            ) from None
     try:
-        return SensorKind(value)
-    except (ValueError, TypeError):
-        raise InvalidScenarioError(
-            f"{where}: unknown sensor_type {value!r}"
-        ) from None
+        if isinstance(value, str):
+            return SENSOR_TYPE_NAMES[value]
+        if not isinstance(value, bool):  # true is not sensor type 1
+            return SensorKind(value)
+    except (KeyError, ValueError, TypeError):
+        pass
+    raise InvalidScenarioError(f"{where}: unknown sensor_type {value!r}")
 
 
 def _require(doc: dict, key: str, where: str):
@@ -138,7 +135,8 @@ def _number(value, where: str, *, minimum: float, integer: bool = False):
     ``integer``, a whole number, as an ``int``."""
     if type(value) not in (int, float):  # bool is not a number here
         raise InvalidScenarioError(f"{where} must be a number, got {value!r}")
-    if not (minimum <= value and -math.inf < value < math.inf):
+    # NaN fails the first test; an integer no float holds, the second
+    if not (minimum <= value and abs(value) <= sys.float_info.max):
         raise InvalidScenarioError(
             f"{where} must be finite and at least {minimum:g}")
     if not integer:
@@ -199,12 +197,10 @@ def _parse_signal(doc: dict, where: str) -> ChannelSignal:
     raise InvalidScenarioError(f"{where}: unknown signal kind {kind!r}")
 
 
-def build_driver(spec: NodeSpec, base_dir: Path) -> SensorDriver:
+def _parse_driver(trace, kind: SensorKind, where: str,
+                  base_dir: Path) -> SensorDriver:
     """Turn a node's ``trace`` entry into a sensor driver."""
-    kind = SensorKind(spec.sensor_type)
     channels = CHANNELS[kind]
-    where = f"node {spec.uid} trace"
-    trace = spec.trace
     if isinstance(trace, str):
         path = base_dir / trace
         try:
@@ -236,7 +232,7 @@ def build_driver(spec: NodeSpec, base_dir: Path) -> SensorDriver:
     return SignalDriver(kind, signals)
 
 
-def _parse_node(doc: dict, where: str) -> NodeSpec:
+def _parse_node(doc: dict, where: str, base_dir: Path) -> NodeSpec:
     _check_keys(doc, {"uid", "transect", "sensor_type", "sampling_rate_s",
                       "trace"}, where)
     uid = _number(_require(doc, "uid", where), f"{where}: uid",
@@ -244,12 +240,17 @@ def _parse_node(doc: dict, where: str) -> NodeSpec:
     kind = _sensor_kind(_require(doc, "sensor_type", where), where)
     rate = _number(_require(doc, "sampling_rate_s", where),
                    f"{where}: sampling_rate_s", minimum=1, integer=True)
+    try:  # the node config image must hold the rate
+        NodeConfig(sampling_rate=rate).to_bytes()
+    except ConfigError as exc:
+        raise InvalidScenarioError(f"{where}: sampling_rate_s: {exc}") from None
     return NodeSpec(
         uid=uid,
         transect=str(doc.get("transect", "")),
         sensor_type=int(kind),
         sampling_rate_s=rate,
-        trace=_require(doc, "trace", where),
+        driver=_parse_driver(_require(doc, "trace", where), kind,
+                             f"node {uid} trace", base_dir),
     )
 
 
@@ -303,7 +304,7 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> ScenarioConfig:
         nodes_doc = _list(_require(site_doc, "nodes", where), f"{where}: nodes")
         for n_index, node_doc in enumerate(nodes_doc):
             node_where = f"{where}.nodes[{n_index}]"
-            spec = _parse_node(node_doc, node_where)
+            spec = _parse_node(node_doc, node_where, base_dir)
             if spec.uid in seen_uids:
                 raise InvalidScenarioError(
                     f"{node_where}: duplicate node uid {spec.uid}"
@@ -327,7 +328,6 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> ScenarioConfig:
         listen_interval_s=listen,
         sites=tuple(sites),
         power_profile=profile,
-        base_dir=base_dir,
     )
 
 
@@ -341,22 +341,15 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     return parse_scenario(doc, path.parent)
 
 
-def build_node(spec: NodeSpec, base_dir: Path, link: LinkModel) -> SensorNode:
-    driver = build_driver(spec, base_dir)
-    config = NodeConfig(
-        sensor_type=spec.sensor_type,
-        sampling_rate=spec.sampling_rate_s,
-    )
-    return SensorNode(
-        spec.uid,
-        config,
-        {spec.sensor_type: driver},
-        max_uplink_bytes=link.max_payload,
-    )
+def build_node(spec: NodeSpec) -> SensorNode:
+    config = NodeConfig(sensor_type=spec.sensor_type,
+                        sampling_rate=spec.sampling_rate_s)
+    return SensorNode(spec.uid, config, {spec.sensor_type: spec.driver})
 
 
 def build_simulator(config: ScenarioConfig) -> Simulator:
-    """Instantiate the whole network a scenario describes (not started)."""
+    """Instantiate the whole network a scenario describes (not started);
+    a parsed scenario always builds."""
     sim = Simulator(
         seed=config.seed,
         duration_s=config.duration_s,
@@ -366,21 +359,15 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
     for site in config.sites:
         sim.add_site(site.site_id, site.link)
         for spec in site.nodes:
-            sim.add_node(site.site_id, build_node(spec, config.base_dir, site.link))
+            sim.add_node(site.site_id, build_node(spec))
     return sim
 
 
 def node_directory(config: ScenarioConfig) -> dict[int, dict]:
-    """uid -> site/transect/kind lookup used by the backend and sinks."""
-    directory: dict[int, dict] = {}
-    for site in config.sites:
-        for spec in site.nodes:
-            directory[spec.uid] = {
-                "site_id": site.site_id,
-                "transect": spec.transect,
-                "sensor_type": spec.sensor_type,
-            }
-    return directory
+    """uid -> transect lookup the backend labels sink records with; the
+    site comes from the gateway that forwarded the reading."""
+    return {spec.uid: {"transect": spec.transect}
+            for site in config.sites for spec in site.nodes}
 
 
 def default_scenario_path() -> Path:

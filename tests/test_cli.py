@@ -370,7 +370,10 @@ def test_sim_run_prints_backend_counters(capsys, tmp_path):
 @pytest.mark.parametrize("trace, csv_text", [
     ("trace.csv", "timestamp_unix,t_soil\n0,nan\n600,nan\n"),
     ({"kind": "constant", "value": 1e300}, None),
-], ids=["nan trace", "1e300 constant"])
+    # sin of an infinite argument raises in the driver itself
+    ({"kind": "sine", "mean": 4.0, "amplitude": 1.0, "period_s": 1e-306},
+     None),
+], ids=["nan trace", "1e300 constant", "tiny sine period"])
 def test_sim_run_counts_a_measurement_it_cannot_encode_as_a_driver_fault(
         capsys, tmp_path, trace, csv_text):
     path = Path(one_node_scenario(tmp_path))
@@ -385,6 +388,20 @@ def test_sim_run_counts_a_measurement_it_cannot_encode_as_a_driver_fault(
     # one sample a minute for 600 s, each a fault reported by a status
     assert ("nodes: driver faults 10, command errors 0, status uplinks 10"
             in out.splitlines())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sampling_rate_s", 2**32),
+    ("sensor_type", True),
+])
+def test_sim_run_rejects_a_node_the_firmware_cannot_hold(capsys, tmp_path,
+                                                        key, value):
+    path = Path(one_node_scenario(tmp_path))
+    _replace_in_scenario(path, ["sites", 0, "nodes", 0, key], value)
+    code, _, err = run_cli(capsys, "sim-run", "--scenario", str(path),
+                           "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert key in err
 
 
 def test_sim_run_rejects_a_bad_signal_number(capsys, tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from geowsn import feasibility
-from geowsn.energy import default_stack, default_teg
+from geowsn.energy import default_stack, default_teg, delta_t_teg, teg_power
 from geowsn.feasibility import (
     AVERAGING_NOTE,
     CONVEXITY_CAVEAT,
@@ -367,15 +367,18 @@ def test_daily_means_equal_the_masked_means_exactly():
                             rng.normal(2.0, 6.0, n))
     stack, teg = default_stack(), default_teg()
     analysis = analyze_trace({"E": series}, stack, teg).transects[0]
+    dt_env = series.t_soil_c - series.t_air_c
+    dt_teg = delta_t_teg(series.t_soil_c, series.t_air_c, stack)
+    power = teg_power(dt_teg, teg)
     day_index = timestamps // 86400
     days = np.unique(day_index)
     assert len(analysis.daily) == len(days) == 5
     for row, day in zip(analysis.daily, days):
         mask = day_index == day
-        assert row.mean_dt_c == float(analysis.dt_env_c[mask].mean())
-        assert row.mean_dt_teg_k == float(analysis.dt_teg_k[mask].mean())
-        assert row.mean_power_w == float(analysis.power_w[mask].mean())
-    assert analysis.yearly.mean_power_w == float(analysis.power_w.mean())
+        assert row.mean_dt_c == float(dt_env[mask].mean())
+        assert row.mean_dt_teg_k == float(dt_teg[mask].mean())
+        assert row.mean_power_w == float(power[mask].mean())
+    assert analysis.yearly.mean_power_w == float(power.mean())
 
 
 # -- node power and converter efficiency --------------------------------------

@@ -86,8 +86,7 @@ def test_black_hole_link_spools_readings():
 def test_uplink_arrival_carries_link_latency():
     sim = build_sim(duration_s=600, loss=0.0, latency_ms=250.0)
     arrivals = []
-    sim.set_forwarder(
-        "north",
+    sim.forwarder = (
         lambda payload, envelope: arrivals.append(envelope.rx_timestamp))
     sim.run()
     assert arrivals, "expected forwarded uplinks"

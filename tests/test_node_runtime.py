@@ -220,14 +220,18 @@ def test_driver_fault_reports_status():
 
 
 class ScriptedDriver(SensorDriver):
-    """Returns the given measurements, one per call, in order."""
+    """Returns the given measurements, one per call, in order; an
+    exception among them is raised instead."""
 
     def __init__(self, kind: SensorKind, measurements):
         self.kind = kind
         self._measurements = iter(measurements)
 
     def measure(self, address, at_s):
-        return next(self._measurements)
+        measurement = next(self._measurements)
+        if isinstance(measurement, Exception):
+            raise measurement
+        return measurement
 
 
 def _storable(value: float) -> bool:
@@ -246,6 +250,9 @@ def _sampling_runs(draw):
         st.tuples(*[st.sampled_from([math.nan, math.inf, -math.inf, 1e300,
                                      2147483.6475, -2147483.6485, 5e-324,
                                      3.456])] * width),
+        # what math raises for a signal it cannot evaluate
+        st.sampled_from([ValueError("math domain error"),
+                         OverflowError("math range error")]),
     )
     return kind, draw(st.lists(measurement, min_size=1, max_size=6))
 
@@ -263,7 +270,8 @@ def test_every_sample_queues_one_reading_or_one_driver_fault(run, rtc):
         node.on_sample_timer(float(at_s))
         (uplink,) = node.drain_outbox()
         (action,) = decode_command(uplink.payload)
-        if values and all(_storable(v) for v in values):
+        if (isinstance(values, tuple) and values
+                and all(_storable(v) for v in values)):
             assert uplink.kind is UplinkKind.READING
             reading = SensorReading.from_bytes(action.payload)
             assert reading.timestamp == (rtc + at_s) % 2**32

@@ -43,7 +43,6 @@ def wire_up(loss: float = 0.0, duration_s: float = 600.0, rate_s: int = 300,
         config=NodeConfig(sensor_type=1, sampling_rate=rate_s),
         drivers={1: SignalDriver(SensorKind.SOIL_TEMPERATURE,
                                  (ConstantSignal(4.2),))},
-        max_uplink_bytes=max_payload,
     )
     sim.add_node("north", node)
     backend = Backend(directory={
@@ -161,6 +160,29 @@ def test_remote_access_needs_directory_entry():
     sim, backend, node = wire_up()
     with pytest.raises(NodeUnknownError):
         backend.remote_read_file(99, NODE_CONFIG_FILE, 0, 12)
+
+
+def test_a_directory_entry_absent_from_the_network_is_unknown():
+    sim, backend, node = wire_up()
+    backend.directory[99] = {"transect": "W"}
+    with pytest.raises(NodeUnknownError, match="99"):
+        backend.remote_read_file(99, NODE_CONFIG_FILE, 0, 12)
+    assert backend.remote_read_file(42, NODE_CONFIG_FILE, 0, 12) == (
+        node.config.to_bytes())
+
+
+def test_the_site_link_limits_what_a_node_flushes():
+    # the node is built with the default 256-byte limit; the 64-byte
+    # link it joins holds its spooled records to one short frame each
+    sim, backend, node = wire_up(loss=0.5, duration_s=3600, rate_s=60,
+                                 max_payload=64)
+    log = sim.run()
+    assert node.max_uplink_bytes == 64
+    assert_books_balance(log)
+    assert log.summary["records_produced"] == 60
+    sent = [int(detail.split()[1].removeprefix("len="))
+            for _, kind, _, detail in log.rows if kind == "UplinkTx"]
+    assert max(sent) <= 64
 
 
 def test_out_of_range_read_times_out_with_status_logged():

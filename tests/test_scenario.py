@@ -1,14 +1,16 @@
 """Scenario file validation and the bundled reference deployment."""
 
 import math
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from geowsn.node import SensorKind, TraceDriver
 from geowsn.scenario import (
     InvalidScenarioError,
     ScenarioConfig,
-    build_driver,
     build_simulator,
     default_scenario,
     default_scenario_path,
@@ -111,6 +113,7 @@ def _set(doc: dict, path: str, value) -> dict:
 @pytest.mark.parametrize("path, value", [
     ("duration_s", math.inf),
     ("duration_s", math.nan),
+    pytest.param("duration_s", 10**400, id="integer beyond any float"),
     ("listen_interval_s", math.inf),
     ("listen_interval_s", math.nan),
     ("sites.0.link.latency_ms", math.inf),
@@ -156,9 +159,8 @@ def test_whole_number_floats_are_accepted():
     {"kind": "sine", "mean": None, "amplitude": 1.0, "period_s": 60},
 ])
 def test_signal_numbers_are_checked(trace):
-    config = parse_scenario(minimal_doc(trace=trace))
-    with pytest.raises(InvalidScenarioError):
-        build_simulator(config)
+    with pytest.raises(InvalidScenarioError, match="node 1 trace"):
+        parse_scenario(minimal_doc(trace=trace))
 
 
 def test_zero_sampling_rate_rejected():
@@ -188,7 +190,7 @@ def test_trace_file_driver(tmp_path):
     )
     doc = minimal_doc(trace="soil.csv")
     config = parse_scenario(doc, base_dir=tmp_path)
-    driver = build_driver(config.sites[0].nodes[0], tmp_path)
+    driver = config.sites[0].nodes[0].driver
     assert isinstance(driver, TraceDriver)
     assert driver.measure(0, 300.0) == (3.0,)
     # outside the trace the edge value holds
@@ -199,7 +201,7 @@ def test_sine_signal_driver():
     doc = minimal_doc(trace={"kind": "sine", "mean": 10.0, "amplitude": 2.0,
                              "period_s": 86400.0})
     config = parse_scenario(doc)
-    driver = build_driver(config.sites[0].nodes[0], ".")
+    driver = config.sites[0].nodes[0].driver
     assert driver.measure(0, 0.0)[0] == pytest.approx(10.0)
     assert driver.measure(0, 86400.0 / 4)[0] == pytest.approx(12.0)
 
@@ -215,10 +217,7 @@ def test_with_duration_changes_only_duration():
 
 def test_node_directory_lists_every_node():
     config = parse_scenario(minimal_doc())
-    directory = node_directory(config)
-    assert directory[1]["site_id"] == "north"
-    assert directory[1]["transect"] == "E"
-    assert directory[1]["sensor_type"] == SensorKind.SOIL_TEMPERATURE
+    assert node_directory(config) == {1: {"transect": "E"}}
 
 
 def test_build_simulator_registers_all_nodes():
@@ -261,3 +260,126 @@ def test_bundled_scenario_builds_and_steps():
 def test_load_scenario_reads_the_bundled_file():
     config = load_scenario(default_scenario_path())
     assert config.node_count == 58
+
+
+# -- parse fuzz: a scenario is rejected, or it runs ---------------------------
+
+def two_node_doc() -> dict:
+    """A valid scenario: a soil node on a sine, a weather node on a mix."""
+    doc = minimal_doc(trace={"kind": "sine", "mean": 8.0, "amplitude": 3.0,
+                             "period_s": 86400.0, "phase_rad": 0.5})
+    doc["sites"][0]["nodes"].append({
+        "uid": 2, "transect": "", "sensor_type": "weather_station",
+        "sampling_rate_s": 300,
+        "trace": {"kind": "multi", "channels": [
+            {"kind": "sine", "mean": 2.0, "amplitude": 6.0,
+             "period_s": 86400.0},
+            {"kind": "constant", "value": 80.0},
+            {"kind": "constant", "value": 3.0},
+        ]},
+    })
+    doc["power_profile"] = {"tx_current_a": 0.045,
+                            "sample_duration_ms": {"weather_station": 900.0}}
+    return doc
+
+
+def _paths(doc, prefix=()):
+    """Every path in ``doc``, and one more per key name under each object,
+    so that omitted keys get written too."""
+    yield prefix
+    if isinstance(doc, dict):
+        for key in _KEY_NAMES:
+            if key not in doc:
+                yield prefix + (key,)
+        for key, value in doc.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from _paths(value, prefix + (index,))
+
+
+_KEY_NAMES = ("seed", "duration_s", "listen_interval_s", "sites",
+              "power_profile", "site_id", "link", "nodes", "uid", "transect",
+              "sensor_type", "sampling_rate_s", "trace", "loss_probability",
+              "latency_ms", "max_payload", "kind", "value", "mean",
+              "amplitude", "period_s", "phase_rad", "channels",
+              "sample_duration_ms", "sleep_current_a", "tx_duration_ms",
+              "surprise")
+_PATHS = tuple(_paths(two_node_doc()))
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6,
+)
+_EDGE_VALUES = st.sampled_from([
+    0, 1, -1, 0.0004, 2**31, 2**32 - 1, 2**32, 10**400, 1e-306, 1e300,
+    math.inf, math.nan, True, False, None, "", "multi", "sine", "constant",
+    "weather_station", "soil.csv", [], {},
+])
+
+
+def _write(doc, path, value):
+    """``doc`` with ``value`` written at ``path``, if the path still
+    leads somewhere after earlier writes."""
+    if not path:
+        return value
+    target = doc
+    for key in path[:-1]:
+        try:
+            target = target[key]
+        except (KeyError, IndexError, TypeError):
+            return doc
+    if isinstance(target, dict) or (
+            isinstance(target, list) and isinstance(path[-1], int)
+            and path[-1] < len(target)):
+        target[path[-1]] = value
+    return doc
+
+
+def assert_runs_with_books_balanced(config):
+    """Build and run a parsed scenario for at most 600 s; the criterion-8
+    identities hold at the end."""
+    log = build_simulator(
+        config.with_duration(min(config.duration_s, 600.0))).run()
+    s = log.summary
+    assert s["records_produced"] == (
+        s["records_delivered"] + s["records_buffered"]
+        + s["records_overwritten"])
+    assert s["uplinks_attempted"] == (
+        s["uplinks_delivered"] + s["uplinks_dropped"])
+    assert s["downlinks_queued"] == (
+        s["downlinks_delivered"] + s["downlinks_expired"]
+        + s["downlinks_pending"])
+    ledger_ms: dict[int, float] = {}
+    for _, kind, uid, detail in log.rows:
+        if kind == "EnergyCharge":
+            time_ms = float(detail.split()[1].removeprefix("time_ms="))
+            ledger_ms[uid] = ledger_ms.get(uid, 0.0) + time_ms
+    assert len(ledger_ms) == config.node_count
+    for total in ledger_ms.values():
+        assert total == pytest.approx(s["duration_ms"])
+
+
+_NODE_0 = ("sites", 0, "nodes", 0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(writes=st.lists(st.tuples(st.sampled_from(_PATHS),
+                                 _EDGE_VALUES | _JSON),
+                       min_size=1, max_size=3))
+@example(writes=[(_NODE_0 + ("sampling_rate_s",), 2**32)])
+@example(writes=[(_NODE_0 + ("trace", "period_s"), 1e-306)])
+@example(writes=[(_NODE_0 + ("trace",), {"kind": "constant",
+                                         "value": "warm"})])
+def test_a_scenario_is_rejected_or_runs(writes):
+    doc = two_node_doc()
+    for path, value in writes:
+        doc = _write(doc, path, value)
+    try:
+        config = parse_scenario(doc, Path(__file__).parent / "absent")
+    except InvalidScenarioError:
+        return
+    assert_runs_with_books_balanced(config)
