@@ -4,8 +4,9 @@ Can soil heat power the node?
 
 Works through the thermal model end to end: part geometry to thermal
 resistances, the series divider, calibration of the electrical
-resistance from a single field measurement, and why transects with a
-small fluctuating gradient beat their own average.
+resistance from a single field measurement, why transects with a
+small fluctuating gradient beat their own average, and whether the
+harvest covers what a simulated node draws.
 """
 
 import io
@@ -13,18 +14,21 @@ import io
 import numpy as np
 
 from geowsn.energy import (
+    BATTERY_CAPACITY_AH,
     HOURS_PER_YEAR,
+    SUPPLY_VOLTAGE_V,
     TegParams,
+    battery_lifetime_hours,
     calibrate_electrical_resistance,
     default_stack,
     default_teg,
     delta_t_teg,
-    node_energy_budget,
     r_cylinder,
     r_plate,
     teg_power,
 )
 from geowsn.feasibility import TransectSeries, analyze_trace, write_report_csv
+from geowsn.scenario import build_simulator, default_scenario
 
 # The harvester is a short stack of parts.  Each contributes a thermal
 # resistance from its geometry and material.
@@ -75,16 +79,17 @@ series = {
                         np.zeros_like(hours)),
     "A": TransectSeries("A", hours, swing, np.zeros_like(hours)),
 }
-# A node sleeping at 10 uA that transmits one percent of the time.
-budget = node_energy_budget(
-    {"sleep": 10e-6, "tx": 10e-3},
-    {"sleep": 0.99, "tx": 0.01},
-)
+# What a node draws comes from the simulator's energy ledger: run the
+# bundled deployment for its day and take the hungriest node.
+sim = build_simulator(default_scenario())
+sim.run()
+mean_a = max(sim.mean_current_a(uid) for uid in sim.node_uids)
+node_power_w = mean_a * SUPPLY_VOLTAGE_V
+years = battery_lifetime_hours(BATTERY_CAPACITY_AH, mean_a) / HOURS_PER_YEAR
 print()
-print("node draws %.1f uW on average, battery alone lasts %.1f years"
-      % (budget.mean_power_w * 1e6, budget.lifetime_hours / HOURS_PER_YEAR))
-report = analyze_trace(series, stack, teg,
-                       node_power_w=budget.mean_power_w)
+print("hungriest node draws %.1f uW on average, battery alone lasts %.1f years"
+      % (node_power_w * 1e6, years))
+report = analyze_trace(series, stack, teg, node_power_w=node_power_w)
 print()
 for analysis in report.transects:
     yearly = analysis.yearly

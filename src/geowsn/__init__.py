@@ -22,7 +22,6 @@ from .energy import (
     default_stack,
     default_teg,
     delta_t_teg,
-    node_energy_budget,
     r_cylinder,
     r_interface,
     r_plate,
@@ -77,7 +76,6 @@ __all__ = [
     "gateway_forward",
     "load_scenario",
     "load_temperature_trace",
-    "node_energy_budget",
     "parse_scenario",
     "r_cylinder",
     "r_interface",

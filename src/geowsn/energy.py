@@ -1,4 +1,4 @@
-"""Thermoelectric harvesting model and node energy budgets.
+"""Thermoelectric harvesting model and battery lifetime.
 
 The harvester couples warm soil to cold air through a series thermal
 circuit: rod into the soil, cold plate, paste interface, TEG module,
@@ -267,18 +267,7 @@ def load_params(source) -> tuple[ThermalStack, TegParams]:
     return stack, teg
 
 
-# -- node energy budget --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EnergyBudget:
-    """Outcome of a node supply calculation."""
-
-    mean_current_a: float
-    mean_power_w: float
-    lifetime_hours: float
-    harvested_power_w: float | None
-    feasible: bool | None
+# -- battery ------------------------------------------------------------------
 
 
 def battery_lifetime_hours(capacity_ah: float, mean_current_a: float) -> float:
@@ -286,43 +275,3 @@ def battery_lifetime_hours(capacity_ah: float, mean_current_a: float) -> float:
     capacity_ah = _positive("capacity_ah", capacity_ah)
     mean_current_a = _positive("mean_current_a", mean_current_a)
     return capacity_ah / mean_current_a
-
-
-def node_energy_budget(
-    mode_currents_a: dict[str, float],
-    duty_fractions: dict[str, float],
-    *,
-    battery_capacity_ah: float = BATTERY_CAPACITY_AH,
-    supply_voltage_v: float = SUPPLY_VOLTAGE_V,
-    harvested_power_w: float | None = None,
-    converter_efficiency: float = 1.0,
-) -> EnergyBudget:
-    """Combine a duty-cycle profile into a supply verdict.
-
-    ``duty_fractions`` must cover the same modes as ``mode_currents_a``
-    and sum to one.  The battery lifetime always comes out; if a
-    harvested power is given, the budget also says whether harvesting
-    (scaled by the converter efficiency) covers the mean draw.
-    """
-    if set(mode_currents_a) != set(duty_fractions):
-        raise ValueError("mode_currents_a and duty_fractions name different modes")
-    if not duty_fractions:
-        raise ValueError("no modes given")
-    total = sum(duty_fractions.values())
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"duty fractions sum to {total}, expected 1")
-    for name, current in mode_currents_a.items():
-        if current < 0 or duty_fractions[name] < 0:
-            raise ValueError(f"negative entry for mode {name!r}")
-    if not 0.0 < converter_efficiency <= 1.0:
-        raise ValueError("converter_efficiency must lie in (0, 1]")
-    mean_current = sum(
-        mode_currents_a[name] * duty_fractions[name] for name in mode_currents_a
-    )
-    mean_power = mean_current * supply_voltage_v
-    lifetime = battery_lifetime_hours(battery_capacity_ah, mean_current)
-    feasible = None
-    if harvested_power_w is not None:
-        feasible = converter_efficiency * harvested_power_w >= mean_power
-    return EnergyBudget(mean_current, mean_power, lifetime,
-                        harvested_power_w, feasible)

@@ -539,7 +539,6 @@ class Simulator:
         if self._finished:
             return
         self._finished = True
-        duration_s = self.duration_ms / MS_PER_S
         summary: dict[str, object] = {
             "seed": self.seed,
             "duration_ms": self.duration_ms,
@@ -607,7 +606,7 @@ class Simulator:
                 "sniffs": rt.sniffs,
                 "resets": counters.resets,
                 "charge_c": repr(sum(rt.charges_c.values())),
-                "mean_current_a": repr(sum(rt.charges_c.values()) / duration_s),
+                "mean_current_a": repr(self.mean_current_a(rt.node.uid)),
             }))
         summary.update(totals)
         for uid, fields in sorted(per_node_lines):

@@ -286,6 +286,7 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> ScenarioConfig:
     if not isinstance(sites_doc, list) or not sites_doc:
         raise InvalidScenarioError("scenario: sites must be a non-empty list")
     profile = parse_power_profile(doc.get("power_profile", {}))
+    listen_ms = round(listen * MS_PER_S)  # as the simulator rounds it
 
     sites: list[SiteSpec] = []
     seen_sites: set[str] = set()
@@ -317,6 +318,17 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> ScenarioConfig:
                 raise InvalidScenarioError(
                     f"{node_where}: a single reading frame of {frame} bytes"
                     f" exceeds max_payload {link.max_payload}"
+                )
+            # at worst a period holds one sample, its reading and a flush,
+            # and each listen interval a sniff: the node must have time
+            busy = ((profile.sample_ms(kind) + 2 * profile.tx_duration_ms)
+                    / (spec.sampling_rate_s * MS_PER_S)
+                    + profile.sniff_duration_ms / listen_ms)
+            if busy > 1:
+                raise InvalidScenarioError(
+                    f"{node_where}: node {spec.uid} would be busy {busy:.0%}"
+                    f" of the time sampling every {spec.sampling_rate_s} s,"
+                    f" sending a reading and a flush, and sniffing"
                 )
             nodes.append(spec)
         sites.append(SiteSpec(site_id, link, tuple(nodes)))

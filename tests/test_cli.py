@@ -404,6 +404,18 @@ def test_sim_run_rejects_a_node_the_firmware_cannot_hold(capsys, tmp_path,
     assert key in err
 
 
+def test_sim_run_rejects_a_schedule_the_node_cannot_keep(capsys, tmp_path):
+    # a 1000 ms weather sample and two 60 ms sends do not fit in 1 s
+    path = Path(one_node_scenario(tmp_path))
+    node = ["sites", 0, "nodes", 0]
+    _replace_in_scenario(path, node + ["sensor_type"], "weather_station")
+    _replace_in_scenario(path, node + ["sampling_rate_s"], 1)
+    code, _, err = run_cli(capsys, "sim-run", "--scenario", str(path),
+                           "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "node 1 would be busy 112% of the time" in err
+
+
 def test_sim_run_rejects_a_bad_signal_number(capsys, tmp_path):
     path = Path(one_node_scenario(tmp_path))
     doc = json.loads(path.read_text())

@@ -16,7 +16,6 @@ from geowsn.energy import (
     CALIBRATED_ELECTRICAL_RESISTANCE_OHM,
     COPPER_CONDUCTIVITY_W_MK,
     DegenerateInputError,
-    EnergyBudget,
     NonPositiveArgumentError,
     TegParams,
     ThermalStack,
@@ -26,7 +25,6 @@ from geowsn.energy import (
     default_teg,
     delta_t_teg,
     load_params,
-    node_energy_budget,
     r_cylinder,
     r_interface,
     r_plate,
@@ -151,47 +149,6 @@ def test_battery_arithmetic():
     assert hours == pytest.approx(1.9e6, rel=1e-3)
     with pytest.raises(NonPositiveArgumentError):
         battery_lifetime_hours(19.0, 0.0)
-
-
-def test_node_energy_budget_combines_modes():
-    budget = node_energy_budget(
-        {"sleep": 10e-6, "tx": 10e-3},
-        {"sleep": 0.99, "tx": 0.01},
-        battery_capacity_ah=19.0,
-        supply_voltage_v=3.6,
-    )
-    assert isinstance(budget, EnergyBudget)
-    assert budget.mean_current_a == pytest.approx(1.099e-4)
-    assert budget.mean_power_w == pytest.approx(1.099e-4 * 3.6)
-    assert budget.lifetime_hours == pytest.approx(19.0 / 1.099e-4)
-    assert budget.feasible is None
-
-
-def test_node_energy_budget_harvest_verdict():
-    kwargs = dict(
-        mode_currents_a={"sleep": 10e-6},
-        duty_fractions={"sleep": 1.0},
-        supply_voltage_v=3.6,
-    )
-    # mean power 36 uW; 50 uW harvested at 80% efficiency covers it
-    good = node_energy_budget(harvested_power_w=50e-6,
-                              converter_efficiency=0.8, **kwargs)
-    assert good.feasible is True
-    tight = node_energy_budget(harvested_power_w=40e-6,
-                               converter_efficiency=0.8, **kwargs)
-    assert tight.feasible is False
-
-
-def test_node_energy_budget_validates_inputs():
-    with pytest.raises(ValueError):
-        node_energy_budget({"sleep": 1e-6}, {"rx": 1.0})
-    with pytest.raises(ValueError):
-        node_energy_budget({"sleep": 1e-6}, {"sleep": 0.5})
-    with pytest.raises(ValueError):
-        node_energy_budget({"sleep": -1e-6}, {"sleep": 1.0})
-    with pytest.raises(ValueError):
-        node_energy_budget({"sleep": 1e-6}, {"sleep": 1.0},
-                           converter_efficiency=0.0)
 
 
 def test_load_params_defaults_match_reference_stack(tmp_path):

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from geowsn.backend import Backend
+from geowsn.cli import main
 from geowsn.scenario import build_simulator, default_scenario, node_directory
 
 SEED = 4021
@@ -141,3 +142,18 @@ def test_scripted_remote_access_run_is_pinned():
     assert (len(log.rows), log.stable_hash()) == REMOTE_OPS_RUN
     assert (len(backend.sink.records), len(backend.quarantine),
             backend.ingested) == REMOTE_OPS_BACKEND
+
+
+#: SHA-256 of what ``geowsn sim-run`` prints for the bundled scenario, one
+#: ``\n`` after each line, without the ``scenario:`` and ``outputs:`` lines
+#: (they hold paths): the counters and the battery table
+SIM_RUN_STDOUT = (
+    "1b9d1077a7bc0b0cf72583ece4675ef8f28401651ee4d5e8e3bfef6fbd1b2443")
+
+
+def test_sim_run_stdout_is_pinned(capsys, tmp_path):
+    assert main(["sim-run", "--out", str(tmp_path)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if not line.startswith(("scenario:", "outputs:"))]
+    text = "".join(line + "\n" for line in lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == SIM_RUN_STDOUT

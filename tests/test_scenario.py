@@ -341,7 +341,8 @@ def _write(doc, path, value):
 
 def assert_runs_with_books_balanced(config):
     """Build and run a parsed scenario for at most 600 s; the criterion-8
-    identities hold at the end."""
+    identities hold at the end, and no mode of the energy ledger has a
+    negative time."""
     log = build_simulator(
         config.with_duration(min(config.duration_s, 600.0))).run()
     s = log.summary
@@ -357,6 +358,7 @@ def assert_runs_with_books_balanced(config):
     for _, kind, uid, detail in log.rows:
         if kind == "EnergyCharge":
             time_ms = float(detail.split()[1].removeprefix("time_ms="))
+            assert time_ms >= 0, (uid, detail)
             ledger_ms[uid] = ledger_ms.get(uid, 0.0) + time_ms
     assert len(ledger_ms) == config.node_count
     for total in ledger_ms.values():
@@ -364,6 +366,7 @@ def assert_runs_with_books_balanced(config):
 
 
 _NODE_0 = ("sites", 0, "nodes", 0)
+_NODE_1 = ("sites", 0, "nodes", 1)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -374,6 +377,11 @@ _NODE_0 = ("sites", 0, "nodes", 0)
 @example(writes=[(_NODE_0 + ("trace", "period_s"), 1e-306)])
 @example(writes=[(_NODE_0 + ("trace",), {"kind": "constant",
                                          "value": "warm"})])
+# busier than the period allows: the ledger's Sleep went negative
+@example(writes=[(("power_profile", "tx_duration_ms"), 1e9)])
+@example(writes=[(_NODE_1 + ("sampling_rate_s",), 1),
+                 (("power_profile", "sample_duration_ms", "weather_station"),
+                  1000.0)])
 def test_a_scenario_is_rejected_or_runs(writes):
     doc = two_node_doc()
     for path, value in writes:
