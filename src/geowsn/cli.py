@@ -248,7 +248,6 @@ def _cmd_sim_run(args) -> int:
     worst_years = None
     for uid in sim.node_uids:
         runtime = sim.runtime(uid)
-        charge = sum(runtime.charges_c.values())
         mean_a = sim.mean_current_a(uid)
         if mean_a > 0:
             years = energy.battery_lifetime_hours(
@@ -257,7 +256,7 @@ def _cmd_sim_run(args) -> int:
             years = math.inf  # a node that draws nothing never drains its cell
         if worst_years is None or years < worst_years:
             worst_years = years
-        print(f"{uid:<5} {runtime.site.site_id:<6} {charge:>9.4f}"
+        print(f"{uid:<5} {runtime.site_id:<6} {runtime.charge_c:>9.4f}"
               f" {mean_a * 1e6:>9.2f} {years:>14.1f}")
     print(f"projected battery lifetime (worst node): {worst_years:.1f} years")
     print(f"outputs: {out_dir / 'runlog.txt'}, {out_dir / 'readings.csv'}")

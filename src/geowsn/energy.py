@@ -107,7 +107,7 @@ class ThermalStack:
     def __post_init__(self) -> None:
         for name in ("heat_sink", "teg", "cold_plate", "cold_rod"):
             _positive(name, getattr(self, name))
-        if self.paste < 0:
+        if not 0 <= self.paste < math.inf:
             raise NonPositiveArgumentError("paste", self.paste)
 
     @property
@@ -180,10 +180,15 @@ def calibrate_electrical_resistance(
     """Back out the module's internal resistance from one measured
     operating point (a mean gradient and the mean power it yielded)."""
     dt_teg = float(mean_delta_t_env_c) * stack.teg_fraction
-    if dt_teg == 0.0:
-        raise DegenerateInputError("cannot calibrate on a zero gradient")
-    if not mean_power_w > 0:
-        raise DegenerateInputError("cannot calibrate on non-positive power")
+    if dt_teg == 0.0 or not math.isfinite(dt_teg):
+        raise DegenerateInputError(
+            "cannot calibrate on a zero or non-finite gradient")
+    if not 0 < mean_power_w < math.inf:
+        raise DegenerateInputError(
+            "cannot calibrate on non-positive or non-finite power")
+    if not 0 < seebeck_v_per_k < math.inf:
+        raise DegenerateInputError(
+            "the Seebeck coefficient must be finite and positive")
     voltage = seebeck_v_per_k * dt_teg
     return voltage * voltage / (4.0 * float(mean_power_w))
 
@@ -191,17 +196,9 @@ def calibrate_electrical_resistance(
 # -- parameter files ----------------------------------------------------------
 
 _GEOMETRY_BUILDERS = {
-    "cylinder": lambda g: r_cylinder(
-        g["diameter_m"], g["length_m"],
-        g.get("conductivity_w_mk", COPPER_CONDUCTIVITY_W_MK),
-    ),
-    "plate": lambda g: r_plate(
-        g["thickness_m"], g["width_m"], g["height_m"],
-        g.get("conductivity_w_mk", COPPER_CONDUCTIVITY_W_MK),
-    ),
-    "interface": lambda g: r_interface(
-        g["areal_resistance_k_in2_per_w"], g["area_m2"],
-    ),
+    "cylinder": r_cylinder,
+    "plate": r_plate,
+    "interface": r_interface,
 }
 
 _STACK_KEYS = {
@@ -211,6 +208,12 @@ _STACK_KEYS = {
     "r_cplt": "cold_plate",
     "r_crod": "cold_rod",
 }
+
+
+def _number(value, key: str) -> float:
+    if type(value) not in (int, float):  # bool is not a number here
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _resolve_resistance(value, key: str) -> float:
@@ -224,11 +227,13 @@ def _resolve_resistance(value, key: str) -> float:
             builder = _GEOMETRY_BUILDERS[shape]
         except KeyError:
             raise ValueError(f"{key}: unknown geometry {shape!r}") from None
+        if not isinstance(geometry, dict):
+            raise ValueError(f"{key}: the {shape} geometry must be an object")
         try:
-            return builder(geometry)
-        except KeyError as exc:
-            raise ValueError(f"{key}: geometry misses {exc}") from None
-    return float(value)
+            return builder(**geometry)
+        except TypeError as exc:  # an unknown or a missing key
+            raise ValueError(f"{key}: {exc}") from None
+    return _number(value, key)
 
 
 def load_params(source) -> tuple[ThermalStack, TegParams]:
@@ -245,7 +250,9 @@ def load_params(source) -> tuple[ThermalStack, TegParams]:
         with open(source) as handle:
             doc = json.load(handle)
     else:
-        doc = dict(source)
+        doc = source
+    if not isinstance(doc, dict):
+        raise ValueError(f"parameters must be a JSON object, got {doc!r}")
     known = set(_STACK_KEYS) | {"alpha_v_per_k", "r_elec_ohm"}
     unknown = set(doc) - known
     if unknown:
@@ -259,9 +266,11 @@ def load_params(source) -> tuple[ThermalStack, TegParams]:
     if overrides:
         stack = replace(stack, **overrides)
     teg = TegParams(
-        seebeck_v_per_k=float(doc.get("alpha_v_per_k", TEG_SEEBECK_V_PER_K)),
-        electrical_resistance_ohm=float(
-            doc.get("r_elec_ohm", CALIBRATED_ELECTRICAL_RESISTANCE_OHM)
+        seebeck_v_per_k=_number(doc.get("alpha_v_per_k", TEG_SEEBECK_V_PER_K),
+                                "alpha_v_per_k"),
+        electrical_resistance_ohm=_number(
+            doc.get("r_elec_ohm", CALIBRATED_ELECTRICAL_RESISTANCE_OHM),
+            "r_elec_ohm",
         ),
     )
     return stack, teg

@@ -10,9 +10,12 @@ listen window.  Per-node RNG streams are split from the scenario seed
 by hashing, so adding a node never perturbs the others' draws.
 
 The heap holds only what waits for its time: sample timers, uplink
-arrivals, listen windows, watchdog resets and injected hangs.  Within
-one ms a node finishes its own interaction before the next event: it
-transmits what it queued, and what their results queue, inline.
+arrivals, listen windows, watchdog resets and injected hangs, each as
+``(at_ms, seq, handler, runtime, payload)``: the handler to call and
+the node runtime it acts on.  ``Simulator.sites`` maps a site to its
+link.  Within one ms a node finishes its own interaction before the
+next event: it transmits what it queued, and what their results
+queue, inline.  The energy ledger is built when the run closes.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from enum import IntEnum
 from typing import Callable
 
 from .node import SensorKind, SensorNode, UplinkKind
@@ -48,14 +50,6 @@ class PayloadTooLargeError(SimulationError):
         super().__init__(f"payload of {size} bytes exceeds link maximum {limit}")
         self.size = size
         self.limit = limit
-
-
-class EventKind(IntEnum):
-    SAMPLE_TIMER = 0
-    UPLINK_ARRIVAL = 1
-    LISTEN_WINDOW = 2
-    WATCHDOG_CHECK = 3
-    HANG_INJECTION = 4
 
 
 ENERGY_ROW_KIND = "EnergyCharge"
@@ -139,35 +133,27 @@ _ANSWER_KINDS = (UplinkKind.RESPONSE, UplinkKind.STATUS)
 
 
 @dataclass
-class SiteRuntime:
-    site_id: str
-    gateway_id: str
-    link: LinkModel
-    nodes: dict[int, "NodeRuntime"] = field(default_factory=dict)
-
-
-@dataclass
 class NodeRuntime:
     node: SensorNode
-    site: SiteRuntime
+    site_id: str
+    link: LinkModel
     rng: random.Random
     pending: deque[DownlinkTicket] = field(default_factory=deque)
     window_scheduled: bool = False
     timer_event_ms: int = -1
     #: boot or last watchdog reset, from which the periodic pets count
     anchor_ms: int = 0
-    tx_ms: float = 0.0
-    sample_ms: float = 0.0
     uplinks_attempted: int = 0
     uplinks_delivered: int = 0
     uplinks_dropped: int = 0
     downlinks_queued: int = 0
     downlinks_delivered: int = 0
     downlinks_expired: int = 0
-    hang_intervals: list[tuple[int, int]] = field(default_factory=list)
     open_hang_ms: int | None = None
-    sniffs: int = 0
-    charges_c: dict[str, float] = field(default_factory=dict)
+    #: listen boundaries slept through hung
+    missed_sniffs: int = 0
+    #: the run's total charge, summed when the run closes
+    charge_c: float = 0.0
 
 
 def node_stream_seed(scenario_seed: int, site_id: str, node_uid: int) -> int:
@@ -236,7 +222,7 @@ class Simulator:
             raise ValueError("listen interval must be at least 1 ms")
         self.profile = power_profile or PowerProfile()
         self.now_ms = 0
-        self.sites: dict[str, SiteRuntime] = {}
+        self.sites: dict[str, LinkModel] = {}
         #: what every gateway does with the uplinks that reach it
         self.forwarder: Forwarder | None = None
         self._by_uid: dict[int, NodeRuntime] = {}
@@ -249,30 +235,28 @@ class Simulator:
 
     # -- construction ---------------------------------------------------
 
-    def add_site(self, site_id: str, link: LinkModel) -> SiteRuntime:
+    def add_site(self, site_id: str, link: LinkModel) -> None:
         if self._started:
             raise SimulationError("cannot add sites after start")
         if site_id in self.sites:
             raise ValueError(f"duplicate site {site_id!r}")
-        site = SiteRuntime(site_id, f"gw-{site_id}", link)
-        self.sites[site_id] = site
-        return site
+        self.sites[site_id] = link
 
     def add_node(self, site_id: str, node: SensorNode) -> NodeRuntime:
         """Place a node at a site; the site's link sets the largest frame
         the node may send."""
         if self._started:
             raise SimulationError("cannot add nodes after start")
-        site = self.sites[site_id]
+        link = self.sites[site_id]
         if node.uid in self._by_uid:
             raise ValueError(f"duplicate node uid {node.uid}")
-        node.max_uplink_bytes = site.link.max_payload
+        node.max_uplink_bytes = link.max_payload
         runtime = NodeRuntime(
             node,
-            site,
+            site_id,
+            link,
             random.Random(node_stream_seed(self.seed, site_id, node.uid)),
         )
-        site.nodes[node.uid] = runtime
         self._by_uid[node.uid] = runtime
         return runtime
 
@@ -292,8 +276,9 @@ class Simulator:
 
     # -- core loop --------------------------------------------------------
 
-    def _push(self, at_ms: int, kind: EventKind, uid: int, payload=None) -> None:
-        heapq.heappush(self._heap, (at_ms, self._seq, int(kind), uid, payload))
+    def _push(self, at_ms: int, handler: Callable, rt: NodeRuntime, payload=None) -> None:
+        # (at_ms, seq) is unique, so the heap never compares handlers
+        heapq.heappush(self._heap, (at_ms, self._seq, handler, rt, payload))
         self._seq += 1
 
     def _log(self, at_ms: int, kind: str, uid: int, detail: str) -> None:
@@ -308,28 +293,25 @@ class Simulator:
         every period from boot or its last reset, and the node resets at
         that deadline.  A hang at the same ms as such a pet comes first.
         """
-        self.runtime(node_uid)
-        self._push(round(at_s * MS_PER_S), EventKind.HANG_INJECTION, node_uid)
+        self._push(round(at_s * MS_PER_S), self._handle_hang_injection,
+                   self.runtime(node_uid))
 
     def start(self) -> None:
-        """Boot every node at t=0 and arm its timers."""
+        """Boot every node at t=0, in the order added, and arm its timers."""
         if self._started:
             return
         self._started = True
-        for site in self.sites.values():
-            for runtime in site.nodes.values():
-                runtime.node.boot(0.0)
-                self._settle(runtime, 0)
+        for runtime in self._by_uid.values():
+            runtime.node.boot(0.0)
+            self._settle(runtime, 0)
 
     def step(self) -> bool:
         """Process one event; False when none remain within duration."""
         if not self._heap or self._heap[0][0] > self.duration_ms:
             return False
-        at_ms, _, kind, uid, payload = heapq.heappop(self._heap)
+        at_ms, _, handler, runtime, payload = heapq.heappop(self._heap)
         self.now_ms = at_ms
-        runtime = self._by_uid[uid]
-        handler = self._HANDLERS[kind]
-        handler(self, runtime, at_ms, payload)
+        handler(runtime, at_ms, payload)
         return True
 
     def run_until(self, predicate: Callable[[], bool],
@@ -379,7 +361,7 @@ class Simulator:
 
     def _deliver(self, rt: NodeRuntime, at: int, payload: bytes,
                  kind: str, dialog: int | None) -> bool:
-        link = rt.site.link
+        link = rt.link
         if len(payload) > link.max_payload:
             raise PayloadTooLargeError(len(payload), link.max_payload)
         rt.uplinks_attempted += 1
@@ -391,18 +373,17 @@ class Simulator:
         rt.uplinks_delivered += 1
         self._log(at, "UplinkTx", rt.node.uid,
                   f"delivered len={len(payload)} kind={kind}")
-        self._push(at + link.latency_ms, EventKind.UPLINK_ARRIVAL,
-                   rt.node.uid, (payload, dialog))
+        self._push(at + link.latency_ms, self._handle_uplink_arrival, rt,
+                   (payload, dialog))
         return True
 
     def _handle_uplink_arrival(self, rt: NodeRuntime, at: int,
                                arrival: tuple[bytes, int | None]) -> None:
         payload, dialog = arrival
-        site = rt.site
         self._log(at, "UplinkArrival", rt.node.uid, f"len={len(payload)}")
         if self.forwarder is not None:
-            self.forwarder(payload, Envelope(rt.node.uid, site.gateway_id,
-                                             site.site_id, at / MS_PER_S,
+            self.forwarder(payload, Envelope(rt.node.uid, f"gw-{rt.site_id}",
+                                             rt.site_id, at / MS_PER_S,
                                              dialog))
 
     def queue_downlink(self, node_uid: int, payload: bytes,
@@ -413,8 +394,8 @@ class Simulator:
         delivered or its TTL lapses.  The node's answers to it carry
         ``dialog`` up to the forwarder."""
         rt = self.runtime(node_uid)
-        if len(payload) > rt.site.link.max_payload:
-            raise PayloadTooLargeError(len(payload), rt.site.link.max_payload)
+        if len(payload) > rt.link.max_payload:
+            raise PayloadTooLargeError(len(payload), rt.link.max_payload)
         if self._finished:
             raise SimulationError("run already finished")
         ticket = DownlinkTicket(self._ticket_seq, bytes(payload),
@@ -432,7 +413,7 @@ class Simulator:
             return
         interval = self.listen_interval_ms
         boundary = (at // interval + 1) * interval
-        self._push(boundary, EventKind.LISTEN_WINDOW, rt.node.uid)
+        self._push(boundary, self._handle_listen_window, rt)
         rt.window_scheduled = True
 
     def _handle_listen_window(self, rt: NodeRuntime, at: int, payload) -> None:
@@ -450,7 +431,7 @@ class Simulator:
                 self._log(at, "ListenWindow", node.uid, "hung")
         elif rt.pending:
             ticket = rt.pending[0]
-            if rt.rng.random() < rt.site.link.loss_probability:
+            if rt.rng.random() < rt.link.loss_probability:
                 self._log(at, "ListenWindow", node.uid,
                           f"retry ticket={ticket.ticket_id}")
             else:
@@ -484,16 +465,8 @@ class Simulator:
             period = round(node.watchdog_period_s * MS_PER_S)
             pet_ms = at + (rt.anchor_ms - at) % period
             deadline_ms = max(round(node.watchdog_deadline * MS_PER_S), pet_ms)
-            self._push(deadline_ms, EventKind.WATCHDOG_CHECK, node.uid)
+            self._push(deadline_ms, self._handle_watchdog_check, rt)
         self._log(at, "HangInjection", node.uid, "hang")
-
-    _HANDLERS = {
-        EventKind.SAMPLE_TIMER: _handle_sample_timer,
-        EventKind.UPLINK_ARRIVAL: _handle_uplink_arrival,
-        EventKind.LISTEN_WINDOW: _handle_listen_window,
-        EventKind.WATCHDOG_CHECK: _handle_watchdog_check,
-        EventKind.HANG_INJECTION: _handle_hang_injection,
-    }
 
     # -- plumbing ----------------------------------------------------------
 
@@ -508,7 +481,6 @@ class Simulator:
         now_s = at / MS_PER_S
         while node.outbox:
             for uplink in node.drain_outbox():
-                rt.tx_ms += self.profile.tx_duration_ms
                 delivered = self._deliver(
                     rt, at, uplink.payload, uplink.kind.value,
                     dialog if uplink.kind in _ANSWER_KINDS else None)
@@ -516,24 +488,15 @@ class Simulator:
                 node.notify_activity(now_s)
         want = round(node.next_sample_at * MS_PER_S)
         if want != rt.timer_event_ms and want > at and not node.hung:
-            self._push(want, EventKind.SAMPLE_TIMER, node.uid)
+            self._push(want, self._handle_sample_timer, rt)
             rt.timer_event_ms = want
 
     def _close_hang(self, rt: NodeRuntime, end_ms: int) -> None:
-        if rt.open_hang_ms is not None:
-            rt.hang_intervals.append((rt.open_hang_ms, end_ms))
-            rt.open_hang_ms = None
+        interval = self.listen_interval_ms
+        rt.missed_sniffs += end_ms // interval - rt.open_hang_ms // interval
+        rt.open_hang_ms = None
 
     # -- accounting ----------------------------------------------------------
-
-    def _sniff_count(self, rt: NodeRuntime) -> int:
-        """Listen boundaries the node actually woke for: one per listen
-        interval over the run, minus those spent hung."""
-        interval = self.listen_interval_ms
-        count = self.duration_ms // interval
-        for start, end in rt.hang_intervals:
-            count -= end // interval - start // interval
-        return count
 
     def _finish(self) -> None:
         if self._finished:
@@ -560,26 +523,28 @@ class Simulator:
             "resets": 0,
         }
         per_node_lines: list[tuple[int, dict]] = []
+        profile = self.profile
         for rt in self._by_uid.values():
             if rt.node.hung:
                 self._close_hang(rt, self.duration_ms)
-            profile = self.profile
             counters = rt.node.counters
-            rt.sniffs = self._sniff_count(rt)
+            # one listen boundary per interval, less those slept through hung
+            sniffs = self.duration_ms // self.listen_interval_ms - rt.missed_sniffs
             # one sample duration per driver measurement, whatever triggered it
-            rt.sample_ms = sum(profile.sample_ms(kind) * count
-                               for kind, count in counters.measurements.items())
-            listen_ms = rt.sniffs * profile.sniff_duration_ms
-            sleep_ms = self.duration_ms - rt.tx_ms - rt.sample_ms - listen_ms
-            rt.charges_c = {}
+            sample_ms = sum(profile.sample_ms(kind) * count
+                            for kind, count in counters.measurements.items())
+            # every send is one transmission, delivered or dropped
+            tx_ms = rt.uplinks_attempted * profile.tx_duration_ms
+            listen_ms = sniffs * profile.sniff_duration_ms
+            sleep_ms = self.duration_ms - tx_ms - sample_ms - listen_ms
             for mode, ms, current_a in (
                 ("Sleep", sleep_ms, profile.sleep_current_a),
-                ("Sampling", rt.sample_ms, profile.sample_current_a),
-                ("Transmitting", rt.tx_ms, profile.tx_current_a),
+                ("Sampling", sample_ms, profile.sample_current_a),
+                ("Transmitting", tx_ms, profile.tx_current_a),
                 ("Listening", listen_ms, profile.listen_current_a),
             ):
                 charge = current_a * (ms / MS_PER_S)
-                rt.charges_c[mode] = charge
+                rt.charge_c += charge
                 self._log(
                     self.duration_ms, ENERGY_ROW_KIND, rt.node.uid,
                     f"mode={mode} time_ms={ms!r} charge_c={charge!r}",
@@ -597,15 +562,15 @@ class Simulator:
             totals["records_overwritten"] += counters.records_overwritten
             totals["resets"] += counters.resets
             per_node_lines.append((rt.node.uid, {
-                "site": rt.site.site_id,
+                "site": rt.site_id,
                 "produced": counters.samples_produced,
                 "delivered_records": counters.records_delivered,
                 "buffered": len(rt.node.buffer),
                 "overwritten": counters.records_overwritten,
                 "uplinks": f"{rt.uplinks_delivered}/{rt.uplinks_attempted}",
-                "sniffs": rt.sniffs,
+                "sniffs": sniffs,
                 "resets": counters.resets,
-                "charge_c": repr(sum(rt.charges_c.values())),
+                "charge_c": repr(rt.charge_c),
                 "mean_current_a": repr(self.mean_current_a(rt.node.uid)),
             }))
         summary.update(totals)
@@ -621,4 +586,4 @@ class Simulator:
         rt = self.runtime(node_uid)
         if not self._finished:
             raise SimulationError("energy totals exist after run() completes")
-        return sum(rt.charges_c.values()) / (self.duration_ms / MS_PER_S)
+        return rt.charge_c / (self.duration_ms / MS_PER_S)

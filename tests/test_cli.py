@@ -166,6 +166,41 @@ def test_feas_calibrate_rejects_zero_gradient(capsys):
     assert "gradient" in err
 
 
+@pytest.mark.parametrize("flags, names", [
+    (["--mean-dt-c", "inf", "--mean-power-mw", "24.27"], "gradient"),
+    (["--mean-dt-c", "29.0", "--mean-power-mw", "inf"], "power"),
+    (["--mean-dt-c", "29.0", "--mean-power-mw", "24.27", "--alpha", "nan"],
+     "Seebeck"),
+    (["--mean-dt-c", "29.0", "--mean-power-mw", "24.27", "--alpha", "0"],
+     "Seebeck"),
+])
+def test_feas_calibrate_rejects_non_finite_inputs(capsys, flags, names):
+    code, out, err = run_cli(capsys, "feas-calibrate", *flags)
+    assert code == 2
+    assert "r_elec_ohm" not in out
+    assert names in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"r_hs": None},
+    5,
+    {"r_hs": {"cylinder": 5}},
+    {"r_crod": {"cylinder": {"diameter_m": 0.02, "length_m": 0.1,
+                             "conductivity": 1}}},
+    {"alpha_v_per_k": True},
+])
+def test_feas_analyze_rejects_a_malformed_params_file(capsys, tmp_path,
+                                                      trace_file, doc):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "feas-analyze", "--trace",
+                             str(trace_file), "--out",
+                             str(tmp_path / "r.csv"), "--params", str(params))
+    assert code == 2
+    assert out == ""
+    assert f"error: {params}:" in err
+
+
 def test_sim_run_writes_outputs(capsys, tmp_path):
     scenario = tmp_path / "tiny.json"
     scenario.write_text("""

@@ -142,6 +142,14 @@ def test_calibration_rejects_degenerate_points():
         calibrate_electrical_resistance(0.0, 1e-3, stack)
     with pytest.raises(DegenerateInputError):
         calibrate_electrical_resistance(29.0, 0.0, stack)
+    for mean_dt_c, power_w, alpha in ((math.inf, 24.27e-3, 0.04),
+                                      (math.nan, 24.27e-3, 0.04),
+                                      (29.0, math.inf, 0.04),
+                                      (29.0, 24.27e-3, math.nan),
+                                      (29.0, 24.27e-3, 0.0),
+                                      (29.0, 24.27e-3, -0.04)):
+        with pytest.raises(DegenerateInputError):
+            calibrate_electrical_resistance(mean_dt_c, power_w, stack, alpha)
 
 
 def test_battery_arithmetic():
@@ -189,6 +197,29 @@ def test_load_params_accepts_parsed_dict():
     stack, teg = load_params({"r_elec_ohm": 2.5})
     assert stack == default_stack()
     assert teg.electrical_resistance_ohm == 2.5
+
+
+@pytest.mark.parametrize("doc, names", [
+    (5, "object"),
+    ([], "object"),
+    ({"r_hs": None}, "r_hs"),
+    ({"r_hs": "0.5"}, "r_hs"),
+    ({"alpha_v_per_k": True}, "alpha_v_per_k"),
+    ({"r_elec_ohm": False}, "r_elec_ohm"),
+    ({"r_hs": {"cylinder": 5}}, "r_hs"),
+    ({"r_tp": math.nan}, "paste"),
+    ({"r_tp": math.inf}, "paste"),
+    # a misspelt key used to fall back to copper
+    ({"r_crod": {"cylinder": {"diameter_m": 0.02, "length_m": 0.2,
+                              "conductivity": 1}}}, "conductivity"),
+    ({"r_cplt": {"plate": {"thickness_m": 0.001, "width_m": 0.04}}},
+     "height_m"),
+])
+def test_load_params_rejects_malformed_files(tmp_path, doc, names):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=names):
+        load_params(path)
 
 
 def test_load_params_rejects_unknown_keys(tmp_path):

@@ -1,5 +1,6 @@
 """Source hygiene that a deletion can leave behind: an import nothing
-uses, or a package export that no longer resolves."""
+uses, a private name nothing reads, or a package export that no longer
+resolves."""
 
 import ast
 from collections import Counter
@@ -36,6 +37,25 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each ``_``-prefixed module-level name, method and class attribute
+    (dunders aside) -> its line."""
+    defined = {}
+    scopes = [tree.body] + [node.body for node in tree.body
+                            if isinstance(node, ast.ClassDef)]
+    for body in scopes:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = node.lineno
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        defined[target.id] = node.lineno
+    return {name: line for name, line in defined.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
 def test_sources_are_found():
     assert any(path.name == "energy.py" for path in SOURCES)
 
@@ -55,3 +75,15 @@ def test_every_export_resolves_once():
     assert [name for name, n in counts.items() if n > 1] == []
     assert [name for name in geowsn.__all__
             if not hasattr(geowsn, name)] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_private_name_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = {name: line for name, line in _private_definitions(tree).items()
+              if name not in read}
+    assert not unread, f"{path.name}: defined but never read: {unread}"

@@ -40,6 +40,18 @@ def build_sim(duration_s: float = 600.0, loss: float = 0.0,
     return sim
 
 
+def energy_ledger(log, uid: int = 1) -> tuple[dict, dict]:
+    """Mode -> time_ms and mode -> charge_c, from a run's EnergyCharge
+    rows for one node, in row order."""
+    time_ms, charge_c = {}, {}
+    for _, kind, row_uid, detail in log.rows:
+        if kind == "EnergyCharge" and row_uid == uid:
+            fields = dict(part.split("=", 1) for part in detail.split())
+            time_ms[fields["mode"]] = float(fields["time_ms"])
+            charge_c[fields["mode"]] = float(fields["charge_c"])
+    return time_ms, charge_c
+
+
 def action_write(offset: int, payload: bytes) -> bytes:
     return encode_command(AlpCommand((
         AlpAction.write(NODE_CONFIG_FILE, offset, payload),)))
@@ -200,25 +212,26 @@ def test_energy_ledger_accounts_every_millisecond():
     profile = PowerProfile()
     sim = build_sim(duration_s=600, loss=0.0, rate_s=60)
     log = sim.run()
-    rt = sim.runtime(1)
+    time_ms, charge_c = energy_ledger(log)
     # 10 samples of 750 ms and 10 transmissions of 60 ms
-    assert rt.sample_ms == pytest.approx(7500.0)
-    assert rt.tx_ms == pytest.approx(600.0)
-    assert rt.sniffs == 600
+    assert time_ms["Sampling"] == pytest.approx(7500.0)
+    assert time_ms["Transmitting"] == pytest.approx(600.0)
+    assert log.summary["node.1.sniffs"] == 600
     listen_ms = 600 * profile.sniff_duration_ms
     sleep_ms = 600_000 - 7500 - 600 - listen_ms
-    assert rt.charges_c["Sleep"] == pytest.approx(
+    assert charge_c["Sleep"] == pytest.approx(
         profile.sleep_current_a * sleep_ms / 1000)
-    assert rt.charges_c["Sampling"] == pytest.approx(
+    assert charge_c["Sampling"] == pytest.approx(
         profile.sample_current_a * 7.5)
-    assert rt.charges_c["Transmitting"] == pytest.approx(
+    assert charge_c["Transmitting"] == pytest.approx(
         profile.tx_current_a * 0.6)
-    assert rt.charges_c["Listening"] == pytest.approx(
+    assert charge_c["Listening"] == pytest.approx(
         profile.listen_current_a * listen_ms / 1000)
-    total_ms = rt.sample_ms + rt.tx_ms + listen_ms + sleep_ms
+    total_ms = time_ms["Sampling"] + time_ms["Transmitting"] + listen_ms + sleep_ms
     assert total_ms == pytest.approx(600_000)
     energy_rows = log.count("EnergyCharge", uid=1)
     assert energy_rows == 4
+    assert sim.runtime(1).charge_c == sum(charge_c.values())
 
 
 def test_remotely_triggered_samples_are_charged():
@@ -227,25 +240,37 @@ def test_remotely_triggered_samples_are_charged():
     # three measure-now round trips on config byte 3, one per window
     for value in (b"\xAA", b"\x00") * 3:
         sim.queue_downlink(1, action_write(3, value), ttl_s=60)
-    sim.run()
+    log = sim.run()
     rt = sim.runtime(1)
+    time_ms, charge_c = energy_ledger(log)
     # timer samples at 300 s and 600 s plus three measured on command
     assert rt.node.counters.samples_produced == 5
-    assert rt.sample_ms == 3750.0
-    assert rt.charges_c["Sampling"] == pytest.approx(
+    assert time_ms["Sampling"] == 3750.0
+    assert charge_c["Sampling"] == pytest.approx(
         PowerProfile().sample_current_a * 3.75)
+    assert rt.charge_c == sum(charge_c.values())
 
 
-def test_hang_suspends_listening_energy():
-    quiet = build_sim(duration_s=600, loss=0.0, rate_s=3600)
-    quiet.run()
-    baseline = quiet.runtime(1).sniffs
-    hung = build_sim(duration_s=600, loss=0.0, rate_s=3600)
-    hung.inject_hang(1, at_s=0.0)
-    hung.run()
+@pytest.mark.parametrize("hang_s, duration_s, sniffs, resets", [
     # the watchdog recovers the node at 120 s; sniffing pauses until then
-    assert baseline == 600
-    assert hung.runtime(1).sniffs == 600 - 120
+    (0.0, 600, 480, 1),
+    # still hung when the run ends: the boundaries from the hang are lost
+    (610.0, 650, 610, 0),
+    (610.5, 650, 610, 0),
+])
+def test_hang_suspends_listening_energy(hang_s, duration_s, sniffs, resets):
+    quiet = build_sim(duration_s=duration_s, loss=0.0, rate_s=3600)
+    baseline = quiet.run().summary["node.1.sniffs"]
+    hung = build_sim(duration_s=duration_s, loss=0.0, rate_s=3600)
+    hung.inject_hang(1, at_s=hang_s)
+    log = hung.run()
+    time_ms, charge_c = energy_ledger(log)
+    assert baseline == duration_s
+    assert log.summary["node.1.sniffs"] == sniffs
+    assert log.summary["resets"] == resets
+    assert hung.runtime(1).node.hung == (resets == 0)
+    assert time_ms["Listening"] == sniffs * PowerProfile().sniff_duration_ms
+    assert hung.runtime(1).charge_c == sum(charge_c.values())
 
 
 def test_mean_current_available_after_run():
