@@ -13,7 +13,7 @@ from .alp import (
     decode_command,
     encode_command,
 )
-from .backend import Backend, CsvSink, Envelope, InProcessBus, gateway_forward
+from .backend import Backend, CsvSink, Envelope, InProcessBus
 from .energy import (
     TegParams,
     ThermalStack,
@@ -73,7 +73,6 @@ __all__ = [
     "default_teg",
     "delta_t_teg",
     "encode_command",
-    "gateway_forward",
     "load_scenario",
     "load_temperature_trace",
     "parse_scenario",

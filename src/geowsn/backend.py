@@ -1,11 +1,11 @@
 """Backend side of the split stack: bus, ingestion and remote file access.
 
-Gateways are deliberately dumb.  They wrap the raw bytes a node sent in
-an envelope and publish them on ``site/<site>/gw/<gw>/up``; all protocol
-decoding happens here, behind the bus.  The bus itself is a small
-publish/subscribe protocol (topic wildcards ``+`` and ``#``), shipped
-with an in-process implementation; any broker client with the same two
-methods can replace it.
+Gateways are deliberately dumb.  They publish the raw bytes a node sent
+with their envelope, on the topic ``site/<site>/gw/<gw>/up`` that the
+envelope names; all protocol decoding happens here, behind the bus.  The
+bus is a small publish/subscribe protocol (topic wildcards ``+`` and
+``#``), shipped with an in-process implementation; any broker client
+with the same two methods can replace it.
 
 Decoded sensor readings land in an append-only CSV sink.  Anything that
 does not decode is quarantined with its envelope rather than dropped.
@@ -17,11 +17,10 @@ dialog id, so an answer resolves its own request and no other.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Protocol
 
 from .alp import (
     SENSOR_DATA_FILE,
@@ -58,13 +57,6 @@ class DownlinkTooLargeError(BackendError):
     """A command too large for the target node's link."""
 
 
-@dataclass(frozen=True)
-class BusMessage:
-    topic: str
-    payload: bytes
-    envelope: Envelope
-
-
 def up_topic(site_id: str, gateway_id: str) -> str:
     return f"site/{site_id}/gw/{gateway_id}/up"
 
@@ -87,10 +79,9 @@ def topic_matches(pattern: str, topic: str) -> bool:
 class BusClient(Protocol):
     """What the backend requires of a broker client."""
 
-    def publish(self, topic: str, payload: bytes, envelope: Envelope) -> None: ...
+    def publish(self, payload: bytes, envelope: Envelope) -> None: ...
 
-    def subscribe(self, pattern: str,
-                  callback: Callable[[BusMessage], None]) -> None: ...
+    def subscribe(self, pattern: str, callback: Forwarder) -> None: ...
 
 
 class InProcessBus:
@@ -98,25 +89,19 @@ class InProcessBus:
     messages on one topic arrive strictly FIFO."""
 
     def __init__(self) -> None:
-        self._subscriptions: list[tuple[str, Callable[[BusMessage], None]]] = []
-        self.published: int = 0
+        self._subscriptions: list[tuple[str, Forwarder]] = []
 
-    def subscribe(self, pattern: str,
-                  callback: Callable[[BusMessage], None]) -> None:
+    def subscribe(self, pattern: str, callback: Forwarder) -> None:
         self._subscriptions.append((pattern, callback))
 
-    def publish(self, topic: str, payload: bytes, envelope: Envelope) -> None:
-        self.published += 1
-        message = BusMessage(topic, bytes(payload), envelope)
+    def publish(self, payload: bytes, envelope: Envelope) -> None:
+        """What a gateway does with node bytes: publish them bit for bit,
+        without looking inside, on the topic its envelope names."""
+        topic = up_topic(envelope.site_id, envelope.gateway_id)
+        payload = bytes(payload)
         for pattern, callback in list(self._subscriptions):
             if topic_matches(pattern, topic):
-                callback(message)
-
-
-def gateway_forward(bus: BusClient, raw: bytes, envelope: Envelope) -> None:
-    """What a gateway does with node bytes: wrap and publish, bit for
-    bit, without looking inside."""
-    bus.publish(up_topic(envelope.site_id, envelope.gateway_id), raw, envelope)
+                callback(payload, envelope)
 
 
 @dataclass(frozen=True)
@@ -192,11 +177,11 @@ class SimTransport(Protocol):
 class Backend:
     """Application layer: decodes uplinks, answers nothing it cannot
     parse silently, and drives remote file access.  ``directory`` maps
-    a uid to ``{"transect": ...}`` for the sink; the site comes from the
+    a uid to its transect for the sink; the site comes from the
     forwarding gateway, and which nodes exist from the attached network."""
 
     def __init__(self, bus: BusClient | None = None,
-                 directory: dict[int, dict] | None = None,
+                 directory: dict[int, str] | None = None,
                  sink: CsvSink | None = None):
         self.bus = bus if bus is not None else InProcessBus()
         self.directory = dict(directory or {})
@@ -218,12 +203,12 @@ class Backend:
         target node's gateway.  The network alone says which nodes
         exist and at which site."""
         self._transport = sim
-        sim.forwarder = functools.partial(gateway_forward, self.bus)
+        sim.forwarder = self.bus.publish
 
     # -- ingestion ---------------------------------------------------------
 
-    def ingest(self, message: BusMessage) -> list[TimeSeriesRecord]:
-        """Decode one uplink message into time-series records.
+    def ingest(self, payload: bytes, envelope: Envelope) -> None:
+        """Decode one uplink into time-series records for the sink.
 
         Statuses go to the status log.  A frame stamped with a dialog
         only answers that dialog's request.  In an unstamped frame,
@@ -232,18 +217,14 @@ class Backend:
         quarantined with its envelope.
         """
         self.ingested += 1
-        envelope = message.envelope
         try:
-            command = decode_command(message.payload)
+            command = decode_command(payload)
         except DecodeError as exc:
-            self.quarantine.append(
-                QuarantineEntry(envelope, message.payload, str(exc))
-            )
-            return []
+            self.quarantine.append(QuarantineEntry(envelope, payload, str(exc)))
+            return
         dialog = envelope.dialog
         if dialog is not None and dialog not in self._pending:
             self.late_answers += 1  # its request timed out or is answered
-        records: list[TimeSeriesRecord] = []
         for action in command:
             if action.opcode is Opcode.STATUS:
                 self.status_log.append((envelope, action))
@@ -251,39 +232,33 @@ class Backend:
                 self._resolve(dialog, action)
             elif (action.opcode is Opcode.RETURN_FILE_DATA
                   and action.file_id == SENSOR_DATA_FILE):
-                records.extend(self._decode_reading(envelope, action))
+                self._decode_reading(envelope, action)
             elif action.opcode is not Opcode.STATUS:
                 self.quarantine.append(QuarantineEntry(
-                    envelope, message.payload,
+                    envelope, payload,
                     f"unexpected uplink opcode {action.opcode.name}"
                     f" for file 0x{action.file_id:02X}",
                 ))
-        return records
 
-    def _decode_reading(self, envelope: Envelope,
-                        action: AlpAction) -> list[TimeSeriesRecord]:
+    def _decode_reading(self, envelope: Envelope, action: AlpAction) -> None:
         try:
             reading = SensorReading.from_bytes(action.payload)
         except ValueError as exc:
             self.quarantine.append(
                 QuarantineEntry(envelope, action.payload, str(exc))
             )
-            return []
-        entry = self.directory.get(envelope.node_uid, {})
-        records = []
+            return
+        transect = self.directory.get(envelope.node_uid, "")
         for name, unit, value in reading.channel_values():
-            record = TimeSeriesRecord(
+            self.sink.append(TimeSeriesRecord(
                 timestamp=reading.timestamp,
                 site=envelope.site_id,
                 node_uid=envelope.node_uid,
-                transect=entry.get("transect", ""),
+                transect=transect,
                 channel=name,
                 value=value,
                 unit=unit,
-            )
-            self.sink.append(record)
-            records.append(record)
-        return records
+            ))
 
     def _resolve(self, dialog: int, answer: AlpAction) -> None:
         """Hand an answer to the request pending in its dialog: returned

@@ -190,7 +190,12 @@ def calibrate_electrical_resistance(
         raise DegenerateInputError(
             "the Seebeck coefficient must be finite and positive")
     voltage = seebeck_v_per_k * dt_teg
-    return voltage * voltage / (4.0 * float(mean_power_w))
+    r_elec = voltage * voltage / (4.0 * float(mean_power_w))
+    if not 0 < r_elec < math.inf:
+        raise DegenerateInputError(
+            f"the operating point gives a resistance of {r_elec} ohm,"
+            " not a finite positive one")
+    return r_elec
 
 
 # -- parameter files ----------------------------------------------------------

@@ -48,8 +48,6 @@ class NoSuchNodeError(SimulationError):
 class PayloadTooLargeError(SimulationError):
     def __init__(self, size: int, limit: int):
         super().__init__(f"payload of {size} bytes exceeds link maximum {limit}")
-        self.size = size
-        self.limit = limit
 
 
 ENERGY_ROW_KIND = "EnergyCharge"

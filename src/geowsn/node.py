@@ -355,7 +355,6 @@ class NodeCounters:
     records_overwritten: int = 0
     status_uplinks: int = 0
     driver_faults: int = 0
-    commands_received: int = 0
     command_errors: int = 0
     resets: int = 0
     #: driver measurements per sensor kind, whatever triggered them
@@ -477,7 +476,6 @@ class SensorNode:
         """Execute a command received during a listen window."""
         self._now = now_s
         self.notify_activity(now_s)
-        self.counters.commands_received += 1
         try:
             command = decode_command(data)
         except DecodeError:

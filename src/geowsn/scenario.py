@@ -375,10 +375,10 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
     return sim
 
 
-def node_directory(config: ScenarioConfig) -> dict[int, dict]:
+def node_directory(config: ScenarioConfig) -> dict[int, str]:
     """uid -> transect lookup the backend labels sink records with; the
     site comes from the gateway that forwarded the reading."""
-    return {spec.uid: {"transect": spec.transect}
+    return {spec.uid: spec.transect
             for site in config.sites for spec in site.nodes}
 
 

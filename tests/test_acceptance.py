@@ -220,7 +220,7 @@ def test_criterion_7_split_stack_remote_access():
                                  (ConstantSignal(4.0),))},
     )
     sim.add_node("north", node)
-    backend = Backend(directory={42: {"site_id": "north", "transect": "E"}})
+    backend = Backend(directory={42: "E"})
     backend.attach_transport(sim)
     sim.start()
 

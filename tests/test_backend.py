@@ -14,17 +14,16 @@ from geowsn.alp import (
 )
 from geowsn.backend import (
     Backend,
-    BusMessage,
     CsvSink,
     Envelope,
     InProcessBus,
     SINK_HEADER,
     TimeSeriesRecord,
-    gateway_forward,
     topic_matches,
     up_topic,
 )
 from geowsn.node import SensorKind, SensorReading
+from geowsn.scenario import build_simulator, default_scenario, node_directory
 
 
 def reading_frame(timestamp: int = 1000,
@@ -58,33 +57,52 @@ def test_topic_matching(pattern, topic, matched):
 
 
 def test_bus_routes_to_matching_subscribers_in_order():
+    # the topic comes from the envelope: site/north/gw/gw-north/up
     bus = InProcessBus()
     got = []
-    bus.subscribe("site/+/gw/+/up", lambda m: got.append(("wild", m.topic)))
-    bus.subscribe("site/north/gw/gw-1/up",
-                  lambda m: got.append(("exact", m.topic)))
-    bus.subscribe("site/+/gw/+/down", lambda m: got.append(("down", m.topic)))
-    bus.publish("site/north/gw/gw-1/up", b"x", envelope())
-    assert got == [("wild", "site/north/gw/gw-1/up"),
-                   ("exact", "site/north/gw/gw-1/up")]
+    for name, pattern in (("wild", "site/+/gw/+/up"),
+                          ("exact", "site/north/gw/gw-north/up"),
+                          ("other site", "site/south/#"),
+                          ("down", "site/north/gw/gw-north/down")):
+        bus.subscribe(pattern, lambda payload, env, name=name:
+                      got.append((name, payload, env)))
+    bus.publish(b"x", envelope())
+    assert got == [("wild", b"x", envelope()), ("exact", b"x", envelope())]
 
 
 def test_gateway_forwards_bytes_untouched():
     bus = InProcessBus()
-    seen: list[BusMessage] = []
-    bus.subscribe("site/+/gw/+/up", seen.append)
-    raw = bytes(range(32))
-    gateway_forward(bus, raw, envelope())
-    assert len(seen) == 1
-    assert seen[0].payload == raw
-    assert seen[0].topic == "site/north/gw/gw-north/up"
-    assert seen[0].envelope.node_uid == 7
+    seen = []
+    bus.subscribe("site/+/gw/+/up", lambda *message: seen.append(message))
+    raw = bytearray(range(32))
+    bus.publish(raw, envelope(dialog=4))
+    raw[0] = 0xFF  # the subscriber holds its own copy of the bytes
+    assert seen == [(bytes(range(32)), envelope(dialog=4))]
+    assert type(seen[0][0]) is bytes
+
+
+def test_a_second_subscriber_shares_the_backends_bus_in_a_run():
+    config = default_scenario().with_duration(3600)
+    sim = build_simulator(config)
+    backend = Backend(directory=node_directory(config))
+    backend.attach_transport(sim)
+    at_site = []
+    backend.bus.subscribe("site/GN45/#",
+                          lambda payload, env: at_site.append(env.site_id))
+    sim.start()
+    log = sim.run()
+    arrivals = [uid for _, kind, uid, _ in log.rows if kind == "UplinkArrival"]
+    site_arrivals = [uid for uid in arrivals
+                     if sim.runtime(uid).site_id == "GN45"]
+    assert 0 < len(site_arrivals) < len(arrivals)
+    assert at_site == ["GN45"] * len(site_arrivals)
+    assert backend.ingested == len(arrivals)
 
 
 def test_ingest_decodes_reading_into_records():
-    backend = Backend(directory={7: {"site_id": "north", "transect": "E"}})
-    records = backend.ingest(
-        BusMessage("site/north/gw/gw-north/up", reading_frame(), envelope()))
+    backend = Backend(directory={7: "E"})
+    backend.ingest(reading_frame(), envelope())
+    records = backend.sink.records
     assert len(records) == 1
     record = records[0]
     assert record.timestamp == 1000
@@ -94,24 +112,21 @@ def test_ingest_decodes_reading_into_records():
     assert record.channel == "t_soil"
     assert record.unit == "°C"
     assert record.value == 3.456  # milli-units divide back exactly
-    assert backend.sink.records == records
 
 
 def test_ingest_weather_reading_yields_three_records():
     frame = reading_frame(kind=SensorKind.WEATHER_STATION,
                           values=(-1500, 82000, 3200))
-    backend = Backend(directory={7: {"site_id": "north", "transect": ""}})
-    records = backend.ingest(
-        BusMessage("site/north/gw/gw-north/up", frame, envelope()))
-    assert [(r.channel, r.value) for r in records] == [
+    backend = Backend(directory={7: ""})
+    backend.ingest(frame, envelope())
+    assert [(r.channel, r.value) for r in backend.sink.records] == [
         ("t_air", -1.5), ("rh", 82.0), ("wind", 3.2)]
 
 
 def test_ingest_unknown_node_still_sinks_with_envelope_site():
     backend = Backend()
-    records = backend.ingest(
-        BusMessage("site/north/gw/gw-north/up", reading_frame(),
-                   envelope(uid=999)))
+    backend.ingest(reading_frame(), envelope(uid=999))
+    records = backend.sink.records
     assert len(records) == 1
     assert records[0].site == "north"
     assert records[0].transect == ""
@@ -119,9 +134,8 @@ def test_ingest_unknown_node_still_sinks_with_envelope_site():
 
 def test_ingest_quarantines_undecodable_payload():
     backend = Backend()
-    records = backend.ingest(
-        BusMessage("site/north/gw/gw-north/up", b"\x99junkjunk", envelope()))
-    assert records == []
+    backend.ingest(b"\x99junkjunk", envelope())
+    assert backend.sink.records == []
     assert len(backend.quarantine) == 1
     entry = backend.quarantine[0]
     assert entry.payload == b"\x99junkjunk"
@@ -134,9 +148,8 @@ def test_ingest_quarantines_misshapen_reading():
     frame = encode_command(AlpCommand((
         AlpAction.return_data(SENSOR_DATA_FILE, 0, b"\x01\x02\x03"),)))
     backend = Backend()
-    records = backend.ingest(
-        BusMessage("site/north/gw/gw-north/up", frame, envelope()))
-    assert records == []
+    backend.ingest(frame, envelope())
+    assert backend.sink.records == []
     assert len(backend.quarantine) == 1
 
 
@@ -144,7 +157,7 @@ def test_ingest_quarantines_unexpected_opcode():
     frame = encode_command(AlpCommand((
         AlpAction.read(SENSOR_DATA_FILE, 0, 4),)))
     backend = Backend()
-    backend.ingest(BusMessage("site/north/gw/gw-north/up", frame, envelope()))
+    backend.ingest(frame, envelope())
     assert len(backend.quarantine) == 1
     assert "opcode" in backend.quarantine[0].reason
 
@@ -153,9 +166,8 @@ def test_ingest_logs_status_actions():
     frame = encode_command(AlpCommand((
         AlpAction.status(STATUS_OK, 0x41, 3, 1),)))
     backend = Backend()
-    records = backend.ingest(
-        BusMessage("site/north/gw/gw-north/up", frame, envelope()))
-    assert records == []
+    backend.ingest(frame, envelope())
+    assert backend.sink.records == []
     assert len(backend.status_log) == 1
     env, action = backend.status_log[0]
     assert env.node_uid == 7
@@ -169,9 +181,8 @@ def test_ingest_handles_multi_record_flush_frame():
         AlpAction.return_data(SENSOR_DATA_FILE, 0, record)
         for record in records)))
     backend = Backend()
-    out = backend.ingest(
-        BusMessage("site/north/gw/gw-north/up", frame, envelope()))
-    assert [r.timestamp for r in out] == [100, 200, 300]
+    backend.ingest(frame, envelope())
+    assert [r.timestamp for r in backend.sink.records] == [100, 200, 300]
 
 
 def test_csv_sink_writes_header_and_rows(tmp_path):
@@ -213,16 +224,14 @@ def test_ingest_quarantines_file_data_no_request_asked_for():
     frame = encode_command(AlpCommand((
         AlpAction.return_data(NODE_CONFIG_FILE, 0, bytes(12)),)))
     backend = Backend()
-    backend.ingest(BusMessage("site/north/gw/gw-north/up", frame, envelope()))
+    backend.ingest(frame, envelope())
     assert len(backend.quarantine) == 1
     assert "0x41" in backend.quarantine[0].reason
 
 
 def test_answer_in_an_unknown_dialog_is_counted_and_not_a_record():
     backend = Backend()
-    records = backend.ingest(BusMessage(
-        "site/north/gw/gw-north/up", reading_frame(), envelope(dialog=3)))
-    assert records == []
+    backend.ingest(reading_frame(), envelope(dialog=3))
     assert backend.sink.records == []
     assert backend.quarantine == []
     assert backend.late_answers == 1

@@ -173,6 +173,8 @@ def test_feas_calibrate_rejects_zero_gradient(capsys):
      "Seebeck"),
     (["--mean-dt-c", "29.0", "--mean-power-mw", "24.27", "--alpha", "0"],
      "Seebeck"),
+    (["--mean-dt-c", "29", "--mean-power-mw", "1e-310"], "resistance"),
+    (["--mean-dt-c", "1e-200", "--mean-power-mw", "1e300"], "resistance"),
 ])
 def test_feas_calibrate_rejects_non_finite_inputs(capsys, flags, names):
     code, out, err = run_cli(capsys, "feas-calibrate", *flags)

@@ -147,7 +147,11 @@ def test_calibration_rejects_degenerate_points():
                                       (29.0, math.inf, 0.04),
                                       (29.0, 24.27e-3, math.nan),
                                       (29.0, 24.27e-3, 0.0),
-                                      (29.0, 24.27e-3, -0.04)):
+                                      (29.0, 24.27e-3, -0.04),
+                                      # the resistance overflows to inf
+                                      (29.0, 1e-313, 0.04),
+                                      # the voltage squared underflows to 0
+                                      (1e-200, 1e297, 0.04)):
         with pytest.raises(DegenerateInputError):
             calibrate_electrical_resistance(mean_dt_c, power_w, stack, alpha)
 

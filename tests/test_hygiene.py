@@ -1,6 +1,6 @@
 """Source hygiene that a deletion can leave behind: an import nothing
-uses, a private name nothing reads, or a package export that no longer
-resolves."""
+uses, a private name or a stored attribute nothing reads, or a package
+export that no longer resolves."""
 
 import ast
 from collections import Counter
@@ -10,8 +10,10 @@ import pytest
 
 import geowsn
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent
-                  / "src" / "geowsn").glob("*.py"))
+REPO = Path(__file__).resolve().parent.parent
+SOURCES = sorted((REPO / "src" / "geowsn").glob("*.py"))
+#: every tree whose code may read what the package stores
+READERS = ("src", "tests", "demos", "perfbench")
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -56,6 +58,29 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
             if name.startswith("_") and not name.startswith("__")}
 
 
+def _stored_attributes(tree: ast.Module) -> dict[str, int]:
+    """Each attribute stored by ``self.X = ...``, ``....X += ...`` or an
+    annotated class field -> its first line."""
+    stored = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    stored.setdefault(item.target.id, item.lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if (isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == "self"):
+                    stored.setdefault(target.attr, node.lineno)
+        elif (isinstance(node, ast.AugAssign)
+              and isinstance(node.target, ast.Attribute)):
+            stored.setdefault(node.target.attr, node.lineno)
+    return stored
+
+
 def test_sources_are_found():
     assert any(path.name == "energy.py" for path in SOURCES)
 
@@ -87,3 +112,14 @@ def test_every_private_name_is_read(path):
     unread = {name: line for name, line in _private_definitions(tree).items()
               if name not in read}
     assert not unread, f"{path.name}: defined but never read: {unread}"
+
+
+def test_every_stored_attribute_is_read():
+    read = {node.attr
+            for tree in READERS for path in (REPO / tree).rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = {f"{path.name}:{line}": name for path in SOURCES
+              for name, line in _stored_attributes(ast.parse(path.read_text())).items()
+              if name not in read}
+    assert not unread, f"stored but never read: {unread}"

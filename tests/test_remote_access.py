@@ -45,9 +45,7 @@ def wire_up(loss: float = 0.0, duration_s: float = 600.0, rate_s: int = 300,
                                  (ConstantSignal(4.2),))},
     )
     sim.add_node("north", node)
-    backend = Backend(directory={
-        42: {"site_id": "north", "transect": "E"},
-    })
+    backend = Backend(directory={42: "E"})
     backend.attach_transport(sim)
     sim.start()
     return sim, backend, node
@@ -156,7 +154,7 @@ def test_timed_out_request_takes_its_timeout_in_simulated_time():
     assert queued == [0, 500]
 
 
-def test_remote_access_needs_directory_entry():
+def test_the_network_rejects_a_uid_it_does_not_hold():
     sim, backend, node = wire_up()
     with pytest.raises(NodeUnknownError):
         backend.remote_read_file(99, NODE_CONFIG_FILE, 0, 12)
@@ -164,7 +162,7 @@ def test_remote_access_needs_directory_entry():
 
 def test_a_directory_entry_absent_from_the_network_is_unknown():
     sim, backend, node = wire_up()
-    backend.directory[99] = {"transect": "W"}
+    backend.directory[99] = "W"
     with pytest.raises(NodeUnknownError, match="99"):
         backend.remote_read_file(99, NODE_CONFIG_FILE, 0, 12)
     assert backend.remote_read_file(42, NODE_CONFIG_FILE, 0, 12) == (
@@ -227,7 +225,7 @@ def assert_books_balance(log):
 
 
 def test_request_without_transport_leaves_no_request_in_flight():
-    backend = Backend(directory={42: {"site_id": "north"}})
+    backend = Backend()
     for _ in range(2):
         with pytest.raises(BackendError, match="transport"):
             backend.remote_read_file(42, NODE_CONFIG_FILE, 0, 12)
@@ -243,7 +241,7 @@ def test_refused_downlink_leaves_no_request_in_flight():
         drivers={1: SignalDriver(SensorKind.SOIL_TEMPERATURE,
                                  (ConstantSignal(4.2),))},
     ))
-    backend = Backend(directory={42: {"site_id": "north"}})
+    backend = Backend()
     backend.attach_transport(sim)
     sim.start()
     # a 10-byte header plus 12 bytes of payload exceeds the link
@@ -276,10 +274,7 @@ def test_two_nodes_resolve_independently():
             drivers={1: SignalDriver(SensorKind.SOIL_TEMPERATURE,
                                      (ConstantSignal(float(uid)),))},
         ))
-    backend = Backend(directory={
-        1: {"site_id": "north"},
-        2: {"site_id": "north"},
-    })
+    backend = Backend()
     backend.attach_transport(sim)
     sim.start()
     image_one = backend.remote_read_file(1, NODE_CONFIG_FILE, 0, 12)

@@ -217,7 +217,7 @@ def test_with_duration_changes_only_duration():
 
 def test_node_directory_lists_every_node():
     config = parse_scenario(minimal_doc())
-    assert node_directory(config) == {1: {"transect": "E"}}
+    assert node_directory(config) == {1: "E"}
 
 
 def test_build_simulator_registers_all_nodes():
