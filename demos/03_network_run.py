@@ -45,7 +45,7 @@ print("records: %d produced = %d delivered + %d spooled + %d overwritten" % (
 # The backend decoded every delivered frame into per-channel rows.
 print("time-series rows decoded:", len(backend.sink.records))
 for record in backend.sink.records[:3]:
-    print("   ", record.as_row())
+    print("   ", tuple(record))
 print("quarantined frames:", len(backend.quarantine))
 
 # Per-node charge ledgers turn into battery lifetimes.  A 19 Ah

@@ -14,6 +14,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 SENSOR_DATA_FILE = 0x40
 NODE_CONFIG_FILE = 0x41
@@ -34,6 +35,9 @@ class Opcode(IntEnum):
     RETURN_FILE_DATA = 0x20
     STATUS = 0x7F
 
+
+#: opcode value -> member, without ``Enum.__call__`` on every frame
+_OPCODES = {int(op): op for op in Opcode}
 
 # Status payload bytes emitted by nodes.  0x00 acknowledges a write;
 # the rest report why a request or a local operation failed.
@@ -95,8 +99,15 @@ class OutOfBoundsError(FileAccessError):
         self.file_id = file_id
 
 
-@dataclass(frozen=True)
-class AlpAction:
+class _ActionFields(NamedTuple):
+    opcode: Opcode
+    file_id: int
+    offset: int = 0
+    length: int = 0
+    payload: bytes = b""
+
+
+class AlpAction(_ActionFields):
     """One operation of a command.
 
     ``offset`` and ``length`` address a byte range inside the target
@@ -104,35 +115,33 @@ class AlpAction:
     reads carry none, writes and returned data carry exactly
     ``length`` bytes, and a status carries a single status byte while
     ``file_id``/``offset``/``length`` echo the request it refers to.
+    The one constructor checks every field: for the decoder, and for
+    namedtuple's ``_make`` and ``_replace`` too.
     """
 
-    opcode: Opcode
-    file_id: int
-    offset: int = 0
-    length: int = 0
-    payload: bytes = b""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.file_id <= 0xFF:
-            raise ValueError(f"file_id {self.file_id} out of u8 range")
-        if not 0 <= self.offset <= _U32_MAX:
-            raise ValueError(f"offset {self.offset} out of u32 range")
-        if not 0 <= self.length <= _U32_MAX:
-            raise ValueError(f"length {self.length} out of u32 range")
-        opcode = Opcode(self.opcode)
-        if opcode is not self.opcode:
-            object.__setattr__(self, "opcode", opcode)
+    def __new__(cls, opcode, file_id, offset=0, length=0, payload=b""):
+        if not 0 <= file_id <= 0xFF:
+            raise ValueError(f"file_id {file_id} out of u8 range")
+        if not 0 <= offset <= _U32_MAX:
+            raise ValueError(f"offset {offset} out of u32 range")
+        if not 0 <= length <= _U32_MAX:
+            raise ValueError(f"length {length} out of u32 range")
+        try:
+            opcode = _OPCODES[opcode]
+        except (KeyError, TypeError):  # not a member, or not even hashable
+            raise ValueError(f"{opcode!r} is not a valid Opcode") from None
         if opcode is Opcode.READ_FILE_DATA:
-            if self.payload:
+            if payload:
                 raise ValueError("read actions carry no payload")
         elif opcode is Opcode.STATUS:
-            if len(self.payload) != 1:
+            if len(payload) != 1:
                 raise ValueError("status actions carry exactly one byte")
-        elif len(self.payload) != self.length:
-            raise ValueError(
-                f"payload of {len(self.payload)} bytes does not match"
-                f" length {self.length}"
-            )
+        elif len(payload) != length:
+            raise ValueError(f"payload of {len(payload)} bytes does not"
+                             f" match length {length}")
+        return tuple.__new__(cls, (opcode, file_id, offset, length, payload))
 
     @classmethod
     def read(cls, file_id: int, offset: int, length: int) -> "AlpAction":
@@ -151,6 +160,9 @@ class AlpAction:
                length: int = 0) -> "AlpAction":
         """Build a status action echoing the request it answers."""
         return cls(Opcode.STATUS, file_id, offset, length, bytes([code]))
+
+
+AlpAction._make = classmethod(lambda cls, fields: cls(*fields))
 
 
 @dataclass(frozen=True)
@@ -179,17 +191,16 @@ def encode_action(action: AlpAction) -> bytes:
 
 
 def encode_command(command: AlpCommand) -> bytes:
-    return b"".join(encode_action(action) for action in command.actions)
+    return b"".join([encode_action(action) for action in command.actions])
 
 
 def _decode_action(data: bytes, pos: int) -> tuple[AlpAction, int]:
     if len(data) - pos < _ACTION_HEADER.size:
         raise TruncatedInputError("action header incomplete", pos)
     opcode_byte, file_id, offset, length = _ACTION_HEADER.unpack_from(data, pos)
-    try:
-        opcode = Opcode(opcode_byte)
-    except ValueError:
-        raise UnknownOpcodeError(opcode_byte, pos) from None
+    opcode = _OPCODES.get(opcode_byte)
+    if opcode is None:
+        raise UnknownOpcodeError(opcode_byte, pos)
     pos += _ACTION_HEADER.size
     if opcode is Opcode.READ_FILE_DATA:
         want = 0
@@ -265,10 +276,10 @@ class FileStore:
         return tuple(sorted(self._headers))
 
     def header(self, file_id: int) -> FileHeader:
-        try:
-            return self._headers[file_id]
-        except KeyError:
-            raise NoSuchFileError(file_id) from None
+        header = self._headers.get(file_id)
+        if header is None:
+            raise NoSuchFileError(file_id)
+        return header
 
     def raw(self, file_id: int) -> bytes:
         """Owner's view of a file: full content, no permission checks."""

@@ -20,7 +20,7 @@ import csv
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .alp import (
     SENSOR_DATA_FILE,
@@ -34,9 +34,6 @@ from .alp import (
 from .netsim import (MS_PER_S, Envelope, Forwarder, NoSuchNodeError,
                      PayloadTooLargeError)
 from .node import SensorReading
-
-SINK_HEADER = ("timestamp", "site", "node_uid", "transect", "channel",
-               "value", "unit")
 
 
 class BackendError(Exception):
@@ -90,23 +87,31 @@ class InProcessBus:
 
     def __init__(self) -> None:
         self._subscriptions: list[tuple[str, Forwarder]] = []
+        #: (site, gateway) -> its topic's callbacks; subscribe empties it
+        self._routes: dict[tuple[str, str], tuple[Forwarder, ...]] = {}
 
     def subscribe(self, pattern: str, callback: Forwarder) -> None:
         self._subscriptions.append((pattern, callback))
+        self._routes.clear()
 
     def publish(self, payload: bytes, envelope: Envelope) -> None:
         """What a gateway does with node bytes: publish them bit for bit,
-        without looking inside, on the topic its envelope names."""
-        topic = up_topic(envelope.site_id, envelope.gateway_id)
+        without looking inside, to those subscribed to the topic its
+        envelope names when publishing began."""
+        route = (envelope.site_id, envelope.gateway_id)
+        callbacks = self._routes.get(route)
+        if callbacks is None:
+            topic = up_topic(*route)
+            callbacks = self._routes[route] = tuple(
+                callback for pattern, callback in self._subscriptions
+                if topic_matches(pattern, topic))
         payload = bytes(payload)
-        for pattern, callback in list(self._subscriptions):
-            if topic_matches(pattern, topic):
-                callback(payload, envelope)
+        for callback in callbacks:
+            callback(payload, envelope)
 
 
-@dataclass(frozen=True)
-class TimeSeriesRecord:
-    """One channel of one decoded reading."""
+class TimeSeriesRecord(NamedTuple):
+    """One channel of one decoded reading; its fields are its sink row."""
 
     timestamp: int
     site: str
@@ -116,9 +121,8 @@ class TimeSeriesRecord:
     value: float
     unit: str
 
-    def as_row(self) -> tuple:
-        return (self.timestamp, self.site, self.node_uid, self.transect,
-                self.channel, self.value, self.unit)
+
+SINK_HEADER = TimeSeriesRecord._fields
 
 
 @dataclass
@@ -146,7 +150,7 @@ class CsvSink:
     def append(self, record: TimeSeriesRecord) -> None:
         self.records.append(record)
         if self._writer is not None:
-            self._writer.writerow(record.as_row())
+            self._writer.writerow(record)
 
     def close(self) -> None:
         if self._handle is not None:
@@ -225,7 +229,7 @@ class Backend:
         dialog = envelope.dialog
         if dialog is not None and dialog not in self._pending:
             self.late_answers += 1  # its request timed out or is answered
-        for action in command:
+        for action in command.actions:
             if action.opcode is Opcode.STATUS:
                 self.status_log.append((envelope, action))
             if dialog is not None:
@@ -290,6 +294,8 @@ class Backend:
         Requests to the same file range need not wait for one another:
         an answer resolves only the request whose dialog it carries.
         """
+        if not 0 < timeout_s < float("inf"):
+            raise ValueError(f"timeout_s {timeout_s!r} is not finite and > 0")
         transport = self._transport
         if transport is None:
             raise BackendError("remote file access needs an attached transport")

@@ -216,12 +216,13 @@ def _cmd_sim_run(args) -> int:
     sim = build_simulator(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "readings.csv").unlink(missing_ok=True)  # the sink appends
     sink = CsvSink(out_dir / "readings.csv")
     backend = Backend(directory=node_directory(config), sink=sink)
     backend.attach_transport(sim)
     log = sim.run()
     sink.close()
-    log.write(out_dir / "runlog.txt")
+    log_hash = log.write(out_dir / "runlog.txt")
 
     summary = log.summary
     attempted = summary["uplinks_attempted"]
@@ -230,7 +231,7 @@ def _cmd_sim_run(args) -> int:
     print(f"scenario: {scenario_path}")
     print(f"seed: {config.seed}  duration_s: {config.duration_s:g}"
           f"  nodes: {config.node_count}")
-    print(f"log hash: {log.stable_hash()}")
+    print(f"log hash: {log_hash}")
     print(f"uplinks delivered/attempted: {delivered}/{attempted}"
           f" (ratio {ratio:.4f})")
     print(f"records: produced {summary['records_produced']},"

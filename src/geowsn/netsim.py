@@ -25,7 +25,7 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .node import SensorKind, SensorNode, UplinkKind
 
@@ -101,8 +101,7 @@ class PowerProfile:
         return self.sample_duration_ms.get(kind, 1000.0)
 
 
-@dataclass(frozen=True)
-class DownlinkTicket:
+class DownlinkTicket(NamedTuple):
     """One queued downlink command waiting at a gateway."""
 
     ticket_id: int
@@ -111,8 +110,7 @@ class DownlinkTicket:
     dialog: int | None = None
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """Transport metadata a gateway attaches to forwarded bytes;
     ``dialog`` ties a request to its answers (None on anything else)."""
 
@@ -185,9 +183,12 @@ class RunLog:
     def stable_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
-    def write(self, path) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_text())
+    def write(self, path) -> str:
+        """Write the log text; return its stable hash, of the same bytes."""
+        data = self.to_text().encode()
+        with open(path, "wb") as handle:
+            handle.write(data)
+        return hashlib.sha256(data).hexdigest()
 
     def count(self, kind: str, uid: int | None = None,
               detail_prefix: str = "") -> int:
@@ -381,8 +382,7 @@ class Simulator:
         self._log(at, "UplinkArrival", rt.node.uid, f"len={len(payload)}")
         if self.forwarder is not None:
             self.forwarder(payload, Envelope(rt.node.uid, f"gw-{rt.site_id}",
-                                             rt.site_id, at / MS_PER_S,
-                                             dialog))
+                                             rt.site_id, at / MS_PER_S, dialog))
 
     def queue_downlink(self, node_uid: int, payload: bytes,
                        ttl_s: float = DEFAULT_DOWNLINK_TTL_S,

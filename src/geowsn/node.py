@@ -92,6 +92,12 @@ CHANNELS: dict[SensorKind, tuple[ChannelSpec, ...]] = {
     ),
 }
 
+#: kind code -> member, without ``Enum.__call__`` on every record
+_KINDS = {int(kind): kind for kind in SensorKind}
+#: one whole record per kind: the head, then an i32 per channel
+_RECORDS = {kind: struct.Struct(f"{_RECORD_HEAD.format}{len(specs)}i")
+            for kind, specs in CHANNELS.items()}
+
 
 @dataclass(frozen=True)
 class NodeConfig:
@@ -150,39 +156,35 @@ class SensorReading:
             )
 
     def to_bytes(self) -> bytes:
-        head = _RECORD_HEAD.pack(self.timestamp, self.kind, len(self.values_milli))
-        body = struct.pack(f"<{len(self.values_milli)}i", *self.values_milli)
-        return head + body
+        return _RECORDS[self.kind].pack(
+            self.timestamp, self.kind, len(self.values_milli), *self.values_milli)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SensorReading":
         if len(data) < _RECORD_HEAD.size:
             raise ValueError(f"reading record of {len(data)} bytes is too short")
         timestamp, kind_code, count = _RECORD_HEAD.unpack_from(data)
-        try:
-            kind = SensorKind(kind_code)
-        except ValueError:
-            raise ValueError(f"unknown sensor kind 0x{kind_code:02X}") from None
+        kind = _KINDS.get(kind_code)
+        if kind is None:
+            raise ValueError(f"unknown sensor kind 0x{kind_code:02X}")
         if count != len(CHANNELS[kind]):
             raise ValueError(
                 f"{kind.name} record declares {count} channels,"
                 f" expected {len(CHANNELS[kind])}"
             )
-        expected = _RECORD_HEAD.size + 4 * count
-        if len(data) != expected:
-            raise ValueError(
-                f"reading record is {len(data)} bytes, expected {expected}"
-            )
-        values = struct.unpack_from(f"<{count}i", data, _RECORD_HEAD.size)
-        return cls(timestamp, kind, tuple(values))
+        record = _RECORDS[kind]
+        if len(data) != record.size:
+            raise ValueError(f"reading record is {len(data)} bytes,"
+                             f" expected {record.size}")
+        return cls(timestamp, kind, record.unpack(data)[3:])
 
     def channel_values(self) -> tuple[tuple[str, str, float], ...]:
         """Named engineering-unit values: (name, unit, value)."""
         specs = CHANNELS[self.kind]
-        return tuple(
+        return tuple([
             (spec.name, spec.unit, milli / 1000.0)
             for spec, milli in zip(specs, self.values_milli)
-        )
+        ])
 
 
 class SensorDriver(ABC):
@@ -237,7 +239,7 @@ class SignalDriver(SensorDriver):
         self.signals = signals
 
     def measure(self, address: int, at_s: float) -> tuple[float, ...]:
-        return tuple(signal.value(at_s) for signal in self.signals)
+        return tuple([signal.value(at_s) for signal in self.signals])
 
 
 class TraceDriver(SensorDriver):
@@ -482,7 +484,7 @@ class SensorNode:
             self.counters.command_errors += 1
             self._queue_status(STATUS_MALFORMED_COMMAND)
             return
-        for action in command:
+        for action in command.actions:
             self._execute(action)
 
     def on_uplink_result(self, uplink: Uplink, delivered: bool, now_s: float) -> None:

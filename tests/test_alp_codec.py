@@ -138,6 +138,21 @@ def test_field_range_validation(field, value):
                   kwargs["offset"], kwargs["length"], b"")
 
 
+@pytest.mark.parametrize("opcode", [2, "x", []], ids=["2", "x", "list"])
+def test_action_rejects_an_opcode_that_is_not_a_member(opcode):
+    with pytest.raises(ValueError, match="not a valid Opcode"):
+        AlpAction(opcode, 0x41)
+    with pytest.raises(ValueError, match="not a valid Opcode"):
+        AlpAction.read(0x41, 0, 1)._replace(opcode=opcode)
+
+
+def test_action_takes_an_opcode_value_as_its_member():
+    action = AlpAction(0x01, 0x41, 0, 12)
+    assert action.opcode is Opcode.READ_FILE_DATA
+    assert repr(action) == ("AlpAction(opcode=<Opcode.READ_FILE_DATA: 1>,"
+                            " file_id=65, offset=0, length=12, payload=b'')")
+
+
 def test_command_must_have_actions():
     with pytest.raises(ValueError):
         AlpCommand(())

@@ -81,6 +81,37 @@ def test_gateway_forwards_bytes_untouched():
     assert type(seen[0][0]) is bytes
 
 
+def test_a_subscriber_added_after_a_topics_first_publish_gets_the_next():
+    bus = InProcessBus()
+    got = []
+    bus.subscribe("site/+/gw/+/up", lambda payload, env: got.append(("a", payload)))
+    bus.publish(b"1", envelope())
+    bus.subscribe("site/north/#", lambda payload, env: got.append(("b", payload)))
+    bus.publish(b"2", envelope())
+    assert got == [("a", b"1"), ("a", b"2"), ("b", b"2")]
+
+
+def test_a_subscriber_added_inside_a_callback_misses_the_message_in_flight():
+    bus = InProcessBus()
+    got = []
+
+    def first(payload, env):
+        got.append(("first", payload))
+        if payload == b"1":
+            bus.subscribe("site/#", lambda p, e: got.append(("late", p)))
+
+    bus.subscribe("site/+/gw/+/up", first)
+    bus.publish(b"1", envelope())
+    bus.publish(b"2", envelope())
+    assert got == [("first", b"1"), ("first", b"2"), ("late", b"2")]
+
+
+def test_an_envelope_without_a_dialog_answers_none():
+    env = Envelope(7, "gw-north", "north", 12.5)
+    assert env.dialog is None
+    assert env == (7, "gw-north", "north", 12.5, None)
+
+
 def test_a_second_subscriber_shares_the_backends_bus_in_a_run():
     config = default_scenario().with_duration(3600)
     sim = build_simulator(config)
@@ -195,6 +226,9 @@ def test_csv_sink_writes_header_and_rows(tmp_path):
         rows = list(csv.reader(handle))
     assert rows[0] == list(SINK_HEADER)
     assert rows[1] == ["1000", "north", "7", "E", "t_soil", "3.456", "°C"]
+    assert path.read_bytes() == (
+        "timestamp,site,node_uid,transect,channel,value,unit\r\n"
+        "1000,north,7,E,t_soil,3.456,°C\r\n").encode()
 
 
 def test_csv_sink_appends_without_second_header(tmp_path):

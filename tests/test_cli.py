@@ -1,6 +1,7 @@
 """Exit codes and printed output of the command-line tool."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -392,6 +393,24 @@ def test_sim_run_rejects_a_trace_file_it_cannot_load(capsys, tmp_path,
     assert "node 1 trace" in err
     assert "trace.csv" in err
     assert named in err
+
+
+def test_sim_run_into_a_used_directory_holds_only_the_new_runs_readings(
+        capsys, tmp_path):
+    scenario = one_node_scenario(tmp_path)
+    out_dir = tmp_path / "out"
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "sim-run", "--scenario", scenario,
+                               "--out", str(out_dir))
+        assert code == 0
+    printed = dict(line.split(": ", 1) for line in out.splitlines()
+                   if line.startswith(("sink rows: ", "log hash: ")))
+    with open(out_dir / "readings.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0][0] == "timestamp"
+    assert len(rows) == 1 + int(printed["sink rows"]) > 2
+    runlog = (out_dir / "runlog.txt").read_bytes()
+    assert printed["log hash"] == hashlib.sha256(runlog).hexdigest()
 
 
 def test_sim_run_prints_backend_counters(capsys, tmp_path):

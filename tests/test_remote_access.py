@@ -154,6 +154,20 @@ def test_timed_out_request_takes_its_timeout_in_simulated_time():
     assert queued == [0, 500]
 
 
+@pytest.mark.parametrize("timeout_s", [float("nan"), float("inf"), 0.0, -5.0])
+def test_a_bad_timeout_is_refused_before_anything_is_queued(timeout_s):
+    sim, backend, node = wire_up()
+    before = node.files.raw(NODE_CONFIG_FILE)
+    with pytest.raises(ValueError, match="timeout_s"):
+        backend.remote_write_file(42, NODE_CONFIG_FILE, 4, b"\x07\0\0\0",
+                                  timeout_s=timeout_s)
+    sim.run()
+    assert sim.runtime(42).downlinks_queued == 0
+    assert node.files.raw(NODE_CONFIG_FILE) == before
+    assert node.config.sampling_rate == 300
+    assert backend.late_answers == 0
+
+
 def test_the_network_rejects_a_uid_it_does_not_hold():
     sim, backend, node = wire_up()
     with pytest.raises(NodeUnknownError):
