@@ -172,9 +172,19 @@ class AlpCommand:
     actions: tuple[AlpAction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "actions", tuple(self.actions))
-        if not self.actions:
+        actions = tuple(self.actions)
+        if not actions:
             raise ValueError("a command holds at least one action")
+        for action in actions:
+            # the exact-class test costs no call on every frame;
+            # isinstance runs only for what is not exactly an AlpAction
+            if action.__class__ is not AlpAction and not isinstance(action, AlpAction):
+                if isinstance(self.actions, AlpAction):
+                    raise TypeError("a command takes a sequence of actions,"
+                                    " not one action")
+                raise TypeError("a command holds AlpActions, not"
+                                f" {type(action).__name__}")
+        object.__setattr__(self, "actions", actions)
 
     def __iter__(self):
         return iter(self.actions)

@@ -25,8 +25,9 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
+from .alp import ACTION_HEADER_SIZE
 from .node import SensorKind, SensorNode, UplinkKind
 
 MS_PER_S = 1000
@@ -51,6 +52,13 @@ class PayloadTooLargeError(SimulationError):
 
 
 ENERGY_ROW_KIND = "EnergyCharge"
+
+#: run-log rows rendered into one chunk of text
+_CHUNK_ROWS = 4096
+
+#: a status frame, one action header and its status byte: the only
+#: frame a node sends whatever the link's ``max_payload``
+_STATUS_FRAME_BYTES = ACTION_HEADER_SIZE + 1
 
 
 @dataclass(frozen=True)
@@ -166,29 +174,45 @@ class RunLog:
 
     Rows serialize as ``time_ms,event_kind,node_uid,detail`` lines
     followed by a ``# summary`` block; the stable hash is the SHA-256
-    of that text.
+    of that text.  The text is produced in chunks of at most
+    ``_CHUNK_ROWS`` rows, so writing and hashing a long log never hold
+    more than one chunk of it at a time.
     """
 
     def __init__(self, rows: list[tuple[int, str, int, str]], summary: dict):
         self.rows = rows
         self.summary = summary
 
+    def _chunks(self) -> Iterator[str]:
+        """The log text, a bounded number of rows at a time, then the
+        summary block; every line ends in a newline."""
+        rows = self.rows
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            yield "".join([f"{at},{kind},{uid},{detail}\n" for at, kind, uid, detail
+                           in rows[start:start + _CHUNK_ROWS]])
+        yield "# summary\n" + "".join(
+            [f"# {key}={value}\n" for key, value in self.summary.items()])
+
+    def _digest(self, handle=None) -> str:
+        """SHA-256 of the UTF-8 log text, copied to ``handle`` if given."""
+        digest = hashlib.sha256()
+        for chunk in self._chunks():
+            data = chunk.encode()
+            digest.update(data)
+            if handle is not None:
+                handle.write(data)
+        return digest.hexdigest()
+
     def to_text(self) -> str:
-        lines = [f"{at},{kind},{uid},{detail}" for at, kind, uid, detail in self.rows]
-        lines.append("# summary")
-        lines.extend(f"# {key}={value}" for key, value in self.summary.items())
-        lines.append("")
-        return "\n".join(lines)
+        return "".join(self._chunks())
 
     def stable_hash(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()
+        return self._digest()
 
     def write(self, path) -> str:
         """Write the log text; return its stable hash, of the same bytes."""
-        data = self.to_text().encode()
         with open(path, "wb") as handle:
-            handle.write(data)
-        return hashlib.sha256(data).hexdigest()
+            return self._digest(handle)
 
     def count(self, kind: str, uid: int | None = None,
               detail_prefix: str = "") -> int:
@@ -229,6 +253,10 @@ class Simulator:
         self._seq = 0
         self._ticket_seq = 0
         self._rows: list[tuple[int, str, int, str]] = []
+        #: one shared detail string per distinct uplink row, so a long
+        #: log holds a handful of them, not one per row
+        self._tx_details: dict[tuple[bool, int, str], str] = {}
+        self._arrival_details: dict[int, str] = {}
         self._started = False
         self._finished = False
 
@@ -243,10 +271,15 @@ class Simulator:
 
     def add_node(self, site_id: str, node: SensorNode) -> NodeRuntime:
         """Place a node at a site; the site's link sets the largest frame
-        the node may send."""
+        the node may send.  The node caps every frame at that size but a
+        status, so the link must carry a status frame."""
         if self._started:
             raise SimulationError("cannot add nodes after start")
         link = self.sites[site_id]
+        if link.max_payload < _STATUS_FRAME_BYTES:
+            raise ValueError(
+                f"site {site_id!r} max_payload {link.max_payload} is below"
+                f" the {_STATUS_FRAME_BYTES}-byte status frame")
         if node.uid in self._by_uid:
             raise ValueError(f"duplicate node uid {node.uid}")
         node.max_uplink_bytes = link.max_payload
@@ -361,17 +394,18 @@ class Simulator:
     def _deliver(self, rt: NodeRuntime, at: int, payload: bytes,
                  kind: str, dialog: int | None) -> bool:
         link = rt.link
-        if len(payload) > link.max_payload:
-            raise PayloadTooLargeError(len(payload), link.max_payload)
         rt.uplinks_attempted += 1
-        if rt.rng.random() < link.loss_probability:
+        dropped = rt.rng.random() < link.loss_probability
+        key = (dropped, len(payload), kind)
+        details = self._tx_details
+        if key not in details:
+            outcome = "dropped" if dropped else "delivered"
+            details[key] = f"{outcome} len={len(payload)} kind={kind}"
+        self._log(at, "UplinkTx", rt.node.uid, details[key])
+        if dropped:
             rt.uplinks_dropped += 1
-            self._log(at, "UplinkTx", rt.node.uid,
-                      f"dropped len={len(payload)} kind={kind}")
             return False
         rt.uplinks_delivered += 1
-        self._log(at, "UplinkTx", rt.node.uid,
-                  f"delivered len={len(payload)} kind={kind}")
         self._push(at + link.latency_ms, self._handle_uplink_arrival, rt,
                    (payload, dialog))
         return True
@@ -379,7 +413,11 @@ class Simulator:
     def _handle_uplink_arrival(self, rt: NodeRuntime, at: int,
                                arrival: tuple[bytes, int | None]) -> None:
         payload, dialog = arrival
-        self._log(at, "UplinkArrival", rt.node.uid, f"len={len(payload)}")
+        size = len(payload)
+        details = self._arrival_details
+        if size not in details:
+            details[size] = f"len={size}"
+        self._log(at, "UplinkArrival", rt.node.uid, details[size])
         if self.forwarder is not None:
             self.forwarder(payload, Envelope(rt.node.uid, f"gw-{rt.site_id}",
                                              rt.site_id, at / MS_PER_S, dialog))
@@ -479,8 +517,10 @@ class Simulator:
         now_s = at / MS_PER_S
         while node.outbox:
             for uplink in node.drain_outbox():
+                # the member's stored value, without the ``value``
+                # property's two Python calls per uplink
                 delivered = self._deliver(
-                    rt, at, uplink.payload, uplink.kind.value,
+                    rt, at, uplink.payload, uplink.kind._value_,
                     dialog if uplink.kind in _ANSWER_KINDS else None)
                 node.on_uplink_result(uplink, delivered, now_s)
                 node.notify_activity(now_s)

@@ -158,6 +158,18 @@ def test_command_must_have_actions():
         AlpCommand(())
 
 
+@pytest.mark.parametrize("actions", [
+    AlpAction.read(0x41, 0, 1),
+    (AlpAction.read(0x41, 0, 1), 3),
+    (tuple(AlpAction.read(0x41, 0, 1)),),
+], ids=["bare-action", "int", "plain-tuple"])
+def test_command_holds_only_actions(actions):
+    """A bare action is a tuple of its fields; it must not pass as a
+    command of five "actions" and fail later in the encoder."""
+    with pytest.raises(TypeError):
+        AlpCommand(actions)
+
+
 u8 = st.integers(0, 0xFF)
 u32 = st.integers(0, 0xFFFFFFFF)
 

@@ -25,7 +25,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 HOURS = 6
 
 #: ceilings, 5 % above the counts this code base makes
-MAX_SIM_CALLS_PER_SAMPLE = 72.9 * 1.05
+MAX_SIM_CALLS_PER_SAMPLE = 69.7 * 1.05
 MAX_BACKEND_CALLS_PER_ARRIVAL = 35.2 * 1.05
 
 

@@ -1,12 +1,16 @@
 """Event queue semantics: determinism, links, windows, watchdog, energy."""
 
+import hashlib
+
 import pytest
 
 from geowsn.alp import AlpAction, AlpCommand, NODE_CONFIG_FILE, encode_command
 from geowsn.netsim import (
+    _CHUNK_ROWS,
     LinkModel,
     PayloadTooLargeError,
     PowerProfile,
+    RunLog,
     SimulationError,
     Simulator,
     node_stream_seed,
@@ -18,6 +22,7 @@ from geowsn.node import (
     SensorNode,
     SignalDriver,
 )
+from geowsn.scenario import build_simulator, default_scenario
 
 
 def soil_node(uid: int = 1, rate_s: int = 60, **kwargs) -> SensorNode:
@@ -142,6 +147,21 @@ def test_downlink_expires_after_ttl_on_dead_link():
     assert retries == 59  # one offer per window from 1 s through 59 s
     assert log.summary["downlinks_expired"] == 1
     assert log.summary["downlinks_delivered"] == 0
+
+
+def test_a_link_must_carry_a_status_frame():
+    """A node caps every frame at its link's size but a status frame
+    (a 10-byte action header and the status byte), so a smaller link is
+    refused when the node is placed, not when the status is sent."""
+    sim = Simulator(seed=1, duration_s=600)
+    sim.add_site("tiny", LinkModel(max_payload=10))
+    with pytest.raises(ValueError, match="status frame"):
+        sim.add_node("tiny", soil_node())
+    sim.add_site("north", LinkModel(max_payload=11))
+    sim.add_node("north", soil_node())
+    log = sim.run()
+    sent = {detail for _, kind, _, detail in log.rows if kind == "UplinkTx"}
+    assert sent == {"delivered len=11 kind=status"}  # the reading did not fit
 
 
 def test_downlink_payload_cap_enforced():
@@ -308,6 +328,42 @@ def test_log_text_shape():
     assert all(type(at) is int for at, _, _, _ in log.rows)
     assert first_fields[1] in {"SampleTimer", "UplinkTx", "UplinkArrival"}
     assert len(log.stable_hash()) == 64
+
+
+def reference_text(log: RunLog) -> str:
+    """The log text built in one piece, as the format defines it."""
+    lines = [f"{at},{kind},{uid},{detail}" for at, kind, uid, detail in log.rows]
+    lines.append("# summary")
+    lines.extend(f"# {key}={value}" for key, value in log.summary.items())
+    lines.append("")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("n_rows, n_chunks", [
+    (0, 1),
+    (1, 2),
+    (_CHUNK_ROWS, 2),
+    (3 * _CHUNK_ROWS + 7, 5),
+], ids=["empty", "one-row", "one-chunk", "chunks-and-a-part"])
+def test_text_hash_and_file_come_from_one_rendering(tmp_path, n_rows, n_chunks):
+    rows = [(i * 10, "UplinkTx", i % 7, f"delivered len={i % 50} kind=reading")
+            for i in range(n_rows)]
+    log = RunLog(rows, {"seed": 3, "node.1.charge_c": "0.5"})
+    assert len(list(log._chunks())) == n_chunks  # the summary is the last
+    text = log.to_text()
+    assert text == reference_text(log)
+    digest = log.write(tmp_path / "runlog.txt")
+    data = (tmp_path / "runlog.txt").read_bytes()
+    assert data == text.encode()
+    assert digest == hashlib.sha256(data).hexdigest() == log.stable_hash()
+
+
+def test_uplink_rows_share_one_detail_string_per_text():
+    log = build_simulator(default_scenario().with_duration(6 * 3600)).run()
+    details = [detail for _, kind, _, detail in log.rows
+               if kind in ("UplinkTx", "UplinkArrival")]
+    assert len(details) > 4000
+    assert len({id(detail) for detail in details}) == len(set(details)) < 20
 
 
 def test_invalid_link_parameters_rejected():
