@@ -9,7 +9,6 @@ through building frames by hand and watching them come back out.
 
 from geowsn.alp import (
     AlpAction,
-    AlpCommand,
     DecodeError,
     FileHeader,
     FileStore,
@@ -20,12 +19,12 @@ from geowsn.alp import (
 )
 
 # Ask for the whole 12-byte configuration file.
-read_all = AlpCommand((AlpAction.read(NODE_CONFIG_FILE, 0, 12),))
+read_all = (AlpAction.read(NODE_CONFIG_FILE, 0, 12),)
 wire = encode_command(read_all)
 print("read request on the wire:", wire.hex())
 
 # Flip the action byte (offset 3) to 0xAA, the "measure now" trigger.
-poke = AlpCommand((AlpAction.write(NODE_CONFIG_FILE, 3, b"\xAA"),))
+poke = (AlpAction.write(NODE_CONFIG_FILE, 3, b"\xAA"),)
 print("write request on the wire:", encode_command(poke).hex())
 
 # Frames decode back to the exact same value they were built from.
@@ -33,10 +32,10 @@ again = decode_command(wire)
 print("roundtrips cleanly:", again == read_all)
 
 # A command can carry several actions; they execute in order.
-batch = AlpCommand((
+batch = (
     AlpAction.write(NODE_CONFIG_FILE, 4, (30).to_bytes(4, "little")),
     AlpAction.read(SENSOR_DATA_FILE, 0, 10),
-))
+)
 print("two actions, one frame:", encode_command(batch).hex())
 
 # Truncated or garbled input names the byte where parsing stopped.

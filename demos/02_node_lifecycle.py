@@ -9,7 +9,6 @@ behavior is easy to poke at.
 
 from geowsn.alp import (
     AlpAction,
-    AlpCommand,
     NODE_CONFIG_FILE,
     SENSOR_DATA_FILE,
     decode_command,
@@ -43,15 +42,15 @@ print("booted, first sample due at", node.next_sample_at, "s")
 # data file and queues it for uplink.
 node.on_sample_timer(60.0)
 uplink = node.drain_outbox()[0]
-action = decode_command(uplink.payload).actions[0]
+action = decode_command(uplink.payload)[0]
 reading = SensorReading.from_bytes(action.payload)
 print("first reading:", reading.channel_values())
 
 # Configuration is just a remote file write.  Byte 3 set to 0xAA means
 # measure and transmit right now; the node also acknowledges the write.
-poke = encode_command(AlpCommand((
+poke = encode_command((
     AlpAction.write(NODE_CONFIG_FILE, 3, b"\xAA"),
-)))
+))
 node.on_downlink(poke, 65.0)
 frames = node.drain_outbox()
 print("frames after the poke:", [f.kind.value for f in frames])

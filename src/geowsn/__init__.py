@@ -6,7 +6,6 @@ from .alp import (
     NODE_CONFIG_FILE,
     SENSOR_DATA_FILE,
     AlpAction,
-    AlpCommand,
     FileHeader,
     FileStore,
     Opcode,
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlpAction",
-    "AlpCommand",
     "Backend",
     "CsvSink",
     "Envelope",

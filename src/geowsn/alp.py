@@ -156,41 +156,12 @@ class AlpAction(_ActionFields):
         return cls(Opcode.RETURN_FILE_DATA, file_id, offset, len(payload), bytes(payload))
 
     @classmethod
-    def status(cls, code: int, file_id: int = 0, offset: int = 0,
-               length: int = 0) -> "AlpAction":
+    def status(cls, code: int, file_id: int, offset: int, length: int) -> "AlpAction":
         """Build a status action echoing the request it answers."""
         return cls(Opcode.STATUS, file_id, offset, length, bytes([code]))
 
 
 AlpAction._make = classmethod(lambda cls, fields: cls(*fields))
-
-
-@dataclass(frozen=True)
-class AlpCommand:
-    """A non-empty sequence of actions executed in order."""
-
-    actions: tuple[AlpAction, ...]
-
-    def __post_init__(self) -> None:
-        actions = tuple(self.actions)
-        if not actions:
-            raise ValueError("a command holds at least one action")
-        for action in actions:
-            # the exact-class test costs no call on every frame;
-            # isinstance runs only for what is not exactly an AlpAction
-            if action.__class__ is not AlpAction and not isinstance(action, AlpAction):
-                if isinstance(self.actions, AlpAction):
-                    raise TypeError("a command takes a sequence of actions,"
-                                    " not one action")
-                raise TypeError("a command holds AlpActions, not"
-                                f" {type(action).__name__}")
-        object.__setattr__(self, "actions", actions)
-
-    def __iter__(self):
-        return iter(self.actions)
-
-    def __len__(self) -> int:
-        return len(self.actions)
 
 
 def encode_action(action: AlpAction) -> bytes:
@@ -200,8 +171,21 @@ def encode_action(action: AlpAction) -> bytes:
     return header + action.payload
 
 
-def encode_command(command: AlpCommand) -> bytes:
-    return b"".join([encode_action(action) for action in command.actions])
+def encode_command(actions: tuple[AlpAction, ...]) -> bytes:
+    """Encode a command: a non-empty run of actions, executed in order."""
+    command = tuple(actions)
+    if not command:
+        raise ValueError("a command holds at least one action")
+    for action in command:
+        # the exact-class test costs no call on every frame;
+        # isinstance runs only for what is not exactly an AlpAction
+        if action.__class__ is not AlpAction and not isinstance(action, AlpAction):
+            if isinstance(actions, AlpAction):
+                raise TypeError("a command takes a sequence of actions,"
+                                " not one action")
+            raise TypeError("a command holds AlpActions, not"
+                            f" {type(action).__name__}")
+    return b"".join([encode_action(action) for action in command])
 
 
 def _decode_action(data: bytes, pos: int) -> tuple[AlpAction, int]:
@@ -227,8 +211,8 @@ def _decode_action(data: bytes, pos: int) -> tuple[AlpAction, int]:
     return AlpAction(opcode, file_id, offset, length, payload), pos
 
 
-def decode_command(data: bytes) -> AlpCommand:
-    """Decode a byte string into a command, consuming all input.
+def decode_command(data: bytes) -> tuple[AlpAction, ...]:
+    """Decode a byte string into its actions, consuming all input.
 
     Raises :class:`TruncatedInputError` or :class:`UnknownOpcodeError`
     with the byte offset of the failure.
@@ -240,7 +224,7 @@ def decode_command(data: bytes) -> AlpCommand:
     while pos < len(data):
         action, pos = _decode_action(data, pos)
         actions.append(action)
-    return AlpCommand(tuple(actions))
+    return tuple(actions)
 
 
 @dataclass(frozen=True)

@@ -20,19 +20,18 @@ import csv
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Protocol
+from typing import NamedTuple
 
 from .alp import (
     SENSOR_DATA_FILE,
     AlpAction,
-    AlpCommand,
     DecodeError,
     Opcode,
     decode_command,
     encode_command,
 )
 from .netsim import (MS_PER_S, Envelope, Forwarder, NoSuchNodeError,
-                     PayloadTooLargeError)
+                     PayloadTooLargeError, Simulator)
 from .node import SensorReading
 
 
@@ -71,14 +70,6 @@ def topic_matches(pattern: str, topic: str) -> bool:
         if part != "+" and part != topic_parts[i]:
             return False
     return len(pattern_parts) == len(topic_parts)
-
-
-class BusClient(Protocol):
-    """What the backend requires of a broker client."""
-
-    def publish(self, payload: bytes, envelope: Envelope) -> None: ...
-
-    def subscribe(self, pattern: str, callback: Forwarder) -> None: ...
 
 
 class InProcessBus:
@@ -165,29 +156,15 @@ class _PendingRequest:
     result: object = None
 
 
-class SimTransport(Protocol):
-    """What the backend needs from an attached network to drive remote
-    operations to completion."""
-
-    now_ms: int
-    forwarder: Forwarder | None
-
-    def queue_downlink(self, node_uid: int, payload: bytes, ttl_s: float = ...,
-                       dialog: int | None = None): ...
-
-    def run_until(self, predicate, deadline_ms: int | None = None) -> bool: ...
-
-
 class Backend:
     """Application layer: decodes uplinks, answers nothing it cannot
     parse silently, and drives remote file access.  ``directory`` maps
     a uid to its transect for the sink; the site comes from the
     forwarding gateway, and which nodes exist from the attached network."""
 
-    def __init__(self, bus: BusClient | None = None,
-                 directory: dict[int, str] | None = None,
+    def __init__(self, directory: dict[int, str] | None = None,
                  sink: CsvSink | None = None):
-        self.bus = bus if bus is not None else InProcessBus()
+        self.bus = InProcessBus()
         self.directory = dict(directory or {})
         self.sink = sink if sink is not None else CsvSink()
         self.status_log: list[tuple[Envelope, AlpAction]] = []
@@ -196,12 +173,12 @@ class Backend:
         self.ingested = 0
         self._dialogs = itertools.count(1)
         self._pending: dict[int, _PendingRequest] = {}
-        self._transport: SimTransport | None = None
+        self._transport: Simulator | None = None
         self.bus.subscribe("site/+/gw/+/up", self.ingest)
 
     # -- wiring ---------------------------------------------------------
 
-    def attach_transport(self, sim: SimTransport) -> None:
+    def attach_transport(self, sim: Simulator) -> None:
         """Wire a simulated network to the backend: its gateways publish
         uplinks on the bus, and remote commands are queued at the
         target node's gateway.  The network alone says which nodes
@@ -222,14 +199,14 @@ class Backend:
         """
         self.ingested += 1
         try:
-            command = decode_command(payload)
+            actions = decode_command(payload)
         except DecodeError as exc:
             self.quarantine.append(QuarantineEntry(envelope, payload, str(exc)))
             return
         dialog = envelope.dialog
         if dialog is not None and dialog not in self._pending:
             self.late_answers += 1  # its request timed out or is answered
-        for action in command.actions:
+        for action in actions:
             if action.opcode is Opcode.STATUS:
                 self.status_log.append((envelope, action))
             if dialog is not None:
@@ -301,8 +278,7 @@ class Backend:
             raise BackendError("remote file access needs an attached transport")
         dialog = next(self._dialogs)
         try:
-            transport.queue_downlink(node_uid,
-                                     encode_command(AlpCommand((action,))),
+            transport.queue_downlink(node_uid, encode_command((action,)),
                                      dialog=dialog)
         except NoSuchNodeError:
             raise NodeUnknownError(node_uid) from None

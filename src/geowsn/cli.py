@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import energy, feasibility
-from .alp import AlpAction, AlpCommand, DecodeError, Opcode, decode_command, encode_command
+from .alp import AlpAction, DecodeError, Opcode, decode_command, encode_command
 from .backend import Backend, CsvSink
 from .scenario import (
     InvalidScenarioError,
@@ -108,8 +108,7 @@ def _cmd_proto_encode(args) -> int:
     if not args.actions:
         return _fail("no actions given (see --describe)")
     try:
-        actions = tuple(_parse_action_spec(spec) for spec in args.actions)
-        data = encode_command(AlpCommand(actions))
+        data = encode_command(_parse_action_spec(spec) for spec in args.actions)
     except ValueError as exc:
         return _fail(str(exc))
     print(data.hex().upper())
@@ -128,10 +127,10 @@ def _cmd_proto_decode(args) -> int:
     except ValueError:
         return _fail("input is not valid hex")
     try:
-        command = decode_command(data)
+        actions = decode_command(data)
     except DecodeError as exc:
         return _fail(str(exc))
-    for action in command:
+    for action in actions:
         print(_describe_action(action))
     return 0
 

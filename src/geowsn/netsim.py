@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
 from .alp import ACTION_HEADER_SIZE
-from .node import SensorKind, SensorNode, UplinkKind
+from .node import WATCHDOG_PERIOD_S, SensorKind, SensorNode, UplinkKind
 
 MS_PER_S = 1000
 
@@ -140,6 +140,8 @@ _ANSWER_KINDS = (UplinkKind.RESPONSE, UplinkKind.STATUS)
 class NodeRuntime:
     node: SensorNode
     site_id: str
+    #: the id its site's gateway stamps on every envelope
+    gateway_id: str
     link: LinkModel
     rng: random.Random
     pending: deque[DownlinkTicket] = field(default_factory=deque)
@@ -286,6 +288,7 @@ class Simulator:
         runtime = NodeRuntime(
             node,
             site_id,
+            f"gw-{site_id}",
             link,
             random.Random(node_stream_seed(self.seed, site_id, node.uid)),
         )
@@ -419,7 +422,7 @@ class Simulator:
             details[size] = f"len={size}"
         self._log(at, "UplinkArrival", rt.node.uid, details[size])
         if self.forwarder is not None:
-            self.forwarder(payload, Envelope(rt.node.uid, f"gw-{rt.site_id}",
+            self.forwarder(payload, Envelope(rt.node.uid, rt.gateway_id,
                                              rt.site_id, at / MS_PER_S, dialog))
 
     def queue_downlink(self, node_uid: int, payload: bytes,
@@ -498,7 +501,7 @@ class Simulator:
             rt.open_hang_ms = at
             # the first periodic pet at or after the hang comes too late
             # and finds it hung; the reset waits for the frozen deadline
-            period = round(node.watchdog_period_s * MS_PER_S)
+            period = round(WATCHDOG_PERIOD_S * MS_PER_S)
             pet_ms = at + (rt.anchor_ms - at) % period
             deadline_ms = max(round(node.watchdog_deadline * MS_PER_S), pet_ms)
             self._push(deadline_ms, self._handle_watchdog_check, rt)
@@ -523,7 +526,6 @@ class Simulator:
                     rt, at, uplink.payload, uplink.kind._value_,
                     dialog if uplink.kind in _ANSWER_KINDS else None)
                 node.on_uplink_result(uplink, delivered, now_s)
-                node.notify_activity(now_s)
         want = round(node.next_sample_at * MS_PER_S)
         if want != rt.timer_event_ms and want > at and not node.hung:
             self._push(want, self._handle_sample_timer, rt)

@@ -36,7 +36,6 @@ from .alp import (
     STATUS_RESERVED_ACTION_CODE,
     STATUS_UNKNOWN_SENSOR_TYPE,
     AlpAction,
-    AlpCommand,
     DecodeError,
     FileAccessError,
     FileHeader,
@@ -376,21 +375,16 @@ class SensorNode:
         config: NodeConfig,
         drivers: dict[int, SensorDriver],
         *,
-        flash_capacity: int = FLASH_CAPACITY_RECORDS,
-        flush_batch: int = FLUSH_BATCH_RECORDS,
-        watchdog_period_s: float = WATCHDOG_PERIOD_S,
         max_uplink_bytes: int = 256,
     ):
         if config.sampling_rate < 1:
             raise ConfigError("sampling_rate must be at least 1 s")
         self.uid = uid
         self.drivers = dict(drivers)
-        self.flush_batch = flush_batch
-        self.watchdog_period_s = watchdog_period_s
         # a simulator sets this to the link limit of the node's site
         self.max_uplink_bytes = max_uplink_bytes
         self.files = FileStore()
-        self.buffer = FlashBuffer(flash_capacity)
+        self.buffer = FlashBuffer()
         self.outbox: deque[Uplink] = deque()
         self.counters = NodeCounters()
         self.hung = False
@@ -425,7 +419,7 @@ class SensorNode:
             self._rtc_set_at = now_s
         self._reload()
         self.next_sample_at = now_s + self.effective_rate
-        self.watchdog_deadline = now_s + self.watchdog_period_s
+        self.watchdog_deadline = now_s + WATCHDOG_PERIOD_S
 
     def reset(self, now_s: float) -> None:
         """Watchdog reset: volatile files zeroed, config and flash kept."""
@@ -436,7 +430,7 @@ class SensorNode:
         self._config = NodeConfig.from_bytes(self.files.raw(NODE_CONFIG_FILE))
         self._reload()
         self.next_sample_at = now_s + self.effective_rate
-        self.watchdog_deadline = now_s + self.watchdog_period_s
+        self.watchdog_deadline = now_s + WATCHDOG_PERIOD_S
         self.counters.resets += 1
 
     def inject_hang(self) -> None:
@@ -446,7 +440,7 @@ class SensorNode:
     def notify_activity(self, now_s: float) -> None:
         """Healthy activity pets the watchdog."""
         if not self.hung:
-            self.watchdog_deadline = now_s + self.watchdog_period_s
+            self.watchdog_deadline = now_s + WATCHDOG_PERIOD_S
 
     # -- properties --------------------------------------------------
 
@@ -479,12 +473,12 @@ class SensorNode:
         self._now = now_s
         self.notify_activity(now_s)
         try:
-            command = decode_command(data)
+            actions = decode_command(data)
         except DecodeError:
             self.counters.command_errors += 1
             self._queue_status(STATUS_MALFORMED_COMMAND)
             return
-        for action in command.actions:
+        for action in actions:
             self._execute(action)
 
     def on_uplink_result(self, uplink: Uplink, delivered: bool, now_s: float) -> None:
@@ -528,7 +522,7 @@ class SensorNode:
             if file_id == SENSOR_DATA_FILE:
                 self._sample_and_store(self._now)
             self._queue_uplink(
-                [AlpAction.return_data(file_id, offset, data)],
+                (AlpAction.return_data(file_id, offset, data),),
                 kind=UplinkKind.RESPONSE,
             )
         elif action.opcode is Opcode.WRITE_FILE_DATA:
@@ -542,7 +536,7 @@ class SensorNode:
             elif file_id == SENSOR_DATA_FILE:
                 # a remote write to the data file goes straight back out
                 self._queue_uplink(
-                    [AlpAction.return_data(file_id, offset, action.payload)],
+                    (AlpAction.return_data(file_id, offset, action.payload),),
                     kind=UplinkKind.RESPONSE,
                 )
             self._queue_status(STATUS_OK, action)
@@ -605,7 +599,7 @@ class SensorNode:
             return
         self.files.write(SENSOR_DATA_FILE, 0, record)
         self._queue_uplink(
-            [AlpAction.return_data(SENSOR_DATA_FILE, 0, record)],
+            (AlpAction.return_data(SENSOR_DATA_FILE, 0, record),),
             records=(record,),
             kind=UplinkKind.READING,
         )
@@ -613,11 +607,11 @@ class SensorNode:
 
     def _queue_uplink(
         self,
-        actions: list[AlpAction],
+        actions: tuple[AlpAction, ...],
         records: tuple[bytes, ...] = (),
         kind: UplinkKind = UplinkKind.STATUS,
     ) -> None:
-        payload = encode_command(AlpCommand(tuple(actions)))
+        payload = encode_command(actions)
         uplink = Uplink(payload, records, kind)
         if len(payload) > self.max_uplink_bytes and kind is not UplinkKind.STATUS:
             # the link cannot carry the frame: it counts as undelivered,
@@ -633,11 +627,11 @@ class SensorNode:
         else:
             action = AlpAction.status(code, NODE_CONFIG_FILE, 0, 0)
         self.counters.status_uplinks += 1
-        self._queue_uplink([action])
+        self._queue_uplink((action,))
 
     def _queue_flush(self) -> None:
         """Spool buffered records uplink, oldest first, one frame."""
-        candidates = self.buffer.peek(self.flush_batch)
+        candidates = self.buffer.peek(FLUSH_BATCH_RECORDS)
         actions: list[AlpAction] = []
         records: list[bytes] = []
         size = 0
@@ -650,4 +644,4 @@ class SensorNode:
             records.append(record)
             size += frame
         if actions:
-            self._queue_uplink(actions, tuple(records), UplinkKind.FLUSH)
+            self._queue_uplink(tuple(actions), tuple(records), UplinkKind.FLUSH)

@@ -16,7 +16,6 @@ import pytest
 
 from geowsn.alp import (
     AlpAction,
-    AlpCommand,
     FileHeader,
     FileStore,
     NODE_CONFIG_FILE,
@@ -184,8 +183,7 @@ def test_criterion_6_protocol_properties():
                                 rng.randrange(1 << 32))
 
     for _ in range(10_000):
-        command = AlpCommand(tuple(
-            random_action() for _ in range(rng.randrange(1, 4))))
+        command = tuple(random_action() for _ in range(rng.randrange(1, 4)))
         wire = encode_command(command)
         decoded = decode_command(wire)
         assert decoded == command

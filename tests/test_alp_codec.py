@@ -6,7 +6,6 @@ import hypothesis.strategies as st
 
 from geowsn.alp import (
     AlpAction,
-    AlpCommand,
     DecodeError,
     Opcode,
     TruncatedInputError,
@@ -48,7 +47,7 @@ def test_status_carries_exactly_one_payload_byte():
 def test_decode_read_example():
     command = decode_command(READ_CONFIG_WIRE)
     assert len(command) == 1
-    action = command.actions[0]
+    action = command[0]
     assert action.opcode is Opcode.READ_FILE_DATA
     assert action.file_id == 0x41
     assert action.offset == 0
@@ -57,7 +56,7 @@ def test_decode_read_example():
 
 
 def test_decode_write_example():
-    action = decode_command(WRITE_ACTION_WIRE).actions[0]
+    action = decode_command(WRITE_ACTION_WIRE)[0]
     assert action.opcode is Opcode.WRITE_FILE_DATA
     assert (action.file_id, action.offset, action.length) == (0x41, 3, 1)
     assert action.payload == b"\xAA"
@@ -154,20 +153,20 @@ def test_action_takes_an_opcode_value_as_its_member():
 
 
 def test_command_must_have_actions():
-    with pytest.raises(ValueError):
-        AlpCommand(())
+    with pytest.raises(ValueError, match="at least one action"):
+        encode_command(())
 
 
-@pytest.mark.parametrize("actions", [
-    AlpAction.read(0x41, 0, 1),
-    (AlpAction.read(0x41, 0, 1), 3),
-    (tuple(AlpAction.read(0x41, 0, 1)),),
+@pytest.mark.parametrize("actions, message", [
+    (AlpAction.read(0x41, 0, 1), "not one action"),
+    ((AlpAction.read(0x41, 0, 1), 3), "not int"),
+    ((tuple(AlpAction.read(0x41, 0, 1)),), "not tuple"),
 ], ids=["bare-action", "int", "plain-tuple"])
-def test_command_holds_only_actions(actions):
-    """A bare action is a tuple of its fields; it must not pass as a
-    command of five "actions" and fail later in the encoder."""
-    with pytest.raises(TypeError):
-        AlpCommand(actions)
+def test_command_holds_only_actions(actions, message):
+    """A bare action is a tuple of its fields; it must not encode as a
+    command of five "actions"."""
+    with pytest.raises(TypeError, match=message):
+        encode_command(actions)
 
 
 u8 = st.integers(0, 0xFF)
@@ -183,7 +182,7 @@ status_actions = st.builds(AlpAction.status, u8, u8, u32, u32)
 commands = st.lists(
     st.one_of(read_actions, write_actions, return_actions, status_actions),
     min_size=1, max_size=4,
-).map(lambda actions: AlpCommand(tuple(actions)))
+).map(tuple)
 
 
 @given(commands)
@@ -191,7 +190,7 @@ def test_command_roundtrip_is_bit_exact(command):
     wire = encode_command(command)
     decoded = decode_command(wire)
     assert decoded == command
-    assert encode_command(decoded) == wire
+    assert encode_command(decoded) == encode_command(iter(command)) == wire
 
 
 @given(st.binary(max_size=128))

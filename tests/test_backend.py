@@ -7,7 +7,6 @@ import pytest
 from geowsn.alp import (
     NODE_CONFIG_FILE,
     AlpAction,
-    AlpCommand,
     SENSOR_DATA_FILE,
     STATUS_OK,
     encode_command,
@@ -30,8 +29,8 @@ def reading_frame(timestamp: int = 1000,
                   kind: SensorKind = SensorKind.SOIL_TEMPERATURE,
                   values=(3456,)) -> bytes:
     record = SensorReading(timestamp, kind, tuple(values)).to_bytes()
-    return encode_command(AlpCommand((
-        AlpAction.return_data(SENSOR_DATA_FILE, 0, record),)))
+    return encode_command((
+        AlpAction.return_data(SENSOR_DATA_FILE, 0, record),))
 
 
 def envelope(uid: int = 7, dialog: int | None = None) -> Envelope:
@@ -176,8 +175,8 @@ def test_ingest_quarantines_undecodable_payload():
 
 def test_ingest_quarantines_misshapen_reading():
     # a data-file return whose payload is not a reading record
-    frame = encode_command(AlpCommand((
-        AlpAction.return_data(SENSOR_DATA_FILE, 0, b"\x01\x02\x03"),)))
+    frame = encode_command((
+        AlpAction.return_data(SENSOR_DATA_FILE, 0, b"\x01\x02\x03"),))
     backend = Backend()
     backend.ingest(frame, envelope())
     assert backend.sink.records == []
@@ -185,8 +184,7 @@ def test_ingest_quarantines_misshapen_reading():
 
 
 def test_ingest_quarantines_unexpected_opcode():
-    frame = encode_command(AlpCommand((
-        AlpAction.read(SENSOR_DATA_FILE, 0, 4),)))
+    frame = encode_command((AlpAction.read(SENSOR_DATA_FILE, 0, 4),))
     backend = Backend()
     backend.ingest(frame, envelope())
     assert len(backend.quarantine) == 1
@@ -194,8 +192,7 @@ def test_ingest_quarantines_unexpected_opcode():
 
 
 def test_ingest_logs_status_actions():
-    frame = encode_command(AlpCommand((
-        AlpAction.status(STATUS_OK, 0x41, 3, 1),)))
+    frame = encode_command((AlpAction.status(STATUS_OK, 0x41, 3, 1),))
     backend = Backend()
     backend.ingest(frame, envelope())
     assert backend.sink.records == []
@@ -208,9 +205,8 @@ def test_ingest_logs_status_actions():
 def test_ingest_handles_multi_record_flush_frame():
     records = [SensorReading(t, SensorKind.SOIL_TEMPERATURE, (t,)).to_bytes()
                for t in (100, 200, 300)]
-    frame = encode_command(AlpCommand(tuple(
-        AlpAction.return_data(SENSOR_DATA_FILE, 0, record)
-        for record in records)))
+    frame = encode_command(AlpAction.return_data(SENSOR_DATA_FILE, 0, record)
+                           for record in records)
     backend = Backend()
     backend.ingest(frame, envelope())
     assert [r.timestamp for r in backend.sink.records] == [100, 200, 300]
@@ -255,8 +251,8 @@ def test_csv_sink_keeps_memory_copy_without_path():
 
 
 def test_ingest_quarantines_file_data_no_request_asked_for():
-    frame = encode_command(AlpCommand((
-        AlpAction.return_data(NODE_CONFIG_FILE, 0, bytes(12)),)))
+    frame = encode_command((
+        AlpAction.return_data(NODE_CONFIG_FILE, 0, bytes(12)),))
     backend = Backend()
     backend.ingest(frame, envelope())
     assert len(backend.quarantine) == 1

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from geowsn.alp import AlpAction, AlpCommand, NODE_CONFIG_FILE, encode_command
+from geowsn.alp import AlpAction, NODE_CONFIG_FILE, encode_command
 from geowsn.netsim import (
     _CHUNK_ROWS,
     LinkModel,
@@ -58,8 +58,8 @@ def energy_ledger(log, uid: int = 1) -> tuple[dict, dict]:
 
 
 def action_write(offset: int, payload: bytes) -> bytes:
-    return encode_command(AlpCommand((
-        AlpAction.write(NODE_CONFIG_FILE, offset, payload),)))
+    return encode_command((
+        AlpAction.write(NODE_CONFIG_FILE, offset, payload),))
 
 
 def test_node_stream_seed_is_stable():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 
 from geowsn.alp import (
     AlpAction,
-    AlpCommand,
     Opcode,
     NODE_CONFIG_FILE,
     SENSOR_DATA_FILE,
@@ -24,6 +23,9 @@ from geowsn.alp import (
 from geowsn.node import (
     ACTION_MEASURE_AND_TRANSMIT,
     CHANNELS,
+    FLASH_CAPACITY_RECORDS,
+    FLUSH_BATCH_RECORDS,
+    WATCHDOG_PERIOD_S,
     ConfigError,
     ConstantSignal,
     NodeConfig,
@@ -54,13 +56,11 @@ def make_node(rate_s: int = 60, value_c: float = 3.5, **kwargs) -> SensorNode:
 
 
 def write_command(file_id: int, offset: int, payload: bytes) -> bytes:
-    return encode_command(AlpCommand((AlpAction.write(file_id, offset,
-                                                      payload),)))
+    return encode_command((AlpAction.write(file_id, offset, payload),))
 
 
 def read_command(file_id: int, offset: int, length: int) -> bytes:
-    return encode_command(AlpCommand((AlpAction.read(file_id, offset,
-                                                     length),)))
+    return encode_command((AlpAction.read(file_id, offset, length),))
 
 
 def sent_actions(node: SensorNode) -> list[AlpAction]:
@@ -90,7 +90,7 @@ def test_sample_timer_emits_fresh_reading():
     uplinks = node.drain_outbox()
     assert len(uplinks) == 1
     assert uplinks[0].kind is UplinkKind.READING
-    action = decode_command(uplinks[0].payload).actions[0]
+    action = decode_command(uplinks[0].payload)[0]
     assert action.opcode is Opcode.RETURN_FILE_DATA
     assert action.file_id == SENSOR_DATA_FILE
     reading = SensorReading.from_bytes(action.payload)
@@ -176,7 +176,7 @@ def test_rtc_write_rebases_timestamps():
     node.drain_outbox()
     node.on_sample_timer(60.0)
     reading = SensorReading.from_bytes(
-        decode_command(node.drain_outbox()[0].payload).actions[0].payload)
+        decode_command(node.drain_outbox()[0].payload)[0].payload)
     assert reading.timestamp == epoch + 10
 
 
@@ -307,7 +307,7 @@ def test_remote_read_of_data_file_triggers_fresh_sample():
     fresh = SensorReading.from_bytes(uplinks[0].records[0])
     assert fresh.timestamp == 605
     # the answer holds what was read, from before the fresh sample
-    answer = decode_command(uplinks[1].payload).actions[0]
+    answer = decode_command(uplinks[1].payload)[0]
     assert answer.payload == before
     assert SensorReading.from_bytes(before).timestamp == 600
 
@@ -318,9 +318,9 @@ def test_remote_write_to_data_file_is_echoed_without_measuring():
     uplinks = node.drain_outbox()
     assert [(u.kind, u.records) for u in uplinks] == [
         (UplinkKind.RESPONSE, ()), (UplinkKind.STATUS, ())]
-    echo = decode_command(uplinks[0].payload).actions[0]
+    echo = decode_command(uplinks[0].payload)[0]
     assert echo == AlpAction.return_data(SENSOR_DATA_FILE, 2, b"\x01\x02")
-    status = decode_command(uplinks[1].payload).actions[0]
+    status = decode_command(uplinks[1].payload)[0]
     assert status.payload[0] == STATUS_OK
     assert node.counters.samples_produced == 0
     assert sum(node.counters.measurements.values()) == 0
@@ -395,29 +395,43 @@ def test_flush_failure_keeps_records_spooled():
     assert node.counters.records_delivered == 1
 
 
-def test_flash_overflow_counts_overwritten():
-    node = make_node(flash_capacity=2)
-    for i in range(3):
+def spool(node: SensorNode, count: int) -> None:
+    """Sample ``count`` times a minute apart, each reading lost to flash."""
+    for i in range(count):
         node.on_sample_timer(60.0 * (i + 1))
         uplink = node.drain_outbox()[0]
         node.on_uplink_result(uplink, delivered=False, now_s=60.0 * (i + 1))
-    assert len(node.buffer) == 2
+
+
+def flush_after(node: SensorNode, count: int):
+    """Spool ``count`` records, then deliver a fresh reading: the flush
+    frame it sets off."""
+    spool(node, count)
+    now_s = 60.0 * (count + 1)
+    node.on_sample_timer(now_s)
+    node.on_uplink_result(node.drain_outbox()[0], delivered=True, now_s=now_s)
+    return node.drain_outbox()[0]
+
+
+def test_flash_overflow_counts_overwritten():
+    node = make_node()
+    spool(node, 257)
+    assert len(node.buffer) == FLASH_CAPACITY_RECORDS == 256
     assert node.counters.records_overwritten == 1
 
 
+def test_flush_takes_one_batch_of_a_longer_backlog():
+    flush = flush_after(make_node(), 10)
+    assert len(flush.records) == FLUSH_BATCH_RECORDS == 8
+
+
 def test_flush_batch_respects_uplink_frame_budget():
-    # a soil record is 10 bytes + 10 bytes of action header
-    node = make_node(flash_capacity=16, flush_batch=8, max_uplink_bytes=45)
-    for i in range(6):
-        node.on_sample_timer(60.0 * (i + 1))
-        uplink = node.drain_outbox()[0]
-        node.on_uplink_result(uplink, delivered=False, now_s=60.0 * (i + 1))
-    node.on_sample_timer(420.0)
-    fresh = node.drain_outbox()[0]
-    node.on_uplink_result(fresh, delivered=True, now_s=420.0)
-    flush = node.drain_outbox()[0]
-    assert len(flush.payload) <= 45
-    assert len(flush.records) == 2  # two records of 20 framed bytes fit
+    # a soil record is 10 bytes + 10 bytes of action header: two fit in
+    # 45 bytes and fill 40 exactly
+    for limit in (45, 40):
+        flush = flush_after(make_node(max_uplink_bytes=limit), 6)
+        assert len(flush.payload) <= limit
+        assert len(flush.records) == 2
 
 
 def test_reset_clears_outbox_keeps_flash_and_config():
@@ -439,8 +453,8 @@ def test_reset_clears_outbox_keeps_flash_and_config():
 
 
 def test_watchdog_pet_moves_deadline():
-    node = make_node(watchdog_period_s=120.0)
-    assert node.watchdog_deadline == 120.0
+    node = make_node()
+    assert node.watchdog_deadline == WATCHDOG_PERIOD_S == 120.0
     node.notify_activity(50.0)
     assert node.watchdog_deadline == 170.0
     node.inject_hang()

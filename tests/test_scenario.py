@@ -197,6 +197,13 @@ def test_trace_file_driver(tmp_path):
     assert driver.measure(0, 10_000.0) == (4.0,)
 
 
+def test_header_only_trace_file_is_rejected(tmp_path):
+    (tmp_path / "soil.csv").write_text("timestamp_unix,t_soil_c\n")
+    with pytest.raises(InvalidScenarioError,
+                       match="node 1 trace: empty sensor trace"):
+        parse_scenario(minimal_doc(trace="soil.csv"), base_dir=tmp_path)
+
+
 def test_sine_signal_driver():
     doc = minimal_doc(trace={"kind": "sine", "mean": 10.0, "amplitude": 2.0,
                              "period_s": 86400.0})
