@@ -7,7 +7,7 @@ bus is a small publish/subscribe protocol (topic wildcards ``+`` and
 ``#``), shipped with an in-process implementation; any broker client
 with the same two methods can replace it.
 
-Decoded sensor readings land in an append-only CSV sink.  Anything that
+Decoded sensor readings land in a CSV sink.  Anything that
 does not decode is quarantined with its envelope rather than dropped.
 Remote reads and writes of node files are queued at the node's gateway,
 each in a dialog of its own; the node's answers ride the bus up with the
@@ -124,19 +124,17 @@ class QuarantineEntry:
 
 
 class CsvSink:
-    """Append-only readings sink; also keeps records in memory."""
+    """Readings sink; keeps records in memory and, given a path, writes
+    them to a new CSV there, replacing any file of that name."""
 
     def __init__(self, path: str | Path | None = None):
         self.records: list[TimeSeriesRecord] = []
         self._writer = None
         self._handle = None
         if path is not None:
-            path = Path(path)
-            new_file = not path.exists() or path.stat().st_size == 0
-            self._handle = open(path, "a", newline="")
+            self._handle = open(path, "w", newline="")
             self._writer = csv.writer(self._handle)
-            if new_file:
-                self._writer.writerow(SINK_HEADER)
+            self._writer.writerow(SINK_HEADER)
 
     def append(self, record: TimeSeriesRecord) -> None:
         self.records.append(record)

@@ -215,7 +215,6 @@ def _cmd_sim_run(args) -> int:
     sim = build_simulator(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "readings.csv").unlink(missing_ok=True)  # the sink appends
     sink = CsvSink(out_dir / "readings.csv")
     backend = Backend(directory=node_directory(config), sink=sink)
     backend.attach_transport(sim)

@@ -146,10 +146,8 @@ def default_stack() -> ThermalStack:
     )
 
 
-def default_teg(
-    electrical_resistance_ohm: float = CALIBRATED_ELECTRICAL_RESISTANCE_OHM,
-) -> TegParams:
-    return TegParams(TEG_SEEBECK_V_PER_K, electrical_resistance_ohm)
+def default_teg() -> TegParams:
+    return TegParams(TEG_SEEBECK_V_PER_K, CALIBRATED_ELECTRICAL_RESISTANCE_OHM)
 
 
 def delta_t_teg(t_soil_c, t_air_c, stack: ThermalStack):

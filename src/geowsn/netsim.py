@@ -28,7 +28,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
 from .alp import ACTION_HEADER_SIZE
-from .node import WATCHDOG_PERIOD_S, SensorKind, SensorNode, UplinkKind
+from .node import (
+    MAX_PAYLOAD_BYTES,
+    WATCHDOG_PERIOD_S,
+    SensorKind,
+    SensorNode,
+    UplinkKind,
+)
 
 MS_PER_S = 1000
 
@@ -71,7 +77,7 @@ class LinkModel:
 
     loss_probability: float = 0.0
     latency_ms: int = 0
-    max_payload: int = 256
+    max_payload: int = MAX_PAYLOAD_BYTES
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_probability <= 1.0:

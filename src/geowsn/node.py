@@ -59,6 +59,9 @@ ACTION_MEASURE_AND_TRANSMIT = 0xAA
 ACTION_NONE = 0x00
 
 FLASH_CAPACITY_RECORDS = 256
+#: the largest frame a node sends until a simulator gives it its
+#: site's link limit, and a link's limit unless its site sets one
+MAX_PAYLOAD_BYTES = 256
 FLUSH_BATCH_RECORDS = 8
 WATCHDOG_PERIOD_S = 120.0
 
@@ -139,20 +142,14 @@ class SensorReading:
     """One measurement as stored in the data file and sent uplink.
 
     Wire layout: u32 LE timestamp, u8 sensor kind, u8 channel count,
-    then one i32 LE milli-unit value per channel.
+    then one i32 LE milli-unit value per channel.  The count is checked
+    where bytes are decoded; packing the wrong number of values raises
+    ``struct.error``.
     """
 
     timestamp: int
     kind: SensorKind
     values_milli: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        expected = len(CHANNELS[self.kind])
-        if len(self.values_milli) != expected:
-            raise ValueError(
-                f"{self.kind.name} reading needs {expected} values,"
-                f" got {len(self.values_milli)}"
-            )
 
     def to_bytes(self) -> bytes:
         return _RECORDS[self.kind].pack(
@@ -196,9 +193,10 @@ class SensorDriver(ABC):
         """Return one engineering-unit value per channel.
 
         An empty tuple means the hardware produced no data (a driver
-        fault); the node reports it as a status uplink, as it does a
-        value no reading can hold (NaN, infinite, beyond i32 milli-units)
-        and a ``ValueError`` or ``OverflowError`` the driver raises.
+        fault); the node reports it as a status uplink, as it does the
+        wrong number of values, a value no reading can hold (NaN,
+        infinite, beyond i32 milli-units) and a ``ValueError`` or
+        ``OverflowError`` the driver raises.
         """
 
 
@@ -265,8 +263,8 @@ class TraceDriver(SensorDriver):
 
 def load_sensor_trace(path: str | Path, kind: SensorKind) -> TraceDriver:
     """Load a per-node sensor trace CSV: timestamp_unix plus one
-    column per channel of the given sensor kind.  A malformed file raises
-    ``ValueError`` naming its line."""
+    column per channel of the given sensor kind.  A malformed or empty
+    file raises ``ValueError`` naming it, and the line at fault if any."""
     import csv
 
     want = len(CHANNELS[kind])
@@ -293,42 +291,9 @@ def load_sensor_trace(path: str | Path, kind: SensorKind) -> TraceDriver:
             times.append(values[0])
             for i in range(want):
                 columns[i].append(values[i + 1])
+    if not times:
+        raise ValueError(f"{path}: empty sensor trace, no rows after the header")
     return TraceDriver(kind, times, columns)
-
-
-class FlashBuffer:
-    """Ring buffer of reading records in the node's external flash.
-
-    Oldest records are evicted when a new one arrives at capacity.
-    Flash survives a watchdog reset, so the buffer is untouched by one.
-    """
-
-    def __init__(self, capacity: int = FLASH_CAPACITY_RECORDS):
-        if capacity < 1:
-            raise ValueError("capacity must be at least one record")
-        self.capacity = capacity
-        self._records: deque[bytes] = deque()
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def append(self, record: bytes) -> bytes | None:
-        """Store a record; return the evicted oldest one if full."""
-        evicted = None
-        if len(self._records) >= self.capacity:
-            evicted = self._records.popleft()
-        self._records.append(record)
-        return evicted
-
-    def peek(self, count: int) -> list[bytes]:
-        return list(islice(self._records, count))
-
-    def pop_head_if(self, record: bytes) -> bool:
-        """Drop the oldest record if it is this exact object."""
-        if self._records and self._records[0] is record:
-            self._records.popleft()
-            return True
-        return False
 
 
 class UplinkKind(Enum):
@@ -374,23 +339,22 @@ class SensorNode:
         uid: int,
         config: NodeConfig,
         drivers: dict[int, SensorDriver],
-        *,
-        max_uplink_bytes: int = 256,
     ):
         if config.sampling_rate < 1:
             raise ConfigError("sampling_rate must be at least 1 s")
         self.uid = uid
         self.drivers = dict(drivers)
         # a simulator sets this to the link limit of the node's site
-        self.max_uplink_bytes = max_uplink_bytes
+        self.max_uplink_bytes = MAX_PAYLOAD_BYTES
         self.files = FileStore()
-        self.buffer = FlashBuffer()
+        # reading records in external flash, oldest first; a full flash
+        # evicts its oldest record, and a watchdog reset keeps them all
+        self.buffer: deque[bytes] = deque(maxlen=FLASH_CAPACITY_RECORDS)
         self.outbox: deque[Uplink] = deque()
         self.counters = NodeCounters()
         self.hung = False
         self._config = config
         self._active_driver: SensorDriver | None = None
-        self._active_kind: SensorKind | None = None
         self._active_address = 0
         self._rtc_base = 0.0
         self._rtc_set_at = 0.0
@@ -484,22 +448,25 @@ class SensorNode:
     def on_uplink_result(self, uplink: Uplink, delivered: bool, now_s: float) -> None:
         """Learn an uplink's fate; spool or flush the buffer accordingly."""
         self._now = now_s
+        buffer = self.buffer
         if delivered:
             for record in uplink.records:
                 if uplink.kind is UplinkKind.FLUSH:
-                    if self.buffer.pop_head_if(record):
+                    # only the very record flushed: after an eviction an
+                    # equal one at the head is a different reading
+                    if buffer and buffer[0] is record:
+                        buffer.popleft()
                         self.counters.records_delivered += 1
                 else:
                     self.counters.records_delivered += 1
             # a delivered fresh reading means the link is up: spool
-            if uplink.kind is UplinkKind.READING and len(self.buffer):
+            if uplink.kind is UplinkKind.READING and buffer:
                 self._queue_flush()
-        else:
-            if uplink.kind is not UplinkKind.FLUSH:
-                for record in uplink.records:
-                    evicted = self.buffer.append(record)
-                    if evicted is not None:
-                        self.counters.records_overwritten += 1
+        elif uplink.kind is not UplinkKind.FLUSH:
+            for record in uplink.records:
+                if len(buffer) == FLASH_CAPACITY_RECORDS:
+                    self.counters.records_overwritten += 1
+                buffer.append(record)
 
     def drain_outbox(self) -> list[Uplink]:
         drained = list(self.outbox)
@@ -576,21 +543,22 @@ class SensorNode:
             self._queue_status(STATUS_UNKNOWN_SENSOR_TYPE)
             return
         self._active_driver = driver
-        self._active_kind = driver.kind
         self._active_address = self._config.sensor_address
 
     def _sample_and_store(self, now_s: float) -> None:
-        if self._active_driver is None:
+        driver = self._active_driver
+        if driver is None:
             self._queue_status(STATUS_UNKNOWN_SENSOR_TYPE)
             return
-        self.counters.measurements[self._active_kind] += 1
+        self.counters.measurements[driver.kind] += 1
         try:
-            # a failing driver, no values, or one no i32 milli-unit holds
-            # (NaN, infinite or too large) leaves no record: a driver fault
-            values = self._active_driver.measure(self._active_address, now_s)
+            # a failing driver, the wrong number of values, or one no i32
+            # milli-unit holds (NaN, infinite or too large) leaves no
+            # record: a driver fault
+            values = driver.measure(self._active_address, now_s)
             record = SensorReading(
                 self.clock(now_s),
-                self._active_kind,
+                driver.kind,
                 tuple([int(round(v * 1000.0)) for v in values]),
             ).to_bytes()
         except (ValueError, OverflowError, struct.error):
@@ -631,11 +599,10 @@ class SensorNode:
 
     def _queue_flush(self) -> None:
         """Spool buffered records uplink, oldest first, one frame."""
-        candidates = self.buffer.peek(FLUSH_BATCH_RECORDS)
         actions: list[AlpAction] = []
         records: list[bytes] = []
         size = 0
-        for record in candidates:
+        for record in islice(self.buffer, FLUSH_BATCH_RECORDS):
             action = AlpAction.return_data(SENSOR_DATA_FILE, 0, record)
             frame = ACTION_HEADER_SIZE + len(record)
             if actions and size + frame > self.max_uplink_bytes:

@@ -15,7 +15,8 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Collection
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .alp import ACTION_HEADER_SIZE
@@ -41,19 +42,14 @@ from .node import (
     load_sensor_trace,
 )
 
-SENSOR_TYPE_NAMES = {
-    "soil_temperature": SensorKind.SOIL_TEMPERATURE,
-    "soil_water_content": SensorKind.SOIL_WATER_CONTENT,
-    "weather_station": SensorKind.WEATHER_STATION,
-}
+SENSOR_TYPE_NAMES = {kind.name.lower(): kind for kind in SensorKind}
 
-_PROFILE_SCALAR_KEYS = {
-    "sleep_current_a",
-    "tx_current_a",
-    "tx_duration_ms",
-    "listen_current_a",
-    "sniff_duration_ms",
-    "sample_current_a",
+#: each link key, with the bounds of its number; an absent key takes
+#: ``LinkModel``'s default
+_LINK_NUMBERS = {
+    "loss_probability": {"minimum": 0.0},
+    "latency_ms": {"minimum": 0, "integer": True},
+    "max_payload": {"minimum": 1, "integer": True},
 }
 
 
@@ -121,13 +117,12 @@ def _list(doc, where: str) -> list:
     return doc
 
 
-def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
+def _check_keys(doc: dict, allowed: Collection[str], where: str) -> None:
+    """Name the first key, in document order, that is not allowed."""
     _object(doc, where)
-    unknown = set(doc) - allowed
-    if unknown:
-        raise InvalidScenarioError(
-            f"{where}: unknown key {sorted(unknown)[0]!r}"
-        )
+    for key in doc:
+        if key not in allowed:
+            raise InvalidScenarioError(f"{where}: unknown key {key!r}")
 
 
 def _number(value, where: str, *, minimum: float, integer: bool = False):
@@ -156,18 +151,21 @@ def _whole_ms(value, where: str) -> float:
 
 
 def parse_power_profile(doc: dict) -> PowerProfile:
-    _check_keys(doc, _PROFILE_SCALAR_KEYS | {"sample_duration_ms"},
-                "power_profile")
-    kwargs = {key: _number(doc[key], f"power_profile: {key}", minimum=0.0)
-              for key in _PROFILE_SCALAR_KEYS if key in doc}
-    if "sample_duration_ms" in doc:
-        where = "power_profile.sample_duration_ms"
-        _object(doc["sample_duration_ms"], where)
-        durations = dict(PowerProfile().sample_duration_ms)
-        for name, ms in doc["sample_duration_ms"].items():
-            kind = _sensor_kind(name, where)
-            durations[kind] = _number(ms, f"{where}: {name}", minimum=0.0)
-        kwargs["sample_duration_ms"] = durations
+    """Every ``PowerProfile`` field is a key; the values are checked in
+    document order, so the first bad one is named."""
+    _check_keys(doc, {f.name for f in fields(PowerProfile)}, "power_profile")
+    kwargs = {}
+    for key, value in doc.items():
+        if key == "sample_duration_ms":
+            where = "power_profile.sample_duration_ms"
+            _object(value, where)
+            durations = dict(PowerProfile().sample_duration_ms)
+            for name, ms in value.items():
+                kind = _sensor_kind(name, where)
+                durations[kind] = _number(ms, f"{where}: {name}", minimum=0.0)
+            kwargs[key] = durations
+        else:
+            kwargs[key] = _number(value, f"power_profile: {key}", minimum=0.0)
     return PowerProfile(**kwargs)
 
 
@@ -255,15 +253,11 @@ def _parse_node(doc: dict, where: str, base_dir: Path) -> NodeSpec:
 
 
 def _parse_link(doc: dict, where: str) -> LinkModel:
-    _check_keys(doc, {"loss_probability", "latency_ms", "max_payload"}, where)
-    loss = _number(doc.get("loss_probability", 0.0),
-                   f"{where}: loss_probability", minimum=0.0)
-    latency = _number(doc.get("latency_ms", 0), f"{where}: latency_ms",
-                      minimum=0, integer=True)
-    payload = _number(doc.get("max_payload", 256), f"{where}: max_payload",
-                      minimum=1, integer=True)
+    _check_keys(doc, _LINK_NUMBERS, where)
+    kwargs = {key: _number(value, f"{where}: {key}", **_LINK_NUMBERS[key])
+              for key, value in doc.items()}
     try:
-        return LinkModel(loss, latency, payload)
+        return LinkModel(**kwargs)
     except ValueError as exc:
         raise InvalidScenarioError(f"{where}: {exc}") from None
 
@@ -297,6 +291,10 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> ScenarioConfig:
         site_id = str(_require(site_doc, "site_id", where))
         if not site_id:
             raise InvalidScenarioError(f"{where}: site_id must not be empty")
+        # the site id is one level of its gateway's bus topic
+        if any(char in site_id for char in "/+#"):
+            raise InvalidScenarioError(
+                f"{where}: site_id {site_id!r} must not hold '/', '+' or '#'")
         if site_id in seen_sites:
             raise InvalidScenarioError(f"{where}: duplicate site_id {site_id!r}")
         seen_sites.add(site_id)

@@ -183,6 +183,20 @@ def test_ingest_quarantines_misshapen_reading():
     assert len(backend.quarantine) == 1
 
 
+def test_ingest_quarantines_a_reading_that_declares_the_wrong_channel_count():
+    # a weather record forged to declare two channels where three are sent
+    record = bytearray(SensorReading(100, SensorKind.WEATHER_STATION,
+                                     (1, 2, 3)).to_bytes())
+    record[5] = 2
+    frame = encode_command((
+        AlpAction.return_data(SENSOR_DATA_FILE, 0, bytes(record)),))
+    backend = Backend()
+    backend.ingest(frame, envelope())
+    assert backend.sink.records == []
+    (entry,) = backend.quarantine
+    assert "declares 2 channels, expected 3" in entry.reason
+
+
 def test_ingest_quarantines_unexpected_opcode():
     frame = encode_command((AlpAction.read(SENSOR_DATA_FILE, 0, 4),))
     backend = Backend()
@@ -227,7 +241,7 @@ def test_csv_sink_writes_header_and_rows(tmp_path):
         "1000,north,7,E,t_soil,3.456,°C\r\n").encode()
 
 
-def test_csv_sink_appends_without_second_header(tmp_path):
+def test_csv_sink_replaces_an_existing_file(tmp_path):
     path = tmp_path / "readings.csv"
     first = CsvSink(path)
     first.append(TimeSeriesRecord(1, "north", 7, "E", "t_soil", 1.0, "°C"))
@@ -237,9 +251,8 @@ def test_csv_sink_appends_without_second_header(tmp_path):
     second.close()
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
-    assert len(rows) == 3
     assert rows[0] == list(SINK_HEADER)
-    assert [row[0] for row in rows[1:]] == ["1", "2"]
+    assert [row[0] for row in rows[1:]] == ["2"]
 
 
 def test_csv_sink_keeps_memory_copy_without_path():

@@ -380,7 +380,9 @@ def test_sim_run_rejects_a_structure_of_the_wrong_type(capsys, tmp_path,
     ("timestamp_unix,t_soil\n0\n", "line 2: expected 2 fields"),
     ("timestamp_unix,t_soil\n0,4.0\n60,abc\n", "line 3: not a number"),
     ("timestamp_unix,t_soil\n0," + "1" * 200_000 + "\n", "field larger"),
-], ids=["missing", "header", "short row", "not a number", "huge field"])
+    ("timestamp_unix,t_soil\n", "empty sensor trace"),
+], ids=["missing", "header", "short row", "not a number", "huge field",
+        "header only"])
 def test_sim_run_rejects_a_trace_file_it_cannot_load(capsys, tmp_path,
                                                      csv_text, named):
     path = Path(one_node_scenario(tmp_path))
@@ -458,6 +460,15 @@ def test_sim_run_rejects_a_node_the_firmware_cannot_hold(capsys, tmp_path,
                            "--out", str(tmp_path / "out"))
     assert code == 2
     assert key in err
+
+
+def test_sim_run_rejects_a_site_id_a_bus_topic_cannot_hold(capsys, tmp_path):
+    path = Path(one_node_scenario(tmp_path))
+    _replace_in_scenario(path, ["sites", 0, "site_id"], "a/b")
+    code, _, err = run_cli(capsys, "sim-run", "--scenario", str(path),
+                           "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "sites[0]: site_id 'a/b' must not hold" in err
 
 
 def test_sim_run_rejects_a_schedule_the_node_cannot_keep(capsys, tmp_path):

@@ -25,8 +25,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 HOURS = 6
 
 #: ceilings, 5 % above the counts this code base makes
-MAX_SIM_CALLS_PER_SAMPLE = 67.6 * 1.05
-MAX_BACKEND_CALLS_PER_ARRIVAL = 34.3 * 1.05
+MAX_SIM_CALLS_PER_SAMPLE = 61.5 * 1.05
+MAX_BACKEND_CALLS_PER_ARRIVAL = 31.3 * 1.05
 
 
 def profile_run(with_backend: bool) -> dict:

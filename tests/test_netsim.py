@@ -25,23 +25,22 @@ from geowsn.node import (
 from geowsn.scenario import build_simulator, default_scenario
 
 
-def soil_node(uid: int = 1, rate_s: int = 60, **kwargs) -> SensorNode:
+def soil_node(uid: int = 1, rate_s: int = 60) -> SensorNode:
     return SensorNode(
         uid=uid,
         config=NodeConfig(sensor_type=1, sampling_rate=rate_s),
         drivers={1: SignalDriver(SensorKind.SOIL_TEMPERATURE,
                                  (ConstantSignal(4.0),))},
-        **kwargs,
     )
 
 
 def build_sim(duration_s: float = 600.0, loss: float = 0.0,
-              seed: int = 7, rate_s: int = 60, latency_ms: float = 20.0,
-              **node_kwargs) -> Simulator:
+              seed: int = 7, rate_s: int = 60,
+              latency_ms: float = 20.0) -> Simulator:
     sim = Simulator(seed=seed, duration_s=duration_s)
     sim.add_site("north", LinkModel(loss_probability=loss,
                                     latency_ms=latency_ms))
-    sim.add_node("north", soil_node(rate_s=rate_s, **node_kwargs))
+    sim.add_node("north", soil_node(rate_s=rate_s))
     return sim
 
 
@@ -226,6 +225,25 @@ def test_watchdog_resets_hung_node(rate_s, hang_s, run_first_ms, reset_ms,
     post = [row for row in log.rows if row[1] == "SampleTimer"
             and row[0] > reset_ms and row[3] == "ok"]
     assert len(post) == (3_600_000 - reset_ms) // (rate_s * 1000)
+
+
+def test_a_downlink_to_a_hung_node_waits_for_its_reset():
+    sim = build_sim(duration_s=600, loss=0.0, rate_s=600)
+    # hung from 10 s: the boot's pet was the last, so the reset is at 120 s
+    sim.inject_hang(1, at_s=10.0)
+    sim.run_until(lambda: False, deadline_ms=20_000)
+    sim.queue_downlink(1, action_write(3, b"\xAA"), ttl_s=300)
+    log = sim.run()
+    windows = [(row[0], row[3]) for row in log.rows if row[1] == "ListenWindow"]
+    # offered at each boundary from 21 s, heard at the first after the reset
+    assert windows[:-1] == [(ms, "hung") for ms in range(21_000, 120_000, 1000)]
+    assert windows[-1] == (120_000, "delivered ticket=0")
+    s = log.summary
+    assert (s["resets"], s["downlinks_queued"], s["downlinks_delivered"]) == (
+        1, 1, 1)
+    assert s["downlinks_queued"] == (
+        s["downlinks_delivered"] + s["downlinks_expired"]
+        + s["downlinks_pending"])
 
 
 def test_energy_ledger_accounts_every_millisecond():

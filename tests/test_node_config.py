@@ -1,17 +1,24 @@
 """Packed config image, reading records and the flash ring."""
 
+import struct
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from geowsn.node import (
     CHANNELS,
+    FLASH_CAPACITY_RECORDS,
     ConfigError,
-    FlashBuffer,
+    ConstantSignal,
     NODE_CONFIG_SIZE,
     NodeConfig,
     SensorKind,
+    SensorNode,
     SensorReading,
+    SignalDriver,
+    Uplink,
+    UplinkKind,
 )
 
 # type=1, address=0, action=0, rate=60 s, rtc=0, packed little-endian
@@ -99,8 +106,15 @@ def test_reading_roundtrip_weather():
 
 
 def test_reading_value_count_must_match_kind():
-    with pytest.raises(ValueError):
-        SensorReading(0, SensorKind.WEATHER_STATION, (1, 2))
+    # a record holds exactly its kind's channels; bytes from the air that
+    # declare another count are refused where they are decoded
+    with pytest.raises(struct.error):
+        SensorReading(0, SensorKind.WEATHER_STATION, (1, 2)).to_bytes()
+    record = bytearray(SensorReading(0, SensorKind.WEATHER_STATION,
+                                     (1, 2, 3)).to_bytes())
+    record[5] = 2
+    with pytest.raises(ValueError, match="declares 2 channels, expected 3"):
+        SensorReading.from_bytes(bytes(record))
 
 
 def test_reading_record_rejects_unknown_kind():
@@ -132,40 +146,66 @@ def test_reading_roundtrip_property(timestamp, kind, data):
     assert SensorReading.from_bytes(reading.to_bytes()) == reading
 
 
+def soil_record(timestamp: int) -> bytes:
+    return SensorReading(timestamp, SensorKind.SOIL_TEMPERATURE,
+                         (timestamp,)).to_bytes()
+
+
+def booted_node() -> SensorNode:
+    node = SensorNode(1, NodeConfig(sensor_type=1, sampling_rate=60),
+                      {1: SignalDriver(SensorKind.SOIL_TEMPERATURE,
+                                       (ConstantSignal(4.0),))})
+    node.boot(0.0)
+    return node
+
+
+def spool(node: SensorNode, records) -> None:
+    """Report each record's reading lost, so it goes to flash."""
+    for record in records:
+        node.on_uplink_result(Uplink(b"", (record,), UplinkKind.READING),
+                              False, 30.0)
+
+
+def flush_frame(node: SensorNode) -> Uplink:
+    """Deliver a fresh reading; return the flush frame it sets off."""
+    node.on_sample_timer(60.0)
+    node.on_uplink_result(node.drain_outbox()[0], True, 60.0)
+    (flush,) = node.drain_outbox()
+    assert flush.kind is UplinkKind.FLUSH
+    return flush
+
+
 def test_flash_buffer_evicts_oldest():
-    buffer = FlashBuffer(capacity=3)
-    records = [bytes([i]) for i in range(4)]
-    assert buffer.append(records[0]) is None
-    assert buffer.append(records[1]) is None
-    assert buffer.append(records[2]) is None
-    evicted = buffer.append(records[3])
-    assert evicted == records[0]
-    assert buffer.peek(3) == records[1:]
+    node = booted_node()
+    records = [soil_record(t) for t in range(FLASH_CAPACITY_RECORDS + 2)]
+    spool(node, records)
+    assert list(node.buffer) == records[2:]
+    assert node.counters.records_overwritten == 2
 
 
 def test_flash_buffer_peek_is_nondestructive():
-    buffer = FlashBuffer(capacity=8)
-    for i in range(5):
-        buffer.append(bytes([i]))
-    assert buffer.peek(2) == [b"\x00", b"\x01"]
-    assert len(buffer) == 5
+    node = booted_node()
+    records = [soil_record(t) for t in range(5)]
+    spool(node, records)
+    flush = flush_frame(node)
+    assert flush.records == tuple(records)
+    assert list(node.buffer) == records  # until the flush is acknowledged
+    node.on_uplink_result(flush, False, 60.0)
+    assert list(node.buffer) == records  # a lost flush spools nothing twice
 
 
 def test_flash_buffer_pop_head_matches_identity():
     """After an eviction during flight, an acknowledgment for the
     evicted record must not drop its replacement."""
-    buffer = FlashBuffer(capacity=1)
-    first = bytes(bytearray(b"\x01\x02"))
-    second = bytes(bytearray(b"\x01\x02"))  # equal content, distinct object
-    assert first == second and first is not second
-    buffer.append(first)
-    buffer.append(second)
-    assert not buffer.pop_head_if(first)
-    assert len(buffer) == 1
-    assert buffer.pop_head_if(second)
-    assert len(buffer) == 0
-
-
-def test_flash_buffer_requires_capacity():
-    with pytest.raises(ValueError):
-        FlashBuffer(capacity=0)
+    node = booted_node()
+    records = [soil_record(t) for t in range(FLASH_CAPACITY_RECORDS)]
+    spool(node, records)
+    flush = flush_frame(node)
+    # while the flush is in the air, equal readings replace every record
+    copies = [bytes(bytearray(record)) for record in records]
+    assert copies == records and copies[0] is not records[0]
+    spool(node, copies)
+    node.on_uplink_result(flush, True, 61.0)
+    assert len(node.buffer) == FLASH_CAPACITY_RECORDS
+    assert node.buffer[0] is copies[0]
+    assert node.counters.records_delivered == 1  # the fresh reading only

@@ -43,13 +43,12 @@ def soil_driver(value_c: float = 3.5) -> SignalDriver:
                         (ConstantSignal(value_c),))
 
 
-def make_node(rate_s: int = 60, value_c: float = 3.5, **kwargs) -> SensorNode:
+def make_node(rate_s: int = 60, value_c: float = 3.5) -> SensorNode:
     config = NodeConfig(sensor_type=int(SensorKind.SOIL_TEMPERATURE),
                         sampling_rate=rate_s)
     node = SensorNode(
         uid=1, config=config,
         drivers={int(SensorKind.SOIL_TEMPERATURE): soil_driver(value_c)},
-        **kwargs,
     )
     node.boot(0.0)
     return node
@@ -353,13 +352,31 @@ def test_malformed_downlink_reports_status():
     assert node.counters.command_errors == 1
 
 
+def test_sample_timer_without_a_driver_for_the_sensor_type_reports_it():
+    config = NodeConfig(sensor_type=int(SensorKind.WEATHER_STATION),
+                        sampling_rate=60)
+    node = SensorNode(uid=1, config=config,
+                      drivers={int(SensorKind.SOIL_TEMPERATURE): soil_driver()})
+    node.boot(0.0)
+    # the boot's reload finds no driver for the type, and so does each timer
+    assert [a.payload[0] for a in sent_actions(node)] == [
+        STATUS_UNKNOWN_SENSOR_TYPE]
+    for now_s in (60.0, 120.0):
+        node.on_sample_timer(now_s)
+        assert [a.payload[0] for a in sent_actions(node)] == [
+            STATUS_UNKNOWN_SENSOR_TYPE]
+    assert node.counters.samples_produced == 0
+    assert sum(node.counters.measurements.values()) == 0
+    assert len(node.buffer) == 0
+
+
 def test_dropped_reading_lands_in_flash():
     node = make_node()
     node.on_sample_timer(60.0)
     uplink = node.drain_outbox()[0]
     node.on_uplink_result(uplink, delivered=False, now_s=60.0)
     assert len(node.buffer) == 1
-    assert node.buffer.peek(1)[0] == uplink.records[0]
+    assert node.buffer[0] is uplink.records[0]
     assert node.counters.records_delivered == 0
 
 
@@ -429,7 +446,9 @@ def test_flush_batch_respects_uplink_frame_budget():
     # a soil record is 10 bytes + 10 bytes of action header: two fit in
     # 45 bytes and fill 40 exactly
     for limit in (45, 40):
-        flush = flush_after(make_node(max_uplink_bytes=limit), 6)
+        node = make_node()
+        node.max_uplink_bytes = limit  # as a simulator sets its site's limit
+        flush = flush_after(node, 6)
         assert len(flush.payload) <= limit
         assert len(flush.records) == 2
 

@@ -1,12 +1,16 @@
 """Scenario file validation and the bundled reference deployment."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+from geowsn.netsim import LinkModel
 from geowsn.node import SensorKind, TraceDriver
 from geowsn.scenario import (
     InvalidScenarioError,
@@ -18,6 +22,8 @@ from geowsn.scenario import (
     node_directory,
     parse_scenario,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def minimal_doc(**node_overrides) -> dict:
@@ -173,6 +179,43 @@ def test_unknown_sensor_name_rejected():
         parse_scenario(minimal_doc(sensor_type="barometer"))
 
 
+@pytest.mark.parametrize("site_id", ["a/b", "north+", "#"])
+def test_site_id_must_be_one_bus_topic_level(site_id):
+    # the Backend subscribes to site/+/gw/+/up: a '/' in the id adds a
+    # level that no subscription matches, and '+' or '#' are wildcards
+    doc = minimal_doc()
+    doc["sites"][0]["site_id"] = site_id
+    with pytest.raises(InvalidScenarioError,
+                       match=r"sites\[0\]: site_id .* must not hold"):
+        parse_scenario(doc)
+
+
+def test_an_absent_link_key_takes_the_link_models_default():
+    doc = minimal_doc()
+    doc["sites"][0]["link"] = {"latency_ms": 20}
+    assert parse_scenario(doc).sites[0].link == LinkModel(latency_ms=20)
+
+
+def test_a_bad_power_profile_names_its_first_bad_key_under_any_hash_seed():
+    profile = {"tx_duration_ms": -1, "sleep_current_a": -1,
+               "tx_current_a": -1, "listen_current_a": -1,
+               "sniff_duration_ms": -1, "sample_current_a": -1}
+    script = ("from geowsn.scenario import parse_power_profile\n"
+              "try:\n"
+              f"    parse_power_profile({profile!r})\n"
+              "except ValueError as exc:\n"
+              "    print(exc)\n")
+    messages = {
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=str(SRC),
+                                PYTHONHASHSEED=seed)).stdout
+        for seed in ("1", "2")
+    }
+    assert messages == {
+        "power_profile: tx_duration_ms must be finite and at least 0\n"}
+
+
 def test_reading_frame_must_fit_link_payload():
     doc = minimal_doc(sensor_type="weather_station",
                       trace={"kind": "constant", "value": 1.0})
@@ -200,8 +243,13 @@ def test_trace_file_driver(tmp_path):
 def test_header_only_trace_file_is_rejected(tmp_path):
     (tmp_path / "soil.csv").write_text("timestamp_unix,t_soil_c\n")
     with pytest.raises(InvalidScenarioError,
-                       match="node 1 trace: empty sensor trace"):
+                       match="node 1 trace: .*soil.csv: empty sensor trace"):
         parse_scenario(minimal_doc(trace="soil.csv"), base_dir=tmp_path)
+
+
+def test_trace_driver_refuses_an_empty_trace():
+    with pytest.raises(ValueError, match="empty sensor trace"):
+        TraceDriver(SensorKind.SOIL_TEMPERATURE, [], [[]])
 
 
 def test_sine_signal_driver():
