@@ -157,6 +157,8 @@ def _cmd_feas_analyze(args) -> int:
             node_power_w=node_power_w,
             converter_efficiency=args.efficiency,
         )
+    except feasibility.TraceFormatError as exc:
+        return _fail(f"{args.trace}: {exc}")
     except ValueError as exc:
         return _fail(str(exc))
     out = Path(args.out)
@@ -328,7 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # a path the command cannot open, read or write, such as a
+        # directory where a file belongs; a missing input file is
+        # reported by its command
+        if exc.filename is None:
+            return _fail(str(exc))
+        return _fail(f"{exc.filename}: {exc.strerror}")
 
 
 if __name__ == "__main__":

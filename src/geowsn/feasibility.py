@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from datetime import date
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +30,21 @@ REPORT_HEADER = ("date", "transect", "mean_dt_c", "mean_dt_teg_k",
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 SECONDS_PER_DAY = 86400
+#: the day indices (days since 1970-01-01) a ``date`` can label: years 1-9999
+_FIRST_DAY = date.min.toordinal() - _EPOCH_ORDINAL
+_LAST_DAY = date.max.toordinal() - _EPOCH_ORDINAL
 
 #: rows the trace loader reads and converts per pass
 _CHUNK_ROWS = 4096
 _INT64 = np.iinfo(np.int64)
+#: a trace row as ``np.loadtxt`` converts it
+_TRACE_DTYPE = np.dtype([("timestamp", np.int64), ("transect", object),
+                         ("t_soil_c", np.float64), ("t_air_c", np.float64)])
+#: characters that keep a chunk from numpy: a quote can make one csv
+#: record span lines, csv before Python 3.11 refuses NUL, and numpy
+#: reads \x1c-\x1f as blanks around a number where int() and float()
+#: refuse them
+_NOT_PLAIN = '"\0\x1c\x1d\x1e\x1f'
 
 AVERAGING_NOTE = (
     "power is computed per sample and then averaged; whole-window rows are"
@@ -72,43 +84,47 @@ class TransectSeries:
 def load_temperature_trace(path: str | Path) -> dict[str, TransectSeries]:
     """Read a temperature trace CSV into per-transect series.
 
-    Expects the exact header ``timestamp_unix,transect,t_soil_c,t_air_c``;
-    timestamps must be non-decreasing within each transect.  Rows are
-    read ``_CHUNK_ROWS`` at a time and each chunk is converted column by
-    column, so beyond one chunk of text the memory held is the output
-    arrays.  A malformed row raises :class:`TraceFormatError` naming its
-    line, counted in CSV records with the header as line 1.
+    Expects UTF-8 text with the exact header
+    ``timestamp_unix,transect,t_soil_c,t_air_c``; timestamps must be
+    non-decreasing within each transect.  Lines are read ``_CHUNK_ROWS``
+    at a time, so beyond one chunk of text the memory held is the output
+    arrays.  A plain chunk (ASCII, no ``"``, none of ``_NOT_PLAIN``, no
+    line longer than a csv field may be) is converted by one
+    ``np.loadtxt`` call.  Every other chunk, and a plain one that numpy
+    refuses or warns about, is read by the csv module and converted by
+    ``int()`` and ``float()``, which decide what a valid row is.  A
+    malformed row, a record the csv module cannot read and bytes that are
+    not UTF-8 raise :class:`TraceFormatError` naming the line, counted in
+    CSV records with the header as line 1.
     """
     parts: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
     last: dict[str, int] = {}
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != TRACE_HEADER:
-            raise TraceFormatError(
-                f"expected header {','.join(TRACE_HEADER)}", line=1
-            )
-        line = 2
-        while True:
-            chunk: list[list[str]] = []
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
             try:
-                chunk.extend(islice(reader, _CHUNK_ROWS))
+                header = next(csv.reader(handle), None)
             except csv.Error:
-                # a bad row before a record the csv module cannot read
-                # is reported first, as a row-by-row read would
-                _check_rows(chunk, line, last)
-                raise
-            if not chunk:
-                break
-            groups = _chunk_columns(chunk, last)
-            if groups is None:
-                _check_rows(chunk, line, last)
-                raise AssertionError("trace chunk rejected, yet no row is bad")
-            for transect, timestamps, t_soil, t_air in groups:
-                parts.setdefault(transect, []).append(
-                    (timestamps, t_soil, t_air))
-                last[transect] = int(timestamps[-1])
-            line += len(chunk)
+                header = None
+            if header is None or tuple(h.strip() for h in header) != TRACE_HEADER:
+                raise TraceFormatError(
+                    f"expected header {','.join(TRACE_HEADER)}", line=1
+                )
+            line = 2
+            while lines := list(islice(handle, _CHUNK_ROWS)):
+                records = len(lines)
+                groups = _plain_columns(lines, last)
+                if groups is None:
+                    # the same number of records, which a quoted field
+                    # may finish past the chunk's last line
+                    records, groups = _csv_columns(
+                        csv.reader(chain(lines, handle)), records, line, last)
+                for transect, timestamps, t_soil, t_air in groups:
+                    parts.setdefault(transect, []).append(
+                        (timestamps, t_soil, t_air))
+                    last[transect] = int(timestamps[-1])
+                line += records
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not parts:
         raise TraceFormatError("no samples")
     return {
@@ -119,12 +135,62 @@ def load_temperature_trace(path: str | Path) -> dict[str, TransectSeries]:
     }
 
 
-def _chunk_columns(chunk: list[list[str]], last: dict[str, int]):
-    """One chunk of rows as per-transect columns, in first-seen order.
+def _plain_columns(lines: list[str], last: dict[str, int]):
+    """numpy's conversion of a plain chunk, as :func:`_group` returns it.
 
-    Returns ``(transect, timestamps, t_soil_c, t_air_c)`` per transect, or
-    ``None`` if any row breaks a rule; ``last`` holds each transect's last
-    timestamp from earlier chunks.
+    ``None`` also if the chunk is not plain, or numpy refuses or warns
+    about it (a chunk of blank lines warns that it holds no data).
+    """
+    text = "".join(lines)
+    limit = csv.field_size_limit()
+    if (not text.isascii() or any(char in text for char in _NOT_PLAIN)
+            or len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=_TRACE_DTYPE, delimiter=",",
+                               comments=None, quotechar=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    # the columns are copied and the record array freed before the
+    # groups, which outlive the chunk, are allocated; grouping straight
+    # from the record array left the heap too fragmented for
+    # analyze_trace's full-length arrays (5 MB more peak RSS on two years)
+    columns = [table[name].copy() for name in _TRACE_DTYPE.names]
+    del table
+    return _group(*columns, last)
+
+
+def _csv_columns(reader, count: int, line: int, last: dict[str, int]):
+    """Read ``count`` records from ``reader`` and convert them in Python.
+
+    Returns the number of records read and their groups as
+    :func:`_group` returns them.  ``line`` is the first record's line;
+    a rule broken by a row raises its :class:`TraceFormatError`.
+    """
+    chunk: list[list[str]] = []
+    try:
+        chunk.extend(islice(reader, count))
+    except csv.Error as exc:
+        # a bad row before a record the csv module cannot read is
+        # reported first, as a row-by-row read would
+        _check_rows(chunk, line, last)
+        raise TraceFormatError(str(exc), line + len(chunk)) from None
+    groups = _chunk_columns(chunk, last)
+    if groups is None:
+        _check_rows(chunk, line, last)
+        # _chunk_columns and _check_rows test the same rules, so the
+        # check above has raised; this line runs only if they disagree
+        raise AssertionError("trace chunk rejected, yet no row is bad")
+    return len(chunk), groups
+
+
+def _chunk_columns(chunk: list[list[str]], last: dict[str, int]):
+    """One chunk of csv rows converted column by column in Python.
+
+    Returns what :func:`_group` returns, or ``None`` if a row has the
+    wrong number of fields or a number ``int()`` or ``float()`` refuses.
     """
     rows = list(filter(None, chunk))
     if not rows:
@@ -139,14 +205,25 @@ def _chunk_columns(chunk: list[list[str]], last: dict[str, int]):
         t_air = np.fromiter(map(float, air_col), np.float64, n)
     except (ValueError, OverflowError):
         return None
+    return _group(timestamps, label_col, t_soil, t_air, last)
+
+
+def _group(timestamps: np.ndarray, labels, t_soil: np.ndarray,
+           t_air: np.ndarray, last: dict[str, int]):
+    """Converted columns split into per-transect columns, in first-seen order.
+
+    Returns ``(transect, timestamps, t_soil_c, t_air_c)`` per transect, or
+    ``None`` if a label is blank or a transect's timestamps go backwards;
+    ``last`` holds each transect's last timestamp from earlier chunks.
+    """
     # each distinct label is stripped once; code = first-seen order
     codes: dict[str, int] = {}
-    code_of = dict.fromkeys(label_col)
+    code_of = dict.fromkeys(labels)
     for label in code_of:
         code_of[label] = codes.setdefault(label.strip(), len(codes))
     if "" in codes:
         return None
-    code = np.fromiter(map(code_of.__getitem__, label_col), np.intp, n)
+    code = np.fromiter(map(code_of.__getitem__, labels), np.intp, len(labels))
     order = np.argsort(code, kind="stable")
     bounds = np.searchsorted(code[order], np.arange(len(codes) + 1))
     groups = []
@@ -160,11 +237,31 @@ def _chunk_columns(chunk: list[list[str]], last: dict[str, int]):
     return groups
 
 
+def _not_utf8(path: str | Path) -> TraceFormatError:
+    """The error for the first record of ``path`` that is not UTF-8, or
+    for an earlier one that the csv module cannot read."""
+    with open(path, newline="", encoding="utf-8",
+              errors="surrogateescape") as handle:
+        line = 0
+        try:
+            for line, row in enumerate(csv.reader(handle), start=1):
+                try:
+                    "".join(row).encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    bad = exc.object[exc.start:exc.end].encode(
+                        "utf-8", "surrogateescape")
+                    return TraceFormatError(f"not UTF-8 text: {bad!r}", line)
+        except csv.Error as exc:
+            return TraceFormatError(str(exc), line + 1)
+    # every record decodes: the file changed since the failed read
+    return TraceFormatError("not UTF-8 text")
+
+
 def _check_rows(chunk: list[list[str]], line: int,
                 last: dict[str, int]) -> None:
     """Raise the error of the first row in ``chunk`` that breaks a rule.
 
-    ``line`` is the first row's line; ``last`` as for :func:`_chunk_columns`.
+    ``line`` is the first row's line; ``last`` as for :func:`_group`.
     """
     last = dict(last)
     for line, row in enumerate(chunk, start=line):
@@ -237,7 +334,8 @@ def analyze_trace(
     squared gradient; a converter with a minimum startup gradient would
     not, which is what this models).  A ``converter_efficiency`` outside
     (0, 1] or a ``node_power_w`` that is not finite and positive raises
-    ``ValueError``.
+    ``ValueError``; a timestamp outside years 1-9999, which no day label
+    can name, raises :class:`TraceFormatError`.
     """
     if not 0.0 < converter_efficiency <= 1.0:
         raise ValueError(
@@ -257,14 +355,25 @@ def analyze_trace(
         power = teg_power(dt_teg, teg)
         if clamp_positive:
             power = np.where(dt_env < 0.0, 0.0, power)
-        # one stable sort puts each day's samples in a contiguous run, in
-        # their original order, so each mean sums exactly what a mask
-        # ``day_index == day`` would pick
         day_index = series.timestamps // SECONDS_PER_DAY
-        order = np.argsort(day_index, kind="stable")
-        days, starts = np.unique(day_index[order], return_index=True)
-        ends = np.append(starts[1:], len(order))
-        by_day = dt_env[order], dt_teg[order], power[order]
+        outside = (day_index < _FIRST_DAY) | (day_index > _LAST_DAY)
+        if outside.any():
+            raise TraceFormatError(
+                f"transect {transect}: timestamp"
+                f" {series.timestamps[outside.argmax()]} lies outside"
+                f" years 1-9999")
+        # each mean sums a contiguous run of one day's samples in their
+        # original order, exactly what a mask ``day_index == day`` picks; a
+        # loaded series is in time order already, and sorting it anyway
+        # held four more full-length arrays (2-3 MB more peak RSS on two
+        # years of six transects)
+        by_day = dt_env, dt_teg, power
+        if (day_index[1:] < day_index[:-1]).any():
+            order = np.argsort(day_index, kind="stable")
+            day_index = day_index[order]
+            by_day = tuple(x[order] for x in by_day)
+        days, starts = np.unique(day_index, return_index=True)
+        ends = np.append(starts[1:], len(day_index))
         daily = [
             PeriodMeans(_day_label(day), transect,
                         *(float(x[start:end].mean()) for x in by_day))

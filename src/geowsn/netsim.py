@@ -40,6 +40,10 @@ MS_PER_S = 1000
 
 DEFAULT_LISTEN_INTERVAL_S = 1.0
 DEFAULT_DOWNLINK_TTL_S = 60.0
+#: characters a site id must not hold: the id is one level of its
+#: gateway's bus topic, where ``/`` ends a level and ``+`` and ``#`` are
+#: wildcards
+SITE_ID_RESERVED = "/+#"
 
 
 class SimulationError(Exception):
@@ -275,6 +279,9 @@ class Simulator:
             raise SimulationError("cannot add sites after start")
         if site_id in self.sites:
             raise ValueError(f"duplicate site {site_id!r}")
+        if any(char in site_id for char in SITE_ID_RESERVED):
+            raise ValueError(
+                f"site {site_id!r} must not hold any of {SITE_ID_RESERVED!r}")
         self.sites[site_id] = link
 
     def add_node(self, site_id: str, node: SensorNode) -> NodeRuntime:

@@ -23,6 +23,7 @@ from .alp import ACTION_HEADER_SIZE
 from .netsim import (
     DEFAULT_LISTEN_INTERVAL_S,
     MS_PER_S,
+    SITE_ID_RESERVED,
     LinkModel,
     PowerProfile,
     Simulator,
@@ -291,10 +292,10 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> ScenarioConfig:
         site_id = str(_require(site_doc, "site_id", where))
         if not site_id:
             raise InvalidScenarioError(f"{where}: site_id must not be empty")
-        # the site id is one level of its gateway's bus topic
-        if any(char in site_id for char in "/+#"):
+        if any(char in site_id for char in SITE_ID_RESERVED):
             raise InvalidScenarioError(
-                f"{where}: site_id {site_id!r} must not hold '/', '+' or '#'")
+                f"{where}: site_id {site_id!r} must not hold any of"
+                f" {SITE_ID_RESERVED!r}")
         if site_id in seen_sites:
             raise InvalidScenarioError(f"{where}: duplicate site_id {site_id!r}")
         seen_sites.add(site_id)

@@ -143,6 +143,20 @@ def test_feas_analyze_bad_trace_names_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("stamp", [10**15, -10**14, 300_000_000_000])
+def test_feas_analyze_rejects_a_timestamp_no_date_can_name(capsys, tmp_path,
+                                                           stamp):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("timestamp_unix,transect,t_soil_c,t_air_c\n"
+                     f"0,A,29.0,0.0\n{stamp},E,29.0,0.0\n")
+    code, out, err = run_cli(capsys, "feas-analyze", "--trace", str(trace),
+                             "--out", str(tmp_path / "r.csv"))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {trace}: transect E: timestamp {stamp} lies"
+                   " outside years 1-9999\n")
+
+
 def test_feas_analyze_verdict_flag(capsys, tmp_path, trace_file):
     code, out, _ = run_cli(capsys, "feas-analyze", "--trace",
                            str(trace_file), "--out",
@@ -522,3 +536,32 @@ def test_feas_analyze_rejects_nonsense_figures(capsys, tmp_path, trace_file,
     assert code == 2
     assert "feasible" not in out
     assert "error:" in err
+
+
+@pytest.mark.parametrize("command, path, reason", [
+    (["feas-analyze", "--trace", "{dir}", "--out", "{tmp}/r.csv"], "{dir}",
+     "Is a directory"),
+    (["feas-analyze", "--trace", "{trace}", "--out", "{dir}"], "{dir}",
+     "Is a directory"),
+    (["feas-calibrate", "--params", "{dir}", "--mean-dt-c", "29",
+      "--mean-power-mw", "24"], "{dir}", "Is a directory"),
+    (["sim-run", "--scenario", "{dir}", "--out", "{tmp}/out"], "{dir}",
+     "Is a directory"),
+    (["sim-run", "--out", "{trace}"], "{trace}", "File exists"),
+    (["feas-analyze", "--trace", "{latin1}", "--out", "{tmp}/r.csv"],
+     "{latin1}", "line 2: not UTF-8 text: b'\\xe9'"),
+], ids=["trace", "report", "params", "scenario", "sim-run out", "not UTF-8"])
+def test_a_path_the_command_cannot_use_exits_2_naming_it(capsys, tmp_path,
+                                                         trace_file, command,
+                                                         path, reason):
+    (tmp_path / "a directory").mkdir()
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"timestamp_unix,transect,t_soil_c,t_air_c\n"
+                       b"0,\xe9,29.0,0.0\n")
+    names = {"dir": tmp_path / "a directory", "tmp": tmp_path,
+             "trace": trace_file, "latin1": latin1}
+    code, out, err = run_cli(capsys,
+                             *(arg.format(**names) for arg in command))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path.format(**names)}: {reason}\n"

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -211,13 +212,24 @@ def test_empty_series_map_rejected():
 def reference_load(path):
     """The trace loader as one Python loop body per row: the oracle."""
     rows: dict[str, list[tuple[int, float, float]]] = {}
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error:
+            header = None
         if header is None or tuple(h.strip() for h in header) != TRACE_HEADER:
             raise TraceFormatError(
                 f"expected header {','.join(TRACE_HEADER)}", line=1)
-        for line, row in enumerate(reader, start=2):
+        line = 1
+        while True:
+            line += 1
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                raise TraceFormatError(str(exc), line) from None
             if not row:
                 continue
             if len(row) != 4:
@@ -229,6 +241,8 @@ def reference_load(path):
                 t_air = float(row[3])
             except ValueError as exc:
                 raise TraceFormatError(str(exc), line) from None
+            if not -2**63 <= timestamp < 2**63:
+                raise TraceFormatError("timestamp out of range", line)
             transect = row[1].strip()
             if not transect:
                 raise TraceFormatError("empty transect label", line)
@@ -271,12 +285,23 @@ def assert_matches_reference(path, chunk_rows):
             reference_load, path)
 
 
+# besides malformed fields, inputs on which numpy's reader and int() or
+# float() differ or could differ: underscores, non-ASCII digits, the
+# int64 edges, spellings of infinity and nan, blanks (\x1c is one to
+# numpy, not to Python), a label numpy could take for a comment and a NUL
 STAMPS = st.one_of(st.integers(-3, 40).map(str),
-                   st.sampled_from(["1_0", " 7 ", "+3", "x", "", "1.5"]))
-LABELS = st.sampled_from(["A", "B", " A ", "a,b", 'q"x', "", "  "])
+                   st.sampled_from(["1_0", " 7 ", "+3", "x", "", "1.5",
+                                    "\u0661", "\uff11", "\t3", "\x1c3",
+                                    "9223372036854775807",
+                                    "9223372036854775808",
+                                    "-9223372036854775809"]))
+LABELS = st.sampled_from(["A", "B", " A ", "a,b", 'q"x', "", "  ", "#A",
+                          "A\x00", "A\nB"])
 TEMPS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
-    st.sampled_from(["nan", "-inf", "1_0.5", " 2.5 ", "soup", ""]),
+    st.sampled_from(["nan", "-inf", "1_0.5", " 2.5 ", "soup", "",
+                     "Infinity", "+nan", "1e400", "\t3", "\x1c3",
+                     "\u0661", "\uff11"]),
 )
 ROWS = st.one_of(
     st.tuples(STAMPS, LABELS, TEMPS, TEMPS).map(list),
@@ -299,11 +324,80 @@ def test_chunked_loader_matches_the_row_loop(tmp_path_factory, rows,
                 if len(r) == 4 and r[0].lstrip("-").isdigit() else r
                 for r in rows]
     path = tmp_path_factory.getbasetemp() / "fuzzed-trace.csv"
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(TRACE_HEADER)
         writer.writerows(rows)
     assert_matches_reference(path, chunk_rows)
+
+
+@pytest.mark.parametrize("row", [
+    *(f"{stamp},A,1,1" for stamp in [
+        "1_0", "\u0661", "\uff11", " 7 ", "+3", "-0", "\t3", "\x1c3",
+        "\x1f3", "9223372036854775807", "9223372036854775808",
+        "-9223372036854775809",
+        # numpy 2.4 reads this as 1911, where int() refuses it
+        "7\u0761"]),
+    *(f"0,A,{temp},1" for temp in [
+        "1_0.5", "\u0661", "\uff11", "Infinity", "+nan", "-nan", "1e400",
+        "-0", "\t3", " 2.5 ", "\x1c3", "\x1d3"]),
+    "0,#A,1,1", "0,A\x00,1,1", "0,\x1cA,1,1",
+])
+def test_a_field_numpy_could_read_otherwise_matches_the_row_loop(tmp_path,
+                                                                 row):
+    # alone in an otherwise plain trace, so that a field numpy accepts
+    # and Python refuses would load instead of failing
+    path = write_trace(tmp_path, f"0,A,1,1\n{row}\n0,B,1,1\n")
+    for chunk_rows in (1, 4096):
+        assert_matches_reference(path, chunk_rows)
+
+
+def test_a_plain_trace_never_reaches_the_python_converter(tmp_path):
+    rng = np.random.default_rng(19)
+    rows = [f"{600 * step},{transect},{soil:.2f},{air:.3e}"
+            for step in range(40)
+            for transect, (soil, air) in zip(("N1", " S2 ", "E3"),
+                                             rng.normal(8.0, 6.0, (3, 2)))]
+    rows.insert(70, "")
+    # LF and CRLF endings
+    body = "".join(row + ("\r\n" if i % 3 else "\n")
+                   for i, row in enumerate(rows))
+    path = tmp_path / "trace.csv"
+    path.write_bytes((HEADER + body).encode())
+    python_converter = mock.patch.object(
+        feasibility, "_chunk_columns",
+        side_effect=AssertionError("a plain chunk reached the csv path"))
+    with python_converter:
+        for chunk_rows in (16, 50, 4096):   # 121 lines: 8, 3 and 1 chunks
+            assert_matches_reference(path, chunk_rows)
+    assert list(load_temperature_trace(path)) == ["N1", "S2", "E3"]
+
+
+def test_a_chunk_of_blank_lines_loads_without_a_warning(tmp_path):
+    # numpy warns that such a chunk holds no data
+    path = write_trace(tmp_path, "0,A,1,1\n600,A,2,2\n\n\r\n1200,A,3,3\n")
+    assert_matches_reference(path, 2)
+    with mock.patch.object(feasibility, "_CHUNK_ROWS", 2), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        series = load_temperature_trace(path)
+    assert caught == []
+    assert series["A"].timestamps.tolist() == [0, 600, 1200]
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"0,A,1,1\n600,A,\xff\xfe,1\n", r"not UTF-8 text: b'\\xff\\xfe'"),
+    (b"0,A,1,1\n600,\xe9,1,1\n", r"not UTF-8 text: b'\\xe9'"),
+    # a record the csv module cannot read comes first
+    (b'0,A,1,1\n0,"A,1,1\n' + b"0,A,1,1\n" * 20_000 + b"0,\xff,1,1\n",
+     "field larger than field limit"),
+], ids=["soil", "label", "stray quote first"])
+def test_a_trace_that_is_not_utf8_names_its_line(tmp_path, body, message):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(HEADER.encode() + body)
+    with pytest.raises(TraceFormatError, match=message) as info:
+        load_temperature_trace(path)
+    assert info.value.line == 3
 
 
 @pytest.mark.parametrize("body, line", [
@@ -349,6 +443,23 @@ def test_timestamp_outside_int64_names_its_line(tmp_path):
         assert info.value.line == 3
 
 
+@pytest.mark.parametrize("body", [
+    # the field numpy would read, were the line not over the csv limit
+    "0,A,1,1\n0," + "A" * 200_000 + ",1,1\n",
+    # a stray quote runs the field to the end of the file
+    '0,A,1,1\n0,"A,1,1\n' + "0,A,1,1\n" * 20_000,
+], ids=["long field", "stray quote"])
+def test_a_record_the_csv_module_cannot_read_names_its_line(tmp_path, body):
+    path = write_trace(tmp_path, body)
+    for chunk_rows in (1, 4096):
+        assert_matches_reference(path, chunk_rows)
+        with mock.patch.object(feasibility, "_CHUNK_ROWS", chunk_rows), \
+                pytest.raises(TraceFormatError,
+                              match="field larger than field limit") as info:
+            load_temperature_trace(path)
+        assert info.value.line == 3
+
+
 def test_bad_row_before_an_unreadable_record_is_reported_first(tmp_path):
     path = write_trace(tmp_path,
                        "0,A,soup,1\n" + "0,A," + "9" * 200_000 + ",1\n")
@@ -362,23 +473,25 @@ def test_bad_row_before_an_unreadable_record_is_reported_first(tmp_path):
 def test_daily_means_equal_the_masked_means_exactly():
     rng = np.random.default_rng(7)
     n = 500
-    timestamps = rng.integers(0, 5 * 86400, n)     # unsorted, five days
-    series = TransectSeries("E", timestamps, rng.normal(8.0, 5.0, n),
-                            rng.normal(2.0, 6.0, n))
+    unsorted = rng.integers(0, 5 * 86400, n)     # five days
     stack, teg = default_stack(), default_teg()
-    analysis = analyze_trace({"E": series}, stack, teg).transects[0]
-    dt_env = series.t_soil_c - series.t_air_c
-    dt_teg = delta_t_teg(series.t_soil_c, series.t_air_c, stack)
-    power = teg_power(dt_teg, teg)
-    day_index = timestamps // 86400
-    days = np.unique(day_index)
-    assert len(analysis.daily) == len(days) == 5
-    for row, day in zip(analysis.daily, days):
-        mask = day_index == day
-        assert row.mean_dt_c == float(dt_env[mask].mean())
-        assert row.mean_dt_teg_k == float(dt_teg[mask].mean())
-        assert row.mean_power_w == float(power[mask].mean())
-    assert analysis.yearly.mean_power_w == float(power.mean())
+    # out of order, and in time order as the loader gives them
+    for timestamps in (unsorted, np.sort(unsorted)):
+        series = TransectSeries("E", timestamps, rng.normal(8.0, 5.0, n),
+                                rng.normal(2.0, 6.0, n))
+        analysis = analyze_trace({"E": series}, stack, teg).transects[0]
+        dt_env = series.t_soil_c - series.t_air_c
+        dt_teg = delta_t_teg(series.t_soil_c, series.t_air_c, stack)
+        power = teg_power(dt_teg, teg)
+        day_index = timestamps // 86400
+        days = np.unique(day_index)
+        assert len(analysis.daily) == len(days) == 5
+        for row, day in zip(analysis.daily, days):
+            mask = day_index == day
+            assert row.mean_dt_c == float(dt_env[mask].mean())
+            assert row.mean_dt_teg_k == float(dt_teg[mask].mean())
+            assert row.mean_power_w == float(power[mask].mean())
+        assert analysis.yearly.mean_power_w == float(power.mean())
 
 
 # -- node power and converter efficiency --------------------------------------

@@ -1,6 +1,7 @@
 """Event queue semantics: determinism, links, windows, watchdog, energy."""
 
 import hashlib
+import re
 
 import pytest
 
@@ -393,6 +394,16 @@ def test_invalid_link_parameters_rejected():
         LinkModel(latency_ms=20.5)
     with pytest.raises(ValueError):
         LinkModel(max_payload=0)
+
+
+@pytest.mark.parametrize("site_id", ["a/b", "a+", "#"])
+def test_add_site_refuses_an_id_no_bus_topic_can_carry(site_id):
+    # the gateway publishes on site/<site>/gw/gw-<site>/up, which the
+    # Backend's site/+/gw/+/up cannot match for such an id
+    sim = Simulator(seed=1, duration_s=10)
+    with pytest.raises(ValueError, match=f"site {re.escape(repr(site_id))}"):
+        sim.add_site(site_id, LinkModel())
+    assert site_id not in sim.sites
 
 
 def test_duplicate_site_and_node_rejected():
