@@ -132,7 +132,7 @@ class CsvSink:
         self._writer = None
         self._handle = None
         if path is not None:
-            self._handle = open(path, "w", newline="")
+            self._handle = open(path, "w", newline="", encoding="utf-8")
             self._writer = csv.writer(self._handle)
             self._writer.writerow(SINK_HEADER)
 

@@ -3,7 +3,8 @@ protocol inspection.
 
 Every subcommand is deterministic given its inputs.  Exit code 0 means
 the operation fully succeeded; malformed input exits 2 with a message
-naming the offending element (line, uid or byte offset).
+naming the offending element (path, line, uid or byte offset).  Files
+are UTF-8 whatever the locale; the tool's own printed text is ASCII.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .scenario import (
     load_scenario,
     node_directory,
     build_simulator,
+    parse_seed,
 )
 
 OPCODE_DISPLAY = {
@@ -121,15 +123,12 @@ def _cmd_proto_decode(args) -> int:
         return 0
     if args.hex is None:
         return _fail("--hex is required (or --describe)")
-    compact = "".join(args.hex.split())
     try:
-        data = bytes.fromhex(compact)
-    except ValueError:
-        return _fail("input is not valid hex")
-    try:
-        actions = decode_command(data)
+        actions = decode_command(bytes.fromhex("".join(args.hex.split())))
     except DecodeError as exc:
         return _fail(str(exc))
+    except ValueError:
+        return _fail("--hex: not valid hex")
     for action in actions:
         print(_describe_action(action))
     return 0
@@ -138,15 +137,11 @@ def _cmd_proto_decode(args) -> int:
 def _cmd_feas_analyze(args) -> int:
     try:
         series = feasibility.load_temperature_trace(args.trace)
-    except FileNotFoundError:
-        return _fail(f"trace file not found: {args.trace}")
     except feasibility.TraceFormatError as exc:
         return _fail(f"{args.trace}: {exc}")
     try:
         stack, teg = (energy.load_params(args.params) if args.params
                       else (energy.default_stack(), energy.default_teg()))
-    except FileNotFoundError:
-        return _fail(f"params file not found: {args.params}")
     except ValueError as exc:
         return _fail(f"{args.params}: {exc}")
     node_power_w = args.node_power_mw / 1e3 if args.node_power_mw is not None else None
@@ -169,7 +164,7 @@ def _cmd_feas_analyze(args) -> int:
     for analysis in report.transects:
         row = analysis.yearly
         print(
-            f"transect {row.transect}: yearly mean dT {row.mean_dt_c:.4g} °C,"
+            f"transect {row.transect}: yearly mean dT {row.mean_dt_c:.4g} degC,"
             f" dT_TEG {row.mean_dt_teg_k:.4g} K,"
             f" power {row.mean_power_w * 1e3:.4g} mW"
         )
@@ -185,8 +180,6 @@ def _cmd_feas_calibrate(args) -> int:
     try:
         stack, teg = (energy.load_params(args.params) if args.params
                       else (energy.default_stack(), energy.default_teg()))
-    except FileNotFoundError:
-        return _fail(f"params file not found: {args.params}")
     except ValueError as exc:
         return _fail(f"{args.params}: {exc}")
     alpha = args.alpha if args.alpha is not None else teg.seebeck_v_per_k
@@ -208,12 +201,10 @@ def _cmd_sim_run(args) -> int:
     scenario_path = Path(args.scenario) if args.scenario else default_scenario_path()
     try:
         config = load_scenario(scenario_path)
-    except FileNotFoundError:
-        return _fail(f"scenario file not found: {scenario_path}")
+        if args.seed is not None:
+            config = replace(config, seed=parse_seed(args.seed, "--seed"))
     except InvalidScenarioError as exc:
         return _fail(str(exc))
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     sim = build_simulator(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -328,14 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):  # an io.StringIO has none
+        # a label or path echoed to an ASCII terminal is escaped, as
+        # Python escapes it on stderr, instead of ending the run
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:
-        # a path the command cannot open, read or write, such as a
-        # directory where a file belongs; a missing input file is
-        # reported by its command
+        # a path the command cannot open, read or write: a missing
+        # input file, or a directory where a file belongs
         if exc.filename is None:
             return _fail(str(exc))
         return _fail(f"{exc.filename}: {exc.strerror}")

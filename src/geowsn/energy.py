@@ -240,7 +240,7 @@ def _resolve_resistance(value, key: str) -> float:
 
 
 def load_params(source) -> tuple[ThermalStack, TegParams]:
-    """Read a harvester parameter file (or parsed dict).
+    """Read a harvester parameter file (UTF-8 JSON) or a parsed dict.
 
     Keys ``r_hs``, ``r_teg_th``, ``r_tp``, ``r_cplt`` and ``r_crod``
     give resistances in K/W, either as numbers or as geometry objects
@@ -250,7 +250,7 @@ def load_params(source) -> tuple[ThermalStack, TegParams]:
     keys fall back to the reference harvester.
     """
     if isinstance(source, (str, Path)):
-        with open(source) as handle:
+        with open(source, encoding="utf-8") as handle:
             doc = json.load(handle)
     else:
         doc = source

@@ -94,37 +94,35 @@ def load_temperature_trace(path: str | Path) -> dict[str, TransectSeries]:
     refuses or warns about, is read by the csv module and converted by
     ``int()`` and ``float()``, which decide what a valid row is.  A
     malformed row, a record the csv module cannot read and bytes that are
-    not UTF-8 raise :class:`TraceFormatError` naming the line, counted in
-    CSV records with the header as line 1.
+    not UTF-8 raise :class:`TraceFormatError` naming the first such line,
+    counted in CSV records with the header as line 1.
     """
     parts: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
     last: dict[str, int] = {}
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            try:
-                header = next(csv.reader(handle), None)
-            except csv.Error:
-                header = None
-            if header is None or tuple(h.strip() for h in header) != TRACE_HEADER:
-                raise TraceFormatError(
-                    f"expected header {','.join(TRACE_HEADER)}", line=1
-                )
-            line = 2
-            while lines := list(islice(handle, _CHUNK_ROWS)):
-                records = len(lines)
-                groups = _plain_columns(lines, last)
-                if groups is None:
-                    # the same number of records, which a quoted field
-                    # may finish past the chunk's last line
-                    records, groups = _csv_columns(
-                        csv.reader(chain(lines, handle)), records, line, last)
-                for transect, timestamps, t_soil, t_air in groups:
-                    parts.setdefault(transect, []).append(
-                        (timestamps, t_soil, t_air))
-                    last[transect] = int(timestamps[-1])
-                line += records
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+    with open(path, newline="", encoding="utf-8",
+              errors="surrogateescape") as handle:
+        try:
+            header = next(csv.reader(handle), None)
+        except csv.Error:
+            header = None
+        if header is None or tuple(h.strip() for h in header) != TRACE_HEADER:
+            raise TraceFormatError(
+                f"expected header {','.join(TRACE_HEADER)}", line=1
+            )
+        line = 2
+        while lines := list(islice(handle, _CHUNK_ROWS)):
+            records = len(lines)
+            groups = _plain_columns(lines, last)
+            if groups is None:
+                # the same number of records, which a quoted field
+                # may finish past the chunk's last line
+                records, groups = _csv_columns(
+                    csv.reader(chain(lines, handle)), records, line, last)
+            for transect, timestamps, t_soil, t_air in groups:
+                parts.setdefault(transect, []).append(
+                    (timestamps, t_soil, t_air))
+                last[transect] = int(timestamps[-1])
+            line += records
     if not parts:
         raise TraceFormatError("no samples")
     return {
@@ -213,15 +211,16 @@ def _group(timestamps: np.ndarray, labels, t_soil: np.ndarray,
     """Converted columns split into per-transect columns, in first-seen order.
 
     Returns ``(transect, timestamps, t_soil_c, t_air_c)`` per transect, or
-    ``None`` if a label is blank or a transect's timestamps go backwards;
-    ``last`` holds each transect's last timestamp from earlier chunks.
+    ``None`` if a label is blank or not UTF-8 or a transect's timestamps
+    go backwards; ``last`` holds each transect's last timestamp from
+    earlier chunks.
     """
     # each distinct label is stripped once; code = first-seen order
     codes: dict[str, int] = {}
     code_of = dict.fromkeys(labels)
     for label in code_of:
         code_of[label] = codes.setdefault(label.strip(), len(codes))
-    if "" in codes:
+    if "" in codes or _undecodable("".join(codes)):
         return None
     code = np.fromiter(map(code_of.__getitem__, labels), np.intp, len(labels))
     order = np.argsort(code, kind="stable")
@@ -237,24 +236,15 @@ def _group(timestamps: np.ndarray, labels, t_soil: np.ndarray,
     return groups
 
 
-def _not_utf8(path: str | Path) -> TraceFormatError:
-    """The error for the first record of ``path`` that is not UTF-8, or
-    for an earlier one that the csv module cannot read."""
-    with open(path, newline="", encoding="utf-8",
-              errors="surrogateescape") as handle:
-        line = 0
-        try:
-            for line, row in enumerate(csv.reader(handle), start=1):
-                try:
-                    "".join(row).encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    bad = exc.object[exc.start:exc.end].encode(
-                        "utf-8", "surrogateescape")
-                    return TraceFormatError(f"not UTF-8 text: {bad!r}", line)
-        except csv.Error as exc:
-            return TraceFormatError(str(exc), line + 1)
-    # every record decodes: the file changed since the failed read
-    return TraceFormatError("not UTF-8 text")
+def _undecodable(text: str) -> bytes:
+    """The first run of bytes in ``text`` that were not UTF-8, or ``b""``:
+    the loader decodes them to lone surrogates, which ``int()`` and
+    ``float()`` refuse and no plain (ASCII) chunk holds."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return exc.object[exc.start:exc.end].encode("utf-8", "surrogateescape")
+    return b""
 
 
 def _check_rows(chunk: list[list[str]], line: int,
@@ -265,6 +255,8 @@ def _check_rows(chunk: list[list[str]], line: int,
     """
     last = dict(last)
     for line, row in enumerate(chunk, start=line):
+        if bad := _undecodable("".join(row)):
+            raise TraceFormatError(f"not UTF-8 text: {bad!r}", line)
         if not row:
             continue
         if len(row) != 4:
@@ -408,7 +400,7 @@ def write_report_csv(report: FeasibilityReport, target) -> None:
     if hasattr(target, "write"):
         _write_report(report, target)
     else:
-        with open(target, "w", newline="") as handle:
+        with open(target, "w", newline="", encoding="utf-8") as handle:
             _write_report(report, handle)
 
 

@@ -264,33 +264,42 @@ class TraceDriver(SensorDriver):
 def load_sensor_trace(path: str | Path, kind: SensorKind) -> TraceDriver:
     """Load a per-node sensor trace CSV: timestamp_unix plus one
     column per channel of the given sensor kind.  A malformed or empty
-    file raises ``ValueError`` naming it, and the line at fault if any."""
+    file, a record csv cannot read and bytes that are not UTF-8 raise
+    ``ValueError`` naming the file, and the first line at fault if any."""
     import csv
 
     want = len(CHANNELS[kind])
     times: list[float] = []
     columns: list[list[float]] = [[] for _ in range(want)]
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8",
+              errors="surrogateescape") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or len(header) != want + 1 or header[0] != "timestamp_unix":
-            raise ValueError(
-                f"{path}: expected header timestamp_unix plus {want} channel columns"
-            )
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != want + 1:
-                raise ValueError(
-                    f"{where}: expected {want + 1} fields, got {len(row)}")
-            try:
-                values = [float(field) for field in row]
-            except ValueError:
-                raise ValueError(f"{where}: not a number in {row!r}") from None
-            times.append(values[0])
-            for i in range(want):
-                columns[i].append(values[i + 1])
+        try:
+            for index, row in enumerate(reader):
+                where = f"{path}: line {reader.line_num}"
+                try:
+                    "".join(row).encode("utf-8")
+                except UnicodeEncodeError:  # an escaped byte, not UTF-8
+                    raise ValueError(f"{where}: not UTF-8 text") from None
+                if index == 0:
+                    if len(row) != want + 1 or row[0] != "timestamp_unix":
+                        raise ValueError(f"{path}: expected header timestamp_unix"
+                                         f" plus {want} channel columns")
+                    continue
+                if not row:
+                    continue
+                if len(row) != want + 1:
+                    raise ValueError(
+                        f"{where}: expected {want + 1} fields, got {len(row)}")
+                try:
+                    values = [float(field) for field in row]
+                except ValueError:
+                    raise ValueError(f"{where}: not a number in {row!r}") from None
+                times.append(values[0])
+                for i in range(want):
+                    columns[i].append(values[i + 1])
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not times:
         raise ValueError(f"{path}: empty sensor trace, no rows after the header")
     return TraceDriver(kind, times, columns)

@@ -11,7 +11,6 @@ turns a parsed scenario into a ready-to-run network and cannot fail.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
@@ -142,6 +141,11 @@ def _number(value, where: str, *, minimum: float, integer: bool = False):
     return int(value)
 
 
+def parse_seed(value, where: str = "scenario: seed") -> int:
+    """A run's seed: a whole number of at least 0."""
+    return _number(value, where, minimum=0, integer=True)
+
+
 def _whole_ms(value, where: str) -> float:
     """A positive time in s that stays at least 1 ms once the simulator
     rounds it to whole ms."""
@@ -209,8 +213,6 @@ def _parse_driver(trace, kind: SensorKind, where: str,
                 f"{where}: cannot read {path}: {exc.strerror or exc}") from None
         except ValueError as exc:
             raise InvalidScenarioError(f"{where}: {exc}") from None
-        except csv.Error as exc:
-            raise InvalidScenarioError(f"{where}: {path}: {exc}") from None
     if not isinstance(trace, dict):
         raise InvalidScenarioError(f"{where}: expected a path or an object")
     if trace.get("kind") == "multi":
@@ -271,8 +273,7 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> ScenarioConfig:
         raise InvalidScenarioError("scenario root must be an object")
     _check_keys(doc, {"seed", "duration_s", "listen_interval_s", "sites",
                       "power_profile"}, "scenario")
-    seed = _number(_require(doc, "seed", "scenario"), "scenario: seed",
-                   minimum=0, integer=True)
+    seed = parse_seed(_require(doc, "seed", "scenario"))
     duration = _whole_ms(_require(doc, "duration_s", "scenario"),
                          "scenario: duration_s")
     listen = _whole_ms(doc.get("listen_interval_s", DEFAULT_LISTEN_INTERVAL_S),
@@ -343,13 +344,14 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> ScenarioConfig:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
+    """Parse a UTF-8 JSON scenario file; every error names the file."""
     path = Path(path)
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise InvalidScenarioError(f"{path}: not valid JSON: {exc}") from None
-    return parse_scenario(doc, path.parent)
+        return parse_scenario(doc, path.parent)
+    except (UnicodeDecodeError, json.JSONDecodeError, InvalidScenarioError) as exc:
+        raise InvalidScenarioError(f"{path}: {exc}") from None
 
 
 def build_node(spec: NodeSpec) -> SensorNode:
@@ -392,4 +394,4 @@ def default_scenario() -> ScenarioConfig:
 
 def make_reference_deployment() -> dict:
     """The document behind the bundled scenario file."""
-    return json.loads(default_scenario_path().read_text())
+    return json.loads(default_scenario_path().read_text(encoding="utf-8"))

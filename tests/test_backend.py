@@ -232,7 +232,7 @@ def test_csv_sink_writes_header_and_rows(tmp_path):
     sink.append(TimeSeriesRecord(1000, "north", 7, "E", "t_soil", 3.456,
                                  "°C"))
     sink.close()
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == list(SINK_HEADER)
     assert rows[1] == ["1000", "north", "7", "E", "t_soil", "3.456", "°C"]
@@ -249,7 +249,7 @@ def test_csv_sink_replaces_an_existing_file(tmp_path):
     second = CsvSink(path)
     second.append(TimeSeriesRecord(2, "north", 7, "E", "t_soil", 2.0, "°C"))
     second.close()
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == list(SINK_HEADER)
     assert [row[0] for row in rows[1:]] == ["2"]

@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,6 +91,41 @@ def test_encode_describes_grammar(capsys):
     assert "read:FILE:OFFSET:LENGTH" in out
 
 
+def test_decode_describes_grammar(capsys):
+    code, out, _ = run_cli(capsys, "proto-decode", "--describe")
+    assert code == 0
+    assert "read:FILE:OFFSET:LENGTH" in out
+
+
+def test_decode_without_hex_fails(capsys):
+    code, out, err = run_cli(capsys, "proto-decode")
+    assert (code, out) == (2, "")
+    assert err == "error: --hex is required (or --describe)\n"
+
+
+def test_encode_without_actions_fails(capsys):
+    code, out, err = run_cli(capsys, "proto-encode")
+    assert (code, out) == (2, "")
+    assert err == "error: no actions given (see --describe)\n"
+
+
+def test_decode_lists_a_status_action(capsys):
+    code, out, _ = run_cli(capsys, "proto-decode", "--hex",
+                           "7F41030000000100000005")
+    assert code == 0
+    assert out.splitlines() == ["Status code=0x05 file=0x41 offset=3 len=1"]
+
+
+@pytest.mark.parametrize("spec, named", [
+    ("read:0x41:x:12", "offset: not a number: 'x'"),
+    ("status:0:zz", "status field: not a number: 'zz'"),
+])
+def test_encode_names_a_field_that_is_not_a_number(capsys, spec, named):
+    code, out, err = run_cli(capsys, "proto-encode", spec)
+    assert (code, out) == (2, "")
+    assert err == f"error: action {spec!r}: {named}\n"
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["proto-decode", "--hexx", "00"])
@@ -127,11 +165,11 @@ def test_feas_analyze_prints_notes_and_writes_report(capsys, tmp_path,
 
 
 def test_feas_analyze_missing_trace_fails(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "feas-analyze", "--trace",
-                           str(tmp_path / "absent.csv"),
+    trace = tmp_path / "absent.csv"
+    code, _, err = run_cli(capsys, "feas-analyze", "--trace", str(trace),
                            "--out", str(tmp_path / "r.csv"))
     assert code == 2
-    assert "not found" in err
+    assert err == f"error: {trace}: No such file or directory\n"
 
 
 def test_feas_analyze_bad_trace_names_line(capsys, tmp_path):
@@ -218,6 +256,30 @@ def test_feas_analyze_rejects_a_malformed_params_file(capsys, tmp_path,
     assert f"error: {params}:" in err
 
 
+def test_feas_calibrate_rejects_a_malformed_params_file(capsys, tmp_path):
+    params = tmp_path / "p.json"
+    params.write_text('{"r_hs": null}', encoding="utf-8")
+    code, out, err = run_cli(capsys, "feas-calibrate", "--params",
+                             str(params), "--mean-dt-c", "29",
+                             "--mean-power-mw", "24")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {params}: ")
+    assert "r_hs" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["feas-calibrate", "--mean-dt-c", "29", "--mean-power-mw", "24"],
+    ["feas-analyze", "--trace", "{trace}", "--out", "{tmp}/r.csv"],
+])
+def test_a_missing_params_file_exits_2_naming_it(capsys, tmp_path,
+                                                 trace_file, command):
+    params = tmp_path / "absent.json"
+    argv = [arg.format(trace=trace_file, tmp=tmp_path) for arg in command]
+    code, out, err = run_cli(capsys, *argv, "--params", str(params))
+    assert (code, out) == (2, "")
+    assert err == f"error: {params}: No such file or directory\n"
+
+
 def test_sim_run_writes_outputs(capsys, tmp_path):
     scenario = tmp_path / "tiny.json"
     scenario.write_text("""
@@ -245,7 +307,8 @@ def test_sim_run_writes_outputs(capsys, tmp_path):
     assert "projected battery lifetime" in out
     runlog = (out_dir / "runlog.txt").read_text()
     assert "# summary" in runlog
-    with open(out_dir / "readings.csv", newline="") as handle:
+    with open(out_dir / "readings.csv", newline="",
+              encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
     assert rows[0][0] == "timestamp"
     assert len(rows) > 1
@@ -314,6 +377,24 @@ def test_sim_run_rejects_bad_scenario(capsys, tmp_path):
                            "--out", str(tmp_path / "out"))
     assert code == 2
     assert "error:" in err
+
+
+def test_sim_run_refuses_a_scenario_that_is_not_utf8(capsys, tmp_path):
+    scenario = tmp_path / "bad.json"
+    scenario.write_bytes(b'{"seed": 1, "x": "\xff"}')
+    code, out, err = run_cli(capsys, "sim-run", "--scenario", str(scenario),
+                             "--out", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {scenario}: ")
+    assert "can't decode byte 0xff" in err
+
+
+def test_sim_run_missing_scenario_fails(capsys, tmp_path):
+    scenario = tmp_path / "absent.json"
+    code, out, err = run_cli(capsys, "sim-run", "--scenario", str(scenario),
+                             "--out", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == f"error: {scenario}: No such file or directory\n"
 
 
 def one_node_scenario(tmp_path, *, link=None, power_profile=None,
@@ -388,21 +469,26 @@ def test_sim_run_rejects_a_structure_of_the_wrong_type(capsys, tmp_path,
     assert named in err
 
 
-@pytest.mark.parametrize("csv_text, named", [
+@pytest.mark.parametrize("csv_bytes, named", [
     (None, "cannot read"),
-    ("time,t_soil\n0,4.0\n", "expected header"),
-    ("timestamp_unix,t_soil\n0\n", "line 2: expected 2 fields"),
-    ("timestamp_unix,t_soil\n0,4.0\n60,abc\n", "line 3: not a number"),
-    ("timestamp_unix,t_soil\n0," + "1" * 200_000 + "\n", "field larger"),
-    ("timestamp_unix,t_soil\n", "empty sensor trace"),
+    (b"time,t_soil\n0,4.0\n", "expected header"),
+    (b"timestamp_unix,t_soil\n0\n", "line 2: expected 2 fields"),
+    (b"timestamp_unix,t_soil\n0,4.0\n60,abc\n", "line 3: not a number"),
+    (b"timestamp_unix,t_soil\n0," + b"1" * 200_000 + b"\n",
+     "line 2: field larger than field limit"),
+    (b"timestamp_unix,t_soil\n", "empty sensor trace"),
+    (b"timestamp_unix,t_soil\n0,4.0\n60,4\xff\n", "line 3: not UTF-8 text"),
+    (b"timestamp_unix,t_\xe9\n0,4.0\n", "line 1: not UTF-8 text"),
+    (b"timestamp_unix,t_soil\n60,abc\n60,\xff\n0," + b"1" * 200_000,
+     "line 2: not a number"),
 ], ids=["missing", "header", "short row", "not a number", "huge field",
-        "header only"])
+        "header only", "not UTF-8", "header not UTF-8", "first fault first"])
 def test_sim_run_rejects_a_trace_file_it_cannot_load(capsys, tmp_path,
-                                                     csv_text, named):
+                                                     csv_bytes, named):
     path = Path(one_node_scenario(tmp_path))
     _replace_in_scenario(path, TRACE, "trace.csv")
-    if csv_text is not None:
-        (tmp_path / "trace.csv").write_text(csv_text)
+    if csv_bytes is not None:
+        (tmp_path / "trace.csv").write_bytes(csv_bytes)
     code, _, err = run_cli(capsys, "sim-run", "--scenario", str(path),
                            "--out", str(tmp_path / "out"))
     assert code == 2
@@ -421,12 +507,28 @@ def test_sim_run_into_a_used_directory_holds_only_the_new_runs_readings(
         assert code == 0
     printed = dict(line.split(": ", 1) for line in out.splitlines()
                    if line.startswith(("sink rows: ", "log hash: ")))
-    with open(out_dir / "readings.csv", newline="") as handle:
+    with open(out_dir / "readings.csv", newline="",
+              encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
     assert rows[0][0] == "timestamp"
     assert len(rows) == 1 + int(printed["sink rows"]) > 2
     runlog = (out_dir / "runlog.txt").read_bytes()
     assert printed["log hash"] == hashlib.sha256(runlog).hexdigest()
+
+
+@pytest.mark.parametrize("seed, reason", [
+    ("-5", "must be finite and at least 0"),
+    (str(10**400), "must be finite and at least 0"),
+], ids=["negative", "beyond a float"])
+def test_sim_run_refuses_a_seed_the_scenario_would_refuse(capsys, tmp_path,
+                                                          seed, reason):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "sim-run", "--scenario",
+                             one_node_scenario(tmp_path), "--seed", seed,
+                             "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err == f"error: --seed {reason}\n"
+    assert not (out_dir / "runlog.txt").exists()
 
 
 def test_sim_run_prints_backend_counters(capsys, tmp_path):
@@ -565,3 +667,76 @@ def test_a_path_the_command_cannot_use_exits_2_naming_it(capsys, tmp_path,
     assert code == 2
     assert out == ""
     assert err == f"error: {path.format(**names)}: {reason}\n"
+
+
+# -- the locale is not an input -----------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+#: a process whose locale encoding, file encoding and terminal are ASCII
+ASCII_LOCALE = {"LC_ALL": "C", "LANG": "C", "PYTHONCOERCECLOCALE": "0"}
+
+
+def run_in_process(tmp_path, mode: str, *argv):
+    """``geowsn`` in a new interpreter: ``mode`` "ascii" runs it under
+    the C locale with UTF-8 mode off, "utf8" with UTF-8 mode on."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("PYTHONUTF8", "PYTHONIOENCODING", "LC_ALL",
+                          "LC_CTYPE", "LANG")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if mode == "ascii":
+        env.update(ASCII_LOCALE)
+    flag = "utf8=0" if mode == "ascii" else "utf8=1"
+    return subprocess.run([sys.executable, "-X", flag, "-m", "geowsn.cli",
+                           *argv], cwd=tmp_path, env=env, capture_output=True,
+                          timeout=120)
+
+
+def test_sim_run_writes_the_same_bytes_whatever_the_locale(tmp_path):
+    doc = json.loads(Path(one_node_scenario(tmp_path)).read_text(
+        encoding="utf-8"))
+    doc["sites"][0]["site_id"] = "Grændalur"
+    doc["sites"][0]["nodes"][0]["transect"] = "Grændalur"
+    (tmp_path / "scenario.json").write_text(
+        json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    outputs = {}
+    for mode in ("ascii", "utf8"):
+        result = run_in_process(tmp_path, mode, "sim-run", "--scenario",
+                                "scenario.json", "--out", mode)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == b""
+        outputs[mode] = [(tmp_path / mode / name).read_bytes()
+                         for name in ("runlog.txt", "readings.csv")]
+        if mode == "ascii":
+            assert result.stdout.isascii()
+            assert b"Gr\\xe6ndalur" in result.stdout
+    assert outputs["ascii"] == outputs["utf8"]
+    assert ",Grændalur,t_soil," in outputs["utf8"][1].decode("utf-8")
+
+
+def test_feas_analyze_writes_the_same_bytes_whatever_the_locale(tmp_path):
+    (tmp_path / "trace.csv").write_text(
+        "timestamp_unix,transect,t_soil_c,t_air_c\n"
+        "0,Grændalur,29.0,0.0\n600,Grændalur,28.0,1.0\n",
+        encoding="utf-8")
+    reports = {}
+    for mode in ("ascii", "utf8"):
+        result = run_in_process(tmp_path, mode, "feas-analyze", "--trace",
+                                "trace.csv", "--out", f"{mode}.csv",
+                                "--node-power-mw", "0.4")
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == b""
+        reports[mode] = (tmp_path / f"{mode}.csv").read_bytes()
+        if mode == "ascii":
+            assert result.stdout.isascii()
+            assert b"transect Gr\\xe6ndalur: harvest feasible" in result.stdout
+    assert reports["ascii"] == reports["utf8"]
+    assert "yearly,Grændalur," in reports["utf8"].decode("utf-8")
+    (tmp_path / "back.csv").write_text(
+        "timestamp_unix,transect,t_soil_c,t_air_c\n"
+        "600,Grændalur,29.0,0.0\n0,Grændalur,28.0,1.0\n", encoding="utf-8")
+    result = run_in_process(tmp_path, "ascii", "feas-analyze", "--trace",
+                            "back.csv", "--out", "back-report.csv")
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr == (b"error: back.csv: line 3: timestamp goes"
+                             b" backwards within transect Gr\\xe6ndalur\n")

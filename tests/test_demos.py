@@ -21,5 +21,5 @@ def test_demo_exits_cleanly(demo):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                            capture_output=True, text=True, timeout=120)
+                            capture_output=True, encoding="utf-8", timeout=120)
     assert result.returncode == 0, result.stderr

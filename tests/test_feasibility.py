@@ -29,7 +29,7 @@ HEADER = "timestamp_unix,transect,t_soil_c,t_air_c\n"
 
 def write_trace(tmp_path, body: str, name: str = "trace.csv"):
     path = tmp_path / name
-    path.write_text(HEADER + body)
+    path.write_text(HEADER + body, encoding="utf-8")
     return path
 
 
@@ -212,7 +212,8 @@ def test_empty_series_map_rejected():
 def reference_load(path):
     """The trace loader as one Python loop body per row: the oracle."""
     rows: dict[str, list[tuple[int, float, float]]] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8",
+              errors="surrogateescape") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
@@ -230,6 +231,13 @@ def reference_load(path):
                 break
             except csv.Error as exc:
                 raise TraceFormatError(str(exc), line) from None
+            try:
+                "".join(row).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                bad = exc.object[exc.start:exc.end].encode(
+                    "utf-8", "surrogateescape")
+                raise TraceFormatError(f"not UTF-8 text: {bad!r}",
+                                       line) from None
             if not row:
                 continue
             if len(row) != 4:
@@ -288,20 +296,22 @@ def assert_matches_reference(path, chunk_rows):
 # besides malformed fields, inputs on which numpy's reader and int() or
 # float() differ or could differ: underscores, non-ASCII digits, the
 # int64 edges, spellings of infinity and nan, blanks (\x1c is one to
-# numpy, not to Python), a label numpy could take for a comment and a NUL
+# numpy, not to Python), a label numpy could take for a comment and a
+# NUL; and bytes that are not UTF-8, each a lone surrogate here that the
+# fuzzed file is written with as the byte itself
 STAMPS = st.one_of(st.integers(-3, 40).map(str),
                    st.sampled_from(["1_0", " 7 ", "+3", "x", "", "1.5",
                                     "\u0661", "\uff11", "\t3", "\x1c3",
                                     "9223372036854775807",
                                     "9223372036854775808",
-                                    "-9223372036854775809"]))
+                                    "-9223372036854775809", "1\udcff"]))
 LABELS = st.sampled_from(["A", "B", " A ", "a,b", 'q"x', "", "  ", "#A",
-                          "A\x00", "A\nB"])
+                          "A\x00", "A\nB", "\udce9A", "Gr\u00e6ndalur"])
 TEMPS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["nan", "-inf", "1_0.5", " 2.5 ", "soup", "",
                      "Infinity", "+nan", "1e400", "\t3", "\x1c3",
-                     "\u0661", "\uff11"]),
+                     "\u0661", "\uff11", "\udcff\udcfe"]),
 )
 ROWS = st.one_of(
     st.tuples(STAMPS, LABELS, TEMPS, TEMPS).map(list),
@@ -324,7 +334,8 @@ def test_chunked_loader_matches_the_row_loop(tmp_path_factory, rows,
                 if len(r) == 4 and r[0].lstrip("-").isdigit() else r
                 for r in rows]
     path = tmp_path_factory.getbasetemp() / "fuzzed-trace.csv"
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with open(path, "w", newline="", encoding="utf-8",
+              errors="surrogateescape") as handle:
         writer = csv.writer(handle)
         writer.writerow(TRACE_HEADER)
         writer.writerows(rows)
@@ -398,6 +409,27 @@ def test_a_trace_that_is_not_utf8_names_its_line(tmp_path, body, message):
     with pytest.raises(TraceFormatError, match=message) as info:
         load_temperature_trace(path)
     assert info.value.line == 3
+
+
+def test_the_first_bad_row_is_named_before_a_later_bad_byte(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(HEADER.encode() + b"0,A,soup,1\n"
+                     + b"0,A,1,1\n" * 3000 + b"0,\xff,1,1\n")
+    for chunk_rows in (1, 4096):
+        assert_matches_reference(path, chunk_rows)
+        with mock.patch.object(feasibility, "_CHUNK_ROWS", chunk_rows), \
+                pytest.raises(TraceFormatError, match="soup") as info:
+            load_temperature_trace(path)
+        assert info.value.line == 2
+
+
+def test_a_trace_is_opened_once_per_load(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(HEADER.encode() + b"0,A,1,1\n600,\xe9,1,1\n")
+    with mock.patch("builtins.open", wraps=open) as opened, \
+            pytest.raises(TraceFormatError, match="not UTF-8"):
+        load_temperature_trace(path)
+    assert opened.call_count == 1
 
 
 @pytest.mark.parametrize("body, line", [

@@ -1,6 +1,7 @@
 """Source hygiene that a deletion can leave behind: an import nothing
 uses, a private name or a stored attribute nothing reads, or a package
-export that no longer resolves."""
+export that no longer resolves; and a text file opened without naming
+its encoding, which would make the locale an input."""
 
 import ast
 from collections import Counter
@@ -87,7 +88,7 @@ def test_sources_are_found():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= _exported(tree)
     unused = {name: line for name, line in _imported_names(tree).items()
@@ -104,7 +105,7 @@ def test_every_export_resolves_once():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_private_name_is_read(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     read |= {node.attr for node in ast.walk(tree)
@@ -117,9 +118,52 @@ def test_every_private_name_is_read(path):
 def test_every_stored_attribute_is_read():
     read = {node.attr
             for tree in READERS for path in (REPO / tree).rglob("*.py")
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = {f"{path.name}:{line}": name for path in SOURCES
-              for name, line in _stored_attributes(ast.parse(path.read_text())).items()
+              for name, line in _stored_attributes(ast.parse(path.read_text(encoding="utf-8"))).items()
               if name not in read}
     assert not unread, f"stored but never read: {unread}"
+
+
+def _text_access_without_encoding(tree: ast.Module) -> list[int]:
+    """Lines of each ``open()``, ``.read_text()`` or ``.write_text()``
+    call in text mode that names no ``encoding``."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            if isinstance(mode, ast.Constant) and "b" in mode.value:
+                continue
+        elif not (isinstance(func, ast.Attribute)
+                  and func.attr in ("read_text", "write_text")):
+            continue
+        if not any(k.arg == "encoding" for k in node.keywords):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_text_file_access_names_its_encoding(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _text_access_without_encoding(tree) == [], (
+        f"{path.name}: text-mode file access without an encoding")
+
+
+def test_the_encoding_check_sees_each_form():
+    tree = ast.parse(
+        "open(p)\n"
+        "open(p, 'w', newline='')\n"
+        "open(p, mode='r')\n"
+        "p.read_text()\n"
+        "p.write_text(t)\n"
+        "open(p, 'rb')\n"
+        "open(p, mode='wb')\n"
+        "open(p, encoding='utf-8')\n"
+        "p.read_text(encoding='utf-8')\n"
+        "p.read_bytes()\n")
+    assert _text_access_without_encoding(tree) == [1, 2, 3, 4, 5]
