@@ -158,3 +158,42 @@ def test_sim_run_stdout_is_pinned(capsys, tmp_path):
              if not line.startswith(("scenario:", "outputs:"))]
     text = "".join(line + "\n" for line in lines)
     assert hashlib.sha256(text.encode()).hexdigest() == SIM_RUN_STDOUT
+
+
+#: 30 days at 10 min of three transects in logger order, 12,960 rows:
+#: 4,096-row chunks end mid-day, and one label is not ASCII
+FEAS_TRANSECTS = ("GO", "Grændalur", "RE")
+FEAS_START_UNIX = 1609459200        # 2021-01-01T00:00:00Z
+FEAS_STEPS = 30 * 144
+#: SHA-256 of the report of ``feas-analyze --node-power-mw 0.4`` on it
+FEAS_REPORT = (
+    "2843f76f64c969af4e4e825de79406bfbbbe7d05d32bfad28709da10e4fdf21d")
+
+
+def write_feas_trace(path):
+    """Temperatures in whole hundredths of a degree from integer
+    arithmetic and a seeded ``random.Random``, written with ``repr``: the
+    same bytes on every platform.  Air swings 8 degC a day; soil swings
+    less around a per-transect offset, so the gradient of ``GO`` changes
+    sign daily."""
+    rng = random.Random(SEED)
+    lines = ["timestamp_unix,transect,t_soil_c,t_air_c\n"]
+    for step in range(FEAS_STEPS):
+        # a triangle wave over the day's 144 samples, 0..72..0
+        phase = abs(step % 144 - 72)
+        for offset, transect in enumerate(FEAS_TRANSECTS):
+            air = 100 + 11 * phase + rng.randrange(-120, 121)
+            soil = 400 + 300 * offset + 2 * phase + rng.randrange(-10, 11)
+            lines.append(f"{FEAS_START_UNIX + 600 * step},{transect},"
+                         f"{soil / 100!r},{air / 100!r}\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    return len(lines) - 1
+
+
+def test_feas_analyze_report_is_pinned(tmp_path):
+    trace = tmp_path / "trace.csv"
+    assert write_feas_trace(trace) == 12_960
+    report = tmp_path / "report.csv"
+    assert main(["feas-analyze", "--trace", str(trace), "--out", str(report),
+                 "--node-power-mw", "0.4"]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == FEAS_REPORT
