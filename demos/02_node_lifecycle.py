@@ -7,6 +7,8 @@ bytes, it hands back uplink frames.  No radio, no scheduler, so every
 behavior is easy to poke at.
 """
 
+import sys
+
 from geowsn.alp import (
     AlpAction,
     NODE_CONFIG_FILE,
@@ -23,6 +25,10 @@ from geowsn.node import (
     SignalDriver,
     SineSignal,
 )
+
+# the degree sign of a unit is escaped on an ASCII terminal, as the CLI
+# escapes what it prints, instead of ending the demo
+sys.stdout.reconfigure(errors="backslashreplace")
 
 # A soil probe that swings around 4 degrees over a day.
 driver = SignalDriver(

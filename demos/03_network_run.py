@@ -7,6 +7,8 @@ decoding backend attached, reads a node's configuration over the air
 while the network is live, then closes the books.
 """
 
+import sys
+
 from geowsn.backend import Backend
 from geowsn.energy import (
     BATTERY_CAPACITY_AH,
@@ -14,6 +16,10 @@ from geowsn.energy import (
     battery_lifetime_hours,
 )
 from geowsn.scenario import build_simulator, default_scenario, node_directory
+
+# the degree sign of a unit is escaped on an ASCII terminal, as the CLI
+# escapes what it prints, instead of ending the demo
+sys.stdout.reconfigure(errors="backslashreplace")
 
 config = default_scenario()
 print("scenario:", config.node_count, "nodes across",

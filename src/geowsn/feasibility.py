@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from datetime import date
 from itertools import chain, islice
@@ -37,6 +38,9 @@ _LAST_DAY = date.max.toordinal() - _EPOCH_ORDINAL
 #: rows the trace loader reads and converts per pass
 _CHUNK_ROWS = 4096
 _INT64 = np.iinfo(np.int64)
+#: a transect's columns as ``array`` typecodes, which numpy reads as
+#: int64, float64 and float64
+_TYPECODES = tuple(np.dtype(t).char for t in (np.int64, float, float))
 #: a trace row as ``np.loadtxt`` converts it
 _TRACE_DTYPE = np.dtype([("timestamp", np.int64), ("transect", object),
                          ("t_soil_c", np.float64), ("t_air_c", np.float64)])
@@ -87,17 +91,19 @@ def load_temperature_trace(path: str | Path) -> dict[str, TransectSeries]:
     Expects UTF-8 text with the exact header
     ``timestamp_unix,transect,t_soil_c,t_air_c``; timestamps must be
     non-decreasing within each transect.  Lines are read ``_CHUNK_ROWS``
-    at a time, so beyond one chunk of text the memory held is the output
-    arrays.  A plain chunk (ASCII, no ``"``, none of ``_NOT_PLAIN``, no
-    line longer than a csv field may be) is converted by one
-    ``np.loadtxt`` call.  Every other chunk, and a plain one that numpy
-    refuses or warns about, is read by the csv module and converted by
-    ``int()`` and ``float()``, which decide what a valid row is.  A
+    at a time onto each transect's columns, which grow in place, so the
+    memory held is one chunk and one copy of the trace: the output arrays
+    and at most a sixteenth more of spare room.  A plain chunk (no
+    ``"``, none of ``_NOT_PLAIN``, no line longer than a csv field may
+    be, and no non-ASCII character outside the labels) is converted by
+    one ``np.loadtxt`` call.  Every other chunk, and a plain one that
+    numpy refuses or warns about, is read by the csv module and converted
+    by ``int()`` and ``float()``, which decide what a valid row is.  A
     malformed row, a record the csv module cannot read and bytes that are
     not UTF-8 raise :class:`TraceFormatError` naming the first such line,
     counted in CSV records with the header as line 1.
     """
-    parts: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+    columns: dict[str, tuple[array, array, array]] = {}
     last: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8",
               errors="surrogateescape") as handle:
@@ -110,27 +116,46 @@ def load_temperature_trace(path: str | Path) -> dict[str, TransectSeries]:
                 f"expected header {','.join(TRACE_HEADER)}", line=1
             )
         line = 2
-        while lines := list(islice(handle, _CHUNK_ROWS)):
-            records = len(lines)
-            groups = _plain_columns(lines, last)
-            if groups is None:
-                # the same number of records, which a quoted field
-                # may finish past the chunk's last line
-                records, groups = _csv_columns(
-                    csv.reader(chain(lines, handle)), records, line, last)
-            for transect, timestamps, t_soil, t_air in groups:
-                parts.setdefault(transect, []).append(
-                    (timestamps, t_soil, t_air))
-                last[transect] = int(timestamps[-1])
+        while records := _append_chunk(handle, line, columns, last):
             line += records
-    if not parts:
+    if not columns:
         raise TraceFormatError("no samples")
     return {
-        transect: TransectSeries(
-            transect, *(np.concatenate(column) for column in zip(*chunks))
-        )
-        for transect, chunks in parts.items()
+        transect: TransectSeries(transect, *(
+            np.frombuffer(column, column.typecode) for column in buffers))
+        for transect, buffers in columns.items()
     }
+
+
+def _append_chunk(handle, line: int, columns: dict[str, tuple[array, ...]],
+                  last: dict[str, int]) -> int:
+    """Append the chunk of ``handle`` whose first record is at ``line``
+    to ``columns``; returns its number of records.  Nothing of the chunk
+    outlives the call; ``last`` as for :func:`_group`."""
+    lines = list(islice(handle, _CHUNK_ROWS))
+    if not lines:
+        return 0
+    records = len(lines)
+    groups = _plain_columns(lines, last)
+    if groups is None:
+        # the csv module reads the same number of records, which a
+        # quoted field may finish past the chunk's last line
+        rows: list[list[str]] = []
+        try:
+            rows.extend(islice(csv.reader(chain(lines, handle)), records))
+        except csv.Error as exc:
+            # a bad row before a record the csv module cannot read is
+            # reported first, as a row-by-row read would
+            _check_rows(rows, line, last)
+            raise TraceFormatError(str(exc), line + len(rows)) from None
+        records, groups = len(rows), _check_rows(rows, line, last)
+    for transect, *group in groups:
+        if transect not in columns:
+            columns[transect] = tuple(map(array, _TYPECODES))
+        for column, values in zip(columns[transect], group):
+            column.frombytes(values.data.cast("B"))
+        last[transect] = int(group[0][-1])
+    return records
 
 
 def _plain_columns(lines: list[str], last: dict[str, int]):
@@ -141,9 +166,14 @@ def _plain_columns(lines: list[str], last: dict[str, int]):
     """
     text = "".join(lines)
     limit = csv.field_size_limit()
-    if (not text.isascii() or any(char in text for char in _NOT_PLAIN)
+    if (any(char in text for char in _NOT_PLAIN)
             or len(text) > limit and max(map(len, lines)) > limit):
         return None
+    # numpy's integer reader takes some non-ASCII digits ("7\u0761" reads
+    # as 1911) where int() refuses them, so every non-ASCII character
+    # must sit in a label: the text must hold as many as its labels
+    non_ascii = 0 if text.isascii() else _non_ascii(text)
+    del text    # not held while numpy converts the chunk
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -151,59 +181,16 @@ def _plain_columns(lines: list[str], last: dict[str, int]):
                                comments=None, quotechar=None, ndmin=1)
     except (ValueError, Warning):
         return None
-    # the columns are copied and the record array freed before the
-    # groups, which outlive the chunk, are allocated; grouping straight
-    # from the record array left the heap too fragmented for
-    # analyze_trace's full-length arrays (5 MB more peak RSS on two years)
-    columns = [table[name].copy() for name in _TRACE_DTYPE.names]
-    del table
-    return _group(*columns, last)
-
-
-def _csv_columns(reader, count: int, line: int, last: dict[str, int]):
-    """Read ``count`` records from ``reader`` and convert them in Python.
-
-    Returns the number of records read and their groups as
-    :func:`_group` returns them.  ``line`` is the first record's line;
-    a rule broken by a row raises its :class:`TraceFormatError`.
-    """
-    chunk: list[list[str]] = []
-    try:
-        chunk.extend(islice(reader, count))
-    except csv.Error as exc:
-        # a bad row before a record the csv module cannot read is
-        # reported first, as a row-by-row read would
-        _check_rows(chunk, line, last)
-        raise TraceFormatError(str(exc), line + len(chunk)) from None
-    groups = _chunk_columns(chunk, last)
-    if groups is None:
-        _check_rows(chunk, line, last)
-        # _chunk_columns and _check_rows test the same rules, so the
-        # check above has raised; this line runs only if they disagree
-        raise AssertionError("trace chunk rejected, yet no row is bad")
-    return len(chunk), groups
-
-
-def _chunk_columns(chunk: list[list[str]], last: dict[str, int]):
-    """One chunk of csv rows converted column by column in Python.
-
-    Returns what :func:`_group` returns, or ``None`` if a row has the
-    wrong number of fields or a number ``int()`` or ``float()`` refuses.
-    """
-    rows = list(filter(None, chunk))
-    if not rows:
-        return []
-    if set(map(len, rows)) != {4}:
+    groups = _group(*(table[name] for name in _TRACE_DTYPE.names), last)
+    if groups and non_ascii != sum(_non_ascii(transect) * len(stamps)
+                                   for transect, stamps, *_ in groups):
         return None
-    stamp_col, label_col, soil_col, air_col = zip(*rows)
-    n = len(rows)
-    try:
-        timestamps = np.fromiter(map(int, stamp_col), np.int64, n)
-        t_soil = np.fromiter(map(float, soil_col), np.float64, n)
-        t_air = np.fromiter(map(float, air_col), np.float64, n)
-    except (ValueError, OverflowError):
-        return None
-    return _group(timestamps, label_col, t_soil, t_air, last)
+    return groups
+
+
+def _non_ascii(text: str) -> int:
+    """The number of characters of ``text`` that are not ASCII."""
+    return len(text) - len(text.encode("ascii", "ignore"))
 
 
 def _group(timestamps: np.ndarray, labels, t_soil: np.ndarray,
@@ -239,7 +226,7 @@ def _group(timestamps: np.ndarray, labels, t_soil: np.ndarray,
 def _undecodable(text: str) -> bytes:
     """The first run of bytes in ``text`` that were not UTF-8, or ``b""``:
     the loader decodes them to lone surrogates, which ``int()`` and
-    ``float()`` refuse and no plain (ASCII) chunk holds."""
+    ``float()`` refuse and :func:`_group` refuses in a label."""
     try:
         text.encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -247,13 +234,14 @@ def _undecodable(text: str) -> bytes:
     return b""
 
 
-def _check_rows(chunk: list[list[str]], line: int,
-                last: dict[str, int]) -> None:
-    """Raise the error of the first row in ``chunk`` that breaks a rule.
+def _check_rows(chunk: list[list[str]], line: int, last: dict[str, int]):
+    """The rows of ``chunk`` converted, as :func:`_group` returns them.
 
-    ``line`` is the first row's line; ``last`` as for :func:`_group`.
+    Raises the error of the first row that breaks a rule.  ``line`` is
+    the first row's line; ``last`` as for :func:`_group`.
     """
     last = dict(last)
+    samples: dict[str, list[tuple[int, float, float]]] = {}
     for line, row in enumerate(chunk, start=line):
         if bad := _undecodable("".join(row)):
             raise TraceFormatError(f"not UTF-8 text: {bad!r}", line)
@@ -263,8 +251,7 @@ def _check_rows(chunk: list[list[str]], line: int,
             raise TraceFormatError(f"expected 4 fields, got {len(row)}", line)
         try:
             timestamp = int(row[0])
-            float(row[2])
-            float(row[3])
+            t_soil, t_air = float(row[2]), float(row[3])
         except ValueError as exc:
             raise TraceFormatError(str(exc), line) from None
         if not _INT64.min <= timestamp <= _INT64.max:
@@ -277,6 +264,9 @@ def _check_rows(chunk: list[list[str]], line: int,
                 f"timestamp goes backwards within transect {transect}", line
             )
         last[transect] = timestamp
+        samples.setdefault(transect, []).append((timestamp, t_soil, t_air))
+    return [(transect, *map(np.array, zip(*rows), _TYPECODES))
+            for transect, rows in samples.items()]
 
 
 @dataclass(frozen=True)
@@ -340,46 +330,10 @@ def analyze_trace(
     analyses = []
     verdicts: dict[str, tuple[float, float, bool]] = {}
     for transect, series in series_by_transect.items():
-        if len(series) == 0:
-            raise TraceFormatError(f"no samples for transect {transect}")
-        dt_env = series.t_soil_c - series.t_air_c
-        dt_teg = delta_t_teg(series.t_soil_c, series.t_air_c, stack)
-        power = teg_power(dt_teg, teg)
-        if clamp_positive:
-            power = np.where(dt_env < 0.0, 0.0, power)
-        day_index = series.timestamps // SECONDS_PER_DAY
-        outside = (day_index < _FIRST_DAY) | (day_index > _LAST_DAY)
-        if outside.any():
-            raise TraceFormatError(
-                f"transect {transect}: timestamp"
-                f" {series.timestamps[outside.argmax()]} lies outside"
-                f" years 1-9999")
-        # each mean sums a contiguous run of one day's samples in their
-        # original order, exactly what a mask ``day_index == day`` picks; a
-        # loaded series is in time order already, and sorting it anyway
-        # held four more full-length arrays (2-3 MB more peak RSS on two
-        # years of six transects)
-        by_day = dt_env, dt_teg, power
-        if (day_index[1:] < day_index[:-1]).any():
-            order = np.argsort(day_index, kind="stable")
-            day_index = day_index[order]
-            by_day = tuple(x[order] for x in by_day)
-        days, starts = np.unique(day_index, return_index=True)
-        ends = np.append(starts[1:], len(day_index))
-        daily = [
-            PeriodMeans(_day_label(day), transect,
-                        *(float(x[start:end].mean()) for x in by_day))
-            for day, start, end in zip(days, starts, ends)
-        ]
-        yearly = PeriodMeans(
-            "yearly",
-            transect,
-            float(dt_env.mean()),
-            float(dt_teg.mean()),
-            float(power.mean()),
-        )
-        analyses.append(TransectAnalysis(transect, tuple(daily), yearly))
+        analyses.append(_analyze_transect(transect, series, stack, teg,
+                                          clamp_positive))
         if node_power_w is not None:
+            yearly = analyses[-1].yearly
             harvested = converter_efficiency * yearly.mean_power_w
             verdicts[transect] = (
                 yearly.mean_power_w, node_power_w, harvested >= node_power_w
@@ -389,6 +343,50 @@ def analyze_trace(
         (AVERAGING_NOTE, CONVEXITY_CAVEAT),
         verdicts if node_power_w is not None else None,
     )
+
+
+def _analyze_transect(transect: str, series: TransectSeries,
+                      stack: ThermalStack, teg: TegParams,
+                      clamp_positive: bool) -> TransectAnalysis:
+    """One transect's daily and window means.  Its per-sample arrays are
+    freed on return, before the next transect's are made."""
+    if len(series) == 0:
+        raise TraceFormatError(f"no samples for transect {transect}")
+    day_index = series.timestamps // SECONDS_PER_DAY
+    outside = (day_index < _FIRST_DAY) | (day_index > _LAST_DAY)
+    if outside.any():
+        raise TraceFormatError(
+            f"transect {transect}: timestamp"
+            f" {series.timestamps[outside.argmax()]} lies outside"
+            f" years 1-9999")
+    # power before dt_env, so that teg_power's temporaries and dt_env
+    # are never held at once
+    dt_teg = delta_t_teg(series.t_soil_c, series.t_air_c, stack)
+    power = teg_power(dt_teg, teg)
+    dt_env = series.t_soil_c - series.t_air_c
+    if clamp_positive:
+        power[dt_env < 0.0] = 0.0
+    # each mean sums a contiguous run of one day's samples in their
+    # original order, exactly what a mask ``day_index == day`` picks; a
+    # loaded series is in time order already, and sorting it anyway
+    # held four more full-length arrays (2-3 MB more peak RSS on two
+    # years of six transects)
+    by_day = dt_env, dt_teg, power
+    if (day_index[1:] < day_index[:-1]).any():
+        order = np.argsort(day_index, kind="stable")
+        day_index = day_index[order]
+        by_day = tuple(x[order] for x in by_day)
+    starts = np.flatnonzero(
+        np.concatenate(([True], day_index[1:] != day_index[:-1])))
+    ends = np.append(starts[1:], len(day_index))
+    daily = tuple(
+        PeriodMeans(_day_label(day), transect,
+                    *(float(x[start:end].mean()) for x in by_day))
+        for day, start, end in zip(day_index[starts], starts, ends)
+    )
+    yearly = PeriodMeans("yearly", transect, float(dt_env.mean()),
+                         float(dt_teg.mean()), float(power.mean()))
+    return TransectAnalysis(transect, daily, yearly)
 
 
 def write_report_csv(report: FeasibilityReport, target) -> None:

@@ -294,24 +294,28 @@ def assert_matches_reference(path, chunk_rows):
 
 
 # besides malformed fields, inputs on which numpy's reader and int() or
-# float() differ or could differ: underscores, non-ASCII digits, the
-# int64 edges, spellings of infinity and nan, blanks (\x1c is one to
-# numpy, not to Python), a label numpy could take for a comment and a
-# NUL; and bytes that are not UTF-8, each a lone surrogate here that the
-# fuzzed file is written with as the byte itself
+# float() differ or could differ: underscores, non-ASCII digits (numpy
+# reads "7\u0761" as 1911), the int64 edges, spellings of infinity and
+# nan, blanks (\x1c is one to numpy, not to Python), a label numpy could
+# take for a comment and a NUL; non-ASCII labels, which stay on numpy's
+# path, one with a blank that strip() removes; and bytes that are not
+# UTF-8, each a lone surrogate here that the fuzzed file is written with
+# as the byte itself
 STAMPS = st.one_of(st.integers(-3, 40).map(str),
                    st.sampled_from(["1_0", " 7 ", "+3", "x", "", "1.5",
                                     "\u0661", "\uff11", "\t3", "\x1c3",
                                     "9223372036854775807",
                                     "9223372036854775808",
-                                    "-9223372036854775809", "1\udcff"]))
+                                    "-9223372036854775809", "1\udcff",
+                                    "7\u0761"]))
 LABELS = st.sampled_from(["A", "B", " A ", "a,b", 'q"x', "", "  ", "#A",
-                          "A\x00", "A\nB", "\udce9A", "Gr\u00e6ndalur"])
+                          "A\x00", "A\nB", "\udce9A", "Gr\u00e6ndalur",
+                          "\u00deA", "\u00a0A"])
 TEMPS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["nan", "-inf", "1_0.5", " 2.5 ", "soup", "",
                      "Infinity", "+nan", "1e400", "\t3", "\x1c3",
-                     "\u0661", "\uff11", "\udcff\udcfe"]),
+                     "\u0661", "\uff11", "\udcff\udcfe", "7\u0761"]),
 )
 ROWS = st.one_of(
     st.tuples(STAMPS, LABELS, TEMPS, TEMPS).map(list),
@@ -367,8 +371,9 @@ def test_a_plain_trace_never_reaches_the_python_converter(tmp_path):
     rng = np.random.default_rng(19)
     rows = [f"{600 * step},{transect},{soil:.2f},{air:.3e}"
             for step in range(40)
-            for transect, (soil, air) in zip(("N1", " S2 ", "E3"),
-                                             rng.normal(8.0, 6.0, (3, 2)))]
+            for transect, (soil, air) in zip(
+                ("N1", " S2 ", "E3", "Gr\u00e6ndalur"),
+                rng.normal(8.0, 6.0, (4, 2)))]
     rows.insert(70, "")
     # LF and CRLF endings
     body = "".join(row + ("\r\n" if i % 3 else "\n")
@@ -376,12 +381,13 @@ def test_a_plain_trace_never_reaches_the_python_converter(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_bytes((HEADER + body).encode())
     python_converter = mock.patch.object(
-        feasibility, "_chunk_columns",
+        feasibility, "_check_rows",
         side_effect=AssertionError("a plain chunk reached the csv path"))
     with python_converter:
-        for chunk_rows in (16, 50, 4096):   # 121 lines: 8, 3 and 1 chunks
+        for chunk_rows in (16, 50, 4096):   # 161 lines: 11, 4 and 1 chunks
             assert_matches_reference(path, chunk_rows)
-    assert list(load_temperature_trace(path)) == ["N1", "S2", "E3"]
+    assert list(load_temperature_trace(path)) == ["N1", "S2", "E3",
+                                                  "Gr\u00e6ndalur"]
 
 
 def test_a_chunk_of_blank_lines_loads_without_a_warning(tmp_path):
