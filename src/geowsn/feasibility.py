@@ -353,8 +353,9 @@ def _analyze_transect(transect: str, series: TransectSeries,
     if len(series) == 0:
         raise TraceFormatError(f"no samples for transect {transect}")
     day_index = series.timestamps // SECONDS_PER_DAY
-    outside = (day_index < _FIRST_DAY) | (day_index > _LAST_DAY)
-    if outside.any():
+    # no full-length mask unless a timestamp is out of range
+    if day_index.min() < _FIRST_DAY or day_index.max() > _LAST_DAY:
+        outside = (day_index < _FIRST_DAY) | (day_index > _LAST_DAY)
         raise TraceFormatError(
             f"transect {transect}: timestamp"
             f" {series.timestamps[outside.argmax()]} lies outside"
