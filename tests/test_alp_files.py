@@ -42,6 +42,26 @@ def test_write_straddling_end_is_out_of_bounds():
     assert store.raw(CONFIG_FILE) == bytes(12)
 
 
+@pytest.mark.parametrize("offset, length", [(-1, 1), (0, -1), (-12, 12), (3, -2)])
+def test_read_of_a_negative_range_is_out_of_bounds(offset, length):
+    # Python slicing would count a negative offset from the end
+    store = store_with_config(bytes(range(12)))
+    with pytest.raises(OutOfBoundsError):
+        store.read(CONFIG_FILE, offset, length)
+
+
+@pytest.mark.parametrize("offset, payload", [(-1, b"\x01"), (-12, bytes(12)),
+                                             (-3, b"\x01\x02")])
+def test_write_at_a_negative_offset_is_out_of_bounds(offset, payload):
+    # a write's length is its payload's, so only the offset can be negative;
+    # sliced, it would overwrite (or insert) bytes counted from the end
+    base = bytes(range(12))
+    store = store_with_config(base)
+    with pytest.raises(OutOfBoundsError):
+        store.write(CONFIG_FILE, offset, payload)
+    assert store.raw(CONFIG_FILE) == base
+
+
 def test_single_byte_write_leaves_rest_unchanged():
     base = bytes(range(12))
     store = store_with_config(base)

@@ -160,6 +160,19 @@ def test_sim_run_stdout_is_pinned(capsys, tmp_path):
     assert hashlib.sha256(text.encode()).hexdigest() == SIM_RUN_STDOUT
 
 
+
+#: SHA-256 of the ``readings.csv`` that ``geowsn sim-run`` writes for the
+#: bundled scenario: the header and 8,578 sink rows
+SIM_RUN_READINGS = (
+    "a3d5034172c78fa8d53269ac2e9a9c182c4d91b9100fc129c7b311c18c38393c")
+
+
+def test_sim_run_readings_csv_is_pinned(capsys, tmp_path):
+    assert main(["sim-run", "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "readings.csv").read_bytes()
+    assert data.count(b"\n") == 1 + 8_578
+    assert hashlib.sha256(data).hexdigest() == SIM_RUN_READINGS
+
 #: 30 days at 10 min of three transects in logger order, 12,960 rows:
 #: 4,096-row chunks end mid-day, and one label is not ASCII
 FEAS_TRANSECTS = ("GO", "Grændalur", "RE")
