@@ -115,13 +115,21 @@ class AlpAction(_ActionFields):
     reads carry none, writes and returned data carry exactly
     ``length`` bytes, and a status carries a single status byte while
     ``file_id``/``offset``/``length`` echo the request it refers to.
-    The one constructor checks every field: for the decoder, and for
-    namedtuple's ``_make`` and ``_replace`` too.
+    The one constructor checks every field, and copies a payload that is
+    not ``bytes`` into ``bytes`` so that every action is hashable: for the
+    decoder, and for namedtuple's ``_make`` and ``_replace`` too.
     """
 
     __slots__ = ()
 
     def __new__(cls, opcode, file_id, offset=0, length=0, payload=b""):
+        # exact class: no call for bytes; iter() refuses an int, which bytes() sizes
+        if payload.__class__ is not bytes:
+            try:
+                payload = bytes(iter(payload))
+            except (TypeError, ValueError):
+                raise ValueError(f"payload {payload!r} is not a sequence"
+                                 " of bytes") from None
         if not 0 <= file_id <= 0xFF:
             raise ValueError(f"file_id {file_id} out of u8 range")
         if not 0 <= offset <= _U32_MAX:
@@ -149,11 +157,11 @@ class AlpAction(_ActionFields):
 
     @classmethod
     def write(cls, file_id: int, offset: int, payload: bytes) -> "AlpAction":
-        return cls(Opcode.WRITE_FILE_DATA, file_id, offset, len(payload), bytes(payload))
+        return cls(Opcode.WRITE_FILE_DATA, file_id, offset, len(payload), payload)
 
     @classmethod
     def return_data(cls, file_id: int, offset: int, payload: bytes) -> "AlpAction":
-        return cls(Opcode.RETURN_FILE_DATA, file_id, offset, len(payload), bytes(payload))
+        return cls(Opcode.RETURN_FILE_DATA, file_id, offset, len(payload), payload)
 
     @classmethod
     def status(cls, code: int, file_id: int, offset: int, length: int) -> "AlpAction":
@@ -164,18 +172,12 @@ class AlpAction(_ActionFields):
 AlpAction._make = classmethod(lambda cls, fields: cls(*fields))
 
 
-def encode_action(action: AlpAction) -> bytes:
-    header = _ACTION_HEADER.pack(
-        action.opcode, action.file_id, action.offset, action.length
-    )
-    return header + action.payload
-
-
 def encode_command(actions: tuple[AlpAction, ...]) -> bytes:
     """Encode a command: a non-empty run of actions, executed in order."""
     command = tuple(actions)
     if not command:
         raise ValueError("a command holds at least one action")
+    frame = b""
     for action in command:
         # the exact-class test costs no call on every frame;
         # isinstance runs only for what is not exactly an AlpAction
@@ -185,30 +187,9 @@ def encode_command(actions: tuple[AlpAction, ...]) -> bytes:
                                 " not one action")
             raise TypeError("a command holds AlpActions, not"
                             f" {type(action).__name__}")
-    return b"".join([encode_action(action) for action in command])
-
-
-def _decode_action(data: bytes, pos: int) -> tuple[AlpAction, int]:
-    if len(data) - pos < _ACTION_HEADER.size:
-        raise TruncatedInputError("action header incomplete", pos)
-    opcode_byte, file_id, offset, length = _ACTION_HEADER.unpack_from(data, pos)
-    opcode = _OPCODES.get(opcode_byte)
-    if opcode is None:
-        raise UnknownOpcodeError(opcode_byte, pos)
-    pos += _ACTION_HEADER.size
-    if opcode is Opcode.READ_FILE_DATA:
-        want = 0
-    elif opcode is Opcode.STATUS:
-        want = 1
-    else:
-        want = length
-    if len(data) - pos < want:
-        raise TruncatedInputError(
-            f"payload of {want} bytes incomplete", pos
-        )
-    payload = bytes(data[pos:pos + want])
-    pos += want
-    return AlpAction(opcode, file_id, offset, length, payload), pos
+        # a frame holds a few actions at most: concatenating beats joining
+        frame += _ACTION_HEADER.pack(*action[:4]) + action.payload
+    return frame
 
 
 def decode_command(data: bytes) -> tuple[AlpAction, ...]:
@@ -221,9 +202,26 @@ def decode_command(data: bytes) -> tuple[AlpAction, ...]:
         raise TruncatedInputError("empty input", 0)
     actions = []
     pos = 0
-    while pos < len(data):
-        action, pos = _decode_action(data, pos)
-        actions.append(action)
+    end = len(data)
+    while pos < end:
+        if end - pos < ACTION_HEADER_SIZE:
+            raise TruncatedInputError("action header incomplete", pos)
+        opcode_byte, file_id, offset, length = _ACTION_HEADER.unpack_from(data, pos)
+        opcode = _OPCODES.get(opcode_byte)
+        if opcode is None:
+            raise UnknownOpcodeError(opcode_byte, pos)
+        pos += ACTION_HEADER_SIZE
+        if opcode is Opcode.READ_FILE_DATA:
+            want = 0
+        elif opcode is Opcode.STATUS:
+            want = 1
+        else:
+            want = length
+        if end - pos < want:
+            raise TruncatedInputError(f"payload of {want} bytes incomplete", pos)
+        # AlpAction copies a slice of anything but bytes
+        actions.append(AlpAction(opcode, file_id, offset, length, data[pos:pos + want]))
+        pos += want
     return tuple(actions)
 
 
@@ -269,34 +267,33 @@ class FileStore:
     def file_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self._headers))
 
-    def header(self, file_id: int) -> FileHeader:
+    def raw(self, file_id: int) -> bytes:
+        """Owner's view of a file: full content, no permission checks."""
+        if file_id not in self._content:
+            raise NoSuchFileError(file_id)
+        return bytes(self._content[file_id])
+
+    def read(self, file_id: int, offset: int, length: int) -> bytes:
         header = self._headers.get(file_id)
         if header is None:
             raise NoSuchFileError(file_id)
-        return header
-
-    def raw(self, file_id: int) -> bytes:
-        """Owner's view of a file: full content, no permission checks."""
-        self.header(file_id)
-        return bytes(self._content[file_id])
-
-    def _check_range(self, header: FileHeader, offset: int, length: int) -> None:
-        if offset < 0 or length < 0 or offset + length > header.length:
-            raise OutOfBoundsError(header.file_id, offset, length, header.length)
-
-    def read(self, file_id: int, offset: int, length: int) -> bytes:
-        header = self.header(file_id)
         if not header.readable:
             raise PermissionDeniedError(file_id, "readable")
-        self._check_range(header, offset, length)
+        # a negative bound would slice from the end of the content
+        if offset < 0 or length < 0 or offset + length > header.length:
+            raise OutOfBoundsError(file_id, offset, length, header.length)
         return bytes(self._content[file_id][offset:offset + length])
 
     def write(self, file_id: int, offset: int, payload: bytes) -> None:
-        header = self.header(file_id)
+        header = self._headers.get(file_id)
+        if header is None:
+            raise NoSuchFileError(file_id)
         if not header.writable:
             raise PermissionDeniedError(file_id, "writable")
-        self._check_range(header, offset, len(payload))
-        self._content[file_id][offset:offset + len(payload)] = payload
+        length = len(payload)
+        if offset < 0 or offset + length > header.length:
+            raise OutOfBoundsError(file_id, offset, length, header.length)
+        self._content[file_id][offset:offset + length] = payload
 
     def reset(self) -> None:
         """Zero every volatile file, as a device reset would."""

@@ -32,7 +32,7 @@ from .alp import (
 )
 from .netsim import (MS_PER_S, Envelope, Forwarder, NoSuchNodeError,
                      PayloadTooLargeError, Simulator)
-from .node import SensorReading
+from .node import CHANNELS, SensorReading
 
 
 class BackendError(Exception):
@@ -228,15 +228,16 @@ class Backend:
             )
             return
         transect = self.directory.get(envelope.node_uid, "")
-        for name, unit, value in reading.channel_values():
+        # scaled as ``SensorReading.channel_values`` scales them
+        for spec, milli in zip(CHANNELS[reading.kind], reading.values_milli):
             self.sink.append(TimeSeriesRecord(
                 timestamp=reading.timestamp,
                 site=envelope.site_id,
                 node_uid=envelope.node_uid,
                 transect=transect,
-                channel=name,
-                value=value,
-                unit=unit,
+                channel=spec.name,
+                value=milli / 1000.0,
+                unit=spec.unit,
             ))
 
     def _resolve(self, dialog: int, answer: AlpAction) -> None:

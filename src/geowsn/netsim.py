@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -248,8 +250,11 @@ class Simulator:
         listen_interval_s: float = DEFAULT_LISTEN_INTERVAL_S,
         power_profile: PowerProfile | None = None,
     ):
-        if duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        # neither infinity nor NaN rounds to a whole number of ms
+        if not (math.isfinite(duration_s) and duration_s > 0):
+            raise ValueError(f"duration_s {duration_s!r} must be positive and finite")
+        if not math.isfinite(listen_interval_s):
+            raise ValueError(f"listen_interval_s {listen_interval_s!r} must be finite")
         self.seed = seed
         self.duration_ms = round(duration_s * MS_PER_S)
         self.listen_interval_ms = round(listen_interval_s * MS_PER_S)
@@ -262,7 +267,8 @@ class Simulator:
         self.forwarder: Forwarder | None = None
         self._by_uid: dict[int, NodeRuntime] = {}
         self._heap: list = []
-        self._seq = 0
+        #: heap tie-break: (at_ms, seq) is unique, so no handlers are compared
+        self._seq = itertools.count()
         self._ticket_seq = 0
         self._rows: list[tuple[int, str, int, str]] = []
         #: one shared detail string per distinct uplink row, so a long
@@ -324,14 +330,6 @@ class Simulator:
 
     # -- core loop --------------------------------------------------------
 
-    def _push(self, at_ms: int, handler: Callable, rt: NodeRuntime, payload=None) -> None:
-        # (at_ms, seq) is unique, so the heap never compares handlers
-        heapq.heappush(self._heap, (at_ms, self._seq, handler, rt, payload))
-        self._seq += 1
-
-    def _log(self, at_ms: int, kind: str, uid: int, detail: str) -> None:
-        self._rows.append((at_ms, kind, uid, detail))
-
     def inject_hang(self, node_uid: int, at_s: float) -> None:
         """Schedule a firmware hang: the node stops sampling, listening
         and petting its watchdog until the watchdog resets it.
@@ -341,8 +339,9 @@ class Simulator:
         every period from boot or its last reset, and the node resets at
         that deadline.  A hang at the same ms as such a pet comes first.
         """
-        self._push(round(at_s * MS_PER_S), self._handle_hang_injection,
-                   self.runtime(node_uid))
+        rt = self.runtime(node_uid)
+        heapq.heappush(self._heap, (round(at_s * MS_PER_S), next(self._seq),
+                                    self._handle_hang_injection, rt, None))
 
     def start(self) -> None:
         """Boot every node at t=0, in the order added, and arm its timers."""
@@ -397,14 +396,14 @@ class Simulator:
     def _handle_sample_timer(self, rt: NodeRuntime, at: int, payload) -> None:
         node = rt.node
         if at != rt.timer_event_ms:
-            self._log(at, "SampleTimer", node.uid, "stale")
+            self._rows.append((at, "SampleTimer", node.uid, "stale"))
             return
         rt.timer_event_ms = -1
         if node.hung:
-            self._log(at, "SampleTimer", node.uid, "hung")
+            self._rows.append((at, "SampleTimer", node.uid, "hung"))
             return
         node.on_sample_timer(at / MS_PER_S)
-        self._log(at, "SampleTimer", node.uid, "ok")
+        self._rows.append((at, "SampleTimer", node.uid, "ok"))
         self._settle(rt, at)
 
     def _deliver(self, rt: NodeRuntime, at: int, payload: bytes,
@@ -417,13 +416,13 @@ class Simulator:
         if key not in details:
             outcome = "dropped" if dropped else "delivered"
             details[key] = f"{outcome} len={len(payload)} kind={kind}"
-        self._log(at, "UplinkTx", rt.node.uid, details[key])
+        self._rows.append((at, "UplinkTx", rt.node.uid, details[key]))
         if dropped:
             rt.uplinks_dropped += 1
             return False
         rt.uplinks_delivered += 1
-        self._push(at + link.latency_ms, self._handle_uplink_arrival, rt,
-                   (payload, dialog))
+        heapq.heappush(self._heap, (at + link.latency_ms, next(self._seq),
+                                    self._handle_uplink_arrival, rt, (payload, dialog)))
         return True
 
     def _handle_uplink_arrival(self, rt: NodeRuntime, at: int,
@@ -433,7 +432,7 @@ class Simulator:
         details = self._arrival_details
         if size not in details:
             details[size] = f"len={size}"
-        self._log(at, "UplinkArrival", rt.node.uid, details[size])
+        self._rows.append((at, "UplinkArrival", rt.node.uid, details[size]))
         if self.forwarder is not None:
             self.forwarder(payload, Envelope(rt.node.uid, rt.gateway_id,
                                              rt.site_id, at / MS_PER_S, dialog))
@@ -455,8 +454,8 @@ class Simulator:
         self._ticket_seq += 1
         rt.pending.append(ticket)
         rt.downlinks_queued += 1
-        self._log(self.now_ms, "DownlinkQueue", node_uid,
-                  f"ticket={ticket.ticket_id} len={len(ticket.payload)}")
+        self._rows.append((self.now_ms, "DownlinkQueue", node_uid,
+                           f"ticket={ticket.ticket_id} len={len(ticket.payload)}"))
         self._ensure_window(rt, self.now_ms)
         return ticket
 
@@ -465,7 +464,8 @@ class Simulator:
             return
         interval = self.listen_interval_ms
         boundary = (at // interval + 1) * interval
-        self._push(boundary, self._handle_listen_window, rt)
+        heapq.heappush(self._heap, (boundary, next(self._seq), self._handle_listen_window,
+                                    rt, None))
         rt.window_scheduled = True
 
     def _handle_listen_window(self, rt: NodeRuntime, at: int, payload) -> None:
@@ -476,21 +476,21 @@ class Simulator:
         for ticket in [t for t in rt.pending if at >= t.expires_at_ms]:
             rt.pending.remove(ticket)
             rt.downlinks_expired += 1
-            self._log(at, "ListenWindow", node.uid,
-                      f"expired ticket={ticket.ticket_id}")
+            self._rows.append((at, "ListenWindow", node.uid,
+                               f"expired ticket={ticket.ticket_id}"))
         if node.hung:
             if rt.pending:
-                self._log(at, "ListenWindow", node.uid, "hung")
+                self._rows.append((at, "ListenWindow", node.uid, "hung"))
         elif rt.pending:
             ticket = rt.pending[0]
             if rt.rng.random() < rt.link.loss_probability:
-                self._log(at, "ListenWindow", node.uid,
-                          f"retry ticket={ticket.ticket_id}")
+                self._rows.append((at, "ListenWindow", node.uid,
+                                   f"retry ticket={ticket.ticket_id}"))
             else:
                 rt.pending.popleft()
                 rt.downlinks_delivered += 1
-                self._log(at, "ListenWindow", node.uid,
-                          f"delivered ticket={ticket.ticket_id}")
+                self._rows.append((at, "ListenWindow", node.uid,
+                                   f"delivered ticket={ticket.ticket_id}"))
                 node.on_downlink(ticket.payload, at / MS_PER_S)
                 self._settle(rt, at, ticket.dialog)
         if rt.pending:
@@ -503,8 +503,8 @@ class Simulator:
         node.reset(at / MS_PER_S)
         rt.anchor_ms = at
         self._close_hang(rt, at)
-        self._log(at, "WatchdogCheck", node.uid, "reset")
-        self._log(at, "ResetDone", node.uid, "boot")
+        self._rows.append((at, "WatchdogCheck", node.uid, "reset"))
+        self._rows.append((at, "ResetDone", node.uid, "boot"))
         self._settle(rt, at)
 
     def _handle_hang_injection(self, rt: NodeRuntime, at: int, payload) -> None:
@@ -517,8 +517,9 @@ class Simulator:
             period = round(WATCHDOG_PERIOD_S * MS_PER_S)
             pet_ms = at + (rt.anchor_ms - at) % period
             deadline_ms = max(round(node.watchdog_deadline * MS_PER_S), pet_ms)
-            self._push(deadline_ms, self._handle_watchdog_check, rt)
-        self._log(at, "HangInjection", node.uid, "hang")
+            heapq.heappush(self._heap, (deadline_ms, next(self._seq),
+                                        self._handle_watchdog_check, rt, None))
+        self._rows.append((at, "HangInjection", node.uid, "hang"))
 
     # -- plumbing ----------------------------------------------------------
 
@@ -531,17 +532,19 @@ class Simulator:
         dialog of the command delivered at this ms, if any."""
         node = rt.node
         now_s = at / MS_PER_S
+        # oldest first, so what a result queues follows what was queued
         while node.outbox:
-            for uplink in node.drain_outbox():
-                # the member's stored value, without the ``value``
-                # property's two Python calls per uplink
-                delivered = self._deliver(
-                    rt, at, uplink.payload, uplink.kind._value_,
-                    dialog if uplink.kind in _ANSWER_KINDS else None)
-                node.on_uplink_result(uplink, delivered, now_s)
+            uplink = node.outbox.popleft()
+            # the member's stored value, without the ``value``
+            # property's two Python calls per uplink
+            delivered = self._deliver(
+                rt, at, uplink.payload, uplink.kind._value_,
+                dialog if uplink.kind in _ANSWER_KINDS else None)
+            node.on_uplink_result(uplink, delivered, now_s)
         want = round(node.next_sample_at * MS_PER_S)
         if want != rt.timer_event_ms and want > at and not node.hung:
-            self._push(want, self._handle_sample_timer, rt)
+            heapq.heappush(self._heap, (want, next(self._seq),
+                                        self._handle_sample_timer, rt, None))
             rt.timer_event_ms = want
 
     def _close_hang(self, rt: NodeRuntime, end_ms: int) -> None:
@@ -598,10 +601,10 @@ class Simulator:
             ):
                 charge = current_a * (ms / MS_PER_S)
                 rt.charge_c += charge
-                self._log(
+                self._rows.append((
                     self.duration_ms, ENERGY_ROW_KIND, rt.node.uid,
                     f"mode={mode} time_ms={ms!r} charge_c={charge!r}",
-                )
+                ))
             totals["uplinks_attempted"] += rt.uplinks_attempted
             totals["uplinks_delivered"] += rt.uplinks_delivered
             totals["uplinks_dropped"] += rt.uplinks_dropped

@@ -22,6 +22,7 @@ from enum import Enum, IntEnum
 from itertools import islice
 from math import sin, tau
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,8 +138,12 @@ class NodeConfig:
         return cls(sensor_type, address, action, rate, rtc)
 
 
-@dataclass(frozen=True)
-class SensorReading:
+def _pack_reading(timestamp: int, kind: SensorKind, values_milli) -> bytes:
+    """A reading's wire record; the wrong number of values raises struct.error."""
+    return _RECORDS[kind].pack(timestamp, kind, len(values_milli), *values_milli)
+
+
+class SensorReading(NamedTuple):
     """One measurement as stored in the data file and sent uplink.
 
     Wire layout: u32 LE timestamp, u8 sensor kind, u8 channel count,
@@ -152,13 +157,13 @@ class SensorReading:
     values_milli: tuple[int, ...]
 
     def to_bytes(self) -> bytes:
-        return _RECORDS[self.kind].pack(
-            self.timestamp, self.kind, len(self.values_milli), *self.values_milli)
+        return _pack_reading(self.timestamp, self.kind, self.values_milli)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SensorReading":
-        if len(data) < _RECORD_HEAD.size:
-            raise ValueError(f"reading record of {len(data)} bytes is too short")
+        size = len(data)
+        if size < _RECORD_HEAD.size:
+            raise ValueError(f"reading record of {size} bytes is too short")
         timestamp, kind_code, count = _RECORD_HEAD.unpack_from(data)
         kind = _KINDS.get(kind_code)
         if kind is None:
@@ -169,8 +174,8 @@ class SensorReading:
                 f" expected {len(CHANNELS[kind])}"
             )
         record = _RECORDS[kind]
-        if len(data) != record.size:
-            raise ValueError(f"reading record is {len(data)} bytes,"
+        if size != record.size:
+            raise ValueError(f"reading record is {size} bytes,"
                              f" expected {record.size}")
         return cls(timestamp, kind, record.unpack(data)[3:])
 
@@ -368,6 +373,9 @@ class SensorNode:
         self._rtc_base = 0.0
         self._rtc_set_at = 0.0
         self._now = 0.0
+        #: sampling cadence in s; ``_reload`` floors the config's at 1 s so
+        #: that a zero written over the air cannot wedge the timer
+        self.effective_rate = config.sampling_rate
         self.next_sample_at = 0.0
         self.watchdog_deadline = 0.0
         self._booted = False
@@ -421,12 +429,6 @@ class SensorNode:
     def config(self) -> NodeConfig:
         return self._config
 
-    @property
-    def effective_rate(self) -> int:
-        """Sampling cadence in seconds, floored at one second so a
-        zero written over the air cannot wedge the timer."""
-        return max(1, self._config.sampling_rate)
-
     def clock(self, now_s: float) -> int:
         """The node's idea of the current timestamp: a u32 RTC, which
         wraps past its top."""
@@ -435,9 +437,10 @@ class SensorNode:
     # -- timer and radio entry points ---------------------------------
 
     def on_sample_timer(self, now_s: float) -> None:
-        """Periodic wake: sample, store, queue the uplink."""
+        """Periodic wake: pet the watchdog, sample, store, queue the uplink."""
         self._now = now_s
-        self.notify_activity(now_s)
+        if not self.hung:
+            self.watchdog_deadline = now_s + WATCHDOG_PERIOD_S
         self._sample_and_store(now_s)
         self.next_sample_at = now_s + self.effective_rate
 
@@ -547,6 +550,7 @@ class SensorNode:
     def _reload(self) -> None:
         """Bind the driver named by the config; keep the old binding and
         report a status error if the type code has no driver."""
+        self.effective_rate = max(1, self._config.sampling_rate)
         driver = self.drivers.get(self._config.sensor_type)
         if driver is None:
             self._queue_status(STATUS_UNKNOWN_SENSOR_TYPE)
@@ -565,21 +569,16 @@ class SensorNode:
             # milli-unit holds (NaN, infinite or too large) leaves no
             # record: a driver fault
             values = driver.measure(self._active_address, now_s)
-            record = SensorReading(
-                self.clock(now_s),
-                driver.kind,
-                tuple([int(round(v * 1000.0)) for v in values]),
-            ).to_bytes()
+            record = _pack_reading(self.clock(now_s), driver.kind,
+                                   [int(round(v * 1000.0)) for v in values])
         except (ValueError, OverflowError, struct.error):
             self.counters.driver_faults += 1
             self._queue_status(STATUS_DRIVER_FAULT)
             return
         self.files.write(SENSOR_DATA_FILE, 0, record)
-        self._queue_uplink(
-            (AlpAction.return_data(SENSOR_DATA_FILE, 0, record),),
-            records=(record,),
-            kind=UplinkKind.READING,
-        )
+        action = AlpAction(Opcode.RETURN_FILE_DATA, SENSOR_DATA_FILE, 0,
+                           len(record), record)
+        self._queue_uplink((action,), (record,), UplinkKind.READING)
         self.counters.samples_produced += 1
 
     def _queue_uplink(

@@ -1,5 +1,7 @@
 """Wire-format tests: frozen byte vectors plus roundtrip properties."""
 
+import re
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -11,7 +13,6 @@ from geowsn.alp import (
     TruncatedInputError,
     UnknownOpcodeError,
     decode_command,
-    encode_action,
     encode_command,
 )
 
@@ -23,24 +24,24 @@ EMPTY_RETURN_WIRE = bytes.fromhex("2040000000000000" + "0000")
 
 def test_read_action_encodes_to_known_bytes():
     action = AlpAction.read(0x41, 0, 12)
-    assert encode_action(action) == READ_CONFIG_WIRE
+    assert encode_command((action,)) == READ_CONFIG_WIRE
     assert len(READ_CONFIG_WIRE) == 10
 
 
 def test_write_action_encodes_to_known_bytes():
     action = AlpAction.write(0x41, 3, b"\xAA")
-    assert encode_action(action) == WRITE_ACTION_WIRE
+    assert encode_command((action,)) == WRITE_ACTION_WIRE
 
 
 def test_zero_length_return_is_header_only():
     action = AlpAction.return_data(0x40, 0, b"")
-    assert encode_action(action) == EMPTY_RETURN_WIRE
+    assert encode_command((action,)) == EMPTY_RETURN_WIRE
     assert len(EMPTY_RETURN_WIRE) == 10
 
 
 def test_status_carries_exactly_one_payload_byte():
     action = AlpAction.status(0x00, 0x41, 3, 1)
-    wire = encode_action(action)
+    wire = encode_command((action,))
     assert wire == bytes.fromhex("7F410300000001000000" + "00")
 
 
@@ -150,6 +151,32 @@ def test_action_takes_an_opcode_value_as_its_member():
     assert action.opcode is Opcode.READ_FILE_DATA
     assert repr(action) == ("AlpAction(opcode=<Opcode.READ_FILE_DATA: 1>,"
                             " file_id=65, offset=0, length=12, payload=b'')")
+
+
+@pytest.mark.parametrize("payload", [bytearray(b"\x07"), [7], (7,),
+                                     memoryview(b"\x07")],
+                         ids=["bytearray", "list", "tuple", "memoryview"])
+def test_action_holds_a_byte_sequence_payload_as_bytes(payload):
+    want = AlpAction.status(7, 0x41, 0, 0)
+    for action in (AlpAction(Opcode.STATUS, 0x41, 0, 0, payload),
+                   want._replace(payload=payload)):
+        assert type(action.payload) is bytes
+        assert action == want and hash(action) == hash(want)
+        assert encode_command((action,)) == encode_command((want,))
+    # write and return_data keep the bytes they are given
+    data = b"\x01\x02"
+    assert AlpAction.write(0x41, 0, data).payload is data
+    assert AlpAction.return_data(0x40, 0, data).payload is data
+
+
+@pytest.mark.parametrize("payload", ["x", 1, [300], ["x"], None],
+                         ids=["str", "int", "list-300", "list-str", "None"])
+def test_action_refuses_a_payload_that_is_not_bytes(payload):
+    # an int would make bytes() a run of zeros of that length
+    with pytest.raises(ValueError, match=re.escape(f"payload {payload!r}")):
+        AlpAction(Opcode.STATUS, 0x41, 0, 0, payload)
+    with pytest.raises(ValueError, match=re.escape(f"payload {payload!r}")):
+        AlpAction.status(0, 0x41, 0, 0)._replace(payload=payload)
 
 
 def test_command_must_have_actions():

@@ -6,11 +6,14 @@ repeats exactly.  This harness profiles ``Simulator.run`` of the
 bundled scenario for six simulated hours, first with the simulator
 alone and then with a ``Backend`` attached, each in a process of its
 own.  The simulator's cost is its calls per sample taken; the
-backend's is the extra calls per uplink arrival it ingests.
+backend's is the extra calls per uplink arrival it ingests.  Node count
+is an axis too: the bundled sites copied ten times (580 nodes) cost the
+simulator as many calls per sample in one simulated hour as the 58
+bundled nodes do.
 
     PYTHONPATH=src python tests/test_frame_cost.py
 
-prints both counts as JSON.
+prints the counts as JSON.
 """
 
 import cProfile
@@ -21,49 +24,75 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 HOURS = 6
+#: copies of the bundled sites on the node-count axis, and its run length
+COPIES, COPIES_HOURS = 10, 1
 
 #: ceilings, 5 % above the counts this code base makes
-MAX_SIM_CALLS_PER_SAMPLE = 61.5 * 1.05
-MAX_BACKEND_CALLS_PER_ARRIVAL = 31.3 * 1.05
+MAX_SIM_CALLS_PER_SAMPLE = 47.2 * 1.05
+MAX_BACKEND_CALLS_PER_ARRIVAL = 25.3 * 1.05
+#: how far calls per sample may drift from 58 nodes to 580
+MAX_NODE_COUNT_DRIFT = 0.05
 
 
-def profile_run(with_backend: bool) -> dict:
-    """Calls made by one run, with the samples and arrivals it saw."""
+def scenario(copies: int, hours: float):
+    """The bundled deployment run for ``hours``, its sites copied
+    ``copies`` times; each copy's sites and nodes get ids of their own."""
+    from geowsn.scenario import make_reference_deployment, parse_scenario
+
+    doc = make_reference_deployment()
+    doc["sites"] = [
+        dict(site, site_id=f"{site['site_id']}-{copy}" if copy else site["site_id"],
+             nodes=[dict(node, uid=node["uid"] + 10_000 * copy)
+                    for node in site["nodes"]])
+        for copy in range(copies) for site in doc["sites"]]
+    doc["duration_s"] = hours * 3600
+    return parse_scenario(doc)
+
+
+def profile_run(with_backend: bool, copies: int = 1, hours: float = HOURS) -> dict:
+    """Calls made by one run, with the nodes, samples and arrivals it saw."""
     from geowsn.backend import Backend
-    from geowsn.scenario import build_simulator, default_scenario, node_directory
+    from geowsn.scenario import build_simulator, node_directory
 
-    config = default_scenario().with_duration(HOURS * 3600)
+    config = scenario(copies, hours)
     sim = build_simulator(config)
     if with_backend:
         Backend(directory=node_directory(config)).attach_transport(sim)
     profile = cProfile.Profile()
     log = profile.runcall(sim.run)
     return {
+        "nodes": log.summary["nodes"],
         "calls": pstats.Stats(profile).total_calls,
         "samples": log.summary["records_produced"],
         "arrivals": log.count("UplinkArrival"),
     }
 
 
-def fresh_profiles() -> tuple[dict, dict]:
-    """``profile_run`` without and with the backend, each in a fresh
-    process (a warm one makes fewer calls); the two run side by side."""
+def fresh_profiles(*runs: list[str]) -> list[dict]:
+    """``profile_run`` once per argument list (``--backend``,
+    ``--copies N``, ``--hours H``), each in a fresh process (a warm one
+    makes fewer calls); the runs go side by side."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     argv = [sys.executable, __file__, "--one"]
-    runs = [subprocess.Popen(argv + flag, env=env, stdout=subprocess.PIPE,
-                             text=True) for flag in ([], ["--backend"])]
+    children = [subprocess.Popen(argv + args, env=env, stdout=subprocess.PIPE,
+                                 text=True) for args in runs]
     results = []
-    for run in runs:
-        out, _ = run.communicate(timeout=60)
-        assert run.returncode == 0
+    for child in children:
+        out, _ = child.communicate(timeout=60)
+        assert child.returncode == 0
         results.append(json.loads(out))
-    return results[0], results[1]
+    return results
 
 
 def frame_cost() -> dict:
-    alone, joined = fresh_profiles()
+    alone, joined, small, large = fresh_profiles(
+        [], ["--backend"],
+        ["--hours", str(COPIES_HOURS)],
+        ["--hours", str(COPIES_HOURS), "--copies", str(COPIES)])
     assert (alone["samples"], alone["arrivals"]) == (
         joined["samples"], joined["arrivals"])
     return {
@@ -75,18 +104,44 @@ def frame_cost() -> dict:
         "sim_calls_per_sample": alone["calls"] / alone["samples"],
         "backend_calls_per_arrival":
             (joined["calls"] - alone["calls"]) / alone["arrivals"],
+        "node_count_axis": {
+            "hours": COPIES_HOURS,
+            "nodes": [small["nodes"], large["nodes"]],
+            "samples": [small["samples"], large["samples"]],
+            "sim_calls_per_sample": [small["calls"] / small["samples"],
+                                     large["calls"] / large["samples"]],
+        },
     }
 
 
-def test_calls_per_sample_and_per_arrival_stay_under_their_ceilings():
-    cost = frame_cost()
+@pytest.fixture(scope="module")
+def cost() -> dict:
+    return frame_cost()
+
+
+def test_calls_per_sample_and_per_arrival_stay_under_their_ceilings(cost):
     assert cost["samples"] > 2000 and cost["arrivals"] > 2000
     assert cost["sim_calls_per_sample"] <= MAX_SIM_CALLS_PER_SAMPLE, cost
     assert cost["backend_calls_per_arrival"] <= MAX_BACKEND_CALLS_PER_ARRIVAL, cost
 
 
+def test_calls_per_sample_do_not_grow_with_node_count(cost):
+    axis = cost["node_count_axis"]
+    assert axis["nodes"] == [58, 58 * COPIES], cost
+    assert axis["samples"][1] > 3000, cost
+    small, large = axis["sim_calls_per_sample"]
+    assert abs(large / small - 1) <= MAX_NODE_COUNT_DRIFT, cost
+
+
 if __name__ == "__main__":
     if "--one" in sys.argv:
-        print(json.dumps(profile_run("--backend" in sys.argv)))
+        args = sys.argv[2:]
+
+        def option(name, default):
+            return float(args[args.index(name) + 1]) if name in args else default
+
+        print(json.dumps(profile_run("--backend" in args,
+                                     int(option("--copies", 1)),
+                                     option("--hours", HOURS))))
     else:
         print(json.dumps(frame_cost(), indent=1))

@@ -396,6 +396,20 @@ def test_invalid_link_parameters_rejected():
         LinkModel(max_payload=0)
 
 
+@pytest.mark.parametrize("field", ["duration_s", "listen_interval_s"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), float("-inf")])
+def test_simulator_refuses_a_time_that_is_not_finite(field, value):
+    # rounding it to ms would raise OverflowError, or pass NaN along
+    with pytest.raises(ValueError, match=field):
+        Simulator(**{"duration_s": 10, field: value})
+
+
+def test_a_scenario_of_endless_duration_does_not_build():
+    config = default_scenario().with_duration(float("inf"))
+    with pytest.raises(ValueError, match="duration_s inf must be positive"):
+        build_simulator(config)
+
+
 @pytest.mark.parametrize("site_id", ["a/b", "a+", "#"])
 def test_add_site_refuses_an_id_no_bus_topic_can_carry(site_id):
     # the gateway publishes on site/<site>/gw/gw-<site>/up, which the
