@@ -123,7 +123,7 @@ class AlpAction(_ActionFields):
     __slots__ = ()
 
     def __new__(cls, opcode, file_id, offset=0, length=0, payload=b""):
-        # exact class: no call for bytes; iter() refuses an int, which bytes() sizes
+        # bytes passes without a call; iter() refuses an int, which bytes() reads as a size
         if payload.__class__ is not bytes:
             try:
                 payload = bytes(iter(payload))

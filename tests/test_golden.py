@@ -160,7 +160,6 @@ def test_sim_run_stdout_is_pinned(capsys, tmp_path):
     assert hashlib.sha256(text.encode()).hexdigest() == SIM_RUN_STDOUT
 
 
-
 #: SHA-256 of the ``readings.csv`` that ``geowsn sim-run`` writes for the
 #: bundled scenario: the header and 8,578 sink rows
 SIM_RUN_READINGS = (
@@ -172,6 +171,7 @@ def test_sim_run_readings_csv_is_pinned(capsys, tmp_path):
     data = (tmp_path / "readings.csv").read_bytes()
     assert data.count(b"\n") == 1 + 8_578
     assert hashlib.sha256(data).hexdigest() == SIM_RUN_READINGS
+
 
 #: 30 days at 10 min of three transects in logger order, 12,960 rows:
 #: 4,096-row chunks end mid-day, and one label is not ASCII
