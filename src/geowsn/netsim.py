@@ -16,6 +16,10 @@ the node runtime it acts on.  ``Simulator.sites`` maps a site to its
 link.  Within one ms a node finishes its own interaction before the
 next event: it transmits what it queued, and what their results
 queue, inline.  The energy ledger is built when the run closes.
+
+Handlers log a row by extending one flat list with its four slots,
+``time_ms, kind, uid, detail``: no tuple is built per row, and the
+``RunLog`` reads the rows back through a view.
 """
 
 from __future__ import annotations
@@ -65,6 +69,8 @@ class PayloadTooLargeError(SimulationError):
 
 ENERGY_ROW_KIND = "EnergyCharge"
 
+#: run-log slots a row takes: time_ms, kind, uid, detail
+_ROW_SLOTS = 4
 #: run-log rows rendered into one chunk of text
 _CHUNK_ROWS = 4096
 
@@ -183,27 +189,54 @@ def node_stream_seed(scenario_seed: int, site_id: str, node_uid: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+class _Rows:
+    """The rows of a flat slot list, as ``(time_ms, kind, uid, detail)``
+    tuples built one at a time while iterating; nothing is copied."""
+
+    def __init__(self, slots: list):
+        self._slots = slots
+
+    def __len__(self) -> int:
+        return len(self._slots) // _ROW_SLOTS
+
+    def __iter__(self) -> Iterator[tuple[int, str, int, str]]:
+        slot = iter(self._slots)
+        return zip(slot, slot, slot, slot)
+
+
 class RunLog:
     """The ordered record of everything a run did.
 
-    Rows serialize as ``time_ms,event_kind,node_uid,detail`` lines
-    followed by a ``# summary`` block; the stable hash is the SHA-256
-    of that text.  The text is produced in chunks of at most
-    ``_CHUNK_ROWS`` rows, so writing and hashing a long log never hold
-    more than one chunk of it at a time.
+    Rows are held flat: one list, ``_ROW_SLOTS`` slots a row in the order
+    ``time_ms, event_kind, node_uid, detail``, and no tuple per row.
+    ``rows`` is a view that yields each row as a tuple.  Rows serialize
+    as ``time_ms,event_kind,node_uid,detail`` lines followed by a
+    ``# summary`` block; the stable hash is the SHA-256 of that text.
+    The text is produced in chunks of at most ``_CHUNK_ROWS`` rows, so
+    writing and hashing a long log never hold more than one chunk of it
+    at a time.
     """
 
-    def __init__(self, rows: list[tuple[int, str, int, str]], summary: dict):
-        self.rows = rows
+    def __init__(self, slots: list, summary: dict):
+        if len(slots) % _ROW_SLOTS:
+            raise ValueError(
+                f"{len(slots)} slots is not a whole number of {_ROW_SLOTS}-slot rows")
+        self._slots = slots
         self.summary = summary
+
+    @property
+    def rows(self) -> _Rows:
+        return _Rows(self._slots)
 
     def _chunks(self) -> Iterator[str]:
         """The log text, a bounded number of rows at a time, then the
-        summary block; every line ends in a newline."""
-        rows = self.rows
-        for start in range(0, len(rows), _CHUNK_ROWS):
-            yield "".join([f"{at},{kind},{uid},{detail}\n" for at, kind, uid, detail
-                           in rows[start:start + _CHUNK_ROWS]])
+        summary block; every line ends in a newline.  ``%s`` renders an
+        ``int`` or a ``str`` as an f-string's ``{}`` does."""
+        slots = self._slots
+        step = _ROW_SLOTS * _CHUNK_ROWS
+        for start in range(0, len(slots), step):
+            chunk = tuple(slots[start:start + step])
+            yield "%s,%s,%s,%s\n" * (len(chunk) // _ROW_SLOTS) % chunk
         yield "# summary\n" + "".join(
             [f"# {key}={value}\n" for key, value in self.summary.items()])
 
@@ -270,7 +303,8 @@ class Simulator:
         #: heap tie-break: (at_ms, seq) is unique, so no handlers are compared
         self._seq = itertools.count()
         self._ticket_seq = 0
-        self._rows: list[tuple[int, str, int, str]] = []
+        #: the run log's rows, flat: ``_ROW_SLOTS`` slots a row
+        self._rows: list[int | str] = []
         #: one shared detail string per distinct uplink row, so a long
         #: log holds a handful of them, not one per row
         self._tx_details: dict[tuple[bool, int, str], str] = {}
@@ -338,9 +372,19 @@ class Simulator:
         deadline the node held under a watchdog that also petted itself
         every period from boot or its last reset, and the node resets at
         that deadline.  A hang at the same ms as such a pet comes first.
+        The hang must be finite, and neither before the clock nor after
+        the run has finished.
         """
         rt = self.runtime(node_uid)
-        heapq.heappush(self._heap, (round(at_s * MS_PER_S), next(self._seq),
+        if not math.isfinite(at_s):
+            raise ValueError(f"at_s {at_s!r} must be finite")
+        if self._finished:
+            raise SimulationError("run already finished")
+        at_ms = round(at_s * MS_PER_S)
+        if at_ms < self.now_ms:
+            raise ValueError(
+                f"at_s {at_s!r} lies before the clock at {self.now_ms} ms")
+        heapq.heappush(self._heap, (at_ms, next(self._seq),
                                     self._handle_hang_injection, rt, None))
 
     def start(self) -> None:
@@ -396,14 +440,14 @@ class Simulator:
     def _handle_sample_timer(self, rt: NodeRuntime, at: int, payload) -> None:
         node = rt.node
         if at != rt.timer_event_ms:
-            self._rows.append((at, "SampleTimer", node.uid, "stale"))
+            self._rows += (at, "SampleTimer", node.uid, "stale")
             return
         rt.timer_event_ms = -1
         if node.hung:
-            self._rows.append((at, "SampleTimer", node.uid, "hung"))
+            self._rows += (at, "SampleTimer", node.uid, "hung")
             return
         node.on_sample_timer(at / MS_PER_S)
-        self._rows.append((at, "SampleTimer", node.uid, "ok"))
+        self._rows += (at, "SampleTimer", node.uid, "ok")
         self._settle(rt, at)
 
     def _deliver(self, rt: NodeRuntime, at: int, payload: bytes,
@@ -416,7 +460,7 @@ class Simulator:
         if key not in details:
             outcome = "dropped" if dropped else "delivered"
             details[key] = f"{outcome} len={len(payload)} kind={kind}"
-        self._rows.append((at, "UplinkTx", rt.node.uid, details[key]))
+        self._rows += (at, "UplinkTx", rt.node.uid, details[key])
         if dropped:
             rt.uplinks_dropped += 1
             return False
@@ -432,7 +476,7 @@ class Simulator:
         details = self._arrival_details
         if size not in details:
             details[size] = f"len={size}"
-        self._rows.append((at, "UplinkArrival", rt.node.uid, details[size]))
+        self._rows += (at, "UplinkArrival", rt.node.uid, details[size])
         if self.forwarder is not None:
             self.forwarder(payload, Envelope(rt.node.uid, rt.gateway_id,
                                              rt.site_id, at / MS_PER_S, dialog))
@@ -454,8 +498,8 @@ class Simulator:
         self._ticket_seq += 1
         rt.pending.append(ticket)
         rt.downlinks_queued += 1
-        self._rows.append((self.now_ms, "DownlinkQueue", node_uid,
-                           f"ticket={ticket.ticket_id} len={len(ticket.payload)}"))
+        self._rows += (self.now_ms, "DownlinkQueue", node_uid,
+                       f"ticket={ticket.ticket_id} len={len(ticket.payload)}")
         self._ensure_window(rt, self.now_ms)
         return ticket
 
@@ -476,21 +520,21 @@ class Simulator:
         for ticket in [t for t in rt.pending if at >= t.expires_at_ms]:
             rt.pending.remove(ticket)
             rt.downlinks_expired += 1
-            self._rows.append((at, "ListenWindow", node.uid,
-                               f"expired ticket={ticket.ticket_id}"))
+            self._rows += (at, "ListenWindow", node.uid,
+                           f"expired ticket={ticket.ticket_id}")
         if node.hung:
             if rt.pending:
-                self._rows.append((at, "ListenWindow", node.uid, "hung"))
+                self._rows += (at, "ListenWindow", node.uid, "hung")
         elif rt.pending:
             ticket = rt.pending[0]
             if rt.rng.random() < rt.link.loss_probability:
-                self._rows.append((at, "ListenWindow", node.uid,
-                                   f"retry ticket={ticket.ticket_id}"))
+                self._rows += (at, "ListenWindow", node.uid,
+                               f"retry ticket={ticket.ticket_id}")
             else:
                 rt.pending.popleft()
                 rt.downlinks_delivered += 1
-                self._rows.append((at, "ListenWindow", node.uid,
-                                   f"delivered ticket={ticket.ticket_id}"))
+                self._rows += (at, "ListenWindow", node.uid,
+                               f"delivered ticket={ticket.ticket_id}")
                 node.on_downlink(ticket.payload, at / MS_PER_S)
                 self._settle(rt, at, ticket.dialog)
         if rt.pending:
@@ -503,8 +547,8 @@ class Simulator:
         node.reset(at / MS_PER_S)
         rt.anchor_ms = at
         self._close_hang(rt, at)
-        self._rows.append((at, "WatchdogCheck", node.uid, "reset"))
-        self._rows.append((at, "ResetDone", node.uid, "boot"))
+        self._rows += (at, "WatchdogCheck", node.uid, "reset",
+                       at, "ResetDone", node.uid, "boot")
         self._settle(rt, at)
 
     def _handle_hang_injection(self, rt: NodeRuntime, at: int, payload) -> None:
@@ -519,7 +563,7 @@ class Simulator:
             deadline_ms = max(round(node.watchdog_deadline * MS_PER_S), pet_ms)
             heapq.heappush(self._heap, (deadline_ms, next(self._seq),
                                         self._handle_watchdog_check, rt, None))
-        self._rows.append((at, "HangInjection", node.uid, "hang"))
+        self._rows += (at, "HangInjection", node.uid, "hang")
 
     # -- plumbing ----------------------------------------------------------
 
@@ -601,10 +645,10 @@ class Simulator:
             ):
                 charge = current_a * (ms / MS_PER_S)
                 rt.charge_c += charge
-                self._rows.append((
+                self._rows += (
                     self.duration_ms, ENERGY_ROW_KIND, rt.node.uid,
                     f"mode={mode} time_ms={ms!r} charge_c={charge!r}",
-                ))
+                )
             totals["uplinks_attempted"] += rt.uplinks_attempted
             totals["uplinks_delivered"] += rt.uplinks_delivered
             totals["uplinks_dropped"] += rt.uplinks_dropped

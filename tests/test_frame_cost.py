@@ -32,7 +32,7 @@ HOURS = 6
 COPIES, COPIES_HOURS = 10, 1
 
 #: ceilings, 5 % above the counts this code base makes
-MAX_SIM_CALLS_PER_SAMPLE = 47.2 * 1.05
+MAX_SIM_CALLS_PER_SAMPLE = 44.1 * 1.05
 MAX_BACKEND_CALLS_PER_ARRIVAL = 25.3 * 1.05
 #: how far calls per sample may drift from 58 nodes to 580
 MAX_NODE_COUNT_DRIFT = 0.05

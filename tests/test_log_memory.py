@@ -1,4 +1,4 @@
-"""Memory taken by writing and hashing a long run log.
+"""Memory taken by holding, reading, writing and hashing a run log.
 
 A run's rows stay in memory, but its text need not: ``RunLog.write``
 and ``RunLog.stable_hash`` render, encode and hash the log a bounded
@@ -8,6 +8,11 @@ and measures with ``tracemalloc`` the peak allocated above the
 baseline while each runs.  Either fails at a quarter of the text's
 size, far below the several copies of the text that building it whole
 takes.
+
+The rows themselves are held flat, four slots a row and no tuple per
+row.  A two-day run of the bundled deployment, simulator only, is
+traced: what the run leaves allocated, per log row, is gated, and so
+is the peak that reading every row through ``RunLog.rows`` adds.
 
     PYTHONPATH=src python tests/test_log_memory.py
 
@@ -21,11 +26,19 @@ import tracemalloc
 from pathlib import Path
 
 from geowsn.netsim import RunLog
+from geowsn.scenario import build_simulator, default_scenario
 
 ROWS = 200_000
 
 #: ceiling on the peak above baseline, as a share of the text's bytes
 MAX_PEAK_SHARE = 0.25
+#: simulated days of the bundled deployment whose run is traced
+RUN_DAYS = 2
+#: ceiling on the bytes a finished run holds per log row (a tuple per
+#: row held about 105)
+MAX_HELD_BYTES_PER_ROW = 70
+#: ceiling on the peak that reading every row of that run adds
+MAX_READ_PEAK_BYTES = 4096
 
 
 def synthetic_log(n_rows: int = ROWS) -> RunLog:
@@ -33,10 +46,10 @@ def synthetic_log(n_rows: int = ROWS) -> RunLog:
     detail strings a run logs."""
     details = [f"delivered len={size} kind={kind}"
                for size in (20, 24, 29) for kind in ("reading", "flush")]
-    rows = [(i * 250, "UplinkTx", 1000 + i % 58, details[i % len(details)])
-            for i in range(n_rows)]
+    slots = [slot for i in range(n_rows)
+             for slot in (i * 250, "UplinkTx", 1000 + i % 58, details[i % len(details)])]
     summary = {f"node.{1000 + i}.charge_c": repr(i / 7) for i in range(58)}
-    return RunLog(rows, summary)
+    return RunLog(slots, summary)
 
 
 def peak_above_baseline(call) -> int:
@@ -68,6 +81,39 @@ def log_memory() -> dict:
     }
 
 
+def run_memory() -> dict:
+    """Bytes a bundled run, simulator only, holds when it has finished
+    (its state built before tracing starts), and the traced peak that
+    reading its rows as ``perfbench`` does adds on top."""
+    sim = build_simulator(default_scenario().with_duration(RUN_DAYS * 86400))
+    tracemalloc.start()
+    try:
+        log = sim.run()
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        kinds: dict[str, int] = {}
+        for _, kind, _, detail in log.rows:
+            kinds[kind] = kinds.get(kind, 0) + 1
+        _, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(kinds.values()) == len(log.rows)
+    return {
+        "run_days": RUN_DAYS,
+        "run_rows": len(log.rows),
+        "run_held_bytes": held,
+        "held_bytes_per_row": held / len(log.rows),
+        "read_peak_bytes": read_peak - held,
+    }
+
+
+def test_a_finished_run_holds_few_bytes_per_log_row():
+    figures = run_memory()
+    assert figures["run_rows"] > 50_000, figures
+    assert figures["held_bytes_per_row"] <= MAX_HELD_BYTES_PER_ROW, figures
+    assert figures["read_peak_bytes"] <= MAX_READ_PEAK_BYTES, figures
+
+
 def test_writing_and_hashing_a_long_log_hold_a_bounded_share_of_its_text():
     figures = log_memory()
     assert figures["text_bytes"] > 10_000_000
@@ -76,5 +122,5 @@ def test_writing_and_hashing_a_long_log_hold_a_bounded_share_of_its_text():
 
 
 if __name__ == "__main__":
-    json.dump(log_memory(), sys.stdout, indent=1)
+    json.dump({**log_memory(), **run_memory()}, sys.stdout, indent=1)
     print()

@@ -228,6 +228,55 @@ def test_watchdog_resets_hung_node(rate_s, hang_s, run_first_ms, reset_ms,
     assert len(post) == (3_600_000 - reset_ms) // (rate_s * 1000)
 
 
+@pytest.mark.parametrize("at_s", [-5.0, -0.001])
+def test_inject_hang_refuses_a_time_before_start(at_s):
+    sim = build_sim(duration_s=600)
+    with pytest.raises(ValueError, match="before the clock at 0 ms"):
+        sim.inject_hang(1, at_s=at_s)
+    assert sim.run().count("HangInjection") == 0
+
+
+def test_inject_hang_refuses_a_time_the_clock_has_passed():
+    sim = build_sim(duration_s=3600, rate_s=600)
+    untouched = build_sim(duration_s=3600, rate_s=600).run()
+    sim.run_until(lambda: False, deadline_ms=1_000_000)
+    with pytest.raises(ValueError, match="before the clock at 1000000 ms"):
+        sim.inject_hang(1, at_s=5.0)
+    with pytest.raises(ValueError, match="before the clock"):
+        sim.inject_hang(1, at_s=999.9994)
+    log = sim.run()
+    assert log.stable_hash() == untouched.stable_hash()
+    # the listen boundaries the node was awake for stay counted
+    assert energy_ledger(log)[0]["Listening"] == 3600 * 2.0
+
+
+def test_inject_hang_at_the_clock_is_logged_in_order():
+    sim = build_sim(duration_s=3600, rate_s=600)
+    sim.run_until(lambda: False, deadline_ms=1_000_000)
+    sim.inject_hang(1, at_s=1000.0)
+    log = sim.run()
+    times = [at for at, _, _, _ in log.rows]
+    assert times == sorted(times)
+    assert [at for at, kind, _, _ in log.rows if kind == "HangInjection"] == [
+        1_000_000]
+    assert log.summary["resets"] == 1
+
+
+def test_inject_hang_refuses_a_finished_run():
+    sim = build_sim(duration_s=600)
+    digest = sim.run().stable_hash()
+    with pytest.raises(SimulationError, match="run already finished"):
+        sim.inject_hang(1, at_s=10.0)
+    assert sim.run().stable_hash() == digest
+
+
+@pytest.mark.parametrize("at_s", [float("inf"), float("-inf"), float("nan")])
+def test_inject_hang_refuses_a_time_that_is_not_finite(at_s):
+    sim = build_sim(duration_s=600)
+    with pytest.raises(ValueError, match=f"at_s {at_s!r} must be finite"):
+        sim.inject_hang(1, at_s=at_s)
+
+
 def test_a_downlink_to_a_hung_node_waits_for_its_reset():
     sim = build_sim(duration_s=600, loss=0.0, rate_s=600)
     # hung from 10 s: the boot's pet was the last, so the reset is at 120 s
@@ -365,9 +414,9 @@ def reference_text(log: RunLog) -> str:
     (3 * _CHUNK_ROWS + 7, 5),
 ], ids=["empty", "one-row", "one-chunk", "chunks-and-a-part"])
 def test_text_hash_and_file_come_from_one_rendering(tmp_path, n_rows, n_chunks):
-    rows = [(i * 10, "UplinkTx", i % 7, f"delivered len={i % 50} kind=reading")
-            for i in range(n_rows)]
-    log = RunLog(rows, {"seed": 3, "node.1.charge_c": "0.5"})
+    slots = [slot for i in range(n_rows)
+             for slot in (i * 10, "UplinkTx", i % 7, f"delivered len={i % 50} kind=reading")]
+    log = RunLog(slots, {"seed": 3, "node.1.charge_c": "0.5"})
     assert len(list(log._chunks())) == n_chunks  # the summary is the last
     text = log.to_text()
     assert text == reference_text(log)
@@ -375,6 +424,31 @@ def test_text_hash_and_file_come_from_one_rendering(tmp_path, n_rows, n_chunks):
     data = (tmp_path / "runlog.txt").read_bytes()
     assert data == text.encode()
     assert digest == hashlib.sha256(data).hexdigest() == log.stable_hash()
+
+
+def test_rows_are_a_view_that_reads_as_the_text():
+    sim = build_simulator(default_scenario().with_duration(6 * 3600))
+    sim.inject_hang(sim.node_uids[0], at_s=10.0)
+    log = sim.run()
+    lines = log.to_text().splitlines()
+    events = lines[:lines.index("# summary")]
+    rows = log.rows
+    assert not isinstance(rows, list)
+    assert len(rows) == len(events) > 4000
+    first = list(rows)
+    assert first == list(rows)
+    assert all(type(row) is tuple and len(row) == 4 for row in first)
+    assert first == [(int(at), kind, int(uid), detail) for at, kind, uid, detail
+                     in (line.split(",", 3) for line in events)]
+    assert {"HangInjection", "WatchdogCheck", "EnergyCharge"} <= {
+        kind for _, kind, _, _ in first}
+
+
+@pytest.mark.parametrize("n_slots", [5, 7])
+def test_run_log_refuses_a_partial_row(n_slots):
+    slots = [0, "SampleTimer", 1, "ok", 0, "UplinkTx", 1, "len=20"][:n_slots]
+    with pytest.raises(ValueError, match=f"{n_slots} slots"):
+        RunLog(slots, {})
 
 
 def test_uplink_rows_share_one_detail_string_per_text():
