@@ -165,7 +165,6 @@ class Backend:
         self.bus = InProcessBus()
         self.directory = dict(directory or {})
         self.sink = sink if sink is not None else CsvSink()
-        self.status_log: list[tuple[Envelope, AlpAction]] = []
         self.quarantine: list[QuarantineEntry] = []
         self.late_answers = 0
         self.ingested = 0
@@ -189,10 +188,10 @@ class Backend:
     def ingest(self, payload: bytes, envelope: Envelope) -> None:
         """Decode one uplink into time-series records for the sink.
 
-        Statuses go to the status log.  A frame stamped with a dialog
-        only answers that dialog's request.  In an unstamped frame,
-        sensor data becomes one record per channel (milli-units scaled
-        back exactly); anything else undecodable or unasked for is
+        A frame stamped with a dialog only answers that dialog's
+        request.  In an unstamped frame, sensor data becomes one record
+        per channel (milli-units scaled back exactly), a status is
+        dropped, and anything else undecodable or unasked for is
         quarantined with its envelope.
         """
         self.ingested += 1
@@ -205,8 +204,6 @@ class Backend:
         if dialog is not None and dialog not in self._pending:
             self.late_answers += 1  # its request timed out or is answered
         for action in actions:
-            if action.opcode is Opcode.STATUS:
-                self.status_log.append((envelope, action))
             if dialog is not None:
                 self._resolve(dialog, action)
             elif (action.opcode is Opcode.RETURN_FILE_DATA

@@ -233,7 +233,8 @@ def _resolve_resistance(value, key: str) -> float:
         if not isinstance(geometry, dict):
             raise ValueError(f"{key}: the {shape} geometry must be an object")
         try:
-            return builder(**geometry)
+            return builder(**{name: _number(size, f"{key}: {name}")
+                              for name, size in geometry.items()})
         except TypeError as exc:  # an unknown or a missing key
             raise ValueError(f"{key}: {exc}") from None
     return _number(value, key)

@@ -19,11 +19,14 @@ queue, inline.  The energy ledger is built when the run closes.
 
 Handlers log a row by extending one flat list with its four slots,
 ``time_ms, kind, uid, detail``: no tuple is built per row, and the
-``RunLog`` reads the rows back through a view.
+``RunLog`` reads the rows back through a view.  A detail is an
+optional bare word (the outcome) and ``key=value`` fields;
+``row_fields`` is the one decoder of that text.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import itertools
@@ -73,6 +76,9 @@ ENERGY_ROW_KIND = "EnergyCharge"
 _ROW_SLOTS = 4
 #: run-log rows rendered into one chunk of text
 _CHUNK_ROWS = 4096
+
+#: the type of each run-log detail field not held as a ``str``
+_FIELD_TYPES = {"len": int, "ticket": int, "time_ms": float, "charge_c": float}
 
 #: a status frame, one action header and its status byte: the only
 #: frame a node sends whatever the link's ``max_payload``
@@ -189,6 +195,26 @@ def node_stream_seed(scenario_seed: int, site_id: str, node_uid: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def row_fields(detail: str) -> dict:
+    """The fields of a run-log detail: each ``key=value`` under its key,
+    typed by ``_FIELD_TYPES``, and the bare word, if any, as ``outcome``."""
+    fields = {}
+    for token in detail.split():
+        key, _, value = token.rpartition("=")
+        fields[key or "outcome"] = _FIELD_TYPES.get(key, str)(value)
+    return fields
+
+
+@functools.cache
+def _tx_detail(dropped: bool, size: int, kind: str) -> str:
+    return f"{'dropped' if dropped else 'delivered'} len={size} kind={kind}"
+
+
+@functools.cache
+def _arrival_detail(size: int) -> str:
+    return f"len={size}"
+
+
 class _Rows:
     """The rows of a flat slot list, as ``(time_ms, kind, uid, detail)``
     tuples built one at a time while iterating; nothing is copied."""
@@ -261,16 +287,6 @@ class RunLog:
         with open(path, "wb") as handle:
             return self._digest(handle)
 
-    def count(self, kind: str, uid: int | None = None,
-              detail_prefix: str = "") -> int:
-        return sum(
-            1
-            for _, k, u, d in self.rows
-            if k == kind
-            and (uid is None or u == uid)
-            and d.startswith(detail_prefix)
-        )
-
 
 class Simulator:
     """Event-driven network of sensor nodes, one gateway per site."""
@@ -305,10 +321,6 @@ class Simulator:
         self._ticket_seq = 0
         #: the run log's rows, flat: ``_ROW_SLOTS`` slots a row
         self._rows: list[int | str] = []
-        #: one shared detail string per distinct uplink row, so a long
-        #: log holds a handful of them, not one per row
-        self._tx_details: dict[tuple[bool, int, str], str] = {}
-        self._arrival_details: dict[int, str] = {}
         self._started = False
         self._finished = False
 
@@ -409,11 +421,14 @@ class Simulator:
                   deadline_ms: int | None = None) -> bool:
         """Process events until the predicate holds, the deadline or the
         scenario duration passes, or the heap empties.  Waiting out the
-        limit takes simulated time: the clock then reads the limit."""
+        limit takes simulated time: the clock then reads the limit.  A
+        deadline is a whole number of ms, and may be given as a float."""
+        if deadline_ms is None:
+            deadline_ms = self.duration_ms
+        elif deadline_ms % 1:  # NaN and infinity leave a NaN remainder
+            raise ValueError(f"deadline_ms {deadline_ms!r} must be a whole number of ms")
+        limit = min(int(deadline_ms), self.duration_ms)
         self.start()
-        limit = self.duration_ms if deadline_ms is None else min(
-            deadline_ms, self.duration_ms
-        )
         while not predicate():
             if not self._heap or self._heap[0][0] > limit:
                 self.now_ms = max(self.now_ms, limit)
@@ -455,12 +470,9 @@ class Simulator:
         link = rt.link
         rt.uplinks_attempted += 1
         dropped = rt.rng.random() < link.loss_probability
-        key = (dropped, len(payload), kind)
-        details = self._tx_details
-        if key not in details:
-            outcome = "dropped" if dropped else "delivered"
-            details[key] = f"{outcome} len={len(payload)} kind={kind}"
-        self._rows += (at, "UplinkTx", rt.node.uid, details[key])
+        # one shared string per distinct uplink row, not one per row
+        self._rows += (at, "UplinkTx", rt.node.uid,
+                       _tx_detail(dropped, len(payload), kind))
         if dropped:
             rt.uplinks_dropped += 1
             return False
@@ -472,11 +484,8 @@ class Simulator:
     def _handle_uplink_arrival(self, rt: NodeRuntime, at: int,
                                arrival: tuple[bytes, int | None]) -> None:
         payload, dialog = arrival
-        size = len(payload)
-        details = self._arrival_details
-        if size not in details:
-            details[size] = f"len={size}"
-        self._rows += (at, "UplinkArrival", rt.node.uid, details[size])
+        self._rows += (at, "UplinkArrival", rt.node.uid,
+                       _arrival_detail(len(payload)))
         if self.forwarder is not None:
             self.forwarder(payload, Envelope(rt.node.uid, rt.gateway_id,
                                              rt.site_id, at / MS_PER_S, dialog))
@@ -486,9 +495,11 @@ class Simulator:
                        dialog: int | None = None) -> DownlinkTicket:
         """Hand a command to the target node's gateway.  It waits there
         and is offered at each of the node's listen windows until it is
-        delivered or its TTL lapses.  The node's answers to it carry
-        ``dialog`` up to the forwarder."""
+        delivered or its TTL lapses, which must be finite and > 0.  The
+        node's answers to it carry ``dialog`` up to the forwarder."""
         rt = self.runtime(node_uid)
+        if not 0 < ttl_s < math.inf:
+            raise ValueError(f"ttl_s {ttl_s!r} must be finite and > 0")
         if len(payload) > rt.link.max_payload:
             raise PayloadTooLargeError(len(payload), rt.link.max_payload)
         if self._finished:

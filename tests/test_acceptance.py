@@ -8,7 +8,6 @@ criterion, not a convenience.
 
 import math
 import random
-import re
 import time
 
 import numpy as np
@@ -36,7 +35,7 @@ from geowsn.energy import (
     teg_power,
 )
 from geowsn.feasibility import CONVEXITY_CAVEAT, analyze_trace, TransectSeries
-from geowsn.netsim import LinkModel, Simulator
+from geowsn.netsim import LinkModel, Simulator, row_fields
 from geowsn.node import (
     ConstantSignal,
     NodeConfig,
@@ -246,10 +245,6 @@ def test_criterion_7_split_stack_remote_access():
     verdict(7, all(parts), "; ".join(notes))
 
 
-ENERGY_ROW = re.compile(
-    r"mode=(\w+) time_ms=([0-9.e+-]+) charge_c=([0-9.e+-]+)")
-
-
 def test_criterion_8_determinism_and_conservation():
     started = time.perf_counter()
     week = default_scenario().with_duration(7 * 86400.0)
@@ -279,10 +274,8 @@ def test_criterion_8_determinism_and_conservation():
     for at, kind, uid, detail in log_a.rows:
         if kind != "EnergyCharge":
             continue
-        match = ENERGY_ROW.fullmatch(detail)
-        assert match, detail
-        time_ms = float(match.group(2))
-        charge = float(match.group(3))
+        fields = row_fields(detail)
+        time_ms, charge = fields["time_ms"], fields["charge_c"]
         assert time_ms >= 0.0 and charge >= 0.0, detail
         by_node[uid] = by_node.get(uid, 0.0) + time_ms
     ledger_ok = (set(by_node) == set(directory) and all(

@@ -205,15 +205,14 @@ def test_ingest_quarantines_unexpected_opcode():
     assert "opcode" in backend.quarantine[0].reason
 
 
-def test_ingest_logs_status_actions():
+def test_ingest_neither_records_nor_quarantines_an_unasked_status():
     frame = encode_command((AlpAction.status(STATUS_OK, 0x41, 3, 1),))
     backend = Backend()
     backend.ingest(frame, envelope())
+    assert backend.ingested == 1
     assert backend.sink.records == []
-    assert len(backend.status_log) == 1
-    env, action = backend.status_log[0]
-    assert env.node_uid == 7
-    assert action.payload[0] == STATUS_OK
+    assert backend.quarantine == []
+    assert backend.late_answers == 0
 
 
 def test_ingest_handles_multi_record_flush_frame():

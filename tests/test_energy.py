@@ -218,6 +218,14 @@ def test_load_params_accepts_parsed_dict():
                               "conductivity": 1}}}, "conductivity"),
     ({"r_cplt": {"plate": {"thickness_m": 0.001, "width_m": 0.04}}},
      "height_m"),
+    # JSON true and a quoted number are no length
+    ({"r_crod": {"cylinder": {"diameter_m": True, "length_m": 0.1}}},
+     "r_crod: diameter_m must be a number, got True"),
+    ({"r_crod": {"cylinder": {"diameter_m": "0.02", "length_m": 0.1}}},
+     "r_crod: diameter_m must be a number, got '0.02'"),
+    ({"r_tp": {"interface": {"areal_resistance_k_in2_per_w": False,
+                             "area_m2": 0.0016}}},
+     "r_tp: areal_resistance_k_in2_per_w"),
 ])
 def test_load_params_rejects_malformed_files(tmp_path, doc, names):
     path = tmp_path / "params.json"

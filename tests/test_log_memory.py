@@ -14,6 +14,9 @@ row.  A two-day run of the bundled deployment, simulator only, is
 traced: what the run leaves allocated, per log row, is gated, and so
 is the peak that reading every row through ``RunLog.rows`` adds.
 
+A ``Backend`` keeps nothing of a status it was not waiting for: the
+bytes it holds after ingesting many of them are gated too.
+
     PYTHONPATH=src python tests/test_log_memory.py
 
 prints the figures as JSON.
@@ -25,7 +28,9 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
-from geowsn.netsim import RunLog
+from geowsn.alp import STATUS_OK, AlpAction, encode_command
+from geowsn.backend import Backend
+from geowsn.netsim import Envelope, RunLog
 from geowsn.scenario import build_simulator, default_scenario
 
 ROWS = 200_000
@@ -39,6 +44,10 @@ RUN_DAYS = 2
 MAX_HELD_BYTES_PER_ROW = 70
 #: ceiling on the peak that reading every row of that run adds
 MAX_READ_PEAK_BYTES = 4096
+#: unstamped status frames a Backend ingests, and the ceiling on the
+#: bytes it holds afterwards beyond what it held before
+STATUS_FRAMES = 10_000
+MAX_STATUS_HELD_BYTES = 64 * 1024
 
 
 def synthetic_log(n_rows: int = ROWS) -> RunLog:
@@ -107,6 +116,29 @@ def run_memory() -> dict:
     }
 
 
+def status_memory() -> dict:
+    """Bytes a Backend holds after ingesting ``STATUS_FRAMES`` unstamped
+    status frames, beyond what it held before."""
+    backend = Backend()
+    frame = encode_command((AlpAction.status(STATUS_OK, 0x41, 3, 1),))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for i in range(STATUS_FRAMES):
+            backend.ingest(frame, Envelope(1000 + i % 58, "gw-north", "north",
+                                           i * 0.25))
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert backend.ingested == STATUS_FRAMES
+    return {"status_frames": STATUS_FRAMES, "status_held_bytes": after - before}
+
+
+def test_a_backend_holds_nothing_of_unasked_statuses():
+    figures = status_memory()
+    assert figures["status_held_bytes"] < MAX_STATUS_HELD_BYTES, figures
+
+
 def test_a_finished_run_holds_few_bytes_per_log_row():
     figures = run_memory()
     assert figures["run_rows"] > 50_000, figures
@@ -122,5 +154,6 @@ def test_writing_and_hashing_a_long_log_hold_a_bounded_share_of_its_text():
 
 
 if __name__ == "__main__":
-    json.dump({**log_memory(), **run_memory()}, sys.stdout, indent=1)
+    json.dump({**log_memory(), **run_memory(), **status_memory()},
+              sys.stdout, indent=1)
     print()

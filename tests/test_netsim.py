@@ -1,11 +1,13 @@
 """Event queue semantics: determinism, links, windows, watchdog, energy."""
 
+import contextlib
 import hashlib
 import re
 
 import pytest
 
 from geowsn.alp import AlpAction, NODE_CONFIG_FILE, encode_command
+from geowsn.backend import Backend, RequestTimeoutError
 from geowsn.netsim import (
     _CHUNK_ROWS,
     LinkModel,
@@ -15,6 +17,7 @@ from geowsn.netsim import (
     SimulationError,
     Simulator,
     node_stream_seed,
+    row_fields,
 )
 from geowsn.node import (
     ConstantSignal,
@@ -23,7 +26,7 @@ from geowsn.node import (
     SensorNode,
     SignalDriver,
 )
-from geowsn.scenario import build_simulator, default_scenario
+from geowsn.scenario import build_simulator, default_scenario, node_directory
 
 
 def soil_node(uid: int = 1, rate_s: int = 60) -> SensorNode:
@@ -51,9 +54,9 @@ def energy_ledger(log, uid: int = 1) -> tuple[dict, dict]:
     time_ms, charge_c = {}, {}
     for _, kind, row_uid, detail in log.rows:
         if kind == "EnergyCharge" and row_uid == uid:
-            fields = dict(part.split("=", 1) for part in detail.split())
-            time_ms[fields["mode"]] = float(fields["time_ms"])
-            charge_c[fields["mode"]] = float(fields["charge_c"])
+            fields = row_fields(detail)
+            time_ms[fields["mode"]] = fields["time_ms"]
+            charge_c[fields["mode"]] = fields["charge_c"]
     return time_ms, charge_c
 
 
@@ -126,8 +129,8 @@ def test_downlink_waits_for_listen_boundary():
     sim.start()
     sim.queue_downlink(1, action_write(3, b"\xAA"), ttl_s=60)
     log = sim.run()
-    delivered = [row for row in log.rows
-                 if row[1] == "ListenWindow" and "delivered" in row[3]]
+    delivered = [row for row in log.rows if row[1] == "ListenWindow"
+                 and row_fields(row[3])["outcome"] == "delivered"]
     assert len(delivered) == 1
     # queued at t=0, the first boundary strictly after it is 1 s
     assert delivered[0][0] == 1000
@@ -139,12 +142,11 @@ def test_downlink_expires_after_ttl_on_dead_link():
     sim.start()
     sim.queue_downlink(1, action_write(3, b"\xAA"), ttl_s=60)
     log = sim.run()
-    expired = [row for row in log.rows
-               if row[1] == "ListenWindow" and "expired" in row[3]]
-    assert len(expired) == 1
-    assert expired[0][0] == 60000
-    retries = log.count("ListenWindow", detail_prefix="retry")
-    assert retries == 59  # one offer per window from 1 s through 59 s
+    outcomes = [(at, row_fields(detail)["outcome"])
+                for at, kind, _, detail in log.rows if kind == "ListenWindow"]
+    assert [at for at, outcome in outcomes if outcome == "expired"] == [60000]
+    # one offer per window from 1 s through 59 s
+    assert [outcome for _, outcome in outcomes].count("retry") == 59
     assert log.summary["downlinks_expired"] == 1
     assert log.summary["downlinks_delivered"] == 0
 
@@ -173,6 +175,17 @@ def test_downlink_payload_cap_enforced():
         sim.queue_downlink(1, bytes(17))
 
 
+@pytest.mark.parametrize("ttl_s", [float("inf"), float("nan"), -5.0, 0.0])
+def test_queue_downlink_refuses_a_ttl_that_is_not_finite_and_positive(ttl_s):
+    sim = build_sim(duration_s=30, rate_s=600)
+    sim.start()
+    with pytest.raises(ValueError, match="ttl_s .* must be finite and > 0"):
+        sim.queue_downlink(1, action_write(3, b"\xAA"), ttl_s=ttl_s)
+    log = sim.run()
+    assert sim.runtime(1).downlinks_queued == 0
+    assert "DownlinkQueue" not in {kind for _, kind, _, _ in log.rows}
+
+
 def test_pending_downlink_reported_at_end():
     sim = build_sim(duration_s=30, loss=1.0, rate_s=600)
     sim.start()
@@ -188,11 +201,11 @@ def test_rate_rewrite_cancels_stale_timer():
     sim.queue_downlink(1, action_write(4, (5).to_bytes(4, "little")),
                        ttl_s=60)
     log = sim.run()
-    stale = log.count("SampleTimer", detail_prefix="stale")
-    assert stale >= 1
+    timers = [(at, row_fields(detail)["outcome"])
+              for at, kind, _, detail in log.rows if kind == "SampleTimer"]
+    assert "stale" in {outcome for _, outcome in timers}
     # delivery at 1 s puts samples at 6, 11, ... instead of 30
-    sampled = [row[0] for row in log.rows
-               if row[1] == "SampleTimer" and row[3].startswith("ok")]
+    sampled = [at for at, outcome in timers if outcome == "ok"]
     assert sampled[0] == 6000
     assert sampled[1] == 11000
 
@@ -233,7 +246,7 @@ def test_inject_hang_refuses_a_time_before_start(at_s):
     sim = build_sim(duration_s=600)
     with pytest.raises(ValueError, match="before the clock at 0 ms"):
         sim.inject_hang(1, at_s=at_s)
-    assert sim.run().count("HangInjection") == 0
+    assert "HangInjection" not in {kind for _, kind, _, _ in sim.run().rows}
 
 
 def test_inject_hang_refuses_a_time_the_clock_has_passed():
@@ -317,8 +330,8 @@ def test_energy_ledger_accounts_every_millisecond():
         profile.listen_current_a * listen_ms / 1000)
     total_ms = time_ms["Sampling"] + time_ms["Transmitting"] + listen_ms + sleep_ms
     assert total_ms == pytest.approx(600_000)
-    energy_rows = log.count("EnergyCharge", uid=1)
-    assert energy_rows == 4
+    assert sum(kind == "EnergyCharge" and uid == 1
+               for _, kind, uid, _ in log.rows) == 4
     assert sim.runtime(1).charge_c == sum(charge_c.values())
 
 
@@ -382,6 +395,20 @@ def test_run_until_stops_at_predicate():
     assert sim.now_ms <= 181_000
 
 
+def test_run_until_keeps_the_clock_on_whole_int_ms():
+    sim = build_simulator(default_scenario().with_duration(3600))
+    for deadline_ms in (float("nan"), float("inf"), 1e6 + 0.5):
+        with pytest.raises(ValueError, match="deadline_ms .* whole number"):
+            sim.run_until(lambda: False, deadline_ms=deadline_ms)
+    assert sim.now_ms == 0
+    sim.run_until(lambda: False, deadline_ms=1e6)
+    assert type(sim.now_ms) is int and sim.now_ms == 1_000_000
+    sim.queue_downlink(sim.node_uids[0], action_write(3, b"\x00"))
+    log = sim.run()
+    assert {"DownlinkQueue", "ListenWindow"} <= {kind for _, kind, _, _ in log.rows}
+    assert all(type(at) is int for at, _, _, _ in log.rows)
+
+
 def test_log_text_shape():
     log = build_sim(duration_s=120, loss=0.0).run()
     text = log.to_text()
@@ -442,6 +469,58 @@ def test_rows_are_a_view_that_reads_as_the_text():
                      in (line.split(",", 3) for line in events)]
     assert {"HangInjection", "WatchdogCheck", "EnergyCharge"} <= {
         kind for _, kind, _, _ in first}
+
+
+#: each row kind with the sorted field names of a detail it logs
+#: (``outcome`` is the bare word); a window logs two shapes
+DETAIL_SHAPES = {
+    ("SampleTimer", ("outcome",)),
+    ("UplinkTx", ("kind", "len", "outcome")),
+    ("UplinkArrival", ("len",)),
+    ("DownlinkQueue", ("len", "ticket")),
+    ("ListenWindow", ("outcome", "ticket")),
+    ("ListenWindow", ("outcome",)),
+    ("WatchdogCheck", ("outcome",)),
+    ("ResetDone", ("outcome",)),
+    ("HangInjection", ("outcome",)),
+    ("EnergyCharge", ("charge_c", "mode", "time_ms")),
+}
+#: the type of each decoded field; any other is a ``str``
+FIELD_TYPES = {"len": int, "ticket": int, "time_ms": float, "charge_c": float}
+
+
+def test_row_fields_decodes_every_detail_of_a_run():
+    """A bundled run with a hang and remote reads logs every detail shape;
+    the decoded ledger sums to the run and to each node's charge."""
+    config = default_scenario().with_duration(6 * 3600)
+    sim = build_simulator(config)
+    backend = Backend(directory=node_directory(config))
+    backend.attach_transport(sim)
+    uids = sim.node_uids
+    sim.inject_hang(uids[0], at_s=10.0)
+    sim.run_until(lambda: False, deadline_ms=20_000)
+    # the hung node hears nothing before its read's TTL lapses
+    with pytest.raises(RequestTimeoutError):
+        backend.remote_read_file(uids[0], NODE_CONFIG_FILE, 0, 12)
+    for i in range(200):
+        with contextlib.suppress(RequestTimeoutError):
+            backend.remote_read_file(uids[i % len(uids)], NODE_CONFIG_FILE, 0, 12)
+    log = sim.run()
+    shapes = set()
+    time_ms = dict.fromkeys(uids, 0.0)
+    charge_c = dict.fromkeys(uids, 0.0)
+    for _, kind, uid, detail in log.rows:
+        fields = row_fields(detail)
+        shapes.add((kind, tuple(sorted(fields))))
+        for key, value in fields.items():
+            assert type(value) is FIELD_TYPES.get(key, str), (key, detail)
+        if kind == "EnergyCharge":
+            time_ms[uid] += fields["time_ms"]
+            charge_c[uid] += fields["charge_c"]
+    assert shapes == DETAIL_SHAPES
+    for uid in uids:
+        assert time_ms[uid] == pytest.approx(log.summary["duration_ms"])
+        assert charge_c[uid] == sim.runtime(uid).charge_c
 
 
 @pytest.mark.parametrize("n_slots", [5, 7])

@@ -19,7 +19,7 @@ from geowsn.backend import (
     NodeUnknownError,
     RequestTimeoutError,
 )
-from geowsn.netsim import LinkModel, Simulator
+from geowsn.netsim import LinkModel, Simulator, row_fields
 from geowsn.node import (
     DATA_FILE_SIZE,
     NODE_CONFIG_SIZE,
@@ -49,6 +49,19 @@ def wire_up(loss: float = 0.0, duration_s: float = 600.0, rate_s: int = 300,
     backend.attach_transport(sim)
     sim.start()
     return sim, backend, node
+
+
+def statuses_heard(backend) -> list:
+    """The ``(envelope, action)`` of every status uplink that reaches the
+    backend's bus from now on, as a second subscriber sees them."""
+    heard = []
+
+    def hear(payload, envelope):
+        heard.extend((envelope, action) for action in decode_command(payload)
+                     if action.opcode is Opcode.STATUS)
+
+    backend.bus.subscribe("site/+/gw/+/up", hear)
+    return heard
 
 
 def test_remote_read_returns_exact_config_bytes():
@@ -192,27 +205,29 @@ def test_the_site_link_limits_what_a_node_flushes():
     assert node.max_uplink_bytes == 64
     assert_books_balance(log)
     assert log.summary["records_produced"] == 60
-    sent = [int(detail.split()[1].removeprefix("len="))
+    sent = [row_fields(detail)["len"]
             for _, kind, _, detail in log.rows if kind == "UplinkTx"]
     assert max(sent) <= 64
 
 
-def test_out_of_range_read_times_out_with_status_logged():
+def test_out_of_range_read_times_out_with_a_status_on_the_bus():
     sim, backend, node = wire_up()
+    heard = statuses_heard(backend)
     with pytest.raises(RequestTimeoutError):
         backend.remote_read_file(42, NODE_CONFIG_FILE, 0, 13, timeout_s=5.0)
-    assert backend.status_log, "expected the node's error status"
-    env, action = backend.status_log[-1]
+    assert heard, "expected the node's error status"
+    env, action = heard[-1]
     assert env.node_uid == 42
 
 
-def test_reply_too_large_for_the_link_times_out_with_status_logged():
+def test_reply_too_large_for_the_link_times_out_with_a_status_on_the_bus():
     # a soil reading frame is exactly 20 bytes; a 10-byte header plus
     # the 12-byte config image is not
     sim, backend, node = wire_up(max_payload=20)
+    heard = statuses_heard(backend)
     with pytest.raises(RequestTimeoutError):
         backend.remote_read_file(42, NODE_CONFIG_FILE, 0, 12, timeout_s=5.0)
-    env, action = backend.status_log[-1]
+    env, action = heard[-1]
     assert env.node_uid == 42
     assert action.payload == bytes([STATUS_FILE_ACCESS_ERROR])
     assert (action.file_id, action.offset, action.length) == (
@@ -233,7 +248,7 @@ def assert_books_balance(log):
     assert s["downlinks_queued"] == (
         s["downlinks_delivered"] + s["downlinks_expired"]
         + s["downlinks_pending"])
-    ledger_ms = [float(detail.split()[1].removeprefix("time_ms="))
+    ledger_ms = [row_fields(detail)["time_ms"]
                  for _, kind, _, detail in log.rows if kind == "EnergyCharge"]
     assert sum(ledger_ms) == pytest.approx(s["duration_ms"])
 

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from geowsn.netsim import LinkModel
+from geowsn.netsim import LinkModel, row_fields
 from geowsn.node import SensorKind, TraceDriver
 from geowsn.scenario import (
     InvalidScenarioError,
@@ -412,7 +412,7 @@ def assert_runs_with_books_balanced(config):
     ledger_ms: dict[int, float] = {}
     for _, kind, uid, detail in log.rows:
         if kind == "EnergyCharge":
-            time_ms = float(detail.split()[1].removeprefix("time_ms="))
+            time_ms = row_fields(detail)["time_ms"]
             assert time_ms >= 0, (uid, detail)
             ledger_ms[uid] = ledger_ms.get(uid, 0.0) + time_ms
     assert len(ledger_ms) == config.node_count
