@@ -17,6 +17,7 @@ from geowsn.alp import (
     encode_command,
 )
 from geowsn.node import (
+    CHANNELS,
     ConstantSignal,
     NodeConfig,
     SensorKind,
@@ -50,7 +51,8 @@ node.on_sample_timer(60.0)
 uplink = node.drain_outbox()[0]
 action = decode_command(uplink.payload)[0]
 reading = SensorReading.from_bytes(action.payload)
-print("first reading:", reading.channel_values())
+print("first reading:", reading.values_milli, "milli-units of",
+      [spec.unit for spec in CHANNELS[reading.kind]])
 
 # Configuration is just a remote file write.  Byte 3 set to 0xAA means
 # measure and transmit right now; the node also acknowledges the write.

@@ -225,7 +225,6 @@ class Backend:
             )
             return
         transect = self.directory.get(envelope.node_uid, "")
-        # scaled as ``SensorReading.channel_values`` scales them
         for spec, milli in zip(CHANNELS[reading.kind], reading.values_milli):
             self.sink.append(TimeSeriesRecord(
                 timestamp=reading.timestamp,

@@ -291,8 +291,8 @@ class TransectAnalysis:
 class FeasibilityReport:
     transects: tuple[TransectAnalysis, ...]
     notes: tuple[str, ...]
-    #: transect -> (harvested mean W, needed W, feasible), when a node
-    #: power was given
+    #: transect -> (harvested mean W after the converter, needed W,
+    #: feasible), when a node power was given
     verdicts: dict[str, tuple[float, float, bool]] | None
 
 
@@ -336,7 +336,7 @@ def analyze_trace(
             yearly = analyses[-1].yearly
             harvested = converter_efficiency * yearly.mean_power_w
             verdicts[transect] = (
-                yearly.mean_power_w, node_power_w, harvested >= node_power_w
+                harvested, node_power_w, harvested >= node_power_w
             )
     return FeasibilityReport(
         tuple(analyses),

@@ -15,7 +15,8 @@ arrivals, listen windows, watchdog resets and injected hangs, each as
 the node runtime it acts on.  ``Simulator.sites`` maps a site to its
 link.  Within one ms a node finishes its own interaction before the
 next event: it transmits what it queued, and what their results
-queue, inline.  The energy ledger is built when the run closes.
+queue, inline.  The energy ledger and the run totals, one per name in
+``_TOTALS``, are built when the run closes.
 
 Handlers log a row by extending one flat list with its four slots,
 ``time_ms, kind, uid, detail``: no tuple is built per row, and the
@@ -36,9 +37,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
-from .alp import ACTION_HEADER_SIZE
 from .node import (
     MAX_PAYLOAD_BYTES,
+    STATUS_FRAME_BYTES,
     WATCHDOG_PERIOD_S,
     SensorKind,
     SensorNode,
@@ -80,9 +81,11 @@ _CHUNK_ROWS = 4096
 #: the type of each run-log detail field not held as a ``str``
 _FIELD_TYPES = {"len": int, "ticket": int, "time_ms": float, "charge_c": float}
 
-#: a status frame, one action header and its status byte: the only
-#: frame a node sends whatever the link's ``max_payload``
-_STATUS_FRAME_BYTES = ACTION_HEADER_SIZE + 1
+#: the run totals of the summary, in summary order
+_TOTALS = ("uplinks_attempted", "uplinks_delivered", "uplinks_dropped",
+           "downlinks_queued", "downlinks_delivered", "downlinks_expired",
+           "downlinks_pending", "records_produced", "records_delivered",
+           "records_buffered", "records_overwritten", "resets")
 
 
 @dataclass(frozen=True)
@@ -343,10 +346,10 @@ class Simulator:
         if self._started:
             raise SimulationError("cannot add nodes after start")
         link = self.sites[site_id]
-        if link.max_payload < _STATUS_FRAME_BYTES:
+        if link.max_payload < STATUS_FRAME_BYTES:
             raise ValueError(
                 f"site {site_id!r} max_payload {link.max_payload} is below"
-                f" the {_STATUS_FRAME_BYTES}-byte status frame")
+                f" the {STATUS_FRAME_BYTES}-byte status frame")
         if node.uid in self._by_uid:
             raise ValueError(f"duplicate node uid {node.uid}")
         node.max_uplink_bytes = link.max_payload
@@ -619,20 +622,7 @@ class Simulator:
             "sites": len(self.sites),
             "nodes": len(self._by_uid),
         }
-        totals = {
-            "uplinks_attempted": 0,
-            "uplinks_delivered": 0,
-            "uplinks_dropped": 0,
-            "downlinks_queued": 0,
-            "downlinks_delivered": 0,
-            "downlinks_expired": 0,
-            "downlinks_pending": 0,
-            "records_produced": 0,
-            "records_delivered": 0,
-            "records_buffered": 0,
-            "records_overwritten": 0,
-            "resets": 0,
-        }
+        totals = dict.fromkeys(_TOTALS, 0)
         per_node_lines: list[tuple[int, dict]] = []
         profile = self.profile
         for rt in self._by_uid.values():
@@ -660,18 +650,14 @@ class Simulator:
                     self.duration_ms, ENERGY_ROW_KIND, rt.node.uid,
                     f"mode={mode} time_ms={ms!r} charge_c={charge!r}",
                 )
-            totals["uplinks_attempted"] += rt.uplinks_attempted
-            totals["uplinks_delivered"] += rt.uplinks_delivered
-            totals["uplinks_dropped"] += rt.uplinks_dropped
-            totals["downlinks_queued"] += rt.downlinks_queued
-            totals["downlinks_delivered"] += rt.downlinks_delivered
-            totals["downlinks_expired"] += rt.downlinks_expired
-            totals["downlinks_pending"] += len(rt.pending)
-            totals["records_produced"] += counters.samples_produced
-            totals["records_delivered"] += counters.records_delivered
-            totals["records_buffered"] += len(rt.node.buffer)
-            totals["records_overwritten"] += counters.records_overwritten
-            totals["resets"] += counters.resets
+            # this node's count of each total, in ``_TOTALS`` order
+            for key, count in zip(_TOTALS, (
+                    rt.uplinks_attempted, rt.uplinks_delivered, rt.uplinks_dropped,
+                    rt.downlinks_queued, rt.downlinks_delivered, rt.downlinks_expired,
+                    len(rt.pending), counters.samples_produced,
+                    counters.records_delivered, len(rt.node.buffer),
+                    counters.records_overwritten, counters.resets)):
+                totals[key] += count
             per_node_lines.append((rt.node.uid, {
                 "site": rt.site_id,
                 "produced": counters.samples_produced,

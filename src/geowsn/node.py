@@ -20,7 +20,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from itertools import islice
-from math import sin, tau
+from math import isfinite, sin, tau
 from pathlib import Path
 from typing import NamedTuple
 
@@ -101,6 +101,13 @@ _KINDS = {int(kind): kind for kind in SensorKind}
 _RECORDS = {kind: struct.Struct(f"{_RECORD_HEAD.format}{len(specs)}i")
             for kind, specs in CHANNELS.items()}
 
+#: a status frame, one action header and its status byte: the only
+#: frame a node sends whatever its link's limit
+STATUS_FRAME_BYTES = ACTION_HEADER_SIZE + 1
+#: a single reading's frame per kind, one action header and its record
+READING_FRAME_BYTES = {kind: ACTION_HEADER_SIZE + record.size
+                       for kind, record in _RECORDS.items()}
+
 
 @dataclass(frozen=True)
 class NodeConfig:
@@ -179,14 +186,6 @@ class SensorReading(NamedTuple):
                              f" expected {record.size}")
         return cls(timestamp, kind, record.unpack(data)[3:])
 
-    def channel_values(self) -> tuple[tuple[str, str, float], ...]:
-        """Named engineering-unit values: (name, unit, value)."""
-        specs = CHANNELS[self.kind]
-        return tuple([
-            (spec.name, spec.unit, milli / 1000.0)
-            for spec, milli in zip(specs, self.values_milli)
-        ])
-
 
 class SensorDriver(ABC):
     """Virtual sensor hardware behind one sensor-type code."""
@@ -230,7 +229,7 @@ class SineSignal(ChannelSignal):
 
 
 class SignalDriver(SensorDriver):
-    """Deterministic synthetic sensor: one signal per channel."""
+    """A sensor of one signal per channel, synthetic or a ``TraceSignal``."""
 
     def __init__(self, kind: SensorKind, signals: tuple[ChannelSignal, ...]):
         if len(signals) != len(CHANNELS[kind]):
@@ -244,33 +243,29 @@ class SignalDriver(SensorDriver):
         return tuple([signal.value(at_s) for signal in self.signals])
 
 
-class TraceDriver(SensorDriver):
-    """Replays a recorded time series, interpolating between samples."""
+class TraceSignal(ChannelSignal):
+    """Replays one recorded channel, interpolating between samples; the
+    edge values hold outside the trace."""
 
-    def __init__(self, kind: SensorKind, times_s, channels):
-        self.kind = kind
+    def __init__(self, times_s, values):
         self.times = np.asarray(times_s, dtype=float)
-        self.channels = [np.asarray(ch, dtype=float) for ch in channels]
-        if len(self.channels) != len(CHANNELS[kind]):
-            raise ValueError(
-                f"{kind.name} needs {len(CHANNELS[kind])} trace columns,"
-                f" got {len(self.channels)}"
-            )
+        self.values = np.asarray(values, dtype=float)
         if self.times.size == 0:
             raise ValueError("empty sensor trace")
-        for ch in self.channels:
-            if ch.shape != self.times.shape:
-                raise ValueError("trace column lengths differ")
+        if self.values.shape != self.times.shape:
+            raise ValueError("trace column lengths differ")
 
-    def measure(self, address: int, at_s: float) -> tuple[float, ...]:
-        return tuple(float(np.interp(at_s, self.times, ch)) for ch in self.channels)
+    def value(self, at_s: float) -> float:
+        return float(np.interp(at_s, self.times, self.values))
 
 
-def load_sensor_trace(path: str | Path, kind: SensorKind) -> TraceDriver:
+def load_sensor_trace(path: str | Path, kind: SensorKind) -> SignalDriver:
     """Load a per-node sensor trace CSV: timestamp_unix plus one
-    column per channel of the given sensor kind.  A malformed or empty
-    file, a record csv cannot read and bytes that are not UTF-8 raise
-    ``ValueError`` naming the file, and the first line at fault if any."""
+    column per channel of the given sensor kind, each column replayed
+    by a ``TraceSignal``.  A malformed or empty file, a timestamp that is
+    not finite or goes backwards, a record csv cannot read and bytes that
+    are not UTF-8 raise ``ValueError`` naming the file, and the first
+    line at fault if any."""
     import csv
 
     want = len(CHANNELS[kind])
@@ -300,6 +295,10 @@ def load_sensor_trace(path: str | Path, kind: SensorKind) -> TraceDriver:
                     values = [float(field) for field in row]
                 except ValueError:
                     raise ValueError(f"{where}: not a number in {row!r}") from None
+                if not isfinite(values[0]):
+                    raise ValueError(f"{where}: timestamp {row[0]} is not finite")
+                if times and values[0] < times[-1]:
+                    raise ValueError(f"{where}: timestamp {row[0]} goes backwards")
                 times.append(values[0])
                 for i in range(want):
                     columns[i].append(values[i + 1])
@@ -307,7 +306,8 @@ def load_sensor_trace(path: str | Path, kind: SensorKind) -> TraceDriver:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not times:
         raise ValueError(f"{path}: empty sensor trace, no rows after the header")
-    return TraceDriver(kind, times, columns)
+    return SignalDriver(kind, tuple(TraceSignal(times, column)
+                                    for column in columns))
 
 
 class UplinkKind(Enum):

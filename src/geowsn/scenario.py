@@ -18,7 +18,6 @@ from collections.abc import Collection
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .alp import ACTION_HEADER_SIZE
 from .netsim import (
     DEFAULT_LISTEN_INTERVAL_S,
     MS_PER_S,
@@ -29,6 +28,7 @@ from .netsim import (
 )
 from .node import (
     CHANNELS,
+    READING_FRAME_BYTES,
     ChannelSignal,
     ConfigError,
     ConstantSignal,
@@ -36,7 +36,6 @@ from .node import (
     SensorDriver,
     SensorKind,
     SensorNode,
-    SensorReading,
     SignalDriver,
     SineSignal,
     load_sensor_trace,
@@ -139,6 +138,12 @@ def _number(value, where: str, *, minimum: float, integer: bool = False):
     if value % 1:
         raise InvalidScenarioError(f"{where} must be a whole number")
     return int(value)
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise InvalidScenarioError(f"{where} must be a string, got {value!r}")
+    return value
 
 
 def parse_seed(value, where: str = "scenario: seed") -> int:
@@ -247,7 +252,7 @@ def _parse_node(doc: dict, where: str, base_dir: Path) -> NodeSpec:
         raise InvalidScenarioError(f"{where}: sampling_rate_s: {exc}") from None
     return NodeSpec(
         uid=uid,
-        transect=str(doc.get("transect", "")),
+        transect=_string(doc.get("transect", ""), f"{where}: transect"),
         sensor_type=int(kind),
         sampling_rate_s=rate,
         driver=_parse_driver(_require(doc, "trace", where), kind,
@@ -290,7 +295,7 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> ScenarioConfig:
     for s_index, site_doc in enumerate(sites_doc):
         where = f"sites[{s_index}]"
         _check_keys(site_doc, {"site_id", "link", "nodes"}, where)
-        site_id = str(_require(site_doc, "site_id", where))
+        site_id = _string(_require(site_doc, "site_id", where), f"{where}: site_id")
         if not site_id:
             raise InvalidScenarioError(f"{where}: site_id must not be empty")
         if any(char in site_id for char in SITE_ID_RESERVED):
@@ -312,8 +317,7 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> ScenarioConfig:
                 )
             seen_uids[spec.uid] = site_id
             kind = SensorKind(spec.sensor_type)
-            reading = SensorReading(0, kind, (0,) * len(CHANNELS[kind]))
-            frame = ACTION_HEADER_SIZE + len(reading.to_bytes())
+            frame = READING_FRAME_BYTES[kind]
             if frame > link.max_payload:
                 raise InvalidScenarioError(
                     f"{node_where}: a single reading frame of {frame} bytes"

@@ -481,8 +481,11 @@ def test_sim_run_rejects_a_structure_of_the_wrong_type(capsys, tmp_path,
     (b"timestamp_unix,t_\xe9\n0,4.0\n", "line 1: not UTF-8 text"),
     (b"timestamp_unix,t_soil\n60,abc\n60,\xff\n0," + b"1" * 200_000,
      "line 2: not a number"),
+    (b"timestamp_unix,t_soil\n0,2.0\n1200,6.0\n600,4.0\n",
+     "line 4: timestamp 600 goes backwards"),
 ], ids=["missing", "header", "short row", "not a number", "huge field",
-        "header only", "not UTF-8", "header not UTF-8", "first fault first"])
+        "header only", "not UTF-8", "header not UTF-8", "first fault first",
+        "backwards"])
 def test_sim_run_rejects_a_trace_file_it_cannot_load(capsys, tmp_path,
                                                      csv_bytes, named):
     path = Path(one_node_scenario(tmp_path))

@@ -174,6 +174,22 @@ def test_verdicts_compare_against_node_power(tmp_path):
     assert harvested_a < 1e-3
 
 
+@pytest.mark.parametrize("node_power_mw", [10.0, 20.0])
+def test_the_verdict_line_prints_the_mean_it_compares(tmp_path, node_power_mw):
+    # a constant 29 C gradient harvests 24.27 mW; half of it reaches the node
+    path = write_trace(tmp_path, "0,E,29.0,0.0\n")
+    report = analyze(path, node_power_w=node_power_mw * 1e-3,
+                     converter_efficiency=0.5)
+    out = tmp_path / "report.csv"
+    write_report_csv(report, out)
+    line, = [line for line in out.read_text().splitlines()
+             if line.startswith("# transect E: harvest")]
+    printed_mw = float(line.split("(mean ")[1].split(" mW")[0])
+    assert printed_mw == pytest.approx(
+        0.5 * report.transects[0].yearly.mean_power_w * 1e3, rel=1e-3)
+    assert ("not feasible" in line) == (printed_mw < node_power_mw)
+
+
 def test_report_csv_layout(tmp_path):
     path = write_trace(tmp_path,
                        "0,E,29.0,0.0\n"

@@ -90,19 +90,13 @@ def test_any_twelve_bytes_parse(image):
 def test_reading_roundtrip_soil():
     reading = SensorReading(1234, SensorKind.SOIL_TEMPERATURE, (3456,))
     record = reading.to_bytes()
-    back = SensorReading.from_bytes(record)
-    assert back == reading
-    assert back.channel_values() == (("t_soil", "°C", 3.456),)
+    assert SensorReading.from_bytes(record) == reading
 
 
 def test_reading_roundtrip_weather():
     reading = SensorReading(99, SensorKind.WEATHER_STATION,
                             (-1500, 82000, 3200))
-    back = SensorReading.from_bytes(reading.to_bytes())
-    names = [name for name, _, _ in back.channel_values()]
-    assert names == ["t_air", "rh", "wind"]
-    values = [value for _, _, value in back.channel_values()]
-    assert values == [-1.5, 82.0, 3.2]
+    assert SensorReading.from_bytes(reading.to_bytes()) == reading
 
 
 def test_reading_value_count_must_match_kind():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from geowsn.netsim import LinkModel, row_fields
-from geowsn.node import SensorKind, TraceDriver
+from geowsn.node import SensorKind, SignalDriver, TraceSignal, load_sensor_trace
 from geowsn.scenario import (
     InvalidScenarioError,
     ScenarioConfig,
@@ -190,6 +190,44 @@ def test_site_id_must_be_one_bus_topic_level(site_id):
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize("value", [None, {"a": 1}, ["north"], 3.5],
+                         ids=["null", "object", "list", "number"])
+@pytest.mark.parametrize("path, where", [
+    ("sites.0.site_id", "sites[0]: site_id"),
+    ("sites.0.nodes.0.transect", "sites[0].nodes[0]: transect"),
+], ids=["site_id", "transect"])
+def test_a_label_must_be_a_json_string(path, where, value):
+    with pytest.raises(InvalidScenarioError) as excinfo:
+        parse_scenario(_set(minimal_doc(), path, value))
+    assert str(excinfo.value) == f"{where} must be a string, got {value!r}"
+
+
+def _duplicate_site(doc: dict) -> dict:
+    doc["sites"].append({"site_id": "north", "nodes": []})
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: _set(doc, "sites.0.nodes.0.trace", 5),
+     "node 1 trace: expected a path or an object"),
+    (lambda doc: _set(doc, "sites.0.nodes.0.trace",
+                      {"kind": "multi",
+                       "channels": [{"kind": "constant", "value": 1.0}] * 2}),
+     "node 1 trace: 2 channel signals for 1-channel sensor"),
+    (lambda doc: _set(doc, "sites", []),
+     "scenario: sites must be a non-empty list"),
+    (lambda doc: _set(doc, "sites.0.site_id", ""),
+     "sites[0]: site_id must not be empty"),
+    (_duplicate_site, "sites[1]: duplicate site_id 'north'"),
+    (lambda doc: _set(doc, "sites.0.nodes", []), "scenario: no nodes defined"),
+], ids=["trace not a path or object", "multi channel count", "no sites",
+        "empty site_id", "duplicate site_id", "no nodes"])
+def test_a_scenario_refusal_names_its_rule(edit, message):
+    with pytest.raises(InvalidScenarioError) as excinfo:
+        parse_scenario(edit(minimal_doc()))
+    assert str(excinfo.value) == message
+
+
 def test_an_absent_link_key_takes_the_link_models_default():
     doc = minimal_doc()
     doc["sites"][0]["link"] = {"latency_ms": 20}
@@ -234,7 +272,8 @@ def test_trace_file_driver(tmp_path):
     doc = minimal_doc(trace="soil.csv")
     config = parse_scenario(doc, base_dir=tmp_path)
     driver = config.sites[0].nodes[0].driver
-    assert isinstance(driver, TraceDriver)
+    assert isinstance(driver, SignalDriver)
+    assert all(isinstance(signal, TraceSignal) for signal in driver.signals)
     assert driver.measure(0, 300.0) == (3.0,)
     # outside the trace the edge value holds
     assert driver.measure(0, 10_000.0) == (4.0,)
@@ -249,7 +288,33 @@ def test_header_only_trace_file_is_rejected(tmp_path):
 
 def test_trace_driver_refuses_an_empty_trace():
     with pytest.raises(ValueError, match="empty sensor trace"):
-        TraceDriver(SensorKind.SOIL_TEMPERATURE, [], [[]])
+        TraceSignal([], [])
+
+
+@pytest.mark.parametrize("rows, named", [
+    ("0,2.0\n1200,6.0\n600,4.0\n", "line 4: timestamp 600 goes backwards"),
+    ("0,2.0\nnan,4.0\n1200,6.0\n", "line 3: timestamp nan is not finite"),
+    ("0,2.0\ninf,4.0\n", "line 3: timestamp inf is not finite"),
+    ("-inf,2.0\n0,4.0\n", "line 2: timestamp -inf is not finite"),
+], ids=["backwards", "nan", "inf", "-inf"])
+def test_a_trace_whose_timestamps_go_backwards_or_are_not_finite_is_refused(
+        tmp_path, rows, named):
+    # np.interp does not check order: the 1200 s row would be lost, and
+    # a NaN time would make every later sample NaN
+    (tmp_path / "soil.csv").write_text("timestamp_unix,t_soil_c\n" + rows)
+    with pytest.raises(InvalidScenarioError) as excinfo:
+        parse_scenario(minimal_doc(trace="soil.csv"), base_dir=tmp_path)
+    assert str(excinfo.value) == (
+        f"node 1 trace: {tmp_path / 'soil.csv'}: {named}")
+
+
+def test_equal_trace_timestamps_are_legal(tmp_path):
+    path = tmp_path / "soil.csv"
+    path.write_text("timestamp_unix,t_soil_c\n"
+                    "0,2.0\n600,4.0\n600,5.0\n1200,6.0\n")
+    driver = load_sensor_trace(path, SensorKind.SOIL_TEMPERATURE)
+    assert driver.measure(0, 300.0) == (3.0,)
+    assert driver.measure(0, 900.0) == (5.5,)
 
 
 def test_sine_signal_driver():
