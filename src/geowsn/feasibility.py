@@ -89,11 +89,12 @@ def load_temperature_trace(path: str | Path) -> dict[str, TransectSeries]:
     """Read a temperature trace CSV into per-transect series.
 
     Expects UTF-8 text with the exact header
-    ``timestamp_unix,transect,t_soil_c,t_air_c``; timestamps must be
-    non-decreasing within each transect.  Lines are read ``_CHUNK_ROWS``
-    at a time onto each transect's columns, which grow in place, so the
-    memory held is one chunk and one copy of the trace: the output arrays
-    and at most a sixteenth more of spare room.  A plain chunk (no
+    ``timestamp_unix,transect,t_soil_c,t_air_c``; temperatures must be
+    finite and timestamps non-decreasing within each transect.  Lines
+    are read ``_CHUNK_ROWS`` at a time onto each transect's columns,
+    which grow in place, so the memory held is one chunk and one copy
+    of the trace: the output arrays and at most a sixteenth more of
+    spare room.  A plain chunk (no
     ``"``, none of ``_NOT_PLAIN``, no line longer than a csv field may
     be, and no non-ASCII character outside the labels) is converted by
     one ``np.loadtxt`` call.  Every other chunk, and a plain one that
@@ -198,10 +199,12 @@ def _group(timestamps: np.ndarray, labels, t_soil: np.ndarray,
     """Converted columns split into per-transect columns, in first-seen order.
 
     Returns ``(transect, timestamps, t_soil_c, t_air_c)`` per transect, or
-    ``None`` if a label is blank or not UTF-8 or a transect's timestamps
-    go backwards; ``last`` holds each transect's last timestamp from
-    earlier chunks.
+    ``None`` if a label is blank or not UTF-8, a temperature is not
+    finite or a transect's timestamps go backwards; ``last`` holds each
+    transect's last timestamp from earlier chunks.
     """
+    if not (np.isfinite(t_soil).all() and np.isfinite(t_air).all()):
+        return None
     # each distinct label is stripped once; code = first-seen order
     codes: dict[str, int] = {}
     code_of = dict.fromkeys(labels)
@@ -256,6 +259,9 @@ def _check_rows(chunk: list[list[str]], line: int, last: dict[str, int]):
             raise TraceFormatError(str(exc), line) from None
         if not _INT64.min <= timestamp <= _INT64.max:
             raise TraceFormatError("timestamp out of range", line)
+        for name, value in zip(TRACE_HEADER[2:], (t_soil, t_air)):
+            if not math.isfinite(value):
+                raise TraceFormatError(f"{name} {value} is not finite", line)
         transect = row[1].strip()
         if not transect:
             raise TraceFormatError("empty transect label", line)

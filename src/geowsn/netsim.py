@@ -22,7 +22,8 @@ Handlers log a row by extending one flat list with its four slots,
 ``time_ms, kind, uid, detail``: no tuple is built per row, and the
 ``RunLog`` reads the rows back through a view.  A detail is an
 optional bare word (the outcome) and ``key=value`` fields;
-``row_fields`` is the one decoder of that text.
+``row_fields`` is the one decoder of that text, and ``book_problems``
+the one statement of the identities a finished run's books keep.
 """
 
 from __future__ import annotations
@@ -86,6 +87,14 @@ _TOTALS = ("uplinks_attempted", "uplinks_delivered", "uplinks_dropped",
            "downlinks_queued", "downlinks_delivered", "downlinks_expired",
            "downlinks_pending", "records_produced", "records_delivered",
            "records_buffered", "records_overwritten", "resets")
+#: each conserved total and the totals it splits into
+_BOOKS = (("records_produced", ("records_delivered", "records_buffered",
+                                "records_overwritten")),
+          ("uplinks_attempted", ("uplinks_delivered", "uplinks_dropped")),
+          ("downlinks_queued", ("downlinks_delivered", "downlinks_expired",
+                                "downlinks_pending")))
+#: a node's ``EnergyCharge`` rows: Sleep, Sampling, Transmitting, Listening
+_LEDGER_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -289,6 +298,43 @@ class RunLog:
         """Write the log text; return its stable hash, of the same bytes."""
         with open(path, "wb") as handle:
             return self._digest(handle)
+
+
+def book_problems(log: RunLog) -> list[str]:
+    """Each identity of a finished run's books that the run breaks, in
+    words; none for balanced books.  Records, uplinks and downlinks are
+    conserved (``_BOOKS``), and every node the summary names has one
+    ``EnergyCharge`` row per mode, with no negative time or charge, whose
+    times sum to the run's duration."""
+    s = log.summary
+    problems = [f"{total} {s[total]} != {' + '.join(parts)}"
+                f" = {sum(s[part] for part in parts)}"
+                for total, parts in _BOOKS
+                if s[total] != sum(s[part] for part in parts)]
+    named = {int(key.split(".")[1]) for key in s if key.startswith("node.")}
+    if len(named) != s["nodes"]:
+        problems.append(f"the summary names {len(named)} nodes, not {s['nodes']}")
+    ledger: dict[int, list[dict]] = {uid: [] for uid in named}
+    for _, kind, uid, detail in log.rows:
+        if kind == ENERGY_ROW_KIND:
+            ledger.setdefault(uid, []).append(row_fields(detail))
+    for uid, modes in sorted(ledger.items()):
+        expected = _LEDGER_ROWS if uid in named else 0
+        if len(modes) != expected:
+            problems.append(f"node {uid} has {len(modes)} {ENERGY_ROW_KIND}"
+                            f" rows, not {expected}")
+            continue
+        for fields in modes:
+            # a negative time makes a negative charge: name the cause once
+            key = "time_ms" if fields["time_ms"] < 0 else "charge_c"
+            if fields[key] < 0:
+                problems.append(
+                    f"node {uid} {fields['mode']} {key} {fields[key]!r} < 0")
+        total_ms = sum(fields["time_ms"] for fields in modes)
+        if not math.isclose(total_ms, s["duration_ms"], rel_tol=1e-9):
+            problems.append(f"node {uid} mode times sum to {total_ms!r} ms,"
+                            f" not {s['duration_ms']}")
+    return problems
 
 
 class Simulator:

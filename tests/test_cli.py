@@ -181,6 +181,19 @@ def test_feas_analyze_bad_trace_names_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_feas_analyze_refuses_a_temperature_that_is_not_finite(capsys,
+                                                              tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("timestamp_unix,transect,t_soil_c,t_air_c\n"
+                     "0,T1,30.0,1.0\n86400,T1,nan,2.0\n172800,T1,31.0,inf\n")
+    report = tmp_path / "r.csv"
+    code, out, err = run_cli(capsys, "feas-analyze", "--trace", str(trace),
+                             "--out", str(report))
+    assert (code, out) == (2, "")
+    assert err == f"error: {trace}: line 3: t_soil_c nan is not finite\n"
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("stamp", [10**15, -10**14, 300_000_000_000])
 def test_feas_analyze_rejects_a_timestamp_no_date_can_name(capsys, tmp_path,
                                                            stamp):

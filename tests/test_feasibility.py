@@ -77,6 +77,22 @@ def test_load_rejects_time_going_backwards(tmp_path):
     assert info.value.line == 3
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["t_soil_c", "t_air_c"])
+def test_load_rejects_a_temperature_that_is_not_finite(tmp_path, column,
+                                                       value):
+    row = {"t_soil_c": "31.0", "t_air_c": "2.0", column: value}
+    path = write_trace(tmp_path, "0,T1,30.0,1.0\n"
+                       f"86400,T1,{row['t_soil_c']},{row['t_air_c']}\n")
+    # numpy reads the chunk and hands it to the csv path, which names it
+    for chunk_rows in (1, 4096):
+        with mock.patch.object(feasibility, "_CHUNK_ROWS", chunk_rows), \
+                pytest.raises(TraceFormatError) as info:
+            load_temperature_trace(path)
+        assert str(info.value) == (
+            f"line 3: {column} {float(value)} is not finite")
+
+
 def test_load_rejects_empty_trace(tmp_path):
     path = write_trace(tmp_path, "")
     with pytest.raises(TraceFormatError, match="no samples"):
@@ -267,6 +283,10 @@ def reference_load(path):
                 raise TraceFormatError(str(exc), line) from None
             if not -2**63 <= timestamp < 2**63:
                 raise TraceFormatError("timestamp out of range", line)
+            for name, value in (("t_soil_c", t_soil), ("t_air_c", t_air)):
+                if not math.isfinite(value):
+                    raise TraceFormatError(f"{name} {value} is not finite",
+                                           line)
             transect = row[1].strip()
             if not transect:
                 raise TraceFormatError("empty transect label", line)

@@ -9,7 +9,9 @@ own.  The simulator's cost is its calls per sample taken; the
 backend's is the extra calls per uplink arrival it ingests.  Node count
 is an axis too: the bundled sites copied ten times (580 nodes) cost the
 simulator as many calls per sample in one simulated hour as the 58
-bundled nodes do.
+bundled nodes do.  Remote access has its cost too: the calls per op of
+a 4-op session with every bundled node in turn, on the 1-day
+deployment with a ``Backend``.
 
     PYTHONPATH=src python tests/test_frame_cost.py
 
@@ -30,10 +32,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 HOURS = 6
 #: copies of the bundled sites on the node-count axis, and its run length
 COPIES, COPIES_HOURS = 10, 1
+#: rounds of remote sessions with every bundled node, in a 1-day run,
+#: and each op's timeout
+REMOTE_ROUNDS, REMOTE_HOURS, REMOTE_TIMEOUT_S = 5, 24, 10.0
 
 #: ceilings, 5 % above the counts this code base makes
 MAX_SIM_CALLS_PER_SAMPLE = 44.1 * 1.05
 MAX_BACKEND_CALLS_PER_ARRIVAL = 25.3 * 1.05
+MAX_CALLS_PER_REMOTE_OP = 125.1 * 1.05
 #: how far calls per sample may drift from 58 nodes to 580
 MAX_NODE_COUNT_DRIFT = 0.05
 
@@ -72,10 +78,51 @@ def profile_run(with_backend: bool, copies: int = 1, hours: float = HOURS) -> di
     }
 
 
+def profile_remote(rounds: int) -> dict:
+    """Calls made by ``rounds`` of a remote session with each bundled
+    node in turn: a read of the data file (which takes a sample), a
+    measure-now write to config byte 3, a read back of the config file
+    and a write that restores the byte.  An op that times out counts as
+    an op."""
+    from geowsn.alp import NODE_CONFIG_FILE, SENSOR_DATA_FILE
+    from geowsn.backend import Backend, RequestTimeoutError
+    from geowsn.node import ACTION_MEASURE_AND_TRANSMIT, ACTION_NONE
+    from geowsn.scenario import build_simulator, node_directory
+
+    config = scenario(1, REMOTE_HOURS)
+    sim = build_simulator(config)
+    backend = Backend(directory=node_directory(config))
+    backend.attach_transport(sim)
+    sim.start()
+    read, write = backend.remote_read_file, backend.remote_write_file
+    session = ((read, SENSOR_DATA_FILE, 0, 10),
+               (write, NODE_CONFIG_FILE, 3, bytes([ACTION_MEASURE_AND_TRANSMIT])),
+               (read, NODE_CONFIG_FILE, 0, 12),
+               (write, NODE_CONFIG_FILE, 3, bytes([ACTION_NONE])))
+    timeouts = 0
+
+    def client():
+        nonlocal timeouts
+        for _ in range(rounds):
+            for uid in sim.node_uids:
+                for op, *args in session:
+                    try:
+                        op(uid, *args, timeout_s=REMOTE_TIMEOUT_S)
+                    except RequestTimeoutError:
+                        timeouts += 1
+
+    profile = cProfile.Profile()
+    profile.runcall(client)
+    return {"ops": rounds * len(sim.node_uids) * len(session),
+            "timeouts": timeouts,
+            "calls": pstats.Stats(profile).total_calls}
+
+
 def fresh_profiles(*runs: list[str]) -> list[dict]:
     """``profile_run`` once per argument list (``--backend``,
-    ``--copies N``, ``--hours H``), each in a fresh process (a warm one
-    makes fewer calls); the runs go side by side."""
+    ``--copies N``, ``--hours H``), or ``profile_remote`` for
+    ``--remote ROUNDS``, each in a fresh process (a warm one makes fewer
+    calls); the runs go side by side."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     argv = [sys.executable, __file__, "--one"]
     children = [subprocess.Popen(argv + args, env=env, stdout=subprocess.PIPE,
@@ -89,10 +136,11 @@ def fresh_profiles(*runs: list[str]) -> list[dict]:
 
 
 def frame_cost() -> dict:
-    alone, joined, small, large = fresh_profiles(
+    alone, joined, small, large, remote = fresh_profiles(
         [], ["--backend"],
         ["--hours", str(COPIES_HOURS)],
-        ["--hours", str(COPIES_HOURS), "--copies", str(COPIES)])
+        ["--hours", str(COPIES_HOURS), "--copies", str(COPIES)],
+        ["--remote", str(REMOTE_ROUNDS)])
     assert (alone["samples"], alone["arrivals"]) == (
         joined["samples"], joined["arrivals"])
     return {
@@ -111,6 +159,8 @@ def frame_cost() -> dict:
             "sim_calls_per_sample": [small["calls"] / small["samples"],
                                      large["calls"] / large["samples"]],
         },
+        "remote_ops": dict(remote, hours=REMOTE_HOURS,
+                           calls_per_op=remote["calls"] / remote["ops"]),
     }
 
 
@@ -133,6 +183,13 @@ def test_calls_per_sample_do_not_grow_with_node_count(cost):
     assert abs(large / small - 1) <= MAX_NODE_COUNT_DRIFT, cost
 
 
+def test_calls_per_remote_op_stay_under_their_ceiling(cost):
+    remote = cost["remote_ops"]
+    # most ops are answered, so the count is of the path that answers
+    assert remote["ops"] > 1000 and remote["timeouts"] < remote["ops"] / 10
+    assert remote["calls_per_op"] <= MAX_CALLS_PER_REMOTE_OP, cost
+
+
 if __name__ == "__main__":
     if "--one" in sys.argv:
         args = sys.argv[2:]
@@ -140,8 +197,11 @@ if __name__ == "__main__":
         def option(name, default):
             return float(args[args.index(name) + 1]) if name in args else default
 
-        print(json.dumps(profile_run("--backend" in args,
-                                     int(option("--copies", 1)),
-                                     option("--hours", HOURS))))
+        if "--remote" in args:
+            print(json.dumps(profile_remote(int(option("--remote", 0)))))
+        else:
+            print(json.dumps(profile_run("--backend" in args,
+                                         int(option("--copies", 1)),
+                                         option("--hours", HOURS))))
     else:
         print(json.dumps(frame_cost(), indent=1))

@@ -16,6 +16,7 @@ from geowsn.netsim import (
     RunLog,
     SimulationError,
     Simulator,
+    book_problems,
     node_stream_seed,
     row_fields,
 )
@@ -116,12 +117,8 @@ def test_uplink_arrival_carries_link_latency():
 
 def test_packet_conservation_under_loss():
     log = build_sim(duration_s=7200, loss=0.4).run()
-    s = log.summary
-    assert s["records_produced"] > 0
-    assert s["records_produced"] == (
-        s["records_delivered"] + s["records_buffered"]
-        + s["records_overwritten"]
-    )
+    assert log.summary["records_produced"] > 0
+    assert book_problems(log) == []
 
 
 def test_downlink_waits_for_listen_boundary():
@@ -304,9 +301,7 @@ def test_a_downlink_to_a_hung_node_waits_for_its_reset():
     s = log.summary
     assert (s["resets"], s["downlinks_queued"], s["downlinks_delivered"]) == (
         1, 1, 1)
-    assert s["downlinks_queued"] == (
-        s["downlinks_delivered"] + s["downlinks_expired"]
-        + s["downlinks_pending"])
+    assert book_problems(log) == []
 
 
 def test_energy_ledger_accounts_every_millisecond():
@@ -328,10 +323,7 @@ def test_energy_ledger_accounts_every_millisecond():
         profile.tx_current_a * 0.6)
     assert charge_c["Listening"] == pytest.approx(
         profile.listen_current_a * listen_ms / 1000)
-    total_ms = time_ms["Sampling"] + time_ms["Transmitting"] + listen_ms + sleep_ms
-    assert total_ms == pytest.approx(600_000)
-    assert sum(kind == "EnergyCharge" and uid == 1
-               for _, kind, uid, _ in log.rows) == 4
+    assert book_problems(log) == []
     assert sim.runtime(1).charge_c == sum(charge_c.values())
 
 
@@ -491,7 +483,7 @@ FIELD_TYPES = {"len": int, "ticket": int, "time_ms": float, "charge_c": float}
 
 def test_row_fields_decodes_every_detail_of_a_run():
     """A bundled run with a hang and remote reads logs every detail shape;
-    the decoded ledger sums to the run and to each node's charge."""
+    its books balance, and the decoded ledger sums to each node's charge."""
     config = default_scenario().with_duration(6 * 3600)
     sim = build_simulator(config)
     backend = Backend(directory=node_directory(config))
@@ -507,7 +499,6 @@ def test_row_fields_decodes_every_detail_of_a_run():
             backend.remote_read_file(uids[i % len(uids)], NODE_CONFIG_FILE, 0, 12)
     log = sim.run()
     shapes = set()
-    time_ms = dict.fromkeys(uids, 0.0)
     charge_c = dict.fromkeys(uids, 0.0)
     for _, kind, uid, detail in log.rows:
         fields = row_fields(detail)
@@ -515,11 +506,10 @@ def test_row_fields_decodes_every_detail_of_a_run():
         for key, value in fields.items():
             assert type(value) is FIELD_TYPES.get(key, str), (key, detail)
         if kind == "EnergyCharge":
-            time_ms[uid] += fields["time_ms"]
             charge_c[uid] += fields["charge_c"]
     assert shapes == DETAIL_SHAPES
+    assert book_problems(log) == []
     for uid in uids:
-        assert time_ms[uid] == pytest.approx(log.summary["duration_ms"])
         assert charge_c[uid] == sim.runtime(uid).charge_c
 
 
@@ -528,6 +518,62 @@ def test_run_log_refuses_a_partial_row(n_slots):
     slots = [0, "SampleTimer", 1, "ok", 0, "UplinkTx", 1, "len=20"][:n_slots]
     with pytest.raises(ValueError, match=f"{n_slots} slots"):
         RunLog(slots, {})
+
+
+#: one node's (mode, time_ms) ledger rows in a run of 10 s
+LEDGER = (("Sleep", 9000.0), ("Sampling", 750.0), ("Transmitting", 240.0),
+          ("Listening", 10.0))
+
+
+def books(ledgers: dict[int, tuple], **totals) -> RunLog:
+    """A finished 10-s run by hand.  The summary names each node of
+    ``ledgers`` and its totals balance unless ``totals`` overrides them;
+    each node's rows are its ``(mode, time_ms)`` pairs, in order."""
+    summary = {"seed": 0, "duration_ms": 10_000, "sites": 1,
+               "nodes": len(ledgers), "uplinks_attempted": 4,
+               "uplinks_delivered": 3, "uplinks_dropped": 1,
+               "downlinks_queued": 2, "downlinks_delivered": 1,
+               "downlinks_expired": 1, "downlinks_pending": 0,
+               "records_produced": 5, "records_delivered": 3,
+               "records_buffered": 1, "records_overwritten": 1, "resets": 0,
+               **totals}
+    slots = []
+    for uid, modes in ledgers.items():
+        summary[f"node.{uid}.site"] = "north"
+        for mode, time_ms in modes:
+            slots += [10_000, "EnergyCharge", uid, f"mode={mode}"
+                      f" time_ms={time_ms!r} charge_c={time_ms * 1e-6!r}"]
+    return RunLog(slots, summary)
+
+
+def test_balanced_books_of_two_nodes_have_no_problem():
+    # each node's mode times sum to the duration, not the nodes' together
+    assert book_problems(books({1: LEDGER, 2: LEDGER})) == []
+
+
+@pytest.mark.parametrize("log, problem", [
+    (books({1: LEDGER, 2: LEDGER}, records_buffered=2),
+     "records_produced 5 != records_delivered + records_buffered"
+     " + records_overwritten = 6"),
+    (books({1: LEDGER, 2: LEDGER}, uplinks_dropped=2),
+     "uplinks_attempted 4 != uplinks_delivered + uplinks_dropped = 5"),
+    (books({1: LEDGER, 2: LEDGER}, downlinks_pending=1),
+     "downlinks_queued 2 != downlinks_delivered + downlinks_expired"
+     " + downlinks_pending = 3"),
+    # the times still sum to the duration, and the charge is negative too
+    (books({1: LEDGER, 2: (("Sleep", -1000.0), ("Sampling", 10750.0),
+                           *LEDGER[2:])}),
+     "node 2 Sleep time_ms -1000.0 < 0"),
+    (books({1: LEDGER, 2: (("Sleep", 9001.0), *LEDGER[1:])}),
+     "node 2 mode times sum to 10001.0 ms, not 10000"),
+    (books({1: LEDGER, 2: LEDGER[:3]}),
+     "node 2 has 3 EnergyCharge rows, not 4"),
+    (books({1: LEDGER, 2: LEDGER, 3: ()}),
+     "node 3 has 0 EnergyCharge rows, not 4"),
+], ids=["records", "uplinks", "downlinks", "negative time", "time leak",
+        "three rows", "no rows"])
+def test_book_problems_names_each_broken_identity_once(log, problem):
+    assert book_problems(log) == [problem]
 
 
 def test_uplink_rows_share_one_detail_string_per_text():

@@ -1,5 +1,6 @@
 """Scenario file validation and the bundled reference deployment."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -10,9 +11,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from geowsn.netsim import LinkModel, row_fields
+from geowsn.netsim import LinkModel, book_problems
 from geowsn.node import SensorKind, SignalDriver, TraceSignal, load_sensor_trace
 from geowsn.scenario import (
+    SENSOR_TYPE_NAMES,
     InvalidScenarioError,
     ScenarioConfig,
     build_simulator,
@@ -459,32 +461,6 @@ def _write(doc, path, value):
     return doc
 
 
-def assert_runs_with_books_balanced(config):
-    """Build and run a parsed scenario for at most 600 s; the criterion-8
-    identities hold at the end, and no mode of the energy ledger has a
-    negative time."""
-    log = build_simulator(
-        config.with_duration(min(config.duration_s, 600.0))).run()
-    s = log.summary
-    assert s["records_produced"] == (
-        s["records_delivered"] + s["records_buffered"]
-        + s["records_overwritten"])
-    assert s["uplinks_attempted"] == (
-        s["uplinks_delivered"] + s["uplinks_dropped"])
-    assert s["downlinks_queued"] == (
-        s["downlinks_delivered"] + s["downlinks_expired"]
-        + s["downlinks_pending"])
-    ledger_ms: dict[int, float] = {}
-    for _, kind, uid, detail in log.rows:
-        if kind == "EnergyCharge":
-            time_ms = row_fields(detail)["time_ms"]
-            assert time_ms >= 0, (uid, detail)
-            ledger_ms[uid] = ledger_ms.get(uid, 0.0) + time_ms
-    assert len(ledger_ms) == config.node_count
-    for total in ledger_ms.values():
-        assert total == pytest.approx(s["duration_ms"])
-
-
 _NODE_0 = ("sites", 0, "nodes", 0)
 _NODE_1 = ("sites", 0, "nodes", 1)
 
@@ -510,4 +486,79 @@ def test_a_scenario_is_rejected_or_runs(writes):
         config = parse_scenario(doc, Path(__file__).parent / "absent")
     except InvalidScenarioError:
         return
-    assert_runs_with_books_balanced(config)
+    log = build_simulator(
+        config.with_duration(min(config.duration_s, 600.0))).run()
+    assert book_problems(log) == []
+
+
+# -- the books against a closed form -------------------------------------------
+
+#: records a node's flash holds before it overwrites the oldest
+FLASH_RECORDS = 256
+#: the most samples a generated run gives one node: enough to fill the
+#: flash, few enough to keep each run fast
+MAX_SAMPLES = 400
+
+
+@st.composite
+def star_docs(draw) -> dict:
+    """A scenario of 1-3 sites of 1-4 nodes each, every site's link
+    lossless or a black hole, run until its fastest node has taken at
+    most ``MAX_SAMPLES`` samples."""
+    uids = itertools.count(1)
+    sites = [{
+        "site_id": f"site{index}",
+        "link": {"loss_probability": draw(st.sampled_from([0.0, 1.0])),
+                 "latency_ms": draw(st.integers(0, 250))},
+        "nodes": [{"uid": next(uids),
+                   "sensor_type": draw(st.sampled_from(sorted(SENSOR_TYPE_NAMES))),
+                   "sampling_rate_s": draw(st.integers(1, 3600)),
+                   "trace": {"kind": "constant", "value": 4.0}}
+                  for _ in range(draw(st.integers(1, 4)))],
+    } for index in range(draw(st.integers(1, 3)))]
+    # the fastest node takes a drawn number of samples, and the run
+    # ends anywhere in the period after the last
+    fastest_ms = 1000 * min(node["sampling_rate_s"]
+                            for site in sites for node in site["nodes"])
+    duration_ms = max(1, draw(st.integers(0, MAX_SAMPLES)) * fastest_ms
+                      + draw(st.integers(0, fastest_ms - 1)))
+    return {"seed": draw(st.integers(0, 2**32)),
+            "duration_s": duration_ms / 1000,
+            "listen_interval_s": draw(st.sampled_from([0.5, 1.0, 2.0])),
+            "sites": sites}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(doc=star_docs())
+# a black-hole link and a full flash: 400 samples, 144 overwritten
+@example(doc={"seed": 1, "duration_s": 24000.0, "listen_interval_s": 1.0,
+              "sites": [{"site_id": "north", "link": {"loss_probability": 1.0},
+                         "nodes": [{"uid": 1, "sensor_type": 1,
+                                    "sampling_rate_s": 60,
+                                    "trace": {"kind": "constant",
+                                              "value": 4.0}}]}]})
+def test_the_books_of_a_star_match_their_closed_form(doc):
+    """With no Backend, a node with period r in a run of D ms takes
+    N = floor(D / r) samples and sends each reading once, and sniffs
+    floor(D / L) times.  A lossless link delivers every reading; a black
+    hole keeps the last 256 in flash and overwrites the rest."""
+    try:
+        config = parse_scenario(doc)
+    except InvalidScenarioError:
+        return
+    log = build_simulator(config).run()
+    s = log.summary
+    duration_ms = round(doc["duration_s"] * 1000)
+    sniffs = duration_ms // round(doc["listen_interval_s"] * 1000)
+    for site in doc["sites"]:
+        lost = site["link"]["loss_probability"] == 1.0
+        for node in site["nodes"]:
+            n = duration_ms // (node["sampling_rate_s"] * 1000)
+            stored = (min(n, FLASH_RECORDS), max(0, n - FLASH_RECORDS))
+            key = f"node.{node['uid']}."
+            assert s[key + "produced"] == n
+            assert s[key + "uplinks"] == f"{0 if lost else n}/{n}"
+            assert s[key + "sniffs"] == sniffs
+            assert (s[key + "buffered"], s[key + "overwritten"]) == (
+                stored if lost else (0, 0))
+    assert book_problems(log) == []
