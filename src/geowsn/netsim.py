@@ -18,22 +18,27 @@ next event: it transmits what it queued, and what their results
 queue, inline.  The energy ledger and the run totals, one per name in
 ``_TOTALS``, are built when the run closes.
 
-Handlers log a row by extending one flat list with its four slots,
-``time_ms, kind, uid, detail``: no tuple is built per row, and the
-``RunLog`` reads the rows back through a view.  A detail is an
-optional bare word (the outcome) and ``key=value`` fields;
-``row_fields`` is the one decoder of that text, and ``book_problems``
-the one statement of the identities a finished run's books keep.
+The run log holds only ints: a row is three slots, ``time_ms``, a row
+code and one number, in one ``array``.  The code indexes the run's row
+table of ``(event kind, node uid, detail template)``, whose entries a
+node adds on the first use of each shape of ``_SHAPES``; a template
+holds the number as ``%d``, or no number.  Handlers extend a short
+list with a row's slots, with no call, and ``step`` moves that list
+into the array every ``_SPILL_EVENTS`` events.  The ``RunLog`` renders
+a detail only when it is read.  A detail is an optional bare word (the
+outcome) and ``key=value`` fields; ``row_fields`` is the one decoder of
+that text, and ``book_problems`` the one statement of the identities a
+finished run's books keep.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import heapq
 import itertools
 import math
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
@@ -74,10 +79,44 @@ class PayloadTooLargeError(SimulationError):
 
 ENERGY_ROW_KIND = "EnergyCharge"
 
-#: run-log slots a row takes: time_ms, kind, uid, detail
-_ROW_SLOTS = 4
+#: run-log slots a row takes: time_ms, row code, number
+_ROW_SLOTS = 3
 #: run-log rows rendered into one chunk of text
 _CHUNK_ROWS = 4096
+#: events between two moves of the logged rows into the row store
+_SPILL_EVENTS = 1024
+#: the largest simulated time, in ms: the row store's slots are signed
+#: 64-bit ints (``array`` type ``q``)
+MAX_TIME_MS = 2**63 - 1
+
+#: each run-log row shape: its event kind and detail template, in which
+#: ``%d`` stands for the row's number
+_SHAPES: list[tuple[str, str]] = []
+
+
+def _shape(kind: str, template: str) -> int:
+    _SHAPES.append((kind, template))
+    return len(_SHAPES) - 1
+
+
+_SAMPLE_STALE = _shape("SampleTimer", "stale")
+_SAMPLE_HUNG = _shape("SampleTimer", "hung")
+_SAMPLE_OK = _shape("SampleTimer", "ok")
+#: an uplink's shape by the value of its kind: delivered, then dropped
+_TX_SHAPES = {kind.value: (_shape("UplinkTx", f"delivered len=%d kind={kind.value}"),
+                           _shape("UplinkTx", f"dropped len=%d kind={kind.value}"))
+              for kind in UplinkKind}
+_ARRIVAL = _shape("UplinkArrival", "len=%d")
+_WINDOW_EXPIRED = _shape("ListenWindow", "expired ticket=%d")
+_WINDOW_HUNG = _shape("ListenWindow", "hung")
+_WINDOW_RETRY = _shape("ListenWindow", "retry ticket=%d")
+_WINDOW_DELIVERED = _shape("ListenWindow", "delivered ticket=%d")
+_WATCHDOG_RESET = _shape("WatchdogCheck", "reset")
+_RESET_BOOT = _shape("ResetDone", "boot")
+_HANG = _shape("HangInjection", "hang")
+#: a ``DownlinkQueue`` row of n payload bytes has shape
+#: ``_DOWNLINK_QUEUED + n``; its number is the ticket
+_DOWNLINK_QUEUED = len(_SHAPES)
 
 #: the type of each run-log detail field not held as a ``str``
 _FIELD_TYPES = {"len": int, "ticket": int, "time_ms": float, "charge_c": float}
@@ -180,6 +219,8 @@ class NodeRuntime:
     gateway_id: str
     link: LinkModel
     rng: random.Random
+    #: its run-log row code for each shape
+    codes: _RowCodes
     pending: deque[DownlinkTicket] = field(default_factory=deque)
     window_scheduled: bool = False
     timer_event_ms: int = -1
@@ -217,79 +258,101 @@ def row_fields(detail: str) -> dict:
     return fields
 
 
-@functools.cache
-def _tx_detail(dropped: bool, size: int, kind: str) -> str:
-    return f"{'dropped' if dropped else 'delivered'} len={size} kind={kind}"
+class _RowCodes(dict):
+    """One node's row code for each shape it has logged: the index of
+    its ``(kind, uid, template)`` entry in the run's row table, added
+    on the shape's first use."""
 
+    def __init__(self, table: list, uid: int):
+        self.table = table
+        self.uid = uid
 
-@functools.cache
-def _arrival_detail(size: int) -> str:
-    return f"len={size}"
+    def __missing__(self, shape: int) -> int:
+        if shape < _DOWNLINK_QUEUED:
+            kind, template = _SHAPES[shape]
+        else:
+            kind, template = ("DownlinkQueue",
+                              f"ticket=%d len={shape - _DOWNLINK_QUEUED}")
+        code = self[shape] = len(self.table)
+        self.table += ((kind, self.uid, template),)
+        return code
 
 
 class _Rows:
-    """The rows of a flat slot list, as ``(time_ms, kind, uid, detail)``
+    """The rows of a row store, as ``(time_ms, kind, uid, detail)``
     tuples built one at a time while iterating; nothing is copied."""
 
-    def __init__(self, slots: list):
-        self._slots = slots
+    def __init__(self, log: RunLog):
+        self._log = log
 
     def __len__(self) -> int:
-        return len(self._slots) // _ROW_SLOTS
+        return len(self._log._store) // _ROW_SLOTS
 
     def __iter__(self) -> Iterator[tuple[int, str, int, str]]:
-        slot = iter(self._slots)
-        return zip(slot, slot, slot, slot)
+        table = self._log._table
+        slot = iter(self._log._store)
+        for at, code, number in zip(slot, slot, slot):
+            kind, uid, template = table[code]
+            yield at, kind, uid, template % number if "%d" in template else template
 
 
 class RunLog:
     """The ordered record of everything a run did.
 
-    Rows are held flat: one list, ``_ROW_SLOTS`` slots a row in the order
-    ``time_ms, event_kind, node_uid, detail``, and no tuple per row.
-    ``rows`` is a view that yields each row as a tuple.  Rows serialize
-    as ``time_ms,event_kind,node_uid,detail`` lines followed by a
-    ``# summary`` block; the stable hash is the SHA-256 of that text.
-    The text is produced in chunks of at most ``_CHUNK_ROWS`` rows, so
-    writing and hashing a long log never hold more than one chunk of it
-    at a time.
+    The rows are ints only: a row store of ``_ROW_SLOTS`` slots a row,
+    ``time_ms, code, number``, and a row table that gives each code its
+    ``(event_kind, node_uid, template)``.  A template holds the number
+    as ``%d``, its one ``%``, or is plain text with no ``%``.  ``rows``
+    is a view that yields each row as a ``(time_ms, event_kind,
+    node_uid, detail)`` tuple.  Rows serialize as ``time_ms,event_kind,
+    node_uid,detail`` lines followed by a ``# summary`` block; the
+    stable hash is the SHA-256 of that text.  The text is produced in
+    chunks of at most ``_CHUNK_ROWS`` rows, so writing and hashing a
+    long log never hold more than one chunk of it at a time.
     """
 
-    def __init__(self, slots: list, summary: dict):
-        if len(slots) % _ROW_SLOTS:
+    def __init__(self, store: array, table: list[tuple[str, int, str]],
+                 summary: dict):
+        if len(store) % _ROW_SLOTS:
             raise ValueError(
-                f"{len(slots)} slots is not a whole number of {_ROW_SLOTS}-slot rows")
-        self._slots = slots
+                f"{len(store)} slots is not a whole number of {_ROW_SLOTS}-slot rows")
+        self._store = store
+        self._table = table
         self.summary = summary
 
     @property
     def rows(self) -> _Rows:
-        return _Rows(self._slots)
+        return _Rows(self)
 
-    def _chunks(self) -> Iterator[str]:
-        """The log text, a bounded number of rows at a time, then the
-        summary block; every line ends in a newline.  ``%s`` renders an
-        ``int`` or a ``str`` as an f-string's ``{}`` does."""
-        slots = self._slots
+    def _chunks(self) -> Iterator[bytes]:
+        """The log's UTF-8 text, a bounded number of rows at a time, then
+        the summary block; every line ends in a newline.  A chunk is one
+        ``%`` of its rows' line formats, which hold kind and uid as text,
+        over each row's time and number; a plain template swallows the
+        number with ``%.0a``."""
+        lines = [f"%d,{kind},{uid},{template}{'' if '%d' in template else '%.0a'}\n"
+                 .encode() for kind, uid, template in self._table]
+        store = self._store
         step = _ROW_SLOTS * _CHUNK_ROWS
-        for start in range(0, len(slots), step):
-            chunk = tuple(slots[start:start + step])
-            yield "%s,%s,%s,%s\n" * (len(chunk) // _ROW_SLOTS) % chunk
-        yield "# summary\n" + "".join(
-            [f"# {key}={value}\n" for key, value in self.summary.items()])
+        for start in range(0, len(store), step):
+            chunk = store[start:start + step]
+            codes = chunk[1::_ROW_SLOTS]
+            del chunk[1::_ROW_SLOTS]
+            yield b"".join(map(lines.__getitem__, codes)) % tuple(chunk)
+        yield ("# summary\n" + "".join(
+            [f"# {key}={value}\n" for key, value in self.summary.items()])).encode()
 
     def _digest(self, handle=None) -> str:
         """SHA-256 of the UTF-8 log text, copied to ``handle`` if given."""
         digest = hashlib.sha256()
-        for chunk in self._chunks():
-            data = chunk.encode()
+        for data in self._chunks():
             digest.update(data)
             if handle is not None:
                 handle.write(data)
         return digest.hexdigest()
 
     def to_text(self) -> str:
-        return "".join(self._chunks())
+        return b"".join(self._chunks()).decode()
 
     def stable_hash(self) -> str:
         return self._digest()
@@ -355,6 +418,8 @@ class Simulator:
             raise ValueError(f"listen_interval_s {listen_interval_s!r} must be finite")
         self.seed = seed
         self.duration_ms = round(duration_s * MS_PER_S)
+        if self.duration_ms > MAX_TIME_MS:
+            raise ValueError(f"duration_s {duration_s!r} exceeds {MAX_TIME_MS} ms")
         self.listen_interval_ms = round(listen_interval_s * MS_PER_S)
         if self.listen_interval_ms < 1:
             raise ValueError("listen interval must be at least 1 ms")
@@ -368,8 +433,12 @@ class Simulator:
         #: heap tie-break: (at_ms, seq) is unique, so no handlers are compared
         self._seq = itertools.count()
         self._ticket_seq = 0
-        #: the run log's rows, flat: ``_ROW_SLOTS`` slots a row
-        self._rows: list[int | str] = []
+        #: the run log: its row store, the rows logged since the last
+        #: spill into it, and the row table their codes index
+        self._store = array("q")
+        self._rows: list[int] = []
+        self._table: list[tuple[str, int, str]] = []
+        self._spill_in = _SPILL_EVENTS
         self._started = False
         self._finished = False
 
@@ -405,6 +474,7 @@ class Simulator:
             f"gw-{site_id}",
             link,
             random.Random(node_stream_seed(self.seed, site_id, node.uid)),
+            _RowCodes(self._table, node.uid),
         )
         self._by_uid[node.uid] = runtime
         return runtime
@@ -464,6 +534,9 @@ class Simulator:
         at_ms, _, handler, runtime, payload = heapq.heappop(self._heap)
         self.now_ms = at_ms
         handler(runtime, at_ms, payload)
+        self._spill_in -= 1
+        if not self._spill_in:
+            self._spill()
         return True
 
     def run_until(self, predicate: Callable[[], bool],
@@ -477,7 +550,8 @@ class Simulator:
         elif deadline_ms % 1:  # NaN and infinity leave a NaN remainder
             raise ValueError(f"deadline_ms {deadline_ms!r} must be a whole number of ms")
         limit = min(int(deadline_ms), self.duration_ms)
-        self.start()
+        if not self._started:  # no call per remote op once started
+            self.start()
         while not predicate():
             if not self._heap or self._heap[0][0] > limit:
                 self.now_ms = max(self.now_ms, limit)
@@ -497,21 +571,28 @@ class Simulator:
     def run_log(self) -> RunLog:
         if not self._finished:
             raise SimulationError("run log is available after run() completes")
-        return RunLog(self._rows, self._summary)
+        self._spill()
+        return RunLog(self._store, self._table, self._summary)
+
+    def _spill(self) -> None:
+        """Move the rows logged since the last spill into the row store."""
+        self._store.fromlist(self._rows)
+        self._rows.clear()
+        self._spill_in = _SPILL_EVENTS
 
     # -- event handlers -----------------------------------------------------
 
     def _handle_sample_timer(self, rt: NodeRuntime, at: int, payload) -> None:
         node = rt.node
         if at != rt.timer_event_ms:
-            self._rows += (at, "SampleTimer", node.uid, "stale")
+            self._rows += (at, rt.codes[_SAMPLE_STALE], 0)
             return
         rt.timer_event_ms = -1
         if node.hung:
-            self._rows += (at, "SampleTimer", node.uid, "hung")
+            self._rows += (at, rt.codes[_SAMPLE_HUNG], 0)
             return
         node.on_sample_timer(at / MS_PER_S)
-        self._rows += (at, "SampleTimer", node.uid, "ok")
+        self._rows += (at, rt.codes[_SAMPLE_OK], 0)
         self._settle(rt, at)
 
     def _deliver(self, rt: NodeRuntime, at: int, payload: bytes,
@@ -519,9 +600,7 @@ class Simulator:
         link = rt.link
         rt.uplinks_attempted += 1
         dropped = rt.rng.random() < link.loss_probability
-        # one shared string per distinct uplink row, not one per row
-        self._rows += (at, "UplinkTx", rt.node.uid,
-                       _tx_detail(dropped, len(payload), kind))
+        self._rows += (at, rt.codes[_TX_SHAPES[kind][dropped]], len(payload))
         if dropped:
             rt.uplinks_dropped += 1
             return False
@@ -533,8 +612,7 @@ class Simulator:
     def _handle_uplink_arrival(self, rt: NodeRuntime, at: int,
                                arrival: tuple[bytes, int | None]) -> None:
         payload, dialog = arrival
-        self._rows += (at, "UplinkArrival", rt.node.uid,
-                       _arrival_detail(len(payload)))
+        self._rows += (at, rt.codes[_ARRIVAL], len(payload))
         if self.forwarder is not None:
             self.forwarder(payload, Envelope(rt.node.uid, rt.gateway_id,
                                              rt.site_id, at / MS_PER_S, dialog))
@@ -558,8 +636,8 @@ class Simulator:
         self._ticket_seq += 1
         rt.pending.append(ticket)
         rt.downlinks_queued += 1
-        self._rows += (self.now_ms, "DownlinkQueue", node_uid,
-                       f"ticket={ticket.ticket_id} len={len(ticket.payload)}")
+        self._rows += (self.now_ms, rt.codes[_DOWNLINK_QUEUED + len(ticket.payload)],
+                       ticket.ticket_id)
         self._ensure_window(rt, self.now_ms)
         return ticket
 
@@ -577,28 +655,32 @@ class Simulator:
         node = rt.node
         # a window is only scheduled while commands wait for the node;
         # the gateway ages out stale ones whether or not the node hears
-        for ticket in [t for t in rt.pending if at >= t.expires_at_ms]:
-            rt.pending.remove(ticket)
-            rt.downlinks_expired += 1
-            self._rows += (at, "ListenWindow", node.uid,
-                           f"expired ticket={ticket.ticket_id}")
+        for ticket in rt.pending:
+            if at >= ticket.expires_at_ms:
+                self._expire(rt, at)
+                break
         if node.hung:
             if rt.pending:
-                self._rows += (at, "ListenWindow", node.uid, "hung")
+                self._rows += (at, rt.codes[_WINDOW_HUNG], 0)
         elif rt.pending:
             ticket = rt.pending[0]
             if rt.rng.random() < rt.link.loss_probability:
-                self._rows += (at, "ListenWindow", node.uid,
-                               f"retry ticket={ticket.ticket_id}")
+                self._rows += (at, rt.codes[_WINDOW_RETRY], ticket.ticket_id)
             else:
                 rt.pending.popleft()
                 rt.downlinks_delivered += 1
-                self._rows += (at, "ListenWindow", node.uid,
-                               f"delivered ticket={ticket.ticket_id}")
+                self._rows += (at, rt.codes[_WINDOW_DELIVERED], ticket.ticket_id)
                 node.on_downlink(ticket.payload, at / MS_PER_S)
                 self._settle(rt, at, ticket.dialog)
         if rt.pending:
             self._ensure_window(rt, at)
+
+    def _expire(self, rt: NodeRuntime, at: int) -> None:
+        """Drop the commands whose TTL has lapsed by ``at``, in queue order."""
+        for ticket in [t for t in rt.pending if at >= t.expires_at_ms]:
+            rt.pending.remove(ticket)
+            rt.downlinks_expired += 1
+            self._rows += (at, rt.codes[_WINDOW_EXPIRED], ticket.ticket_id)
 
     def _handle_watchdog_check(self, rt: NodeRuntime, at: int, payload) -> None:
         """Reset a hung node at the deadline its hang froze.  This is the
@@ -607,8 +689,8 @@ class Simulator:
         node.reset(at / MS_PER_S)
         rt.anchor_ms = at
         self._close_hang(rt, at)
-        self._rows += (at, "WatchdogCheck", node.uid, "reset",
-                       at, "ResetDone", node.uid, "boot")
+        self._rows += (at, rt.codes[_WATCHDOG_RESET], 0,
+                       at, rt.codes[_RESET_BOOT], 0)
         self._settle(rt, at)
 
     def _handle_hang_injection(self, rt: NodeRuntime, at: int, payload) -> None:
@@ -623,7 +705,7 @@ class Simulator:
             deadline_ms = max(round(node.watchdog_deadline * MS_PER_S), pet_ms)
             heapq.heappush(self._heap, (deadline_ms, next(self._seq),
                                         self._handle_watchdog_check, rt, None))
-        self._rows += (at, "HangInjection", node.uid, "hang")
+        self._rows += (at, rt.codes[_HANG], 0)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -671,6 +753,8 @@ class Simulator:
         totals = dict.fromkeys(_TOTALS, 0)
         per_node_lines: list[tuple[int, dict]] = []
         profile = self.profile
+        table = self._table
+        code = len(table)
         for rt in self._by_uid.values():
             if rt.node.hung:
                 self._close_hang(rt, self.duration_ms)
@@ -692,10 +776,11 @@ class Simulator:
             ):
                 charge = current_a * (ms / MS_PER_S)
                 rt.charge_c += charge
-                self._rows += (
-                    self.duration_ms, ENERGY_ROW_KIND, rt.node.uid,
-                    f"mode={mode} time_ms={ms!r} charge_c={charge!r}",
-                )
+                # its floats stay text: a row code of its own, no number
+                table += ((ENERGY_ROW_KIND, rt.node.uid,
+                           f"mode={mode} time_ms={ms!r} charge_c={charge!r}"),)
+                self._rows += (self.duration_ms, code, 0)
+                code += 1
             # this node's count of each total, in ``_TOTALS`` order
             for key, count in zip(_TOTALS, (
                     rt.uplinks_attempted, rt.uplinks_delivered, rt.uplinks_dropped,

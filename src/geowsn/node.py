@@ -63,6 +63,8 @@ FLASH_CAPACITY_RECORDS = 256
 #: the largest frame a node sends until a simulator gives it its
 #: site's link limit, and a link's limit unless its site sets one
 MAX_PAYLOAD_BYTES = 256
+#: the largest node uid: a DASH7 UID is 64 bits
+MAX_UID = 2**64 - 1
 FLUSH_BATCH_RECORDS = 8
 WATCHDOG_PERIOD_S = 120.0
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .netsim import (
     DEFAULT_LISTEN_INTERVAL_S,
+    MAX_TIME_MS,
     MS_PER_S,
     SITE_ID_RESERVED,
     LinkModel,
@@ -28,6 +29,7 @@ from .netsim import (
 )
 from .node import (
     CHANNELS,
+    MAX_UID,
     READING_FRAME_BYTES,
     ChannelSignal,
     ConfigError,
@@ -152,11 +154,14 @@ def parse_seed(value, where: str = "scenario: seed") -> int:
 
 
 def _whole_ms(value, where: str) -> float:
-    """A positive time in s that stays at least 1 ms once the simulator
-    rounds it to whole ms."""
+    """A positive time in s that stays at least 1 ms, and at most the
+    simulator's ``MAX_TIME_MS``, once the simulator rounds it to whole ms."""
     seconds = _number(value, where, minimum=0.0)
-    if round(seconds * MS_PER_S) < 1:
+    ms = round(seconds * MS_PER_S)
+    if ms < 1:
         raise InvalidScenarioError(f"{where} must be at least 1 ms")
+    if ms > MAX_TIME_MS:
+        raise InvalidScenarioError(f"{where} must be at most {MAX_TIME_MS} ms")
     return seconds
 
 
@@ -243,6 +248,9 @@ def _parse_node(doc: dict, where: str, base_dir: Path) -> NodeSpec:
                       "trace"}, where)
     uid = _number(_require(doc, "uid", where), f"{where}: uid",
                   minimum=0, integer=True)
+    if uid > MAX_UID:
+        raise InvalidScenarioError(
+            f"{where}: uid {uid} exceeds {MAX_UID}, the largest 64-bit DASH7 UID")
     kind = _sensor_kind(_require(doc, "sensor_type", where), where)
     rate = _number(_require(doc, "sampling_rate_s", where),
                    f"{where}: sampling_rate_s", minimum=1, integer=True)

@@ -39,7 +39,7 @@ REMOTE_ROUNDS, REMOTE_HOURS, REMOTE_TIMEOUT_S = 5, 24, 10.0
 #: ceilings, 5 % above the counts this code base makes
 MAX_SIM_CALLS_PER_SAMPLE = 44.1 * 1.05
 MAX_BACKEND_CALLS_PER_ARRIVAL = 25.3 * 1.05
-MAX_CALLS_PER_REMOTE_OP = 125.1 * 1.05
+MAX_CALLS_PER_REMOTE_OP = 124.6 * 1.05
 #: how far calls per sample may drift from 58 nodes to 580
 MAX_NODE_COUNT_DRIFT = 0.05
 
@@ -78,15 +78,35 @@ def profile_run(with_backend: bool, copies: int = 1, hours: float = HOURS) -> di
     }
 
 
-def profile_remote(rounds: int) -> dict:
-    """Calls made by ``rounds`` of a remote session with each bundled
-    node in turn: a read of the data file (which takes a sample), a
-    measure-now write to config byte 3, a read back of the config file
-    and a write that restores the byte.  An op that times out counts as
-    an op."""
+def remote_sessions(sim, backend, rounds: int) -> tuple[int, int]:
+    """``rounds`` of a remote session with each node of ``sim`` in turn,
+    through ``backend``: a read of the data file (which takes a sample),
+    a measure-now write to config byte 3, a read back of the config
+    file and a write that restores the byte.  Returns the ops made and
+    how many timed out; an op that times out counts as an op."""
     from geowsn.alp import NODE_CONFIG_FILE, SENSOR_DATA_FILE
-    from geowsn.backend import Backend, RequestTimeoutError
+    from geowsn.backend import RequestTimeoutError
     from geowsn.node import ACTION_MEASURE_AND_TRANSMIT, ACTION_NONE
+
+    read, write = backend.remote_read_file, backend.remote_write_file
+    session = ((read, SENSOR_DATA_FILE, 0, 10),
+               (write, NODE_CONFIG_FILE, 3, bytes([ACTION_MEASURE_AND_TRANSMIT])),
+               (read, NODE_CONFIG_FILE, 0, 12),
+               (write, NODE_CONFIG_FILE, 3, bytes([ACTION_NONE])))
+    timeouts = 0
+    for _ in range(rounds):
+        for uid in sim.node_uids:
+            for op, *args in session:
+                try:
+                    op(uid, *args, timeout_s=REMOTE_TIMEOUT_S)
+                except RequestTimeoutError:
+                    timeouts += 1
+    return rounds * len(sim.node_uids) * len(session), timeouts
+
+
+def profile_remote(rounds: int) -> dict:
+    """Calls made by ``remote_sessions`` on the bundled deployment."""
+    from geowsn.backend import Backend
     from geowsn.scenario import build_simulator, node_directory
 
     config = scenario(1, REMOTE_HOURS)
@@ -94,27 +114,9 @@ def profile_remote(rounds: int) -> dict:
     backend = Backend(directory=node_directory(config))
     backend.attach_transport(sim)
     sim.start()
-    read, write = backend.remote_read_file, backend.remote_write_file
-    session = ((read, SENSOR_DATA_FILE, 0, 10),
-               (write, NODE_CONFIG_FILE, 3, bytes([ACTION_MEASURE_AND_TRANSMIT])),
-               (read, NODE_CONFIG_FILE, 0, 12),
-               (write, NODE_CONFIG_FILE, 3, bytes([ACTION_NONE])))
-    timeouts = 0
-
-    def client():
-        nonlocal timeouts
-        for _ in range(rounds):
-            for uid in sim.node_uids:
-                for op, *args in session:
-                    try:
-                        op(uid, *args, timeout_s=REMOTE_TIMEOUT_S)
-                    except RequestTimeoutError:
-                        timeouts += 1
-
     profile = cProfile.Profile()
-    profile.runcall(client)
-    return {"ops": rounds * len(sim.node_uids) * len(session),
-            "timeouts": timeouts,
+    ops, timeouts = profile.runcall(remote_sessions, sim, backend, rounds)
+    return {"ops": ops, "timeouts": timeouts,
             "calls": pstats.Stats(profile).total_calls}
 
 

@@ -2,15 +2,21 @@
 in the same process.  A refactor that changes one byte of the bundled
 scenario's log, or where a hung node is reset, fails here."""
 
+import contextlib
 import hashlib
 import random
 
 import pytest
 
-from geowsn.backend import Backend
+from geowsn.backend import Backend, RequestTimeoutError
 from geowsn.cli import main
 from geowsn.node import WATCHDOG_PERIOD_S
-from geowsn.scenario import build_simulator, default_scenario, node_directory
+from geowsn.scenario import (
+    build_simulator,
+    default_scenario,
+    node_directory,
+    parse_scenario,
+)
 
 SEED = 4021
 
@@ -143,6 +149,34 @@ def test_scripted_remote_access_run_is_pinned():
     assert (len(log.rows), log.stable_hash()) == REMOTE_OPS_RUN
     assert (len(backend.sink.records), len(backend.quarantine),
             backend.ingested) == REMOTE_OPS_BACKEND
+
+
+#: uid -> (rows, stable_hash) of an hour of one node with that uid on a
+#: lossy link, with a hang and three remote reads (one times out for the
+#: largest uid): the uids at the top of the 64-bit range
+LARGE_UID_RUNS = {
+    2**63: (201, "73651d1306b2717504e40a04042340348fe9a212e6f5e4cdd2a15bfd7c3fa091"),
+    2**64 - 1: (202, "63a2979caf156d1b2542753767119d0d73bf6e3d2980bf79f2163c1a238fc7f2"),
+}
+
+
+@pytest.mark.parametrize("uid", LARGE_UID_RUNS, ids=["2**63", "2**64-1"])
+def test_a_node_with_a_uid_above_int64_runs_as_pinned(uid):
+    config = parse_scenario({"seed": 11, "duration_s": 3600, "sites": [{
+        "site_id": "north", "link": {"loss_probability": 0.2, "latency_ms": 20},
+        "nodes": [{"uid": uid, "transect": "E", "sensor_type": "soil_temperature",
+                   "sampling_rate_s": 60,
+                   "trace": {"kind": "constant", "value": 4.0}}]}]})
+    sim = build_simulator(config)
+    backend = Backend(directory=node_directory(config))
+    backend.attach_transport(sim)
+    sim.inject_hang(uid, at_s=1800.0)
+    for _ in range(3):
+        with contextlib.suppress(RequestTimeoutError):
+            backend.remote_read_file(uid, 0x41, 0, 12)
+    log = sim.run()
+    assert (len(log.rows), log.stable_hash()) == LARGE_UID_RUNS[uid]
+    assert {uid} == {row_uid for _, _, row_uid, _ in log.rows}
 
 
 #: SHA-256 of what ``geowsn sim-run`` prints for the bundled scenario, one

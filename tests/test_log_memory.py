@@ -9,10 +9,14 @@ baseline while each runs.  Either fails at a quarter of the text's
 size, far below the several copies of the text that building it whole
 takes.
 
-The rows themselves are held flat, four slots a row and no tuple per
-row.  A two-day run of the bundled deployment, simulator only, is
-traced: what the run leaves allocated, per log row, is gated, and so
-is the peak that reading every row through ``RunLog.rows`` adds.
+The rows themselves are ints: three slots a row in one typed array,
+and a row table that grows with the nodes, not the rows.  A two-day
+run of the bundled deployment, simulator only, is traced: what the run
+leaves allocated, per log row, is gated, and so is the peak that
+reading every row through ``RunLog.rows`` adds.  A one-day run with a
+``Backend`` and over a thousand remote ops, whose rows carry ticket
+numbers, is gated the same way; there only what the simulator's own
+code allocated is counted, not the Backend's sink.
 
 A ``Backend`` keeps nothing of a status it was not waiting for: the
 bytes it holds after ingesting many of them are gated too.
@@ -26,12 +30,16 @@ import json
 import sys
 import tempfile
 import tracemalloc
+from array import array
 from pathlib import Path
 
+from test_frame_cost import remote_sessions
+
+from geowsn import netsim
 from geowsn.alp import STATUS_OK, AlpAction, encode_command
 from geowsn.backend import Backend
 from geowsn.netsim import Envelope, RunLog
-from geowsn.scenario import build_simulator, default_scenario
+from geowsn.scenario import build_simulator, default_scenario, node_directory
 
 ROWS = 200_000
 
@@ -40,8 +48,11 @@ MAX_PEAK_SHARE = 0.25
 #: simulated days of the bundled deployment whose run is traced
 RUN_DAYS = 2
 #: ceiling on the bytes a finished run holds per log row (a tuple per
-#: row held about 105)
-MAX_HELD_BYTES_PER_ROW = 70
+#: row held about 105, four slots a row in a list about 60)
+MAX_HELD_BYTES_PER_ROW = 29.6 * 1.15
+#: rounds of ``test_frame_cost``'s 4-op remote session with every
+#: bundled node, in a one-day run with a Backend
+REMOTE_ROUNDS = 5
 #: ceiling on the peak that reading every row of that run adds
 MAX_READ_PEAK_BYTES = 4096
 #: unstamped status frames a Backend ingests, and the ceiling on the
@@ -51,14 +62,14 @@ MAX_STATUS_HELD_BYTES = 64 * 1024
 
 
 def synthetic_log(n_rows: int = ROWS) -> RunLog:
-    """Rows shaped like a deployment's uplink rows, with the few shared
-    detail strings a run logs."""
-    details = [f"delivered len={size} kind={kind}"
-               for size in (20, 24, 29) for kind in ("reading", "flush")]
-    slots = [slot for i in range(n_rows)
-             for slot in (i * 250, "UplinkTx", 1000 + i % 58, details[i % len(details)])]
+    """Rows shaped like a deployment's uplink rows: a row code per node
+    and uplink kind, and the frame length as the row's number."""
+    table = [("UplinkTx", 1000 + i % 58, f"delivered len=%d kind={kind}")
+             for kind in ("reading", "flush") for i in range(58)]
+    store = array("q", [slot for i in range(n_rows)
+                        for slot in (i * 250, i % len(table), (20, 24, 29)[i % 3])])
     summary = {f"node.{1000 + i}.charge_c": repr(i / 7) for i in range(58)}
-    return RunLog(slots, summary)
+    return RunLog(store, table, summary)
 
 
 def peak_above_baseline(call) -> int:
@@ -116,6 +127,32 @@ def run_memory() -> dict:
     }
 
 
+def remote_memory() -> dict:
+    """Bytes that lines of the simulator allocated and still hold when
+    a one-day bundled run with a Backend has finished, after
+    ``REMOTE_ROUNDS`` rounds of remote sessions."""
+    config = default_scenario().with_duration(86400)
+    sim = build_simulator(config)
+    backend = Backend(directory=node_directory(config))
+    backend.attach_transport(sim)
+    tracemalloc.start()
+    try:
+        ops, _ = remote_sessions(sim, backend, REMOTE_ROUNDS)
+        log = sim.run()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = sum(stat.size for stat in snapshot.filter_traces(
+        [tracemalloc.Filter(True, netsim.__file__)]).statistics("filename"))
+    assert log.summary["downlinks_queued"] >= ops
+    return {
+        "remote_ops": ops,
+        "remote_run_rows": len(log.rows),
+        "remote_held_bytes": held,
+        "remote_held_bytes_per_row": held / len(log.rows),
+    }
+
+
 def status_memory() -> dict:
     """Bytes a Backend holds after ingesting ``STATUS_FRAMES`` unstamped
     status frames, beyond what it held before."""
@@ -146,6 +183,12 @@ def test_a_finished_run_holds_few_bytes_per_log_row():
     assert figures["read_peak_bytes"] <= MAX_READ_PEAK_BYTES, figures
 
 
+def test_a_run_with_remote_ops_holds_few_bytes_per_log_row():
+    figures = remote_memory()
+    assert figures["remote_ops"] >= 1000, figures
+    assert figures["remote_held_bytes_per_row"] <= MAX_HELD_BYTES_PER_ROW, figures
+
+
 def test_writing_and_hashing_a_long_log_hold_a_bounded_share_of_its_text():
     figures = log_memory()
     assert figures["text_bytes"] > 10_000_000
@@ -154,6 +197,7 @@ def test_writing_and_hashing_a_long_log_hold_a_bounded_share_of_its_text():
 
 
 if __name__ == "__main__":
-    json.dump({**log_memory(), **run_memory(), **status_memory()},
+    json.dump({**log_memory(), **run_memory(), **remote_memory(),
+               **status_memory()},
               sys.stdout, indent=1)
     print()

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import re
+from array import array
 
 import pytest
 
@@ -433,9 +434,13 @@ def reference_text(log: RunLog) -> str:
     (3 * _CHUNK_ROWS + 7, 5),
 ], ids=["empty", "one-row", "one-chunk", "chunks-and-a-part"])
 def test_text_hash_and_file_come_from_one_rendering(tmp_path, n_rows, n_chunks):
-    slots = [slot for i in range(n_rows)
-             for slot in (i * 10, "UplinkTx", i % 7, f"delivered len={i % 50} kind=reading")]
-    log = RunLog(slots, {"seed": 3, "node.1.charge_c": "0.5"})
+    # per uid an uplink code, whose template holds the number, and a
+    # timer code, whose template holds none; rows alternate the two
+    table = [*(("UplinkTx", uid, "delivered len=%d kind=reading") for uid in range(7)),
+             *(("SampleTimer", uid, "ok") for uid in range(7))]
+    store = array("q", [slot for i in range(n_rows)
+                        for slot in (i * 10, i % 7 + 7 * (i % 2), i % 50)])
+    log = RunLog(store, table, {"seed": 3, "node.1.charge_c": "0.5"})
     assert len(list(log._chunks())) == n_chunks  # the summary is the last
     text = log.to_text()
     assert text == reference_text(log)
@@ -443,6 +448,9 @@ def test_text_hash_and_file_come_from_one_rendering(tmp_path, n_rows, n_chunks):
     data = (tmp_path / "runlog.txt").read_bytes()
     assert data == text.encode()
     assert digest == hashlib.sha256(data).hexdigest() == log.stable_hash()
+    if n_rows > 1:
+        assert text.startswith("0,UplinkTx,0,delivered len=0 kind=reading\n"
+                               "10,SampleTimer,1,ok\n")
 
 
 def test_rows_are_a_view_that_reads_as_the_text():
@@ -515,9 +523,10 @@ def test_row_fields_decodes_every_detail_of_a_run():
 
 @pytest.mark.parametrize("n_slots", [5, 7])
 def test_run_log_refuses_a_partial_row(n_slots):
-    slots = [0, "SampleTimer", 1, "ok", 0, "UplinkTx", 1, "len=20"][:n_slots]
+    table = [("SampleTimer", 1, "ok"), ("UplinkArrival", 1, "len=%d")]
+    store = array("q", [0, 0, 0, 0, 1, 20, 0, 0, 0][:n_slots])
     with pytest.raises(ValueError, match=f"{n_slots} slots"):
-        RunLog(slots, {})
+        RunLog(store, table, {})
 
 
 #: one node's (mode, time_ms) ledger rows in a run of 10 s
@@ -537,13 +546,15 @@ def books(ledgers: dict[int, tuple], **totals) -> RunLog:
                "records_produced": 5, "records_delivered": 3,
                "records_buffered": 1, "records_overwritten": 1, "resets": 0,
                **totals}
-    slots = []
+    store, table = array("q"), []
     for uid, modes in ledgers.items():
         summary[f"node.{uid}.site"] = "north"
         for mode, time_ms in modes:
-            slots += [10_000, "EnergyCharge", uid, f"mode={mode}"
-                      f" time_ms={time_ms!r} charge_c={time_ms * 1e-6!r}"]
-    return RunLog(slots, summary)
+            # a ledger row is a row code of its own, with no number
+            table.append(("EnergyCharge", uid, f"mode={mode}"
+                          f" time_ms={time_ms!r} charge_c={time_ms * 1e-6!r}"))
+            store.extend((10_000, len(table) - 1, 0))
+    return RunLog(store, table, summary)
 
 
 def test_balanced_books_of_two_nodes_have_no_problem():
@@ -576,12 +587,17 @@ def test_book_problems_names_each_broken_identity_once(log, problem):
     assert book_problems(log) == [problem]
 
 
-def test_uplink_rows_share_one_detail_string_per_text():
-    log = build_simulator(default_scenario().with_duration(6 * 3600)).run()
-    details = [detail for _, kind, _, detail in log.rows
-               if kind in ("UplinkTx", "UplinkArrival")]
-    assert len(details) > 4000
-    assert len({id(detail) for detail in details}) == len(set(details)) < 20
+def test_a_finished_run_holds_its_rows_as_ints_and_nothing_per_row():
+    sim = build_simulator(default_scenario().with_duration(86400))
+    log = sim.run()
+    # a typed array holds no str and no int object, one per row or not
+    assert type(log._store) is array and log._store.typecode == "q"
+    assert len(log._store) == 3 * len(log.rows) > 3 * 20_000
+    # the row table grows with the nodes and the shapes they logged, not
+    # with the rows: 58 nodes, each with its four ledger rows and a few
+    # shapes, and no rows wait outside the store
+    assert len(log._table) <= 58 * (4 + 8) < len(log.rows) / 10
+    assert sim._rows == []
 
 
 def test_invalid_link_parameters_rejected():
@@ -601,6 +617,12 @@ def test_simulator_refuses_a_time_that_is_not_finite(field, value):
     # rounding it to ms would raise OverflowError, or pass NaN along
     with pytest.raises(ValueError, match=field):
         Simulator(**{"duration_s": 10, field: value})
+
+
+def test_simulator_refuses_a_duration_whose_ms_exceed_int64():
+    # the row store keeps each row's time in a signed 64-bit slot
+    with pytest.raises(ValueError, match="duration_s .* exceeds 9223372036854775807 ms"):
+        Simulator(duration_s=2**63 / 1000)
 
 
 def test_a_scenario_of_endless_duration_does_not_build():

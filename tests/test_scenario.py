@@ -146,6 +146,9 @@ def test_non_finite_numbers_rejected(path, value):
     ("sites.0.link.loss_probability", 1.5),
     ("sites.0.link.max_payload", 0),
     ("sites.0.nodes.0.uid", -1),
+    pytest.param("sites.0.nodes.0.uid", 2**64, id="uid-2**64"),
+    pytest.param("sites.0.nodes.0.uid", 2**80, id="uid-2**80"),
+    pytest.param("duration_s", 2**63 / 1000, id="duration_s-2**63-ms"),
     ("sites.0.nodes.0.sampling_rate_s", 1.5),
     ("power_profile.tx_current_a", "abc"),
     ("power_profile.listen_current_a", False),
@@ -153,6 +156,13 @@ def test_non_finite_numbers_rejected(path, value):
 def test_numbers_the_simulator_cannot_use_are_rejected(path, value):
     with pytest.raises(InvalidScenarioError, match=path.split(".")[-1]):
         parse_scenario(_set(minimal_doc(), path, value))
+
+
+def test_the_largest_uid_and_a_duration_near_the_int64_ms_limit_parse():
+    doc = _set(minimal_doc(uid=2**64 - 1), "duration_s", 9.2e15)
+    config = parse_scenario(doc)
+    assert config.sites[0].nodes[0].uid == 2**64 - 1
+    assert 9.1e18 < build_simulator(config).duration_ms <= 2**63 - 1
 
 
 def test_whole_number_floats_are_accepted():
