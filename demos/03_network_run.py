@@ -8,6 +8,7 @@ while the network is live, then closes the books.
 """
 
 import sys
+from itertools import islice
 
 from geowsn.backend import Backend
 from geowsn.energy import (
@@ -50,7 +51,7 @@ print("records: %d produced = %d delivered + %d spooled + %d overwritten" % (
 
 # The backend decoded every delivered frame into per-channel rows.
 print("time-series rows decoded:", len(backend.sink.records))
-for record in backend.sink.records[:3]:
+for record in islice(backend.sink.records, 3):
     print("   ", tuple(record))
 print("quarantined frames:", len(backend.quarantine))
 

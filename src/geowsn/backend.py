@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import csv
 import itertools
+import operator
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -123,12 +126,91 @@ class QuarantineEntry:
     reason: str
 
 
+#: records a sink takes before it packs them into its typed arrays
+_SPILL_RECORDS = 1024
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+_INF = float("inf")
+
+
+class _RecordCodes(dict):
+    """A sink's code for each ``(site, node_uid, transect, channel,
+    unit)`` key it has taken: the index of the key in its key table,
+    added on the key's first use."""
+
+    def __init__(self, table: list[tuple]):
+        self.table = table
+
+    def __missing__(self, key: tuple) -> int:
+        code = self[key] = len(self.table)
+        self.table.append(key)
+        return code
+
+
+class _Records:
+    """A sink's records, each built as a ``TimeSeriesRecord`` only when
+    it is read; nothing is copied."""
+
+    def __init__(self, table: list[tuple], ints: array, values: array,
+                 pending: list):
+        self._table = table
+        self._ints = ints
+        self._values = values
+        self._pending = pending
+
+    def __len__(self) -> int:
+        return len(self._values) + len(self._pending) // 3
+
+    def __getitem__(self, index: int) -> TimeSeriesRecord:
+        index = operator.index(index)
+        count = len(self)
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("record index out of range")
+        packed = len(self._values)
+        if index < packed:
+            stamp, code = self._ints[2 * index:2 * index + 2]
+            return self._record(stamp, code, self._values[index])
+        at = 3 * (index - packed)
+        return self._record(*self._pending[at:at + 3])
+
+    def __iter__(self) -> Iterator[TimeSeriesRecord]:
+        ints = iter(self._ints)
+        pending = iter(self._pending)
+        for slots in itertools.chain(zip(ints, ints, self._values),
+                                     zip(pending, pending, pending)):
+            yield self._record(*slots)
+
+    def _record(self, stamp: int, code: int, value: float) -> TimeSeriesRecord:
+        site, node_uid, transect, channel, unit = self._table[code]
+        return TimeSeriesRecord(stamp, site, node_uid, transect, channel,
+                                value, unit)
+
+
 class CsvSink:
     """Readings sink; keeps records in memory and, given a path, writes
-    them to a new CSV there, replacing any file of that name."""
+    them to a new CSV there, replacing any file of that name.
+
+    A record is kept as numbers: its timestamp and the code of its
+    ``(site, node_uid, transect, channel, unit)`` key, two slots in one
+    ``array('q')``, and its value in an ``array('d')``; the key table
+    grows with nodes and channels, not with records.  Records are taken
+    onto a short pending list and packed into the arrays
+    ``_SPILL_RECORDS`` at a time.  ``records`` is a view: its length
+    renders nothing, and reading yields one ``TimeSeriesRecord`` at a
+    time, equal field for field to the one appended.  The CSV is written
+    a row per append, from the record as given.
+    """
 
     def __init__(self, path: str | Path | None = None):
-        self.records: list[TimeSeriesRecord] = []
+        table: list[tuple[str, int, str, str, str]] = []
+        self._codes = _RecordCodes(table)
+        self._ints = array("q")
+        self._values = array("d")
+        self._pending: list = []  # timestamp, code, value per record
+        self._room = _SPILL_RECORDS
+        self._closed = False
+        self.records = _Records(table, self._ints, self._values, self._pending)
         self._writer = None
         self._handle = None
         if path is not None:
@@ -137,11 +219,35 @@ class CsvSink:
             self._writer.writerow(SINK_HEADER)
 
     def append(self, record: TimeSeriesRecord) -> None:
-        self.records.append(record)
+        """Keep one record and write its row.  A record the arrays
+        cannot hold exactly, or one that comes after ``close``, raises
+        ``ValueError`` before anything of it is written or kept."""
+        if self._closed:
+            raise ValueError("the sink is closed")
+        stamp, site, node_uid, transect, channel, value, unit = record
+        if not (type(stamp) is int and _INT64_MIN <= stamp <= _INT64_MAX):
+            raise ValueError(f"timestamp {stamp!r} is not an int in int64 range")
+        if not (type(value) is float and -_INF < value < _INF):
+            raise ValueError(f"value {value!r} is not a finite float")
+        code = self._codes[site, node_uid, transect, channel, unit]
         if self._writer is not None:
             self._writer.writerow(record)
+        self._pending += (stamp, code, value)
+        self._room -= 1
+        if not self._room:
+            self._spill()
+
+    def _spill(self) -> None:
+        """Pack the pending records into the arrays."""
+        pending = self._pending
+        self._values.fromlist(pending[2::3])
+        del pending[2::3]
+        self._ints.fromlist(pending)
+        pending.clear()
+        self._room = _SPILL_RECORDS
 
     def close(self) -> None:
+        self._closed = True
         if self._handle is not None:
             self._handle.close()
             self._handle = None

@@ -25,6 +25,7 @@ from .scenario import (
     node_directory,
     build_simulator,
     parse_seed,
+    parse_time_s,
 )
 
 OPCODE_DISPLAY = {
@@ -203,6 +204,9 @@ def _cmd_sim_run(args) -> int:
         config = load_scenario(scenario_path)
         if args.seed is not None:
             config = replace(config, seed=parse_seed(args.seed, "--seed"))
+        if args.duration_s is not None:
+            config = config.with_duration(
+                parse_time_s(args.duration_s, "--duration-s"))
     except InvalidScenarioError as exc:
         return _fail(str(exc))
     sim = build_simulator(config)
@@ -299,6 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="scenario JSON (default: bundled deployment)")
     run.add_argument("--seed", type=int, default=None,
                      help="override the scenario seed")
+    run.add_argument("--duration-s", type=float, default=None,
+                     help="override the scenario duration, in s")
     run.add_argument("--out", required=True, help="output directory")
     run.set_defaults(func=_cmd_sim_run)
 

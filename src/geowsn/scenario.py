@@ -153,7 +153,7 @@ def parse_seed(value, where: str = "scenario: seed") -> int:
     return _number(value, where, minimum=0, integer=True)
 
 
-def _whole_ms(value, where: str) -> float:
+def parse_time_s(value, where: str) -> float:
     """A positive time in s that stays at least 1 ms, and at most the
     simulator's ``MAX_TIME_MS``, once the simulator rounds it to whole ms."""
     seconds = _number(value, where, minimum=0.0)
@@ -287,10 +287,11 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> ScenarioConfig:
     _check_keys(doc, {"seed", "duration_s", "listen_interval_s", "sites",
                       "power_profile"}, "scenario")
     seed = parse_seed(_require(doc, "seed", "scenario"))
-    duration = _whole_ms(_require(doc, "duration_s", "scenario"),
-                         "scenario: duration_s")
-    listen = _whole_ms(doc.get("listen_interval_s", DEFAULT_LISTEN_INTERVAL_S),
-                       "scenario: listen_interval_s")
+    duration = parse_time_s(_require(doc, "duration_s", "scenario"),
+                            "scenario: duration_s")
+    listen = parse_time_s(
+        doc.get("listen_interval_s", DEFAULT_LISTEN_INTERVAL_S),
+        "scenario: listen_interval_s")
     sites_doc = _require(doc, "sites", "scenario")
     if not isinstance(sites_doc, list) or not sites_doc:
         raise InvalidScenarioError("scenario: sites must be a non-empty list")

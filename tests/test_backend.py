@@ -1,6 +1,7 @@
 """Bus routing, uplink ingestion and the CSV sink."""
 
 import csv
+import math
 
 import pytest
 
@@ -165,7 +166,7 @@ def test_ingest_unknown_node_still_sinks_with_envelope_site():
 def test_ingest_quarantines_undecodable_payload():
     backend = Backend()
     backend.ingest(b"\x99junkjunk", envelope())
-    assert backend.sink.records == []
+    assert list(backend.sink.records) == []
     assert len(backend.quarantine) == 1
     entry = backend.quarantine[0]
     assert entry.payload == b"\x99junkjunk"
@@ -179,7 +180,7 @@ def test_ingest_quarantines_misshapen_reading():
         AlpAction.return_data(SENSOR_DATA_FILE, 0, b"\x01\x02\x03"),))
     backend = Backend()
     backend.ingest(frame, envelope())
-    assert backend.sink.records == []
+    assert list(backend.sink.records) == []
     assert len(backend.quarantine) == 1
 
 
@@ -192,7 +193,7 @@ def test_ingest_quarantines_a_reading_that_declares_the_wrong_channel_count():
         AlpAction.return_data(SENSOR_DATA_FILE, 0, bytes(record)),))
     backend = Backend()
     backend.ingest(frame, envelope())
-    assert backend.sink.records == []
+    assert list(backend.sink.records) == []
     (entry,) = backend.quarantine
     assert "declares 2 channels, expected 3" in entry.reason
 
@@ -210,7 +211,7 @@ def test_ingest_neither_records_nor_quarantines_an_unasked_status():
     backend = Backend()
     backend.ingest(frame, envelope())
     assert backend.ingested == 1
-    assert backend.sink.records == []
+    assert list(backend.sink.records) == []
     assert backend.quarantine == []
     assert backend.late_answers == 0
 
@@ -258,8 +259,84 @@ def test_csv_sink_keeps_memory_copy_without_path():
     sink = CsvSink()
     record = TimeSeriesRecord(1, "north", 7, "E", "t_soil", 1.0, "°C")
     sink.append(record)
-    assert sink.records == [record]
+    assert list(sink.records) == [record]
     sink.close()
+
+
+def test_csv_sink_gives_back_each_record_exactly():
+    records = [
+        TimeSeriesRecord(2**32 - 1, "north", 7, "E", "t_soil", 0.1 + 0.2, "°C"),
+        TimeSeriesRecord(0, "south", 8, "", "rh", -0.0, "%"),
+        TimeSeriesRecord(-1, "north", 7, "E", "t_soil", 1e-300, "°C")]
+    sink = CsvSink()
+    for record in records:
+        sink.append(record)
+    assert list(sink.records) == records
+    assert [sink.records[i] for i in (0, 1, -1)] == records
+    assert math.copysign(1.0, sink.records[1].value) == -1.0
+    assert all(type(record) is TimeSeriesRecord for record in sink.records)
+
+
+def test_csv_sink_reads_the_same_across_its_packed_and_pending_records(tmp_path):
+    path = tmp_path / "readings.csv"
+    sink = CsvSink(path)
+    records = [TimeSeriesRecord(t, "north", 1000 + t % 5, "E", "t_soil",
+                                t / 7, "°C") for t in range(2500)]
+    for record in records:
+        sink.append(record)
+    sink.close()
+    assert len(sink.records) == len(records)
+    assert list(sink.records) == records
+    assert [sink.records[i] for i in (0, 2047, 2048, 2499, -1)] == [
+        records[i] for i in (0, 2047, 2048, 2499, -1)]
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert rows == [[str(field) for field in record] for record in records]
+    with pytest.raises(IndexError):
+        sink.records[2500]
+
+
+@pytest.mark.parametrize("field, bad, reason", [
+    ("timestamp", 1.5, "timestamp 1.5 is not an int in int64 range"),
+    ("timestamp", True, "timestamp True is not an int in int64 range"),
+    ("timestamp", 2**63, f"timestamp {2**63} is not an int in int64 range"),
+    ("timestamp", -2**63 - 1,
+     f"timestamp {-2**63 - 1} is not an int in int64 range"),
+    ("value", "3.5", "value '3.5' is not a finite float"),
+    ("value", 3, "value 3 is not a finite float"),
+    ("value", float("nan"), "value nan is not a finite float"),
+    ("value", float("-inf"), "value -inf is not a finite float"),
+], ids=["float timestamp", "bool timestamp", "timestamp above int64",
+        "timestamp below int64", "text value", "int value", "nan value",
+        "infinite value"])
+def test_csv_sink_refuses_a_record_its_arrays_cannot_hold(tmp_path, field,
+                                                          bad, reason):
+    path = tmp_path / "readings.csv"
+    sink = CsvSink(path)
+    good = TimeSeriesRecord(1, "north", 7, "E", "t_soil", 1.0, "°C")
+    sink.append(good)
+    with pytest.raises(ValueError) as refused:
+        sink.append(good._replace(**{field: bad}))
+    assert str(refused.value) == reason
+    sink.close()
+    assert list(sink.records) == [good]
+    assert path.read_bytes() == (
+        "timestamp,site,node_uid,transect,channel,value,unit\r\n"
+        "1,north,7,E,t_soil,1.0,°C\r\n").encode()
+
+
+@pytest.mark.parametrize("with_path", [True, False], ids=["file", "memory"])
+def test_csv_sink_refuses_a_record_after_close(tmp_path, with_path):
+    path = tmp_path / "readings.csv"
+    sink = CsvSink(path if with_path else None)
+    good = TimeSeriesRecord(1, "north", 7, "E", "t_soil", 1.0, "°C")
+    sink.append(good)
+    sink.close()
+    with pytest.raises(ValueError, match="the sink is closed"):
+        sink.append(good._replace(timestamp=2))
+    assert list(sink.records) == [good]
+    if with_path:
+        assert path.read_bytes().count(b"\n") == 2
 
 
 def test_ingest_quarantines_file_data_no_request_asked_for():
@@ -274,6 +351,6 @@ def test_ingest_quarantines_file_data_no_request_asked_for():
 def test_answer_in_an_unknown_dialog_is_counted_and_not_a_record():
     backend = Backend()
     backend.ingest(reading_frame(), envelope(dialog=3))
-    assert backend.sink.records == []
+    assert list(backend.sink.records) == []
     assert backend.quarantine == []
     assert backend.late_answers == 1

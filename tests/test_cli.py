@@ -547,6 +547,36 @@ def test_sim_run_refuses_a_seed_the_scenario_would_refuse(capsys, tmp_path,
     assert not (out_dir / "runlog.txt").exists()
 
 
+def test_sim_run_duration_override_runs_the_scenario_that_long(capsys,
+                                                               tmp_path):
+    from geowsn.scenario import build_simulator, default_scenario
+
+    code, out, _ = run_cli(capsys, "sim-run", "--duration-s", "3600",
+                           "--out", str(tmp_path))
+    expected = build_simulator(default_scenario().with_duration(3600)).run()
+    assert code == 0
+    assert f"log hash: {expected.stable_hash()}\n" in out
+    assert "  duration_s: 3600  " in out
+
+
+@pytest.mark.parametrize("duration, reason", [
+    ("nan", "must be finite and at least 0"),
+    ("inf", "must be finite and at least 0"),
+    ("0", "must be at least 1 ms"),
+    ("-5", "must be finite and at least 0"),
+    ("1e17", "must be at most 9223372036854775807 ms"),
+], ids=["nan", "inf", "zero", "negative", "beyond MAX_TIME_MS"])
+def test_sim_run_refuses_a_duration_the_scenario_would_refuse(
+        capsys, tmp_path, duration, reason):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "sim-run", "--scenario",
+                             one_node_scenario(tmp_path), "--duration-s",
+                             duration, "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err == f"error: --duration-s {reason}\n"
+    assert not (out_dir / "runlog.txt").exists()
+
+
 def test_sim_run_prints_backend_counters(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "sim-run", "--scenario",
                            one_node_scenario(tmp_path),

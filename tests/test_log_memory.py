@@ -18,6 +18,14 @@ reading every row through ``RunLog.rows`` adds.  A one-day run with a
 numbers, is gated the same way; there only what the simulator's own
 code allocated is counted, not the Backend's sink.
 
+A ``Backend``'s sink holds each record as numbers too: a timestamp
+and a key code in one typed array, the value in another, and a key
+table that grows with nodes and channels.  A two-day run with a
+``Backend`` is traced: what lines outside ``netsim.py`` still hold when
+it has finished, per sink record, is gated, as is the peak that taking
+the length of ``CsvSink.records`` adds.  A one-day run's
+``readings.csv`` must read back as its sink's records.
+
 A ``Backend`` keeps nothing of a status it was not waiting for: the
 bytes it holds after ingesting many of them are gated too.
 
@@ -26,6 +34,7 @@ bytes it holds after ingesting many of them are gated too.
 prints the figures as JSON.
 """
 
+import csv
 import json
 import sys
 import tempfile
@@ -37,7 +46,7 @@ from test_frame_cost import remote_sessions
 
 from geowsn import netsim
 from geowsn.alp import STATUS_OK, AlpAction, encode_command
-from geowsn.backend import Backend
+from geowsn.backend import Backend, CsvSink, TimeSeriesRecord
 from geowsn.netsim import Envelope, RunLog
 from geowsn.scenario import build_simulator, default_scenario, node_directory
 
@@ -55,6 +64,12 @@ MAX_HELD_BYTES_PER_ROW = 29.6 * 1.15
 REMOTE_ROUNDS = 5
 #: ceiling on the peak that reading every row of that run adds
 MAX_READ_PEAK_BYTES = 4096
+#: ceiling on the bytes a finished run with a Backend holds outside
+#: ``netsim.py`` per sink record (a list of named tuples held about 168)
+MAX_HELD_BYTES_PER_RECORD = 32.2 * 1.15
+#: ceiling on the peak that taking the sink's record count adds: a few
+#: ints, where rendering the records would take over 100 bytes each
+MAX_LEN_PEAK_BYTES = 256
 #: unstamped status frames a Backend ingests, and the ceiling on the
 #: bytes it holds afterwards beyond what it held before
 STATUS_FRAMES = 10_000
@@ -153,6 +168,35 @@ def remote_memory() -> dict:
     }
 
 
+def sink_memory() -> dict:
+    """Bytes that lines outside the simulator still hold when a bundled
+    run with a Backend has finished (its state built before tracing
+    starts), and the traced peak that ``len(sink.records)`` adds."""
+    config = default_scenario().with_duration(RUN_DAYS * 86400)
+    sim = build_simulator(config)
+    backend = Backend(directory=node_directory(config))
+    backend.attach_transport(sim)
+    records = backend.sink.records
+    tracemalloc.start()
+    try:
+        sim.run()
+        snapshot = tracemalloc.take_snapshot()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        len(records)
+        _, len_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(stat.size for stat in snapshot.filter_traces(
+        [tracemalloc.Filter(False, netsim.__file__)]).statistics("filename"))
+    return {
+        "sink_records": len(records),
+        "sink_held_bytes": held,
+        "sink_held_bytes_per_record": held / len(records),
+        "sink_len_peak_bytes": len_peak - before,
+    }
+
+
 def status_memory() -> dict:
     """Bytes a Backend holds after ingesting ``STATUS_FRAMES`` unstamped
     status frames, beyond what it held before."""
@@ -189,6 +233,29 @@ def test_a_run_with_remote_ops_holds_few_bytes_per_log_row():
     assert figures["remote_held_bytes_per_row"] <= MAX_HELD_BYTES_PER_ROW, figures
 
 
+def test_a_finished_run_holds_few_bytes_per_sink_record():
+    figures = sink_memory()
+    assert figures["sink_records"] > 10_000, figures
+    assert figures["sink_held_bytes_per_record"] <= MAX_HELD_BYTES_PER_RECORD, figures
+    assert figures["sink_len_peak_bytes"] <= MAX_LEN_PEAK_BYTES, figures
+
+
+def test_a_runs_readings_csv_reads_back_as_its_sink_records(tmp_path):
+    config = default_scenario().with_duration(86400)
+    sim = build_simulator(config)
+    sink = CsvSink(tmp_path / "readings.csv")
+    Backend(directory=node_directory(config), sink=sink).attach_transport(sim)
+    sim.run()
+    sink.close()
+    with open(tmp_path / "readings.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))[1:]
+    read_back = [TimeSeriesRecord(int(stamp), site, int(uid), transect,
+                                  channel, float(value), unit)
+                 for stamp, site, uid, transect, channel, value, unit in rows]
+    assert len(read_back) > 5000
+    assert read_back == list(sink.records)
+
+
 def test_writing_and_hashing_a_long_log_hold_a_bounded_share_of_its_text():
     figures = log_memory()
     assert figures["text_bytes"] > 10_000_000
@@ -198,6 +265,6 @@ def test_writing_and_hashing_a_long_log_hold_a_bounded_share_of_its_text():
 
 if __name__ == "__main__":
     json.dump({**log_memory(), **run_memory(), **remote_memory(),
-               **status_memory()},
+               **sink_memory(), **status_memory()},
               sys.stdout, indent=1)
     print()

@@ -92,7 +92,7 @@ def test_remote_write_triggers_reading_into_sink():
     before = len(backend.sink.records)
     backend.remote_write_file(42, NODE_CONFIG_FILE, 3, b"\xAA",
                               timeout_s=30.0)
-    fresh = backend.sink.records[before:]
+    fresh = list(backend.sink.records)[before:]
     assert len(fresh) == 1
     assert fresh[0].channel == "t_soil"
     assert fresh[0].value == 4.2
