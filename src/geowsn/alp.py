@@ -38,6 +38,12 @@ class Opcode(IntEnum):
 
 #: opcode value -> member, without ``Enum.__call__`` on every frame
 _OPCODES = {int(op): op for op in Opcode}
+#: each member bound once: on Python 3.11 ``Opcode.STATUS`` goes through
+#: the ``EnumType.__getattr__`` hook, several times a module global read
+OP_READ = Opcode.READ_FILE_DATA
+OP_WRITE = Opcode.WRITE_FILE_DATA
+OP_RETURN = Opcode.RETURN_FILE_DATA
+OP_STATUS = Opcode.STATUS
 
 # Status payload bytes emitted by nodes.  0x00 acknowledges a write;
 # the rest report why a request or a local operation failed.
@@ -140,10 +146,10 @@ class AlpAction(_ActionFields):
             opcode = _OPCODES[opcode]
         except (KeyError, TypeError):  # not a member, or not even hashable
             raise ValueError(f"{opcode!r} is not a valid Opcode") from None
-        if opcode is Opcode.READ_FILE_DATA:
+        if opcode is OP_READ:
             if payload:
                 raise ValueError("read actions carry no payload")
-        elif opcode is Opcode.STATUS:
+        elif opcode is OP_STATUS:
             if len(payload) != 1:
                 raise ValueError("status actions carry exactly one byte")
         elif len(payload) != length:
@@ -153,20 +159,20 @@ class AlpAction(_ActionFields):
 
     @classmethod
     def read(cls, file_id: int, offset: int, length: int) -> "AlpAction":
-        return cls(Opcode.READ_FILE_DATA, file_id, offset, length)
+        return cls(OP_READ, file_id, offset, length)
 
     @classmethod
     def write(cls, file_id: int, offset: int, payload: bytes) -> "AlpAction":
-        return cls(Opcode.WRITE_FILE_DATA, file_id, offset, len(payload), payload)
+        return cls(OP_WRITE, file_id, offset, len(payload), payload)
 
     @classmethod
     def return_data(cls, file_id: int, offset: int, payload: bytes) -> "AlpAction":
-        return cls(Opcode.RETURN_FILE_DATA, file_id, offset, len(payload), payload)
+        return cls(OP_RETURN, file_id, offset, len(payload), payload)
 
     @classmethod
     def status(cls, code: int, file_id: int, offset: int, length: int) -> "AlpAction":
         """Build a status action echoing the request it answers."""
-        return cls(Opcode.STATUS, file_id, offset, length, bytes([code]))
+        return cls(OP_STATUS, file_id, offset, length, bytes([code]))
 
 
 AlpAction._make = classmethod(lambda cls, fields: cls(*fields))
@@ -211,9 +217,9 @@ def decode_command(data: bytes) -> tuple[AlpAction, ...]:
         if opcode is None:
             raise UnknownOpcodeError(opcode_byte, pos)
         pos += ACTION_HEADER_SIZE
-        if opcode is Opcode.READ_FILE_DATA:
+        if opcode is OP_READ:
             want = 0
-        elif opcode is Opcode.STATUS:
+        elif opcode is OP_STATUS:
             want = 1
         else:
             want = length

@@ -17,6 +17,7 @@ dialog id, so an answer resolves its own request and no other.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import operator
 from array import array
@@ -26,16 +27,18 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .alp import (
+    OP_READ,
+    OP_RETURN,
+    OP_STATUS,
     SENSOR_DATA_FILE,
     AlpAction,
     DecodeError,
-    Opcode,
     decode_command,
     encode_command,
 )
 from .netsim import (MS_PER_S, Envelope, Forwarder, NoSuchNodeError,
                      PayloadTooLargeError, Simulator)
-from .node import CHANNELS, SensorReading
+from .node import CHANNELS, MAX_UID, SensorKind, SensorReading
 
 
 class BackendError(Exception):
@@ -126,24 +129,25 @@ class QuarantineEntry:
     reason: str
 
 
-#: records a sink takes before it packs them into its typed arrays
+#: records a sink takes before it writes their rows and packs them into
+#: its typed arrays
 _SPILL_RECORDS = 1024
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 _INF = float("inf")
 
 
-class _RecordCodes(dict):
-    """A sink's code for each ``(site, node_uid, transect, channel,
-    unit)`` key it has taken: the index of the key in its key table,
-    added on the key's first use."""
-
-    def __init__(self, table: list[tuple]):
-        self.table = table
-
-    def __missing__(self, key: tuple) -> int:
-        code = self[key] = len(self.table)
-        self.table.append(key)
-        return code
+def _line_format(key: tuple) -> str:
+    """The ``%`` format of a ``readings.csv`` row of ``key``: the key's
+    fields as ``csv.writer`` renders them, each ``%`` doubled, around
+    ``%d`` for the timestamp and ``%r`` for the value, as ``csv.writer``
+    renders an int and a float."""
+    site, node_uid, transect, channel, unit = [
+        field.replace("%", "%%") if type(field) is str else field
+        for field in key]
+    line = io.StringIO()
+    csv.writer(line).writerow(("%d", site, node_uid, transect, channel, "%r",
+                               unit))
+    return line.getvalue()
 
 
 class _Records:
@@ -194,52 +198,97 @@ class CsvSink:
     A record is kept as numbers: its timestamp and the code of its
     ``(site, node_uid, transect, channel, unit)`` key, two slots in one
     ``array('q')``, and its value in an ``array('d')``; the key table
-    grows with nodes and channels, not with records.  Records are taken
-    onto a short pending list and packed into the arrays
-    ``_SPILL_RECORDS`` at a time.  ``records`` is a view: its length
-    renders nothing, and reading yields one ``TimeSeriesRecord`` at a
-    time, equal field for field to the one appended.  The CSV is written
-    a row per append, from the record as given.
+    grows with nodes and channels, not with records.  ``code`` gives a
+    key its code and ``add`` takes a record as ``(timestamp, code,
+    value)``; ``append`` takes a ``TimeSeriesRecord`` through the two.
+    Records are taken onto a short pending list and, ``_SPILL_RECORDS``
+    at a time and at ``close``, their rows are written and they are
+    packed into the arrays.  ``records`` is a view: its length renders
+    nothing, and reading yields one ``TimeSeriesRecord`` at a time,
+    equal field for field to the one appended.
     """
 
     def __init__(self, path: str | Path | None = None):
-        table: list[tuple[str, int, str, str, str]] = []
-        self._codes = _RecordCodes(table)
+        #: a key's code is its index here and in ``_formats``, the
+        #: formats of its rows; ``_key_count`` is their length
+        self._table: list[tuple[str, int, str, str, str]] = []
+        self._formats: list[str] = []
+        self._codes: dict[tuple, int] = {}
+        self._key_count = 0
         self._ints = array("q")
         self._values = array("d")
         self._pending: list = []  # timestamp, code, value per record
         self._room = _SPILL_RECORDS
         self._closed = False
-        self.records = _Records(table, self._ints, self._values, self._pending)
-        self._writer = None
+        self.records = _Records(self._table, self._ints, self._values,
+                                self._pending)
         self._handle = None
         if path is not None:
             self._handle = open(path, "w", newline="", encoding="utf-8")
-            self._writer = csv.writer(self._handle)
-            self._writer.writerow(SINK_HEADER)
+            csv.writer(self._handle).writerow(SINK_HEADER)
+            self._handle.flush()
 
-    def append(self, record: TimeSeriesRecord) -> None:
-        """Keep one record and write its row.  A record the arrays
-        cannot hold exactly, or one that comes after ``close``, raises
-        ``ValueError`` before anything of it is written or kept."""
+    def code(self, site: str, node_uid: int, transect: str, channel: str,
+             unit: str) -> int:
+        """The code of a record key, given on the key's first use.  A
+        ``node_uid`` that is not an ``int`` from 0 to ``MAX_UID``, or a
+        text field that is not a ``str``, raises ``ValueError`` naming
+        the field: ``7`` and ``7.0``, or ``True`` and ``1``, would share
+        a code and read back alike though the file would tell them
+        apart."""
+        if not (type(node_uid) is int and 0 <= node_uid <= MAX_UID):
+            raise ValueError(f"node_uid {node_uid!r} is not an int"
+                             " from 0 to 2**64 - 1")
+        for name, text in (("site", site), ("transect", transect),
+                           ("channel", channel), ("unit", unit)):
+            if type(text) is not str:
+                raise ValueError(f"{name} {text!r} is not a str")
+        key = (site, node_uid, transect, channel, unit)
+        code = self._codes.get(key)
+        if code is None:
+            code = self._codes[key] = self._key_count
+            self._table.append(key)
+            self._formats.append(_line_format(key))
+            self._key_count += 1
+        return code
+
+    def add(self, timestamp: int, code: int, value: float) -> None:
+        """Keep one record: its timestamp, the code ``code`` gave its
+        key, and its value.  A record the arrays cannot hold exactly,
+        one with a code this sink did not give, or one that comes after
+        ``close`` raises ``ValueError`` before anything of it is kept."""
         if self._closed:
             raise ValueError("the sink is closed")
-        stamp, site, node_uid, transect, channel, value, unit = record
-        if not (type(stamp) is int and _INT64_MIN <= stamp <= _INT64_MAX):
-            raise ValueError(f"timestamp {stamp!r} is not an int in int64 range")
+        if not (type(timestamp) is int
+                and _INT64_MIN <= timestamp <= _INT64_MAX):
+            raise ValueError(f"timestamp {timestamp!r} is not an int in"
+                             " int64 range")
         if not (type(value) is float and -_INF < value < _INF):
             raise ValueError(f"value {value!r} is not a finite float")
-        code = self._codes[site, node_uid, transect, channel, unit]
-        if self._writer is not None:
-            self._writer.writerow(record)
-        self._pending += (stamp, code, value)
+        if not (type(code) is int and 0 <= code < self._key_count):
+            raise ValueError(f"code {code!r} is not one this sink gave")
+        self._pending += (timestamp, code, value)
         self._room -= 1
         if not self._room:
             self._spill()
 
+    def append(self, record: TimeSeriesRecord) -> None:
+        """Keep one record, refused as ``code`` and ``add`` refuse it."""
+        stamp, site, node_uid, transect, channel, value, unit = record
+        self.add(stamp, self.code(site, node_uid, transect, channel, unit),
+                 value)
+
     def _spill(self) -> None:
-        """Pack the pending records into the arrays."""
+        """Write the pending records' rows to the file, if there is one,
+        and pack the records into the arrays."""
         pending = self._pending
+        if self._handle is not None:
+            formats = self._formats
+            slots = iter(pending)
+            self._handle.write("".join([
+                formats[code] % (stamp, value)
+                for stamp, code, value in zip(slots, slots, slots)]))
+            self._handle.flush()
         self._values.fromlist(pending[2::3])
         del pending[2::3]
         self._ints.fromlist(pending)
@@ -247,11 +296,15 @@ class CsvSink:
         self._room = _SPILL_RECORDS
 
     def close(self) -> None:
+        """Write the rows not yet written and close the file; the
+        records stay readable."""
+        if self._closed:
+            return
         self._closed = True
+        self._spill()
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-            self._writer = None
 
 
 @dataclass
@@ -270,14 +323,22 @@ class Backend:
                  sink: CsvSink | None = None):
         self.bus = InProcessBus()
         self.directory = dict(directory or {})
-        self.sink = sink if sink is not None else CsvSink()
+        self._sink = sink if sink is not None else CsvSink()
         self.quarantine: list[QuarantineEntry] = []
         self.late_answers = 0
         self.ingested = 0
         self._dialogs = itertools.count(1)
         self._pending: dict[int, _PendingRequest] = {}
         self._transport: Simulator | None = None
+        #: (site, uid, transect, kind) -> its sink key code per channel
+        self._channel_codes: dict[tuple, tuple[int, ...]] = {}
         self.bus.subscribe("site/+/gw/+/up", self.ingest)
+
+    @property
+    def sink(self) -> CsvSink:
+        """The sink the backend was built with: the channel codes the
+        backend keeps are this sink's, so it is not swapped."""
+        return self._sink
 
     # -- wiring ---------------------------------------------------------
 
@@ -312,10 +373,10 @@ class Backend:
         for action in actions:
             if dialog is not None:
                 self._resolve(dialog, action)
-            elif (action.opcode is Opcode.RETURN_FILE_DATA
+            elif (action.opcode is OP_RETURN
                   and action.file_id == SENSOR_DATA_FILE):
                 self._decode_reading(envelope, action)
-            elif action.opcode is not Opcode.STATUS:
+            elif action.opcode is not OP_STATUS:
                 self.quarantine.append(QuarantineEntry(
                     envelope, payload,
                     f"unexpected uplink opcode {action.opcode.name}"
@@ -330,17 +391,23 @@ class Backend:
                 QuarantineEntry(envelope, action.payload, str(exc))
             )
             return
-        transect = self.directory.get(envelope.node_uid, "")
-        for spec, milli in zip(CHANNELS[reading.kind], reading.values_milli):
-            self.sink.append(TimeSeriesRecord(
-                timestamp=reading.timestamp,
-                site=envelope.site_id,
-                node_uid=envelope.node_uid,
-                transect=transect,
-                channel=spec.name,
-                value=milli / 1000.0,
-                unit=spec.unit,
-            ))
+        timestamp, kind, values_milli = reading
+        uid = envelope.node_uid
+        key = (envelope.site_id, uid, self.directory.get(uid, ""), kind)
+        try:
+            codes = self._channel_codes[key]
+        except KeyError:
+            codes = self._channel_codes[key] = self._code_channels(*key)
+        add = self._sink.add
+        for code, milli in zip(codes, values_milli):
+            add(timestamp, code, milli / 1000.0)
+
+    def _code_channels(self, site: str, uid: int, transect: str,
+                       kind: SensorKind) -> tuple[int, ...]:
+        """The sink's key code for each channel of a node's readings."""
+        code = self._sink.code
+        return tuple([code(site, uid, transect, spec.name, spec.unit)
+                      for spec in CHANNELS[kind]])
 
     def _resolve(self, dialog: int, answer: AlpAction) -> None:
         """Hand an answer to the request pending in its dialog: returned
@@ -350,11 +417,11 @@ class Backend:
         if request is None:
             return
         asked = request.action
-        if asked.opcode is Opcode.READ_FILE_DATA:
-            if answer.opcode is not Opcode.RETURN_FILE_DATA:
+        if asked.opcode is OP_READ:
+            if answer.opcode is not OP_RETURN:
                 return
             request.result = answer.payload
-        elif answer.opcode is Opcode.STATUS and (
+        elif answer.opcode is OP_STATUS and (
                 (answer.file_id, answer.offset, answer.length)
                 == (asked.file_id, asked.offset, asked.length)):
             request.result = answer.payload[0]

@@ -16,7 +16,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import energy, feasibility
-from .alp import AlpAction, DecodeError, Opcode, decode_command, encode_command
+from .alp import (OP_RETURN, OP_STATUS, OP_WRITE, AlpAction, DecodeError,
+                  Opcode, decode_command, encode_command)
 from .backend import Backend, CsvSink
 from .scenario import (
     InvalidScenarioError,
@@ -94,12 +95,12 @@ def _parse_action_spec(spec: str) -> AlpAction:
 def _describe_action(action: AlpAction) -> str:
     name = OPCODE_DISPLAY[action.opcode]
     line = f"{name} file=0x{action.file_id:02X} offset={action.offset}"
-    if action.opcode is Opcode.STATUS:
+    if action.opcode is OP_STATUS:
         return (f"{name} code=0x{action.payload[0]:02X}"
                 f" file=0x{action.file_id:02X} offset={action.offset}"
                 f" len={action.length}")
     line += f" len={action.length}"
-    if action.opcode in (Opcode.WRITE_FILE_DATA, Opcode.RETURN_FILE_DATA):
+    if action.opcode in (OP_WRITE, OP_RETURN):
         line += f" payload={action.payload.hex().upper()}"
     return line
 

@@ -41,7 +41,9 @@ from .alp import (
     FileAccessError,
     FileHeader,
     FileStore,
-    Opcode,
+    OP_READ,
+    OP_RETURN,
+    OP_WRITE,
     decode_command,
     encode_command,
 )
@@ -321,6 +323,13 @@ class UplinkKind(Enum):
     FLUSH = "flush"
 
 
+#: each member bound once, as ``alp`` binds the opcodes
+_READING = UplinkKind.READING
+_RESPONSE = UplinkKind.RESPONSE
+_STATUS = UplinkKind.STATUS
+_FLUSH = UplinkKind.FLUSH
+
+
 @dataclass
 class Uplink:
     """One outbound radio frame waiting in the node's outbox."""
@@ -463,9 +472,10 @@ class SensorNode:
         """Learn an uplink's fate; spool or flush the buffer accordingly."""
         self._now = now_s
         buffer = self.buffer
+        kind = uplink.kind
         if delivered:
             for record in uplink.records:
-                if uplink.kind is UplinkKind.FLUSH:
+                if kind is _FLUSH:
                     # only the very record flushed: after an eviction an
                     # equal one at the head is a different reading
                     if buffer and buffer[0] is record:
@@ -474,9 +484,9 @@ class SensorNode:
                 else:
                     self.counters.records_delivered += 1
             # a delivered fresh reading means the link is up: spool
-            if uplink.kind is UplinkKind.READING and buffer:
+            if kind is _READING and buffer:
                 self._queue_flush()
-        elif uplink.kind is not UplinkKind.FLUSH:
+        elif kind is not _FLUSH:
             for record in uplink.records:
                 if len(buffer) == FLASH_CAPACITY_RECORDS:
                     self.counters.records_overwritten += 1
@@ -492,7 +502,7 @@ class SensorNode:
     def _execute(self, action: AlpAction) -> None:
         """Carry out one action, then the side effect its file has."""
         file_id, offset = action.file_id, action.offset
-        if action.opcode is Opcode.READ_FILE_DATA:
+        if action.opcode is OP_READ:
             try:
                 data = self.files.read(file_id, offset, action.length)
             except FileAccessError:
@@ -504,9 +514,9 @@ class SensorNode:
                 self._sample_and_store(self._now)
             self._queue_uplink(
                 (AlpAction.return_data(file_id, offset, data),),
-                kind=UplinkKind.RESPONSE,
+                kind=_RESPONSE,
             )
-        elif action.opcode is Opcode.WRITE_FILE_DATA:
+        elif action.opcode is OP_WRITE:
             try:
                 self.files.write(file_id, offset, action.payload)
             except FileAccessError:
@@ -518,7 +528,7 @@ class SensorNode:
                 # a remote write to the data file goes straight back out
                 self._queue_uplink(
                     (AlpAction.return_data(file_id, offset, action.payload),),
-                    kind=UplinkKind.RESPONSE,
+                    kind=_RESPONSE,
                 )
             self._queue_status(STATUS_OK, action)
         # returned data or status sent *to* a node is not meaningful;
@@ -578,9 +588,8 @@ class SensorNode:
             self._queue_status(STATUS_DRIVER_FAULT)
             return
         self.files.write(SENSOR_DATA_FILE, 0, record)
-        action = AlpAction(Opcode.RETURN_FILE_DATA, SENSOR_DATA_FILE, 0,
-                           len(record), record)
-        self._queue_uplink((action,), (record,), UplinkKind.READING)
+        action = AlpAction(OP_RETURN, SENSOR_DATA_FILE, 0, len(record), record)
+        self._queue_uplink((action,), (record,), _READING)
         self.counters.samples_produced += 1
 
     def _queue_uplink(
@@ -591,7 +600,7 @@ class SensorNode:
     ) -> None:
         payload = encode_command(actions)
         uplink = Uplink(payload, records, kind)
-        if len(payload) > self.max_uplink_bytes and kind is not UplinkKind.STATUS:
+        if len(payload) > self.max_uplink_bytes and kind is not _STATUS:
             # the link cannot carry the frame: it counts as undelivered,
             # and a status echoing what it answered goes in its place
             self.on_uplink_result(uplink, False, self._now)
@@ -621,4 +630,4 @@ class SensorNode:
             records.append(record)
             size += frame
         if actions:
-            self._queue_uplink(tuple(actions), tuple(records), UplinkKind.FLUSH)
+            self._queue_uplink(tuple(actions), tuple(records), _FLUSH)

@@ -1,6 +1,7 @@
 """Bus routing, uplink ingestion and the CSV sink."""
 
 import csv
+import io
 import math
 
 import pytest
@@ -337,6 +338,104 @@ def test_csv_sink_refuses_a_record_after_close(tmp_path, with_path):
     assert list(sink.records) == [good]
     if with_path:
         assert path.read_bytes().count(b"\n") == 2
+
+
+class _Label(str):
+    """Text that is not exactly a ``str``."""
+
+
+@pytest.mark.parametrize("field, bad, reason", [
+    ("node_uid", 1.0, "node_uid 1.0 is not an int from 0 to 2**64 - 1"),
+    ("node_uid", True, "node_uid True is not an int from 0 to 2**64 - 1"),
+    ("node_uid", -1, "node_uid -1 is not an int from 0 to 2**64 - 1"),
+    ("node_uid", 2**64, f"node_uid {2**64} is not an int from 0 to 2**64 - 1"),
+    ("node_uid", "1", "node_uid '1' is not an int from 0 to 2**64 - 1"),
+    ("site", None, "site None is not a str"),
+    ("transect", 1, "transect 1 is not a str"),
+    ("channel", b"t_soil", "channel b't_soil' is not a str"),
+    ("unit", _Label("°C"), "unit '°C' is not a str"),
+], ids=["float uid", "bool uid", "negative uid", "uid above u64", "text uid",
+        "no site", "int transect", "bytes channel", "str subclass unit"])
+def test_csv_sink_refuses_a_key_the_file_would_tell_apart(tmp_path, field, bad,
+                                                          reason):
+    # 1 and 1.0, or 1 and True, are one dict key, so the memory copy
+    # would read both back as the first though the file wrote each
+    path = tmp_path / "readings.csv"
+    sink = CsvSink(path)
+    good = TimeSeriesRecord(1, "north", 1, "E", "t_soil", 1.0, "°C")
+    sink.append(good)
+    with pytest.raises(ValueError) as refused:
+        sink.append(good._replace(**{field: bad}))
+    assert str(refused.value) == reason
+    sink.close()
+    assert list(sink.records) == [good]
+    assert path.read_bytes() == (
+        "timestamp,site,node_uid,transect,channel,value,unit\r\n"
+        "1,north,1,E,t_soil,1.0,°C\r\n").encode()
+
+
+def test_csv_sink_takes_numbers_under_the_codes_it_gave():
+    sink = CsvSink()
+    code = sink.code("north", 7, "E", "t_soil", "°C")
+    assert sink.code("north", 7, "E", "t_soil", "°C") == code
+    assert sink.code("north", 7, "E", "t_air", "°C") != code
+    sink.add(5, code, 2.5)
+    for bad in (-1, 2, True, 0.0, None):
+        with pytest.raises(ValueError, match="is not one this sink gave"):
+            sink.add(6, bad, 2.5)
+    sink.close()
+    with pytest.raises(ValueError, match="the sink is closed"):
+        sink.add(6, code, 2.5)
+    assert list(sink.records) == [
+        TimeSeriesRecord(5, "north", 7, "E", "t_soil", 2.5, "°C")]
+
+
+#: keys whose text csv must quote or escape, or a ``%`` format must not read
+AWKWARD_KEYS = [("a,b", 7, "E", "t_soil", "%"),
+                ("north", 8, 'say "hi"', "vwc", "%d"),
+                ("south", 2**64 - 1, "", "line\nbreak", "%%r"),
+                ("", 0, " lead", "rh", "")]
+AWKWARD_VALUES = [0.1 + 0.2, -0.0, 1e-300, -1.5e300, 3.0]
+
+
+def csv_writer_bytes(records) -> bytes:
+    """What ``csv.writer`` writes for the header and ``records``."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(SINK_HEADER)
+    writer.writerows(records)
+    return text.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("count", [1023, 1024, 1025])
+def test_csv_sink_writes_what_csv_writer_writes(tmp_path, count):
+    path = tmp_path / "readings.csv"
+    sink = CsvSink(path)
+    records = [TimeSeriesRecord(
+        (-1) ** i * i * 2**40, *AWKWARD_KEYS[i % 4][:4],
+        AWKWARD_VALUES[i % 5] * (i + 1), AWKWARD_KEYS[i % 4][4])
+        for i in range(count)]
+    for i, record in enumerate(records):
+        if i % 500 == 499:
+            # refused on its key, on its value, and under a key it was
+            # the first to use: none of them may reach file or memory
+            with pytest.raises(ValueError):
+                sink.append(record._replace(node_uid=7.0))
+            with pytest.raises(ValueError):
+                sink.append(record._replace(value=math.nan))
+            with pytest.raises(ValueError):
+                sink.append(record._replace(site="fresh", value=1))
+        sink.append(record)
+    written = count - count % 1024
+    assert path.read_bytes() == csv_writer_bytes(records[:written])
+    assert list(sink.records) == records
+    sink.close()
+    assert path.read_bytes() == csv_writer_bytes(records)
+    sink.close()
+    assert path.read_bytes() == csv_writer_bytes(records)
+    assert list(sink.records) == records
+    with open(path, newline="", encoding="utf-8") as handle:
+        assert len(list(csv.reader(handle))) == 1 + count
 
 
 def test_ingest_quarantines_file_data_no_request_asked_for():

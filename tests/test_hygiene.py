@@ -1,7 +1,9 @@
 """Source hygiene that a deletion can leave behind: an import nothing
 uses, a private name or a stored attribute nothing reads, or a package
 export that no longer resolves; and a text file opened without naming
-its encoding, which would make the locale an input."""
+its encoding, which would make the locale an input; and an enum member
+read by attribute inside a function, which on Python 3.11 costs several
+module-global reads at each call."""
 
 import ast
 from collections import Counter
@@ -10,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import geowsn
+from geowsn.alp import Opcode
+from geowsn.node import SensorKind, UplinkKind
 
 REPO = Path(__file__).resolve().parent.parent
 SOURCES = sorted((REPO / "src" / "geowsn").glob("*.py"))
@@ -167,3 +171,49 @@ def test_the_encoding_check_sees_each_form():
         "p.read_text(encoding='utf-8')\n"
         "p.read_bytes()\n")
     assert _text_access_without_encoding(tree) == [1, 2, 3, 4, 5]
+
+
+#: enums whose members a function reads through a module constant
+BOUND_ENUMS = {enum.__name__: enum for enum in (Opcode, UplinkKind, SensorKind)}
+
+
+def _member_reads_in_functions(tree: ast.Module) -> list[int]:
+    """Lines where a function body reads a member of a ``BOUND_ENUMS``
+    enum by attribute; module-level tables, class bodies, default
+    arguments and decorators are not function bodies."""
+    lines = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in (sub for statement in node.body
+                      for sub in ast.walk(statement)):
+            if (isinstance(inner, ast.Attribute)
+                    and isinstance(inner.ctx, ast.Load)
+                    and isinstance(inner.value, ast.Name)
+                    and inner.value.id in BOUND_ENUMS
+                    and inner.attr in BOUND_ENUMS[inner.value.id].__members__):
+                lines.add(inner.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_function_reads_an_enum_member_by_attribute(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _member_reads_in_functions(tree) == [], (
+        f"{path.name}: bind the member to a module constant instead")
+
+
+def test_the_member_check_sees_function_bodies_only():
+    tree = ast.parse(
+        "TABLE = {Opcode.STATUS: 1}\n"
+        "def f(kind=UplinkKind.STATUS):\n"
+        "    return Opcode.READ_FILE_DATA\n"
+        "class C:\n"
+        "    field = UplinkKind.FLUSH\n"
+        "    def g(self):\n"
+        "        return [SensorKind.WEATHER_STATION for _ in ()]\n"
+        "    async def h(self):\n"
+        "        def inner():\n"
+        "            return UplinkKind.READING\n"
+        "        return Opcode.__members__, Opcode(1), kind.STATUS\n")
+    assert _member_reads_in_functions(tree) == [3, 7, 10]
