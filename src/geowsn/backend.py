@@ -19,9 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import operator
-from array import array
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -39,6 +36,7 @@ from .alp import (
 from .netsim import (MS_PER_S, Envelope, Forwarder, NoSuchNodeError,
                      PayloadTooLargeError, Simulator)
 from .node import CHANNELS, MAX_UID, SensorKind, SensorReading
+from .store import Store
 
 
 class BackendError(Exception):
@@ -129,113 +127,65 @@ class QuarantineEntry:
     reason: str
 
 
-#: records a sink takes before it writes their rows and packs them into
-#: its typed arrays
+#: records a sink takes between two spills
 _SPILL_RECORDS = 1024
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 _INF = float("inf")
 
 
-def _line_format(key: tuple) -> str:
+def _csv_line(fields) -> bytes:
+    """A row as ``csv.writer`` writes it, in UTF-8."""
+    line = io.StringIO()
+    csv.writer(line).writerow(fields)
+    return line.getvalue().encode()
+
+
+def _line_format(key: tuple) -> bytes:
     """The ``%`` format of a ``readings.csv`` row of ``key``: the key's
     fields as ``csv.writer`` renders them, each ``%`` doubled, around
-    ``%d`` for the timestamp and ``%r`` for the value, as ``csv.writer``
+    ``%d`` for the timestamp and ``%a`` for the value, as ``csv.writer``
     renders an int and a float."""
-    site, node_uid, transect, channel, unit = [
-        field.replace("%", "%%") if type(field) is str else field
-        for field in key]
-    line = io.StringIO()
-    csv.writer(line).writerow(("%d", site, node_uid, transect, channel, "%r",
-                               unit))
-    return line.getvalue()
+    *fields, unit = [str(field).replace("%", "%%") for field in key]
+    return _csv_line(("%d", *fields, "%a", unit))
 
 
-class _Records:
-    """A sink's records, each built as a ``TimeSeriesRecord`` only when
-    it is read; nothing is copied."""
-
-    def __init__(self, table: list[tuple], ints: array, values: array,
-                 pending: list):
-        self._table = table
-        self._ints = ints
-        self._values = values
-        self._pending = pending
-
-    def __len__(self) -> int:
-        return len(self._values) + len(self._pending) // 3
-
-    def __getitem__(self, index: int) -> TimeSeriesRecord:
-        index = operator.index(index)
-        count = len(self)
-        if index < 0:
-            index += count
-        if not 0 <= index < count:
-            raise IndexError("record index out of range")
-        packed = len(self._values)
-        if index < packed:
-            stamp, code = self._ints[2 * index:2 * index + 2]
-            return self._record(stamp, code, self._values[index])
-        at = 3 * (index - packed)
-        return self._record(*self._pending[at:at + 3])
-
-    def __iter__(self) -> Iterator[TimeSeriesRecord]:
-        ints = iter(self._ints)
-        pending = iter(self._pending)
-        for slots in itertools.chain(zip(ints, ints, self._values),
-                                     zip(pending, pending, pending)):
-            yield self._record(*slots)
-
-    def _record(self, stamp: int, code: int, value: float) -> TimeSeriesRecord:
-        site, node_uid, transect, channel, unit = self._table[code]
-        return TimeSeriesRecord(stamp, site, node_uid, transect, channel,
-                                value, unit)
+def _record(stamp: int, key: tuple, value: float) -> TimeSeriesRecord:
+    return TimeSeriesRecord(stamp, *key[:4], value, key[4])
 
 
 class CsvSink:
     """Readings sink; keeps records in memory and, given a path, writes
     them to a new CSV there, replacing any file of that name.
 
-    A record is kept as numbers: its timestamp and the code of its
-    ``(site, node_uid, transect, channel, unit)`` key, two slots in one
-    ``array('q')``, and its value in an ``array('d')``; the key table
-    grows with nodes and channels, not with records.  ``code`` gives a
-    key its code and ``add`` takes a record as ``(timestamp, code,
-    value)``; ``append`` takes a ``TimeSeriesRecord`` through the two.
-    Records are taken onto a short pending list and, ``_SPILL_RECORDS``
-    at a time and at ``close``, their rows are written and they are
-    packed into the arrays.  ``records`` is a view: its length renders
-    nothing, and reading yields one ``TimeSeriesRecord`` at a time,
-    equal field for field to the one appended.
+    ``records`` is the sink's ``geowsn.store.Store`` of timestamps, codes
+    of ``(site, node_uid, transect, channel, unit)`` keys and float values,
+    which yields each record as the ``TimeSeriesRecord`` appended.
+    ``code`` gives a key its code, ``add`` takes a ``(timestamp, code,
+    value)`` and ``append`` a ``TimeSeriesRecord`` through the two.  The
+    store writes the rows at each ``_SPILL_RECORDS``-th record and at
+    ``close``.
     """
 
     def __init__(self, path: str | Path | None = None):
-        #: a key's code is its index here and in ``_formats``, the
-        #: formats of its rows; ``_key_count`` is their length
-        self._table: list[tuple[str, int, str, str, str]] = []
-        self._formats: list[str] = []
         self._codes: dict[tuple, int] = {}
         self._key_count = 0
-        self._ints = array("q")
-        self._values = array("d")
-        self._pending: list = []  # timestamp, code, value per record
         self._room = _SPILL_RECORDS
         self._closed = False
-        self.records = _Records(self._table, self._ints, self._values,
-                                self._pending)
-        self._handle = None
+        handle = None
         if path is not None:
-            self._handle = open(path, "w", newline="", encoding="utf-8")
-            csv.writer(self._handle).writerow(SINK_HEADER)
-            self._handle.flush()
+            handle = open(path, "wb")
+            handle.write(_csv_line(SINK_HEADER))
+            handle.flush()
+        self.records = Store("d", _line_format, _record, handle)
 
     def code(self, site: str, node_uid: int, transect: str, channel: str,
              unit: str) -> int:
         """The code of a record key, given on the key's first use.  A
         ``node_uid`` that is not an ``int`` from 0 to ``MAX_UID``, or a
-        text field that is not a ``str``, raises ``ValueError`` naming
-        the field: ``7`` and ``7.0``, or ``True`` and ``1``, would share
-        a code and read back alike though the file would tell them
-        apart."""
+        text field that is not a ``str`` UTF-8 can encode, raises
+        ``ValueError`` naming the field: ``7`` and ``7.0``, or ``True``
+        and ``1``, would share a code and read back alike though the
+        file would tell them apart."""
         if not (type(node_uid) is int and 0 <= node_uid <= MAX_UID):
             raise ValueError(f"node_uid {node_uid!r} is not an int"
                              " from 0 to 2**64 - 1")
@@ -243,12 +193,15 @@ class CsvSink:
                            ("channel", channel), ("unit", unit)):
             if type(text) is not str:
                 raise ValueError(f"{name} {text!r} is not a str")
+            try:
+                text.encode()
+            except UnicodeEncodeError:
+                raise ValueError(f"{name} {text!r} is not UTF-8 text") from None
         key = (site, node_uid, transect, channel, unit)
         code = self._codes.get(key)
         if code is None:
             code = self._codes[key] = self._key_count
-            self._table.append(key)
-            self._formats.append(_line_format(key))
+            self.records.entries += (key,)
             self._key_count += 1
         return code
 
@@ -267,10 +220,11 @@ class CsvSink:
             raise ValueError(f"value {value!r} is not a finite float")
         if not (type(code) is int and 0 <= code < self._key_count):
             raise ValueError(f"code {code!r} is not one this sink gave")
-        self._pending += (timestamp, code, value)
+        self.records.pending += (timestamp, code, value)
         self._room -= 1
         if not self._room:
-            self._spill()
+            self.records.spill()
+            self._room = _SPILL_RECORDS
 
     def append(self, record: TimeSeriesRecord) -> None:
         """Keep one record, refused as ``code`` and ``add`` refuse it."""
@@ -278,33 +232,15 @@ class CsvSink:
         self.add(stamp, self.code(site, node_uid, transect, channel, unit),
                  value)
 
-    def _spill(self) -> None:
-        """Write the pending records' rows to the file, if there is one,
-        and pack the records into the arrays."""
-        pending = self._pending
-        if self._handle is not None:
-            formats = self._formats
-            slots = iter(pending)
-            self._handle.write("".join([
-                formats[code] % (stamp, value)
-                for stamp, code, value in zip(slots, slots, slots)]))
-            self._handle.flush()
-        self._values.fromlist(pending[2::3])
-        del pending[2::3]
-        self._ints.fromlist(pending)
-        pending.clear()
-        self._room = _SPILL_RECORDS
-
     def close(self) -> None:
         """Write the rows not yet written and close the file; the
         records stay readable."""
         if self._closed:
             return
         self._closed = True
-        self._spill()
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self.records.spill()
+        if self.records.handle is not None:
+            self.records.handle.close()
 
 
 @dataclass

@@ -18,14 +18,13 @@ next event: it transmits what it queued, and what their results
 queue, inline.  The energy ledger and the run totals, one per name in
 ``_TOTALS``, are built when the run closes.
 
-The run log holds only ints: a row is three slots, ``time_ms``, a row
-code and one number, in one ``array``.  The code indexes the run's row
-table of ``(event kind, node uid, detail template)``, whose entries a
-node adds on the first use of each shape of ``_SHAPES``; a template
-holds the number as ``%d``, or no number.  Handlers extend a short
-list with a row's slots, with no call, and ``step`` moves that list
-into the array every ``_SPILL_EVENTS`` events.  The ``RunLog`` renders
-a detail only when it is read.  A detail is an optional bare word (the
+The run log is a ``geowsn.store.Store`` of ints: a row is ``time_ms``,
+a row code and one number.  The code indexes the run's row table of
+``(event kind, node uid, detail template)``, whose entries a node adds
+on the first use of each shape of ``_SHAPES``; a template holds the
+number as ``%d``, or no number.  Handlers extend the store's pending
+list with a row's slots, with no call, and ``step`` spills it every
+``_SPILL_EVENTS`` events.  A detail is an optional bare word (the
 outcome) and ``key=value`` fields; ``row_fields`` is the one decoder of
 that text, and ``book_problems`` the one statement of the identities a
 finished run's books keep.
@@ -38,7 +37,6 @@ import heapq
 import itertools
 import math
 import random
-from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
@@ -51,6 +49,7 @@ from .node import (
     SensorNode,
     UplinkKind,
 )
+from .store import Store
 
 MS_PER_S = 1000
 
@@ -79,14 +78,10 @@ class PayloadTooLargeError(SimulationError):
 
 ENERGY_ROW_KIND = "EnergyCharge"
 
-#: run-log slots a row takes: time_ms, row code, number
-_ROW_SLOTS = 3
-#: run-log rows rendered into one chunk of text
-_CHUNK_ROWS = 4096
-#: events between two moves of the logged rows into the row store
+#: events between two spills of the logged rows into the run log
 _SPILL_EVENTS = 1024
-#: the largest simulated time, in ms: the row store's slots are signed
-#: 64-bit ints (``array`` type ``q``)
+#: the largest simulated time, in ms: the run log's slots are signed
+#: 64-bit ints
 MAX_TIME_MS = 2**63 - 1
 
 #: each run-log row shape: its event kind and detail template, in which
@@ -259,12 +254,12 @@ def row_fields(detail: str) -> dict:
 
 
 class _RowCodes(dict):
-    """One node's row code for each shape it has logged: the index of
-    its ``(kind, uid, template)`` entry in the run's row table, added
-    on the shape's first use."""
+    """One node's row code for each shape it has logged: the code of
+    its ``(kind, uid, template)`` entry in the run log, added on the
+    shape's first use."""
 
-    def __init__(self, table: list, uid: int):
-        self.table = table
+    def __init__(self, log: Store, uid: int):
+        self.entries = log.entries
         self.uid = uid
 
     def __missing__(self, shape: int) -> int:
@@ -273,72 +268,43 @@ class _RowCodes(dict):
         else:
             kind, template = ("DownlinkQueue",
                               f"ticket=%d len={shape - _DOWNLINK_QUEUED}")
-        code = self[shape] = len(self.table)
-        self.table += ((kind, self.uid, template),)
+        code = self[shape] = len(self.entries)
+        self.entries += ((kind, self.uid, template),)
         return code
 
 
-class _Rows:
-    """The rows of a row store, as ``(time_ms, kind, uid, detail)``
-    tuples built one at a time while iterating; nothing is copied."""
+def _row_line(entry: tuple[str, int, str]) -> bytes:
+    """A row's line format; a plain template swallows the number with
+    ``%.0a``."""
+    kind, uid, template = entry
+    return (f"%d,{kind},{uid},{template}{'' if '%d' in template else '%.0a'}\n"
+            .encode())
 
-    def __init__(self, log: RunLog):
-        self._log = log
 
-    def __len__(self) -> int:
-        return len(self._log._store) // _ROW_SLOTS
-
-    def __iter__(self) -> Iterator[tuple[int, str, int, str]]:
-        table = self._log._table
-        slot = iter(self._log._store)
-        for at, code, number in zip(slot, slot, slot):
-            kind, uid, template = table[code]
-            yield at, kind, uid, template % number if "%d" in template else template
+def _row(at: int, entry: tuple[str, int, str], number: int) -> tuple:
+    kind, uid, template = entry
+    return at, kind, uid, template % number if "%d" in template else template
 
 
 class RunLog:
     """The ordered record of everything a run did.
 
-    The rows are ints only: a row store of ``_ROW_SLOTS`` slots a row,
-    ``time_ms, code, number``, and a row table that gives each code its
-    ``(event_kind, node_uid, template)``.  A template holds the number
-    as ``%d``, its one ``%``, or is plain text with no ``%``.  ``rows``
-    is a view that yields each row as a ``(time_ms, event_kind,
-    node_uid, detail)`` tuple.  Rows serialize as ``time_ms,event_kind,
-    node_uid,detail`` lines followed by a ``# summary`` block; the
-    stable hash is the SHA-256 of that text.  The text is produced in
-    chunks of at most ``_CHUNK_ROWS`` rows, so writing and hashing a
-    long log never hold more than one chunk of it at a time.
+    ``rows`` is the run log's store (``geowsn.store``), which yields
+    each row as a ``(time_ms, event_kind, node_uid, detail)`` tuple.
+    Rows serialize as ``time_ms,event_kind,node_uid,detail`` lines
+    followed by a ``# summary`` block; the stable hash is the SHA-256 of
+    that text.  The text is produced a chunk of rows at a time, so
+    writing and hashing a long log never hold more than one chunk of it.
     """
 
-    def __init__(self, store: array, table: list[tuple[str, int, str]],
-                 summary: dict):
-        if len(store) % _ROW_SLOTS:
-            raise ValueError(
-                f"{len(store)} slots is not a whole number of {_ROW_SLOTS}-slot rows")
-        self._store = store
-        self._table = table
+    def __init__(self, rows: Store, summary: dict):
+        self.rows = rows
         self.summary = summary
 
-    @property
-    def rows(self) -> _Rows:
-        return _Rows(self)
-
     def _chunks(self) -> Iterator[bytes]:
-        """The log's UTF-8 text, a bounded number of rows at a time, then
-        the summary block; every line ends in a newline.  A chunk is one
-        ``%`` of its rows' line formats, which hold kind and uid as text,
-        over each row's time and number; a plain template swallows the
-        number with ``%.0a``."""
-        lines = [f"%d,{kind},{uid},{template}{'' if '%d' in template else '%.0a'}\n"
-                 .encode() for kind, uid, template in self._table]
-        store = self._store
-        step = _ROW_SLOTS * _CHUNK_ROWS
-        for start in range(0, len(store), step):
-            chunk = store[start:start + step]
-            codes = chunk[1::_ROW_SLOTS]
-            del chunk[1::_ROW_SLOTS]
-            yield b"".join(map(lines.__getitem__, codes)) % tuple(chunk)
+        """The log's UTF-8 text: the rows a chunk at a time, then the
+        summary block; every line ends in a newline."""
+        yield from self.rows.chunks()
         yield ("# summary\n" + "".join(
             [f"# {key}={value}\n" for key, value in self.summary.items()])).encode()
 
@@ -433,11 +399,7 @@ class Simulator:
         #: heap tie-break: (at_ms, seq) is unique, so no handlers are compared
         self._seq = itertools.count()
         self._ticket_seq = 0
-        #: the run log: its row store, the rows logged since the last
-        #: spill into it, and the row table their codes index
-        self._store = array("q")
-        self._rows: list[int] = []
-        self._table: list[tuple[str, int, str]] = []
+        self._log = Store("q", _row_line, _row)
         self._spill_in = _SPILL_EVENTS
         self._started = False
         self._finished = False
@@ -474,7 +436,7 @@ class Simulator:
             f"gw-{site_id}",
             link,
             random.Random(node_stream_seed(self.seed, site_id, node.uid)),
-            _RowCodes(self._table, node.uid),
+            _RowCodes(self._log, node.uid),
         )
         self._by_uid[node.uid] = runtime
         return runtime
@@ -536,7 +498,8 @@ class Simulator:
         handler(runtime, at_ms, payload)
         self._spill_in -= 1
         if not self._spill_in:
-            self._spill()
+            self._log.spill()
+            self._spill_in = _SPILL_EVENTS
         return True
 
     def run_until(self, predicate: Callable[[], bool],
@@ -571,28 +534,22 @@ class Simulator:
     def run_log(self) -> RunLog:
         if not self._finished:
             raise SimulationError("run log is available after run() completes")
-        self._spill()
-        return RunLog(self._store, self._table, self._summary)
-
-    def _spill(self) -> None:
-        """Move the rows logged since the last spill into the row store."""
-        self._store.fromlist(self._rows)
-        self._rows.clear()
-        self._spill_in = _SPILL_EVENTS
+        self._log.spill()
+        return RunLog(self._log, self._summary)
 
     # -- event handlers -----------------------------------------------------
 
     def _handle_sample_timer(self, rt: NodeRuntime, at: int, payload) -> None:
         node = rt.node
         if at != rt.timer_event_ms:
-            self._rows += (at, rt.codes[_SAMPLE_STALE], 0)
+            self._log.pending += (at, rt.codes[_SAMPLE_STALE], 0)
             return
         rt.timer_event_ms = -1
         if node.hung:
-            self._rows += (at, rt.codes[_SAMPLE_HUNG], 0)
+            self._log.pending += (at, rt.codes[_SAMPLE_HUNG], 0)
             return
         node.on_sample_timer(at / MS_PER_S)
-        self._rows += (at, rt.codes[_SAMPLE_OK], 0)
+        self._log.pending += (at, rt.codes[_SAMPLE_OK], 0)
         self._settle(rt, at)
 
     def _deliver(self, rt: NodeRuntime, at: int, payload: bytes,
@@ -600,7 +557,7 @@ class Simulator:
         link = rt.link
         rt.uplinks_attempted += 1
         dropped = rt.rng.random() < link.loss_probability
-        self._rows += (at, rt.codes[_TX_SHAPES[kind][dropped]], len(payload))
+        self._log.pending += (at, rt.codes[_TX_SHAPES[kind][dropped]], len(payload))
         if dropped:
             rt.uplinks_dropped += 1
             return False
@@ -612,7 +569,7 @@ class Simulator:
     def _handle_uplink_arrival(self, rt: NodeRuntime, at: int,
                                arrival: tuple[bytes, int | None]) -> None:
         payload, dialog = arrival
-        self._rows += (at, rt.codes[_ARRIVAL], len(payload))
+        self._log.pending += (at, rt.codes[_ARRIVAL], len(payload))
         if self.forwarder is not None:
             self.forwarder(payload, Envelope(rt.node.uid, rt.gateway_id,
                                              rt.site_id, at / MS_PER_S, dialog))
@@ -636,8 +593,9 @@ class Simulator:
         self._ticket_seq += 1
         rt.pending.append(ticket)
         rt.downlinks_queued += 1
-        self._rows += (self.now_ms, rt.codes[_DOWNLINK_QUEUED + len(ticket.payload)],
-                       ticket.ticket_id)
+        self._log.pending += (self.now_ms,
+                              rt.codes[_DOWNLINK_QUEUED + len(ticket.payload)],
+                              ticket.ticket_id)
         self._ensure_window(rt, self.now_ms)
         return ticket
 
@@ -661,15 +619,16 @@ class Simulator:
                 break
         if node.hung:
             if rt.pending:
-                self._rows += (at, rt.codes[_WINDOW_HUNG], 0)
+                self._log.pending += (at, rt.codes[_WINDOW_HUNG], 0)
         elif rt.pending:
             ticket = rt.pending[0]
             if rt.rng.random() < rt.link.loss_probability:
-                self._rows += (at, rt.codes[_WINDOW_RETRY], ticket.ticket_id)
+                self._log.pending += (at, rt.codes[_WINDOW_RETRY], ticket.ticket_id)
             else:
                 rt.pending.popleft()
                 rt.downlinks_delivered += 1
-                self._rows += (at, rt.codes[_WINDOW_DELIVERED], ticket.ticket_id)
+                self._log.pending += (at, rt.codes[_WINDOW_DELIVERED],
+                                      ticket.ticket_id)
                 node.on_downlink(ticket.payload, at / MS_PER_S)
                 self._settle(rt, at, ticket.dialog)
         if rt.pending:
@@ -680,7 +639,7 @@ class Simulator:
         for ticket in [t for t in rt.pending if at >= t.expires_at_ms]:
             rt.pending.remove(ticket)
             rt.downlinks_expired += 1
-            self._rows += (at, rt.codes[_WINDOW_EXPIRED], ticket.ticket_id)
+            self._log.pending += (at, rt.codes[_WINDOW_EXPIRED], ticket.ticket_id)
 
     def _handle_watchdog_check(self, rt: NodeRuntime, at: int, payload) -> None:
         """Reset a hung node at the deadline its hang froze.  This is the
@@ -689,8 +648,8 @@ class Simulator:
         node.reset(at / MS_PER_S)
         rt.anchor_ms = at
         self._close_hang(rt, at)
-        self._rows += (at, rt.codes[_WATCHDOG_RESET], 0,
-                       at, rt.codes[_RESET_BOOT], 0)
+        self._log.pending += (at, rt.codes[_WATCHDOG_RESET], 0,
+                              at, rt.codes[_RESET_BOOT], 0)
         self._settle(rt, at)
 
     def _handle_hang_injection(self, rt: NodeRuntime, at: int, payload) -> None:
@@ -705,7 +664,7 @@ class Simulator:
             deadline_ms = max(round(node.watchdog_deadline * MS_PER_S), pet_ms)
             heapq.heappush(self._heap, (deadline_ms, next(self._seq),
                                         self._handle_watchdog_check, rt, None))
-        self._rows += (at, rt.codes[_HANG], 0)
+        self._log.pending += (at, rt.codes[_HANG], 0)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -753,8 +712,8 @@ class Simulator:
         totals = dict.fromkeys(_TOTALS, 0)
         per_node_lines: list[tuple[int, dict]] = []
         profile = self.profile
-        table = self._table
-        code = len(table)
+        entries = self._log.entries
+        code = len(entries)
         for rt in self._by_uid.values():
             if rt.node.hung:
                 self._close_hang(rt, self.duration_ms)
@@ -777,9 +736,9 @@ class Simulator:
                 charge = current_a * (ms / MS_PER_S)
                 rt.charge_c += charge
                 # its floats stay text: a row code of its own, no number
-                table += ((ENERGY_ROW_KIND, rt.node.uid,
-                           f"mode={mode} time_ms={ms!r} charge_c={charge!r}"),)
-                self._rows += (self.duration_ms, code, 0)
+                entries += ((ENERGY_ROW_KIND, rt.node.uid,
+                             f"mode={mode} time_ms={ms!r} charge_c={charge!r}"),)
+                self._log.pending += (self.duration_ms, code, 0)
                 code += 1
             # this node's count of each total, in ``_TOTALS`` order
             for key, count in zip(_TOTALS, (

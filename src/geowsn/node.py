@@ -381,8 +381,8 @@ class SensorNode:
         self._config = config
         self._active_driver: SensorDriver | None = None
         self._active_address = 0
-        self._rtc_base = 0.0
-        self._rtc_set_at = 0.0
+        self._rtc_base = 0
+        self._rtc_set_ms = 0
         self._now = 0.0
         #: sampling cadence in s; ``_reload`` floors the config's at 1 s so
         #: that a zero written over the air cannot wedge the timer
@@ -407,8 +407,8 @@ class SensorNode:
             self._config.to_bytes(),
         )
         if self._config.rtc_time:
-            self._rtc_base = float(self._config.rtc_time)
-            self._rtc_set_at = now_s
+            self._rtc_base = self._config.rtc_time
+            self._rtc_set_ms = round(now_s * 1000)
         self._reload()
         self.next_sample_at = now_s + self.effective_rate
         self.watchdog_deadline = now_s + WATCHDOG_PERIOD_S
@@ -442,8 +442,10 @@ class SensorNode:
 
     def clock(self, now_s: float) -> int:
         """The node's idea of the current timestamp: a u32 RTC, which
-        wraps past its top."""
-        return int(self._rtc_base + (now_s - self._rtc_set_at)) % 2**32
+        wraps past its top.  It counts whole seconds of integer ms: a
+        difference of float seconds can fall just short of one."""
+        elapsed_ms = round(now_s * 1000) - self._rtc_set_ms
+        return (self._rtc_base + elapsed_ms // 1000) % 2**32
 
     # -- timer and radio entry points ---------------------------------
 
@@ -542,8 +544,8 @@ class SensorNode:
         # every config write reloads the sensor interface
         self._reload()
         if new.rtc_time != old.rtc_time:
-            self._rtc_base = float(new.rtc_time)
-            self._rtc_set_at = self._now
+            self._rtc_base = new.rtc_time
+            self._rtc_set_ms = round(self._now * 1000)
         if new.sampling_rate != old.sampling_rate:
             self.next_sample_at = self._now + self.effective_rate
         if new.sensor_action != old.sensor_action:

@@ -145,6 +145,11 @@ def _number(value, where: str, *, minimum: float, integer: bool = False):
 def _string(value, where: str) -> str:
     if not isinstance(value, str):
         raise InvalidScenarioError(f"{where} must be a string, got {value!r}")
+    try:
+        value.encode()
+    except UnicodeEncodeError:
+        raise InvalidScenarioError(
+            f"{where} must be UTF-8 text, got {value!r}") from None
     return value
 
 

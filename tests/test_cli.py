@@ -402,6 +402,16 @@ def test_sim_run_refuses_a_scenario_that_is_not_utf8(capsys, tmp_path):
     assert "can't decode byte 0xff" in err
 
 
+def test_sim_run_refuses_a_site_id_utf8_cannot_encode(capsys, tmp_path):
+    # json.dumps writes the lone surrogate as the escape \udc80
+    scenario = one_node_scenario(tmp_path)
+    _replace_in_scenario(Path(scenario), ["sites", 0, "site_id"], "\udc80x")
+    code, out, err = run_cli(capsys, "sim-run", "--scenario", scenario,
+                             "--out", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert "sites[0]: site_id must be UTF-8 text" in err
+
+
 def test_sim_run_missing_scenario_fails(capsys, tmp_path):
     scenario = tmp_path / "absent.json"
     code, out, err = run_cli(capsys, "sim-run", "--scenario", str(scenario),

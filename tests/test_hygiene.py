@@ -1,9 +1,10 @@
 """Source hygiene that a deletion can leave behind: an import nothing
 uses, a private name or a stored attribute nothing reads, or a package
 export that no longer resolves; and a text file opened without naming
-its encoding, which would make the locale an input; and an enum member
-read by attribute inside a function, which on Python 3.11 costs several
-module-global reads at each call."""
+its encoding, which would make the locale an input; an enum member read
+by attribute inside a function, which on Python 3.11 costs several
+module-global reads at each call; and a typed array outside the one
+record store."""
 
 import ast
 from collections import Counter
@@ -128,6 +129,22 @@ def test_every_stored_attribute_is_read():
               for name, line in _stored_attributes(ast.parse(path.read_text(encoding="utf-8"))).items()
               if name not in read}
     assert not unread, f"stored but never read: {unread}"
+
+
+#: the modules that may import ``array``: the one record store, and the
+#: trace loader, whose arrays are column buffers handed to numpy
+ARRAY_MODULES = ("store.py", "feasibility.py")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_the_store_imports_array(path):
+    # the record layout of the run log and the sink stays behind one module
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert ("array" in modules) == (path.name in ARRAY_MODULES)
 
 
 def _text_access_without_encoding(tree: ast.Module) -> list[int]:

@@ -9,22 +9,28 @@ baseline while each runs.  Either fails at a quarter of the text's
 size, far below the several copies of the text that building it whole
 takes.
 
-The rows themselves are ints: three slots a row in one typed array,
-and a row table that grows with the nodes, not the rows.  A two-day
-run of the bundled deployment, simulator only, is traced: what the run
-leaves allocated, per log row, is gated, and so is the peak that
-reading every row through ``RunLog.rows`` adds.  A one-day run with a
-``Backend`` and over a thousand remote ops, whose rows carry ticket
-numbers, is gated the same way; there only what the simulator's own
-code allocated is counted, not the Backend's sink.
+The rows themselves are ints, held in a ``geowsn.store.Store``: a time
+and a code in one typed array, the number in another, and a row table
+that grows with the nodes, not the rows.  A two-day run of the bundled
+deployment, simulator only, is traced: what the run leaves allocated,
+per log row, is gated, and so is the peak that reading every row
+through ``RunLog.rows`` adds.  A one-day run with a ``Backend`` and
+over a thousand remote ops, whose rows carry ticket numbers, is gated
+the same way; there only what the simulator holds is counted, not the
+Backend's sink.
 
-A ``Backend``'s sink holds each record as numbers too: a timestamp
-and a key code in one typed array, the value in another, and a key
-table that grows with nodes and channels.  A two-day run with a
-``Backend`` is traced: what lines outside ``netsim.py`` still hold when
-it has finished, per sink record, is gated, as is the peak that taking
-the length of ``CsvSink.records`` adds.  A one-day run's
-``readings.csv`` must read back as its sink's records.
+A ``Backend``'s sink holds each record in a store too: a timestamp and
+a key code in one typed array, the value in another, and a key table
+that grows with nodes and channels.  A two-day run with a ``Backend``
+is traced: what all but the simulator still holds when it has finished,
+per sink record, is gated, as is the peak that taking the length of
+``CsvSink.records`` adds.  A one-day run's ``readings.csv`` must read
+back as its sink's records.
+
+A block allocated in ``store.py`` belongs to the store's owner, so each
+traced block is charged to the first frame of its traceback outside
+``store.py``: the simulator's arrays to ``netsim.py``, the sink's to
+``backend.py``.
 
 A ``Backend`` keeps nothing of a status it was not waiting for: the
 bytes it holds after ingesting many of them are gated too.
@@ -39,12 +45,12 @@ import json
 import sys
 import tempfile
 import tracemalloc
-from array import array
 from pathlib import Path
 
 from test_frame_cost import remote_sessions
+from test_netsim import hand_log
 
-from geowsn import netsim
+from geowsn import netsim, store
 from geowsn.alp import STATUS_OK, AlpAction, encode_command
 from geowsn.backend import Backend, CsvSink, TimeSeriesRecord
 from geowsn.netsim import Envelope, RunLog
@@ -65,7 +71,7 @@ REMOTE_ROUNDS = 5
 #: ceiling on the peak that reading every row of that run adds
 MAX_READ_PEAK_BYTES = 4096
 #: ceiling on the bytes a finished run with a Backend holds outside
-#: ``netsim.py`` per sink record (a list of named tuples held about 168)
+#: the simulator per sink record (a list of named tuples held about 168)
 MAX_HELD_BYTES_PER_RECORD = 32.2 * 1.15
 #: ceiling on the peak that taking the sink's record count adds: a few
 #: ints, where rendering the records would take over 100 bytes each
@@ -81,10 +87,26 @@ def synthetic_log(n_rows: int = ROWS) -> RunLog:
     and uplink kind, and the frame length as the row's number."""
     table = [("UplinkTx", 1000 + i % 58, f"delivered len=%d kind={kind}")
              for kind in ("reading", "flush") for i in range(58)]
-    store = array("q", [slot for i in range(n_rows)
-                        for slot in (i * 250, i % len(table), (20, 24, 29)[i % 3])])
+    rows = [(i * 250, i % len(table), (20, 24, 29)[i % 3]) for i in range(n_rows)]
     summary = {f"node.{1000 + i}.charge_c": repr(i / 7) for i in range(58)}
-    return RunLog(store, table, summary)
+    return hand_log(table, rows, summary)
+
+
+#: frames kept of each traced block's traceback: enough to reach the
+#: store's owner from an allocation in ``store.py``
+TRACE_FRAMES = 8
+
+
+def held_by_simulator(snapshot: tracemalloc.Snapshot) -> tuple[int, int]:
+    """Bytes of the snapshot's blocks charged to ``netsim.py``, and to
+    everything else: a block is charged to the first frame of its
+    traceback, most recent first, outside ``store.py``."""
+    held = [0, 0]
+    for trace in snapshot.traces:
+        owner = next((frame.filename for frame in reversed(trace.traceback)
+                      if frame.filename != store.__file__), None)
+        held[owner != netsim.__file__] += trace.size
+    return held[0], held[1]
 
 
 def peak_above_baseline(call) -> int:
@@ -143,22 +165,20 @@ def run_memory() -> dict:
 
 
 def remote_memory() -> dict:
-    """Bytes that lines of the simulator allocated and still hold when
-    a one-day bundled run with a Backend has finished, after
-    ``REMOTE_ROUNDS`` rounds of remote sessions."""
+    """Bytes that the simulator still holds when a one-day bundled run
+    with a Backend has finished, after ``REMOTE_ROUNDS`` rounds of
+    remote sessions."""
     config = default_scenario().with_duration(86400)
     sim = build_simulator(config)
     backend = Backend(directory=node_directory(config))
     backend.attach_transport(sim)
-    tracemalloc.start()
+    tracemalloc.start(TRACE_FRAMES)
     try:
         ops, _ = remote_sessions(sim, backend, REMOTE_ROUNDS)
         log = sim.run()
-        snapshot = tracemalloc.take_snapshot()
+        held, _ = held_by_simulator(tracemalloc.take_snapshot())
     finally:
         tracemalloc.stop()
-    held = sum(stat.size for stat in snapshot.filter_traces(
-        [tracemalloc.Filter(True, netsim.__file__)]).statistics("filename"))
     assert log.summary["downlinks_queued"] >= ops
     return {
         "remote_ops": ops,
@@ -169,26 +189,24 @@ def remote_memory() -> dict:
 
 
 def sink_memory() -> dict:
-    """Bytes that lines outside the simulator still hold when a bundled
-    run with a Backend has finished (its state built before tracing
-    starts), and the traced peak that ``len(sink.records)`` adds."""
+    """Bytes that all but the simulator still hold when a bundled run
+    with a Backend has finished (its state built before tracing starts),
+    and the traced peak that ``len(sink.records)`` adds."""
     config = default_scenario().with_duration(RUN_DAYS * 86400)
     sim = build_simulator(config)
     backend = Backend(directory=node_directory(config))
     backend.attach_transport(sim)
     records = backend.sink.records
-    tracemalloc.start()
+    tracemalloc.start(TRACE_FRAMES)
     try:
         sim.run()
-        snapshot = tracemalloc.take_snapshot()
+        _, held = held_by_simulator(tracemalloc.take_snapshot())
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
         len(records)
         _, len_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    held = sum(stat.size for stat in snapshot.filter_traces(
-        [tracemalloc.Filter(False, netsim.__file__)]).statistics("filename"))
     return {
         "sink_records": len(records),
         "sink_held_bytes": held,

@@ -3,14 +3,14 @@
 import contextlib
 import hashlib
 import re
-from array import array
 
 import pytest
 
 from geowsn.alp import AlpAction, NODE_CONFIG_FILE, encode_command
 from geowsn.backend import Backend, RequestTimeoutError
 from geowsn.netsim import (
-    _CHUNK_ROWS,
+    _row,
+    _row_line,
     LinkModel,
     PayloadTooLargeError,
     PowerProfile,
@@ -29,6 +29,7 @@ from geowsn.node import (
     SignalDriver,
 )
 from geowsn.scenario import build_simulator, default_scenario, node_directory
+from geowsn.store import CHUNK_RECORDS, Store
 
 
 def soil_node(uid: int = 1, rate_s: int = 60) -> SensorNode:
@@ -427,20 +428,31 @@ def reference_text(log: RunLog) -> str:
     return "\n".join(lines)
 
 
+def hand_log(table: list[tuple[str, int, str]], rows, summary: dict) -> RunLog:
+    """A run log built through the store API: the entries of ``table``
+    take their codes in order, and each row is ``(time_ms, code,
+    number)``."""
+    store = Store("q", _row_line, _row)
+    store.entries += table
+    for row in rows:
+        store.pending += row
+    store.spill()
+    return RunLog(store, summary)
+
+
 @pytest.mark.parametrize("n_rows, n_chunks", [
     (0, 1),
     (1, 2),
-    (_CHUNK_ROWS, 2),
-    (3 * _CHUNK_ROWS + 7, 5),
+    (CHUNK_RECORDS, 2),
+    (3 * CHUNK_RECORDS + 7, 5),
 ], ids=["empty", "one-row", "one-chunk", "chunks-and-a-part"])
 def test_text_hash_and_file_come_from_one_rendering(tmp_path, n_rows, n_chunks):
     # per uid an uplink code, whose template holds the number, and a
     # timer code, whose template holds none; rows alternate the two
     table = [*(("UplinkTx", uid, "delivered len=%d kind=reading") for uid in range(7)),
              *(("SampleTimer", uid, "ok") for uid in range(7))]
-    store = array("q", [slot for i in range(n_rows)
-                        for slot in (i * 10, i % 7 + 7 * (i % 2), i % 50)])
-    log = RunLog(store, table, {"seed": 3, "node.1.charge_c": "0.5"})
+    log = hand_log(table, [(i * 10, i % 7 + 7 * (i % 2), i % 50) for i in range(n_rows)],
+                   {"seed": 3, "node.1.charge_c": "0.5"})
     assert len(list(log._chunks())) == n_chunks  # the summary is the last
     text = log.to_text()
     assert text == reference_text(log)
@@ -521,14 +533,6 @@ def test_row_fields_decodes_every_detail_of_a_run():
         assert charge_c[uid] == sim.runtime(uid).charge_c
 
 
-@pytest.mark.parametrize("n_slots", [5, 7])
-def test_run_log_refuses_a_partial_row(n_slots):
-    table = [("SampleTimer", 1, "ok"), ("UplinkArrival", 1, "len=%d")]
-    store = array("q", [0, 0, 0, 0, 1, 20, 0, 0, 0][:n_slots])
-    with pytest.raises(ValueError, match=f"{n_slots} slots"):
-        RunLog(store, table, {})
-
-
 #: one node's (mode, time_ms) ledger rows in a run of 10 s
 LEDGER = (("Sleep", 9000.0), ("Sampling", 750.0), ("Transmitting", 240.0),
           ("Listening", 10.0))
@@ -546,15 +550,15 @@ def books(ledgers: dict[int, tuple], **totals) -> RunLog:
                "records_produced": 5, "records_delivered": 3,
                "records_buffered": 1, "records_overwritten": 1, "resets": 0,
                **totals}
-    store, table = array("q"), []
+    table = []
     for uid, modes in ledgers.items():
         summary[f"node.{uid}.site"] = "north"
         for mode, time_ms in modes:
             # a ledger row is a row code of its own, with no number
             table.append(("EnergyCharge", uid, f"mode={mode}"
                           f" time_ms={time_ms!r} charge_c={time_ms * 1e-6!r}"))
-            store.extend((10_000, len(table) - 1, 0))
-    return RunLog(store, table, summary)
+    return hand_log(table, [(10_000, code, 0) for code in range(len(table))],
+                    summary)
 
 
 def test_balanced_books_of_two_nodes_have_no_problem():
@@ -589,15 +593,15 @@ def test_book_problems_names_each_broken_identity_once(log, problem):
 
 def test_a_finished_run_holds_its_rows_as_ints_and_nothing_per_row():
     sim = build_simulator(default_scenario().with_duration(86400))
-    log = sim.run()
-    # a typed array holds no str and no int object, one per row or not
-    assert type(log._store) is array and log._store.typecode == "q"
-    assert len(log._store) == 3 * len(log.rows) > 3 * 20_000
+    rows = sim.run().rows
+    # typed arrays hold no str and no int object, one per row or not
+    assert rows._keys.typecode == rows._values.typecode == "q"
+    assert len(rows._keys) == 2 * len(rows._values) == 2 * len(rows) > 2 * 20_000
     # the row table grows with the nodes and the shapes they logged, not
     # with the rows: 58 nodes, each with its four ledger rows and a few
-    # shapes, and no rows wait outside the store
-    assert len(log._table) <= 58 * (4 + 8) < len(log.rows) / 10
-    assert sim._rows == []
+    # shapes, and no rows wait outside the arrays
+    assert len(rows.entries) <= 58 * (4 + 8) < len(rows) / 10
+    assert rows.pending == []
 
 
 def test_invalid_link_parameters_rejected():

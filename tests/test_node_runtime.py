@@ -179,6 +179,14 @@ def test_rtc_write_rebases_timestamps():
     assert reading.timestamp == epoch + 10
 
 
+def test_rtc_counts_whole_seconds_after_a_rebase_at_a_fraction_of_a_second():
+    # 38,238.664 - 31,663.664 is 6,574.999999999996 in float seconds
+    node = make_node(rate_s=600)
+    node.on_downlink(write_command(NODE_CONFIG_FILE, 8,
+                                   (1000).to_bytes(4, "little")), 31_663.664)
+    assert node.clock(38_238.664) == 7575
+
+
 def test_full_config_write_applies_all_fields():
     node = make_node(rate_s=600)
     image = NodeConfig(sensor_type=1, sensor_address=7, sensor_action=0,

@@ -214,6 +214,17 @@ def test_a_label_must_be_a_json_string(path, where, value):
     assert str(excinfo.value) == f"{where} must be a string, got {value!r}"
 
 
+@pytest.mark.parametrize("path, where", [
+    ("sites.0.site_id", "sites[0]: site_id"),
+    ("sites.0.nodes.0.transect", "sites[0].nodes[0]: transect"),
+], ids=["site_id", "transect"])
+def test_a_label_must_be_text_utf8_can_encode(path, where):
+    # JSON "\udc80x" parses to a lone surrogate, which no UTF-8 text holds
+    with pytest.raises(InvalidScenarioError) as excinfo:
+        parse_scenario(_set(minimal_doc(), path, "\udc80x"))
+    assert str(excinfo.value) == f"{where} must be UTF-8 text, got '\\udc80x'"
+
+
 def _duplicate_site(doc: dict) -> dict:
     doc["sites"].append({"site_id": "north", "nodes": []})
     return doc
