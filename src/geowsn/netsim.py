@@ -293,8 +293,8 @@ class RunLog:
     each row as a ``(time_ms, event_kind, node_uid, detail)`` tuple.
     Rows serialize as ``time_ms,event_kind,node_uid,detail`` lines
     followed by a ``# summary`` block; the stable hash is the SHA-256 of
-    that text.  The text is produced a chunk of rows at a time, so
-    writing and hashing a long log never hold more than one chunk of it.
+    that text.  The text is produced a spill's block of rows at a time,
+    so writing and hashing a long log never hold more than one block's.
     """
 
     def __init__(self, rows: Store, summary: dict):
@@ -302,8 +302,8 @@ class RunLog:
         self.summary = summary
 
     def _chunks(self) -> Iterator[bytes]:
-        """The log's UTF-8 text: the rows a chunk at a time, then the
-        summary block; every line ends in a newline."""
+        """The log's UTF-8 text: the rows a block at a time, then the
+        summary; every line ends in a newline."""
         yield from self.rows.chunks()
         yield ("# summary\n" + "".join(
             [f"# {key}={value}\n" for key, value in self.summary.items()])).encode()

@@ -9,9 +9,9 @@ baseline while each runs.  Either fails at a quarter of the text's
 size, far below the several copies of the text that building it whole
 takes.
 
-The rows themselves are ints, held in a ``geowsn.store.Store``: a time
-and a code in one typed array, the number in another, and a row table
-that grows with the nodes, not the rows.  A two-day run of the bundled
+The rows themselves are ints, held in a ``geowsn.store.Store``: per
+spill a block of a time-and-code typed array and a number array, and a
+row table that grows with the nodes, not the rows.  A two-day run of the bundled
 deployment, simulator only, is traced: what the run leaves allocated,
 per log row, is gated, and so is the peak that reading every row
 through ``RunLog.rows`` adds.  A one-day run with a ``Backend`` and
@@ -19,9 +19,9 @@ over a thousand remote ops, whose rows carry ticket numbers, is gated
 the same way; there only what the simulator holds is counted, not the
 Backend's sink.
 
-A ``Backend``'s sink holds each record in a store too: a timestamp and
-a key code in one typed array, the value in another, and a key table
-that grows with nodes and channels.  A two-day run with a ``Backend``
+A ``Backend``'s sink holds each record in a store too: per spill a
+block of a timestamp-and-key-code typed array and a value array, and a
+key table that grows with nodes and channels.  A two-day run with a ``Backend``
 is traced: what all but the simulator still holds when it has finished,
 per sink record, is gated, as is the peak that taking the length of
 ``CsvSink.records`` adds.  A one-day run's ``readings.csv`` must read

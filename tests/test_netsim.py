@@ -3,6 +3,8 @@
 import contextlib
 import hashlib
 import re
+import sys
+from array import array
 
 import pytest
 
@@ -29,7 +31,7 @@ from geowsn.node import (
     SignalDriver,
 )
 from geowsn.scenario import build_simulator, default_scenario, node_directory
-from geowsn.store import CHUNK_RECORDS, Store
+from geowsn.store import Store
 
 
 def soil_node(uid: int = 1, rate_s: int = 60) -> SensorNode:
@@ -428,14 +430,20 @@ def reference_text(log: RunLog) -> str:
     return "\n".join(lines)
 
 
+#: rows a hand-built run log takes between two spills
+HAND_SPILL_ROWS = 1024
+
+
 def hand_log(table: list[tuple[str, int, str]], rows, summary: dict) -> RunLog:
     """A run log built through the store API: the entries of ``table``
-    take their codes in order, and each row is ``(time_ms, code,
-    number)``."""
+    take their codes in order, each row is ``(time_ms, code, number)``,
+    and the rows are spilled ``HAND_SPILL_ROWS`` at a time."""
     store = Store("q", _row_line, _row)
     store.entries += table
-    for row in rows:
+    for at, row in enumerate(rows, 1):
         store.pending += row
+        if not at % HAND_SPILL_ROWS:
+            store.spill()
     store.spill()
     return RunLog(store, summary)
 
@@ -443,8 +451,8 @@ def hand_log(table: list[tuple[str, int, str]], rows, summary: dict) -> RunLog:
 @pytest.mark.parametrize("n_rows, n_chunks", [
     (0, 1),
     (1, 2),
-    (CHUNK_RECORDS, 2),
-    (3 * CHUNK_RECORDS + 7, 5),
+    (HAND_SPILL_ROWS, 2),
+    (3 * HAND_SPILL_ROWS + 7, 5),
 ], ids=["empty", "one-row", "one-chunk", "chunks-and-a-part"])
 def test_text_hash_and_file_come_from_one_rendering(tmp_path, n_rows, n_chunks):
     # per uid an uplink code, whose template holds the number, and a
@@ -594,9 +602,17 @@ def test_book_problems_names_each_broken_identity_once(log, problem):
 def test_a_finished_run_holds_its_rows_as_ints_and_nothing_per_row():
     sim = build_simulator(default_scenario().with_duration(86400))
     rows = sim.run().rows
-    # typed arrays hold no str and no int object, one per row or not
-    assert rows._keys.typecode == rows._values.typecode == "q"
-    assert len(rows._keys) == 2 * len(rows._values) == 2 * len(rows) > 2 * 20_000
+    # typed arrays hold no str and no int object, one per row or not;
+    # a block per spill of at most 1,024 events
+    assert {(keys.typecode, values.typecode) for keys, values in rows._blocks} \
+        == {("q", "q")}
+    assert all(len(keys) == 2 * len(values) for keys, values in rows._blocks)
+    assert sum(len(values) for _, values in rows._blocks) == len(rows) > 20_000
+    assert len(rows._blocks) < len(rows) / 100
+    # each array is made at its final size: no spare room, so none grows
+    empty = sys.getsizeof(array("q"))
+    assert all(sys.getsizeof(block) == empty + 8 * len(block)
+               for keys, values in rows._blocks for block in (keys, values))
     # the row table grows with the nodes and the shapes they logged, not
     # with the rows: 58 nodes, each with its four ledger rows and a few
     # shapes, and no rows wait outside the arrays
