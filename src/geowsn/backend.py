@@ -35,7 +35,7 @@ from .alp import (
 )
 from .netsim import (MS_PER_S, Envelope, Forwarder, NoSuchNodeError,
                      PayloadTooLargeError, Simulator)
-from .node import CHANNELS, MAX_UID, SensorKind, SensorReading
+from .node import CHANNELS, MAX_UID, SensorKind, unpack_reading
 from .store import Store
 
 
@@ -100,7 +100,8 @@ class InProcessBus:
             callbacks = self._routes[route] = tuple(
                 callback for pattern, callback in self._subscriptions
                 if topic_matches(pattern, topic))
-        payload = bytes(payload)
+        if type(payload) is not bytes:
+            payload = bytes(payload)
         for callback in callbacks:
             callback(payload, envelope)
 
@@ -321,13 +322,12 @@ class Backend:
 
     def _decode_reading(self, envelope: Envelope, action: AlpAction) -> None:
         try:
-            reading = SensorReading.from_bytes(action.payload)
+            timestamp, kind, values_milli = unpack_reading(action.payload)
         except ValueError as exc:
             self.quarantine.append(
                 QuarantineEntry(envelope, action.payload, str(exc))
             )
             return
-        timestamp, kind, values_milli = reading
         uid = envelope.node_uid
         key = (envelope.site_id, uid, self.directory.get(uid, ""), kind)
         try:

@@ -41,9 +41,9 @@ _INT64 = np.iinfo(np.int64)
 #: a transect's columns as ``array`` typecodes, which numpy reads as
 #: int64, float64 and float64
 _TYPECODES = tuple(np.dtype(t).char for t in (np.int64, float, float))
-#: a trace row as ``np.loadtxt`` converts it
-_TRACE_DTYPE = np.dtype([("timestamp", np.int64), ("transect", object),
-                         ("t_soil_c", np.float64), ("t_air_c", np.float64)])
+#: the width of numpy's label field at the start of a load; a chunk
+#: with a longer label widens it for the rest of the load
+_LABEL_WIDTH = 4
 #: characters that keep a chunk from numpy: a quote can make one csv
 #: record span lines, csv before Python 3.11 refuses NUL, and numpy
 #: reads \x1c-\x1f as blanks around a number where int() and float()
@@ -94,12 +94,16 @@ def load_temperature_trace(path: str | Path) -> dict[str, TransectSeries]:
     are read ``_CHUNK_ROWS`` at a time onto each transect's columns,
     which grow in place, so the memory held is one chunk and one copy
     of the trace: the output arrays and at most a sixteenth more of
-    spare room.  A plain chunk (no
-    ``"``, none of ``_NOT_PLAIN``, no line longer than a csv field may
-    be, and no non-ASCII character outside the labels) is converted by
-    one ``np.loadtxt`` call.  Every other chunk, and a plain one that
-    numpy refuses or warns about, is read by the csv module and converted
-    by ``int()`` and ``float()``, which decide what a valid row is.  A
+    spare room.  A plain chunk (no ``"``, none of ``_NOT_PLAIN``, no
+    line longer than a csv field may be, and no non-ASCII character
+    outside the labels) is converted by one ``np.loadtxt`` call, which
+    reads the labels as a fixed-width ``U`` field, ``_LABEL_WIDTH``
+    characters wide at first.  A chunk whose longest label fills the
+    field is read once more, as wide as its longest line, so that no
+    label is cut short, and later chunks are read one character wider
+    than that label.  Every other chunk, and a plain one that numpy
+    refuses or warns about, is read by the csv module and converted by
+    ``int()`` and ``float()``, which decide what a valid row is.  A
     malformed row, a record the csv module cannot read and bytes that are
     not UTF-8 raise :class:`TraceFormatError` naming the first such line,
     counted in CSV records with the header as line 1.
@@ -116,8 +120,11 @@ def load_temperature_trace(path: str | Path) -> dict[str, TransectSeries]:
             raise TraceFormatError(
                 f"expected header {','.join(TRACE_HEADER)}", line=1
             )
-        line = 2
-        while records := _append_chunk(handle, line, columns, last):
+        line, width = 2, _LABEL_WIDTH
+        while True:
+            records, width = _append_chunk(handle, line, width, columns, last)
+            if not records:
+                break
             line += records
     if not columns:
         raise TraceFormatError("no samples")
@@ -128,16 +135,18 @@ def load_temperature_trace(path: str | Path) -> dict[str, TransectSeries]:
     }
 
 
-def _append_chunk(handle, line: int, columns: dict[str, tuple[array, ...]],
-                  last: dict[str, int]) -> int:
+def _append_chunk(handle, line: int, width: int,
+                  columns: dict[str, tuple[array, ...]],
+                  last: dict[str, int]) -> tuple[int, int]:
     """Append the chunk of ``handle`` whose first record is at ``line``
-    to ``columns``; returns its number of records.  Nothing of the chunk
-    outlives the call; ``last`` as for :func:`_group`."""
+    to ``columns``; returns its number of records and the label width for
+    the next chunk (``width`` as for :func:`_plain_columns`).  Nothing of
+    the chunk outlives the call; ``last`` as for :func:`_group`."""
     lines = list(islice(handle, _CHUNK_ROWS))
     if not lines:
-        return 0
+        return 0, width
     records = len(lines)
-    groups = _plain_columns(lines, last)
+    groups, width = _plain_columns(lines, width, last)
     if groups is None:
         # the csv module reads the same number of records, which a
         # quoted field may finish past the chunk's last line
@@ -156,20 +165,26 @@ def _append_chunk(handle, line: int, columns: dict[str, tuple[array, ...]],
         for column, values in zip(columns[transect], group):
             column.frombytes(values.data.cast("B"))
         last[transect] = int(group[0][-1])
-    return records
+    return records, width
 
 
-def _plain_columns(lines: list[str], last: dict[str, int]):
-    """numpy's conversion of a plain chunk, as :func:`_group` returns it.
+def _plain_columns(lines: list[str], width: int, last: dict[str, int]):
+    """numpy's conversion of a plain chunk, as :func:`_group` returns it,
+    and the label width for the next chunk.
 
-    ``None`` also if the chunk is not plain, or numpy refuses or warns
-    about it (a chunk of blank lines warns that it holds no data).
+    The groups are ``None`` also if the chunk is not plain, or numpy
+    refuses or warns about it (a chunk of blank lines warns that it holds
+    no data).  Labels are read ``width`` characters wide.  A chunk whose
+    longest label fills that width may have had labels cut short, so it
+    is read again as wide as its longest line, which no field of it can
+    exceed; the next chunk's width is then one more than its longest
+    label, so that label does not make every later chunk read twice.
     """
     text = "".join(lines)
     limit = csv.field_size_limit()
     if (any(char in text for char in _NOT_PLAIN)
             or len(text) > limit and max(map(len, lines)) > limit):
-        return None
+        return None, width
     # numpy's integer reader takes some non-ASCII digits ("7\u0761" reads
     # as 1911) where int() refuses them, so every non-ASCII character
     # must sit in a label: the text must hold as many as its labels
@@ -178,15 +193,25 @@ def _plain_columns(lines: list[str], last: dict[str, int]):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(lines, dtype=_TRACE_DTYPE, delimiter=",",
-                               comments=None, quotechar=None, ndmin=1)
+            table = _read_plain(lines, width)
+            if np.char.str_len(table["transect"]).max() == width:
+                table = _read_plain(lines, max(map(len, lines)))
+                width = int(np.char.str_len(table["transect"]).max()) + 1
     except (ValueError, Warning):
-        return None
-    groups = _group(*(table[name] for name in _TRACE_DTYPE.names), last)
+        return None, width
+    groups = _group(table, last)
     if groups and non_ascii != sum(_non_ascii(transect) * len(stamps)
                                    for transect, stamps, *_ in groups):
-        return None
-    return groups
+        return None, width
+    return groups, width
+
+
+def _read_plain(lines: list[str], width: int) -> np.ndarray:
+    """``np.loadtxt``'s rows of a plain chunk, labels ``width`` wide."""
+    dtype = np.dtype([("timestamp", np.int64), ("transect", f"U{width}"),
+                      ("t_soil_c", np.float64), ("t_air_c", np.float64)])
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                      quotechar=None, ndmin=1)
 
 
 def _non_ascii(text: str) -> int:
@@ -194,30 +219,40 @@ def _non_ascii(text: str) -> int:
     return len(text) - len(text.encode("ascii", "ignore"))
 
 
-def _group(timestamps: np.ndarray, labels, t_soil: np.ndarray,
-           t_air: np.ndarray, last: dict[str, int]):
-    """Converted columns split into per-transect columns, in first-seen order.
+def _group(table: np.ndarray, last: dict[str, int]):
+    """Rows of :func:`_read_plain` split into per-transect columns, in
+    first-seen order.
 
     Returns ``(transect, timestamps, t_soil_c, t_air_c)`` per transect, or
     ``None`` if a label is blank or not UTF-8, a temperature is not
     finite or a transect's timestamps go backwards; ``last`` holds each
     transect's last timestamp from earlier chunks.
     """
+    t_soil, t_air = table["t_soil_c"], table["t_air_c"]
     if not (np.isfinite(t_soil).all() and np.isfinite(t_air).all()):
         return None
-    # each distinct label is stripped once; code = first-seen order
-    codes: dict[str, int] = {}
-    code_of = dict.fromkeys(labels)
-    for label in code_of:
-        code_of[label] = codes.setdefault(label.strip(), len(codes))
-    if "" in codes or _undecodable("".join(codes)):
+    # one comparison per distinct label, taken in first-seen order; the
+    # rows of labels that strip alike are one transect's
+    labels = table["transect"]
+    picks: dict[str, np.ndarray] = {}
+    seen = np.zeros(len(labels), bool)
+    first = 0
+    while not seen[first]:
+        pick = labels == labels[first]
+        seen |= pick
+        transect = labels[first].strip()
+        if transect in picks:
+            picks[transect] |= pick
+        else:
+            picks[transect] = pick
+        first = seen.argmin()
+    if "" in picks or _undecodable("".join(picks)):
         return None
-    code = np.fromiter(map(code_of.__getitem__, labels), np.intp, len(labels))
-    order = np.argsort(code, kind="stable")
-    bounds = np.searchsorted(code[order], np.arange(len(codes) + 1))
+    timestamps = table["timestamp"]
     groups = []
-    for transect, start, end in zip(codes, bounds[:-1], bounds[1:]):
-        pick = order[start:end]
+    for transect, pick in picks.items():
+        # integer indexes take a strided field's rows faster than a mask
+        pick = np.flatnonzero(pick)
         stamps = timestamps[pick]
         if (stamps[0] < last.get(transect, stamps[0])
                 or (stamps[1:] < stamps[:-1]).any()):
@@ -302,10 +337,6 @@ class FeasibilityReport:
     verdicts: dict[str, tuple[float, float, bool]] | None
 
 
-def _day_label(day_index: int) -> str:
-    return date.fromordinal(_EPOCH_ORDINAL + int(day_index)).isoformat()
-
-
 def analyze_trace(
     series_by_transect: dict[str, TransectSeries],
     stack: ThermalStack,
@@ -385,11 +416,22 @@ def _analyze_transect(transect: str, series: TransectSeries,
         by_day = tuple(x[order] for x in by_day)
     starts = np.flatnonzero(
         np.concatenate(([True], day_index[1:] != day_index[:-1])))
-    ends = np.append(starts[1:], len(day_index))
+    bounds = np.append(starts, len(day_index))
+    lengths = np.diff(bounds)
+    # consecutive days of as many samples each are one run, reduced as a
+    # (days, samples) view of it: numpy sums each row as it sums a 1-D
+    # slice, so a day's mean is bit for bit that of its own slice
+    runs = np.flatnonzero(
+        np.concatenate(([True], lengths[1:] != lengths[:-1])))
+    means = np.empty((len(by_day), len(starts)))
+    for first, stop in zip(runs, np.append(runs[1:], len(starts))):
+        lo, hi, length = bounds[first], bounds[stop], lengths[first]
+        for row, x in zip(means, by_day):
+            row[first:stop] = x[lo:hi].reshape(-1, length).mean(axis=1)
+    labels = np.datetime_as_string(day_index[starts].astype("datetime64[D]"))
     daily = tuple(
-        PeriodMeans(_day_label(day), transect,
-                    *(float(x[start:end].mean()) for x in by_day))
-        for day, start, end in zip(day_index[starts], starts, ends)
+        PeriodMeans(label, transect, *values)
+        for label, *values in zip(labels.tolist(), *means.tolist())
     )
     yearly = PeriodMeans("yearly", transect, float(dt_env.mean()),
                          float(dt_teg.mean()), float(power.mean()))

@@ -172,23 +172,31 @@ class SensorReading(NamedTuple):
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SensorReading":
-        size = len(data)
-        if size < _RECORD_HEAD.size:
-            raise ValueError(f"reading record of {size} bytes is too short")
-        timestamp, kind_code, count = _RECORD_HEAD.unpack_from(data)
-        kind = _KINDS.get(kind_code)
-        if kind is None:
-            raise ValueError(f"unknown sensor kind 0x{kind_code:02X}")
-        if count != len(CHANNELS[kind]):
-            raise ValueError(
-                f"{kind.name} record declares {count} channels,"
-                f" expected {len(CHANNELS[kind])}"
-            )
-        record = _RECORDS[kind]
-        if size != record.size:
-            raise ValueError(f"reading record is {size} bytes,"
-                             f" expected {record.size}")
-        return cls(timestamp, kind, record.unpack(data)[3:])
+        return cls(*unpack_reading(data))
+
+
+def unpack_reading(data: bytes) -> tuple[int, SensorKind, tuple[int, ...]]:
+    """A reading's wire record as ``(timestamp, kind, values_milli)``, the
+    fields of its :class:`SensorReading`; a record of the wrong size, an
+    unknown kind or a channel count that is not the kind's raises
+    ``ValueError``."""
+    size = len(data)
+    if size < _RECORD_HEAD.size:
+        raise ValueError(f"reading record of {size} bytes is too short")
+    timestamp, kind_code, count = _RECORD_HEAD.unpack_from(data)
+    kind = _KINDS.get(kind_code)
+    if kind is None:
+        raise ValueError(f"unknown sensor kind 0x{kind_code:02X}")
+    if count != len(CHANNELS[kind]):
+        raise ValueError(
+            f"{kind.name} record declares {count} channels,"
+            f" expected {len(CHANNELS[kind])}"
+        )
+    record = _RECORDS[kind]
+    if size != record.size:
+        raise ValueError(f"reading record is {size} bytes,"
+                         f" expected {record.size}")
+    return timestamp, kind, record.unpack(data)[3:]
 
 
 class SensorDriver(ABC):

@@ -3,6 +3,7 @@
 import csv
 import math
 import warnings
+from datetime import date
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -334,9 +335,11 @@ def assert_matches_reference(path, chunk_rows):
 # reads "7\u0761" as 1911), the int64 edges, spellings of infinity and
 # nan, blanks (\x1c is one to numpy, not to Python), a label numpy could
 # take for a comment and a NUL; non-ASCII labels, which stay on numpy's
-# path, one with a blank that strip() removes; and bytes that are not
-# UTF-8, each a lone surrogate here that the fuzzed file is written with
-# as the byte itself
+# path, one with a blank that strip() removes and one of 40 characters,
+# wider than numpy's label field starts; and bytes that are not UTF-8,
+# each a lone surrogate here that the fuzzed file is written with as the
+# byte itself
+LONG_LABEL = "  Ölkelduháls norðurhlíð mælilína 1234  "
 STAMPS = st.one_of(st.integers(-3, 40).map(str),
                    st.sampled_from(["1_0", " 7 ", "+3", "x", "", "1.5",
                                     "\u0661", "\uff11", "\t3", "\x1c3",
@@ -346,7 +349,7 @@ STAMPS = st.one_of(st.integers(-3, 40).map(str),
                                     "7\u0761"]))
 LABELS = st.sampled_from(["A", "B", " A ", "a,b", 'q"x', "", "  ", "#A",
                           "A\x00", "A\nB", "\udce9A", "Gr\u00e6ndalur",
-                          "\u00deA", "\u00a0A"])
+                          "\u00deA", "\u00a0A", LONG_LABEL])
 TEMPS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["nan", "-inf", "1_0.5", " 2.5 ", "soup", "",
@@ -424,6 +427,40 @@ def test_a_plain_trace_never_reaches_the_python_converter(tmp_path):
             assert_matches_reference(path, chunk_rows)
     assert list(load_temperature_trace(path)) == ["N1", "S2", "E3",
                                                   "Gr\u00e6ndalur"]
+
+
+LONGER_LABEL = LONG_LABEL + "og suður "
+
+
+def long_label_trace(tmp_path):
+    """A plain trace of 2-row chunks whose labels outgrow numpy's label
+    field twice, each first in a later chunk, and its chunk count."""
+    rows = [f"{600 * step},{label},{step}.5,0.25"
+            for step in range(12)
+            for label in ("A", LONG_LABEL, LONGER_LABEL)[:1 + step // 4]]
+    return write_trace(tmp_path, "".join(row + "\n" for row in rows)), \
+        math.ceil(len(rows) / 2)
+
+
+def test_a_long_label_first_seen_in_a_later_chunk_is_not_cut_short(tmp_path):
+    path, _ = long_label_trace(tmp_path)
+    python_converter = mock.patch.object(
+        feasibility, "_check_rows",
+        side_effect=AssertionError("a plain chunk reached the csv path"))
+    with python_converter:
+        assert_matches_reference(path, 2)
+    assert list(load_temperature_trace(path)) == [
+        "A", LONG_LABEL.strip(), LONGER_LABEL.strip()]
+
+
+def test_a_long_label_costs_one_more_numpy_read_not_one_per_chunk(tmp_path):
+    path, chunks = long_label_trace(tmp_path)
+    with mock.patch.object(feasibility, "_CHUNK_ROWS", 2), \
+            mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        load_temperature_trace(path)
+    # one read per chunk, and one more for each chunk with a new widest
+    # label
+    assert loadtxt.call_count == chunks + 2
 
 
 def test_a_chunk_of_blank_lines_loads_without_a_warning(tmp_path):
@@ -544,28 +581,66 @@ def test_bad_row_before_an_unreadable_record_is_reported_first(tmp_path):
 
 # -- daily means --------------------------------------------------------------
 
+def ten_minute_days():
+    """10-min samples (144 a day, more than numpy's 128-sample pairwise
+    block) from a partial first day to a partial last day, with a gap of
+    two hours in one day, splitting a run of 144-sample days, and a
+    missing day between two days of 144."""
+    stamps = np.arange(3 * 86400 + 100 * 600, 10 * 86400 + 30 * 600, 600)
+    gap = (stamps >= 6 * 86400 + 3 * 3600) & (stamps < 6 * 86400 + 5 * 3600)
+    missing = stamps // 86400 == 8
+    return stamps[~(gap | missing)]
+
+
+def sparse_days():
+    """Days of fewer than 8 samples: six, three and one a day."""
+    return np.concatenate([np.arange(0, 4 * 86400, 4 * 3600),
+                           4 * 86400 + np.array([0, 5, 9000]),
+                           5 * 86400 + np.arange(0, 86400, 4 * 3600),
+                           [6 * 86400 + 7]])
+
+
 def test_daily_means_equal_the_masked_means_exactly():
     rng = np.random.default_rng(7)
-    n = 500
-    unsorted = rng.integers(0, 5 * 86400, n)     # five days
     stack, teg = default_stack(), default_teg()
-    # out of order, and in time order as the loader gives them
-    for timestamps in (unsorted, np.sort(unsorted)):
-        series = TransectSeries("E", timestamps, rng.normal(8.0, 5.0, n),
-                                rng.normal(2.0, 6.0, n))
-        analysis = analyze_trace({"E": series}, stack, teg).transects[0]
-        dt_env = series.t_soil_c - series.t_air_c
-        dt_teg = delta_t_teg(series.t_soil_c, series.t_air_c, stack)
-        power = teg_power(dt_teg, teg)
-        day_index = timestamps // 86400
-        days = np.unique(day_index)
-        assert len(analysis.daily) == len(days) == 5
-        for row, day in zip(analysis.daily, days):
-            mask = day_index == day
-            assert row.mean_dt_c == float(dt_env[mask].mean())
-            assert row.mean_dt_teg_k == float(dt_teg[mask].mean())
-            assert row.mean_power_w == float(power[mask].mean())
-        assert analysis.yearly.mean_power_w == float(power.mean())
+    unsorted = rng.integers(0, 5 * 86400, 500)     # five days
+    for stamps in (unsorted, ten_minute_days(),
+                   rng.permutation(ten_minute_days()), sparse_days()):
+        n = len(stamps)
+        # out of order, and in time order as the loader gives them
+        for timestamps in (stamps, np.sort(stamps)):
+            series = TransectSeries("E", timestamps,
+                                    rng.normal(8.0, 5.0, n),
+                                    rng.normal(2.0, 6.0, n))
+            analysis = analyze_trace({"E": series}, stack, teg).transects[0]
+            dt_env = series.t_soil_c - series.t_air_c
+            dt_teg = delta_t_teg(series.t_soil_c, series.t_air_c, stack)
+            power = teg_power(dt_teg, teg)
+            day_index = timestamps // 86400
+            days = np.unique(day_index)
+            assert len(analysis.daily) == len(days)
+            for row, day in zip(analysis.daily, days):
+                mask = day_index == day
+                assert row.date == date.fromordinal(
+                    date(1970, 1, 1).toordinal() + int(day)).isoformat()
+                assert row.mean_dt_c == float(dt_env[mask].mean())
+                assert row.mean_dt_teg_k == float(dt_teg[mask].mean())
+                assert row.mean_power_w == float(power[mask].mean())
+            assert analysis.yearly.mean_power_w == float(power.mean())
+
+
+def test_day_labels_are_iso_dates_from_year_1_to_9999():
+    days = [date.min, date(999, 12, 31), date(1969, 12, 31),
+            date(2024, 2, 29), date.max]
+    epoch = date(1970, 1, 1)
+    timestamps = np.array([(day - epoch).days * 86400 for day in days])
+    timestamps[-1] += 86399
+    series = TransectSeries("E", timestamps, np.full(len(days), 8.0),
+                            np.full(len(days), 2.0))
+    analysis = analyze_trace({"E": series}, default_stack(),
+                             default_teg()).transects[0]
+    assert [row.date for row in analysis.daily] == [
+        day.isoformat() for day in days]
 
 
 # -- node power and converter efficiency --------------------------------------

@@ -15,7 +15,9 @@ allocated above the baseline while each runs:
 
 It also times the load of the trace and of a copy whose first transect
 is named ``Grændalur``: a non-ASCII label keeps a chunk on numpy's
-reader, so the two should take about as long.
+reader, so the two should take about as long.  With them it prints the
+load's rows per second and the time of one analysis of the loaded
+trace.  Times are printed, never gated.
 
     PYTHONPATH=src python tests/test_trace_memory.py
 
@@ -98,10 +100,13 @@ def trace_memory() -> dict:
     }
 
 
-def load_seconds(repeats: int = 7) -> dict:
+def seconds(repeats: int = 7) -> dict:
     """Best wall time of ``repeats`` loads of the trace, and of the trace
-    with its first transect renamed, the two loads taken in turn."""
-    times = {"load_s_ascii": math.inf, "load_s_renamed": math.inf}
+    with its first transect renamed, the two loads taken in turn; the
+    first load's rows per second; and the best time of ``repeats``
+    analyses of the loaded trace."""
+    times = {"load_s_ascii": math.inf, "load_s_renamed": math.inf,
+             "analyze_s": math.inf}
     with tempfile.TemporaryDirectory() as work:
         path = write_trace(Path(work) / "t.csv")
         renamed = Path(work) / "renamed.csv"
@@ -111,10 +116,18 @@ def load_seconds(repeats: int = 7) -> dict:
             for key, trace in (("load_s_ascii", path),
                                ("load_s_renamed", renamed)):
                 started = time.perf_counter()
-                load_temperature_trace(trace)
+                series = load_temperature_trace(trace)
                 times[key] = min(times[key], time.perf_counter() - started)
+    rows = sum(map(len, series.values()))
+    for _ in range(repeats):
+        started = time.perf_counter()
+        analyze_trace(series, default_stack(), default_teg(),
+                      node_power_w=4e-4)
+        times["analyze_s"] = min(times["analyze_s"],
+                                 time.perf_counter() - started)
     times["renamed_over_ascii"] = (times["load_s_renamed"]
                                    / times["load_s_ascii"])
+    times["load_rows_per_s"] = rows / times["load_s_ascii"]
     return times
 
 
@@ -126,5 +139,5 @@ def test_a_trace_is_loaded_and_analysed_in_bounded_memory():
 
 
 if __name__ == "__main__":
-    json.dump({**trace_memory(), **load_seconds()}, sys.stdout, indent=1)
+    json.dump({**trace_memory(), **seconds()}, sys.stdout, indent=1)
     print()
