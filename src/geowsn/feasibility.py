@@ -44,6 +44,10 @@ _TYPECODES = tuple(np.dtype(t).char for t in (np.int64, float, float))
 #: the width of numpy's label field at the start of a load; a chunk
 #: with a longer label widens it for the rest of the load
 _LABEL_WIDTH = 4
+#: the longest label numpy reads; the field takes 4 bytes a character
+#: for every row of a chunk, so a chunk with a longer label goes to the
+#: csv module
+_MAX_LABEL_WIDTH = 64
 #: characters that keep a chunk from numpy: a quote can make one csv
 #: record span lines, csv before Python 3.11 refuses NUL, and numpy
 #: reads \x1c-\x1f as blanks around a number where int() and float()
@@ -99,14 +103,16 @@ def load_temperature_trace(path: str | Path) -> dict[str, TransectSeries]:
     outside the labels) is converted by one ``np.loadtxt`` call, which
     reads the labels as a fixed-width ``U`` field, ``_LABEL_WIDTH``
     characters wide at first.  A chunk whose longest label fills the
-    field is read once more, as wide as its longest line, so that no
-    label is cut short, and later chunks are read one character wider
-    than that label.  Every other chunk, and a plain one that numpy
-    refuses or warns about, is read by the csv module and converted by
-    ``int()`` and ``float()``, which decide what a valid row is.  A
-    malformed row, a record the csv module cannot read and bytes that are
-    not UTF-8 raise :class:`TraceFormatError` naming the first such line,
-    counted in CSV records with the header as line 1.
+    field is read once more, as wide as its longest line but at most
+    one character wider than ``_MAX_LABEL_WIDTH``, so that no label is
+    cut short, and later chunks are read one character wider than that
+    label.  A chunk with a label longer than ``_MAX_LABEL_WIDTH`` leaves
+    the width as it was.  That chunk, every other chunk, and a plain one
+    that numpy refuses or warns about, is read by the csv module and
+    converted by ``int()`` and ``float()``, which decide what a valid
+    row is.  A malformed row, a record the csv module cannot read and
+    bytes that are not UTF-8 raise :class:`TraceFormatError` naming the
+    first such line, counted in CSV records with the header as line 1.
     """
     columns: dict[str, tuple[array, array, array]] = {}
     last: dict[str, int] = {}
@@ -174,11 +180,13 @@ def _plain_columns(lines: list[str], width: int, last: dict[str, int]):
 
     The groups are ``None`` also if the chunk is not plain, or numpy
     refuses or warns about it (a chunk of blank lines warns that it holds
-    no data).  Labels are read ``width`` characters wide.  A chunk whose
-    longest label fills that width may have had labels cut short, so it
-    is read again as wide as its longest line, which no field of it can
-    exceed; the next chunk's width is then one more than its longest
-    label, so that label does not make every later chunk read twice.
+    no data), or holds a label longer than ``_MAX_LABEL_WIDTH``.  Labels
+    are read ``width`` characters wide.  A chunk whose longest label
+    fills that width may have had labels cut short, so it is read again
+    as wide as its longest line, which no field of it can exceed, or one
+    character wider than ``_MAX_LABEL_WIDTH`` if that is less; the next
+    chunk's width is then one more than its longest label, so that label
+    does not make every later chunk read twice.
     """
     text = "".join(lines)
     limit = csv.field_size_limit()
@@ -195,8 +203,12 @@ def _plain_columns(lines: list[str], width: int, last: dict[str, int]):
             warnings.simplefilter("error")
             table = _read_plain(lines, width)
             if np.char.str_len(table["transect"]).max() == width:
-                table = _read_plain(lines, max(map(len, lines)))
-                width = int(np.char.str_len(table["transect"]).max()) + 1
+                table = _read_plain(lines, min(max(map(len, lines)),
+                                               _MAX_LABEL_WIDTH + 1))
+                longest = int(np.char.str_len(table["transect"]).max())
+                if longest > _MAX_LABEL_WIDTH:
+                    return None, width
+                width = longest + 1
     except (ValueError, Warning):
         return None, width
     groups = _group(table, last)
@@ -231,28 +243,27 @@ def _group(table: np.ndarray, last: dict[str, int]):
     t_soil, t_air = table["t_soil_c"], table["t_air_c"]
     if not (np.isfinite(t_soil).all() and np.isfinite(t_air).all()):
         return None
-    # one comparison per distinct label, taken in first-seen order; the
-    # rows of labels that strip alike are one transect's
+    # a stable sort puts each raw label's rows together, in row order, so
+    # the work grows as n log n whatever the number of labels; neighbours
+    # compare faster as code points than as strings.  The rows of labels
+    # that strip alike are one transect's, in first-seen order
     labels = table["transect"]
-    picks: dict[str, np.ndarray] = {}
-    seen = np.zeros(len(labels), bool)
-    first = 0
-    while not seen[first]:
-        pick = labels == labels[first]
-        seen |= pick
-        transect = labels[first].strip()
-        if transect in picks:
-            picks[transect] |= pick
-        else:
-            picks[transect] = pick
-        first = seen.argmin()
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order].view(np.uint32).reshape(len(order), -1)
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (ranked[1:] != ranked[:-1]).any(axis=1))))
+    del ranked    # not held while the columns are gathered
+    picks: dict[str, list[np.ndarray]] = {}
+    firsts, bounds = order[starts], np.append(starts, len(order)).tolist()
+    for _, label, start, end in sorted(zip(
+            firsts.tolist(), labels[firsts].tolist(), bounds, bounds[1:])):
+        picks.setdefault(label.strip(), []).append(order[start:end])
     if "" in picks or _undecodable("".join(picks)):
         return None
     timestamps = table["timestamp"]
     groups = []
-    for transect, pick in picks.items():
-        # integer indexes take a strided field's rows faster than a mask
-        pick = np.flatnonzero(pick)
+    for transect, runs in picks.items():
+        pick = runs[0] if len(runs) == 1 else np.sort(np.concatenate(runs))
         stamps = timestamps[pick]
         if (stamps[0] < last.get(transect, stamps[0])
                 or (stamps[1:] < stamps[:-1]).any()):

@@ -336,9 +336,9 @@ def assert_matches_reference(path, chunk_rows):
 # nan, blanks (\x1c is one to numpy, not to Python), a label numpy could
 # take for a comment and a NUL; non-ASCII labels, which stay on numpy's
 # path, one with a blank that strip() removes and one of 40 characters,
-# wider than numpy's label field starts; and bytes that are not UTF-8,
-# each a lone surrogate here that the fuzzed file is written with as the
-# byte itself
+# wider than numpy's label field starts; one of 80, longer than numpy
+# reads; and bytes that are not UTF-8, each a lone surrogate here that the
+# fuzzed file is written with as the byte itself
 LONG_LABEL = "  Ölkelduháls norðurhlíð mælilína 1234  "
 STAMPS = st.one_of(st.integers(-3, 40).map(str),
                    st.sampled_from(["1_0", " 7 ", "+3", "x", "", "1.5",
@@ -349,7 +349,8 @@ STAMPS = st.one_of(st.integers(-3, 40).map(str),
                                     "7\u0761"]))
 LABELS = st.sampled_from(["A", "B", " A ", "a,b", 'q"x', "", "  ", "#A",
                           "A\x00", "A\nB", "\udce9A", "Gr\u00e6ndalur",
-                          "\u00deA", "\u00a0A", LONG_LABEL])
+                          "\u00deA", "\u00a0A", LONG_LABEL,
+                          LONG_LABEL * 2])
 TEMPS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["nan", "-inf", "1_0.5", " 2.5 ", "soup", "",
@@ -461,6 +462,43 @@ def test_a_long_label_costs_one_more_numpy_read_not_one_per_chunk(tmp_path):
     # one read per chunk, and one more for each chunk with a new widest
     # label
     assert loadtxt.call_count == chunks + 2
+
+
+def test_a_label_longer_than_numpy_reads_leaves_the_width_alone(tmp_path):
+    widest = "W" * feasibility._MAX_LABEL_WIDTH
+    labels = ["A", "A", LONG_LABEL, "A", "A", "A", widest + "x", "A", widest,
+              "A"]
+    path = write_trace(tmp_path, "".join(
+        f"{600 * step},{label},1,1\n" for step, label in enumerate(labels)))
+    assert_matches_reference(path, 2)
+    with mock.patch.object(feasibility, "_CHUNK_ROWS", 2), \
+            mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+            mock.patch.object(feasibility, "_check_rows",
+                              wraps=feasibility._check_rows) as check_rows:
+        load_temperature_trace(path)
+    # a chunk is read again as wide as its longest line (50 characters),
+    # but never past 65; the chunk with a longer label goes to the csv
+    # module and leaves the width as it was, and the widest label numpy
+    # reads widens it
+    widths = [call.kwargs["dtype"]["transect"].itemsize // 4
+              for call in loadtxt.call_args_list]
+    assert widths == [4, 4, 50, 41, 41, 65, 41, 65]
+    assert check_rows.call_count == 1
+
+
+def test_many_interleaved_transects_load_as_the_row_loop_does(tmp_path):
+    # labels that strip alike are one transect, whichever comes first
+    names = [f"T{i}" for i in range(1000)] + [" T7", "T999 ", " T0 "]
+    path = write_trace(tmp_path, "".join(
+        f"{600 * step},{name},{step}.5,{i}\n"
+        for step in range(5) for i, name in enumerate(names)))
+    python_converter = mock.patch.object(
+        feasibility, "_check_rows",
+        side_effect=AssertionError("a plain chunk reached the csv path"))
+    with python_converter:
+        for chunk_rows in (700, 4096):
+            assert_matches_reference(path, chunk_rows)
+    assert len(load_temperature_trace(path)) == 1000
 
 
 def test_a_chunk_of_blank_lines_loads_without_a_warning(tmp_path):

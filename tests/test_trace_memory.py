@@ -11,7 +11,10 @@ allocated above the baseline while each runs:
 - the load's peak, as a share of the ``nbytes`` of the arrays it returns,
   fails above ``MAX_LOAD_SHARE``;
 - the analysis's peak, in float64 columns of the longest transect, fails
-  above ``MAX_ANALYSIS_COLUMNS``.
+  above ``MAX_ANALYSIS_COLUMNS``;
+- a label of ``LONG_LABEL_CHARS`` characters in the first chunk of a
+  shorter trace fails if it adds more than ``MAX_LONG_LABEL_BYTES`` to
+  that load's peak.
 
 It also times the load of the trace and of a copy whose first transect
 is named ``Grændalur``: a non-ASCII label keeps a chunk on numpy's
@@ -47,6 +50,12 @@ MAX_LOAD_SHARE = 1.25
 #: ceiling on the analysis's peak above the loaded series, in float64
 #: columns of the longest transect
 MAX_ANALYSIS_COLUMNS = 6
+#: a label about as long as a csv field may be
+LONG_LABEL_CHARS = 100_000
+#: what that label may add to a load's peak: one chunk read by the csv
+#: module and a few copies of its line.  A label field as wide as the
+#: label would take 4 bytes a character for each row of a chunk, 1.6 GB
+MAX_LONG_LABEL_BYTES = 2**21 + 8 * LONG_LABEL_CHARS
 
 
 def write_trace(path: Path, names=TRANSECTS, steps: int = STEPS) -> Path:
@@ -136,6 +145,22 @@ def test_a_trace_is_loaded_and_analysed_in_bounded_memory():
     assert figures["rows"] == len(TRANSECTS) * STEPS
     assert figures["load_peak_share"] <= MAX_LOAD_SHARE, figures
     assert figures["analysis_peak_columns"] <= MAX_ANALYSIS_COLUMNS, figures
+
+
+def test_one_long_label_widens_no_later_chunk():
+    with tempfile.TemporaryDirectory() as work:
+        plain = write_trace(Path(work) / "plain.csv", steps=STEPS // 5)
+        header, body = plain.read_text(encoding="utf-8").split("\n", 1)
+        long = Path(work) / "long.csv"
+        long.write_text(f"{header}\n0,{'L' * LONG_LABEL_CHARS},1,1\n{body}",
+                        encoding="utf-8")
+        _, plain_peak = peak_above_baseline(
+            lambda: load_temperature_trace(plain))
+        series, long_peak = peak_above_baseline(
+            lambda: load_temperature_trace(long))
+    assert len(series) == len(TRANSECTS) + 1
+    assert long_peak - plain_peak <= MAX_LONG_LABEL_BYTES, (long_peak,
+                                                            plain_peak)
 
 
 if __name__ == "__main__":
