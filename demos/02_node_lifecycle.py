@@ -2,8 +2,8 @@
 One node, driven by hand
 ========================
 
-The firmware object is plain Python: you feed it time and downlink
-bytes, it hands back uplink frames.  No radio, no scheduler, so every
+The firmware object is plain Python: you feed it time, in whole ms, and
+downlink bytes, it hands back uplink frames.  No radio, no scheduler, so every
 behavior is easy to poke at.
 """
 
@@ -42,12 +42,12 @@ node = SensorNode(
                       sampling_rate=60),
     drivers={int(SensorKind.SOIL_TEMPERATURE): driver},
 )
-node.boot(0.0)
-print("booted, first sample due at", node.next_sample_at, "s")
+node.boot(0)
+print("booted, first sample due at", node.next_sample_ms / 1000, "s")
 
 # The sample timer fires: the node measures, stores the record in its
 # data file and queues it for uplink.
-node.on_sample_timer(60.0)
+node.on_sample_timer(60_000)
 uplink = node.drain_outbox()[0]
 action = decode_command(uplink.payload)[0]
 reading = SensorReading.from_bytes(action.payload)
@@ -59,28 +59,28 @@ print("first reading:", reading.values_milli, "milli-units of",
 poke = encode_command((
     AlpAction.write(NODE_CONFIG_FILE, 3, b"\xAA"),
 ))
-node.on_downlink(poke, 65.0)
+node.on_downlink(poke, 65_000)
 frames = node.drain_outbox()
 print("frames after the poke:", [f.kind.value for f in frames])
 
 # When the radio drops a frame the records spool to flash instead of
 # vanishing; the next delivered uplink flushes them oldest first.
-node.on_sample_timer(120.0)
+node.on_sample_timer(120_000)
 lost = node.drain_outbox()[0]
-node.on_uplink_result(lost, delivered=False, now_s=120.1)
+node.on_uplink_result(lost, delivered=False)
 print("spooled after a drop:", len(node.buffer), "record")
 
-node.on_sample_timer(180.0)
+node.on_sample_timer(180_000)
 fresh = node.drain_outbox()[0]
-node.on_uplink_result(fresh, delivered=True, now_s=180.1)
+node.on_uplink_result(fresh, delivered=True)
 flush = node.drain_outbox()[0]
 print("flush frame carries", len(flush.records), "spooled record(s)")
-node.on_uplink_result(flush, delivered=True, now_s=180.2)
+node.on_uplink_result(flush, delivered=True)
 print("flash after flush:", len(node.buffer), "records,"
       " delivered so far:", node.counters.records_delivered)
 
 # A reset zeroes the volatile data file but configuration persists.
-node.reset(200.0)
+node.reset(200_000)
 print("config survives reset:",
       node.files.raw(NODE_CONFIG_FILE) == node.config.to_bytes())
 print("data file wiped:",

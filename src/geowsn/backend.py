@@ -33,9 +33,9 @@ from .alp import (
     decode_command,
     encode_command,
 )
-from .netsim import (MS_PER_S, Envelope, Forwarder, NoSuchNodeError,
+from .netsim import (Envelope, Forwarder, NoSuchNodeError,
                      PayloadTooLargeError, Simulator)
-from .node import CHANNELS, MAX_UID, SensorKind, unpack_reading
+from .node import CHANNELS, MAX_UID, MS_PER_S, SensorKind, unpack_reading
 from .store import Store
 
 

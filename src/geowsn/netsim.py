@@ -1,13 +1,17 @@
 """Discrete-event simulator for duty-cycled star networks.
 
-Time is a virtual millisecond clock.  Every scheduled occurrence is an
-event on a single heap ordered by ``(time, sequence number)``, which
-makes a run a pure function of its scenario and seed: two runs of the
-same scenario produce byte-identical logs.  Each site is a star of
-nodes around one gateway; uplinks suffer one loss draw and a fixed
-latency, downlinks wait at the gateway until the target node's next
-listen window.  Per-node RNG streams are split from the scenario seed
-by hashing, so adding a node never perturbs the others' draws.
+Time is a virtual clock of whole ms, the one unit from the heap to a
+node's RTC.  Every scheduled occurrence is an event on a single heap
+ordered by ``(time, sequence number)``, which makes a run a pure
+function of its scenario and seed: two runs of the same scenario
+produce byte-identical logs.  Each site is a star of nodes around one
+gateway; uplinks suffer one loss draw and a fixed latency, downlinks
+wait at the gateway until the target node's next listen window.
+Per-node RNG streams are split from the scenario seed by hashing, so
+adding a node never perturbs the others' draws.  A handler hands its
+event's ms to the node as is; seconds enter only at the edges (a run's
+duration and listen interval, a hang's time, a downlink's TTL), each
+rounded to ms once.
 
 The heap holds only what waits for its time: sample timers, uplink
 arrivals, listen windows, watchdog resets and injected hangs, each as
@@ -43,15 +47,14 @@ from typing import Callable, Iterator, NamedTuple
 
 from .node import (
     MAX_PAYLOAD_BYTES,
+    MS_PER_S,
     STATUS_FRAME_BYTES,
-    WATCHDOG_PERIOD_S,
+    WATCHDOG_PERIOD_MS,
     SensorKind,
     SensorNode,
     UplinkKind,
 )
 from .store import Store
-
-MS_PER_S = 1000
 
 DEFAULT_LISTEN_INTERVAL_S = 1.0
 DEFAULT_DOWNLINK_TTL_S = 60.0
@@ -195,7 +198,7 @@ class Envelope(NamedTuple):
     node_uid: int
     gateway_id: str
     site_id: str
-    rx_timestamp: float
+    rx_ms: int
     dialog: int | None = None
 
 
@@ -451,10 +454,6 @@ class Simulator:
     def node_uids(self) -> tuple[int, ...]:
         return tuple(self._by_uid)
 
-    @property
-    def now_s(self) -> float:
-        return self.now_ms / MS_PER_S
-
     # -- core loop --------------------------------------------------------
 
     def inject_hang(self, node_uid: int, at_s: float) -> None:
@@ -486,7 +485,7 @@ class Simulator:
             return
         self._started = True
         for runtime in self._by_uid.values():
-            runtime.node.boot(0.0)
+            runtime.node.boot(0)
             self._settle(runtime, 0)
 
     def step(self) -> bool:
@@ -548,7 +547,7 @@ class Simulator:
         if node.hung:
             self._log.pending += (at, rt.codes[_SAMPLE_HUNG], 0)
             return
-        node.on_sample_timer(at / MS_PER_S)
+        node.on_sample_timer(at)
         self._log.pending += (at, rt.codes[_SAMPLE_OK], 0)
         self._settle(rt, at)
 
@@ -572,7 +571,7 @@ class Simulator:
         self._log.pending += (at, rt.codes[_ARRIVAL], len(payload))
         if self.forwarder is not None:
             self.forwarder(payload, Envelope(rt.node.uid, rt.gateway_id,
-                                             rt.site_id, at / MS_PER_S, dialog))
+                                             rt.site_id, at, dialog))
 
     def queue_downlink(self, node_uid: int, payload: bytes,
                        ttl_s: float = DEFAULT_DOWNLINK_TTL_S,
@@ -629,7 +628,7 @@ class Simulator:
                 rt.downlinks_delivered += 1
                 self._log.pending += (at, rt.codes[_WINDOW_DELIVERED],
                                       ticket.ticket_id)
-                node.on_downlink(ticket.payload, at / MS_PER_S)
+                node.on_downlink(ticket.payload, at)
                 self._settle(rt, at, ticket.dialog)
         if rt.pending:
             self._ensure_window(rt, at)
@@ -645,7 +644,7 @@ class Simulator:
         """Reset a hung node at the deadline its hang froze.  This is the
         only check a node ever gets: healthy nodes log none."""
         node = rt.node
-        node.reset(at / MS_PER_S)
+        node.reset(at)
         rt.anchor_ms = at
         self._close_hang(rt, at)
         self._log.pending += (at, rt.codes[_WATCHDOG_RESET], 0,
@@ -659,9 +658,8 @@ class Simulator:
             rt.open_hang_ms = at
             # the first periodic pet at or after the hang comes too late
             # and finds it hung; the reset waits for the frozen deadline
-            period = round(WATCHDOG_PERIOD_S * MS_PER_S)
-            pet_ms = at + (rt.anchor_ms - at) % period
-            deadline_ms = max(round(node.watchdog_deadline * MS_PER_S), pet_ms)
+            pet_ms = at + (rt.anchor_ms - at) % WATCHDOG_PERIOD_MS
+            deadline_ms = max(node.watchdog_deadline_ms, pet_ms)
             heapq.heappush(self._heap, (deadline_ms, next(self._seq),
                                         self._handle_watchdog_check, rt, None))
         self._log.pending += (at, rt.codes[_HANG], 0)
@@ -676,7 +674,6 @@ class Simulator:
         sample (it can move under remote commands).  Answers carry the
         dialog of the command delivered at this ms, if any."""
         node = rt.node
-        now_s = at / MS_PER_S
         # oldest first, so what a result queues follows what was queued
         while node.outbox:
             uplink = node.outbox.popleft()
@@ -685,8 +682,8 @@ class Simulator:
             delivered = self._deliver(
                 rt, at, uplink.payload, uplink.kind._value_,
                 dialog if uplink.kind in _ANSWER_KINDS else None)
-            node.on_uplink_result(uplink, delivered, now_s)
-        want = round(node.next_sample_at * MS_PER_S)
+            node.on_uplink_result(uplink, delivered)
+        want = node.next_sample_ms
         if want != rt.timer_event_ms and want > at and not node.hung:
             heapq.heappush(self._heap, (want, next(self._seq),
                                         self._handle_sample_timer, rt, None))

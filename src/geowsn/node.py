@@ -10,6 +10,9 @@ driver.  The node never talks to a network directly; it appends
 ready-to-send byte strings to an outbox that a transport (the
 simulator) drains, and the transport reports each uplink's fate back
 so the node can spool undelivered readings through its flash buffer.
+Time comes in as the transport's whole ms, the node's one unit: its
+timer, watchdog deadline and RTC anchor are ms, and only a driver is
+asked for a value at float seconds.
 """
 
 from __future__ import annotations
@@ -68,7 +71,9 @@ MAX_PAYLOAD_BYTES = 256
 #: the largest node uid: a DASH7 UID is 64 bits
 MAX_UID = 2**64 - 1
 FLUSH_BATCH_RECORDS = 8
-WATCHDOG_PERIOD_S = 120.0
+#: the one time unit of the firmware and the simulator is the whole ms
+MS_PER_S = 1000
+WATCHDOG_PERIOD_MS = 120_000
 
 
 class ConfigError(ValueError):
@@ -363,8 +368,8 @@ class NodeCounters:
 class SensorNode:
     """One node: file registry, sensor binding, outbox and flash spool.
 
-    All entry points take the current virtual time in seconds; the
-    node holds no clock of its own beyond an RTC offset.
+    All entry points take the current virtual time as ``now_ms``, in
+    whole ms; the node holds no clock of its own beyond an RTC offset.
     """
 
     def __init__(
@@ -391,22 +396,22 @@ class SensorNode:
         self._active_address = 0
         self._rtc_base = 0
         self._rtc_set_ms = 0
-        self._now = 0.0
+        #: the ms of the downlink being executed, for what its actions do
+        self._now_ms = 0
         #: sampling cadence in s; ``_reload`` floors the config's at 1 s so
         #: that a zero written over the air cannot wedge the timer
         self.effective_rate = config.sampling_rate
-        self.next_sample_at = 0.0
-        self.watchdog_deadline = 0.0
+        self.next_sample_ms = 0
+        self.watchdog_deadline_ms = 0
         self._booted = False
 
     # -- lifecycle ---------------------------------------------------
 
-    def boot(self, now_s: float) -> None:
+    def boot(self, now_ms: int) -> None:
         """Power-on: create files, load the stored config."""
         if self._booted:
             raise RuntimeError("node already booted")
         self._booted = True
-        self._now = now_s
         self.files.create(
             FileHeader(SENSOR_DATA_FILE, DATA_FILE_SIZE, persistent=False)
         )
@@ -416,31 +421,30 @@ class SensorNode:
         )
         if self._config.rtc_time:
             self._rtc_base = self._config.rtc_time
-            self._rtc_set_ms = round(now_s * 1000)
+            self._rtc_set_ms = now_ms
         self._reload()
-        self.next_sample_at = now_s + self.effective_rate
-        self.watchdog_deadline = now_s + WATCHDOG_PERIOD_S
+        self.next_sample_ms = now_ms + self.effective_rate * MS_PER_S
+        self.watchdog_deadline_ms = now_ms + WATCHDOG_PERIOD_MS
 
-    def reset(self, now_s: float) -> None:
+    def reset(self, now_ms: int) -> None:
         """Watchdog reset: volatile files zeroed, config and flash kept."""
-        self._now = now_s
         self.hung = False
         self.outbox.clear()
         self.files.reset()
         self._config = NodeConfig.from_bytes(self.files.raw(NODE_CONFIG_FILE))
         self._reload()
-        self.next_sample_at = now_s + self.effective_rate
-        self.watchdog_deadline = now_s + WATCHDOG_PERIOD_S
+        self.next_sample_ms = now_ms + self.effective_rate * MS_PER_S
+        self.watchdog_deadline_ms = now_ms + WATCHDOG_PERIOD_MS
         self.counters.resets += 1
 
     def inject_hang(self) -> None:
         """Freeze the firmware: no sampling, no listening, no petting."""
         self.hung = True
 
-    def notify_activity(self, now_s: float) -> None:
+    def notify_activity(self, now_ms: int) -> None:
         """Healthy activity pets the watchdog."""
         if not self.hung:
-            self.watchdog_deadline = now_s + WATCHDOG_PERIOD_S
+            self.watchdog_deadline_ms = now_ms + WATCHDOG_PERIOD_MS
 
     # -- properties --------------------------------------------------
 
@@ -448,27 +452,24 @@ class SensorNode:
     def config(self) -> NodeConfig:
         return self._config
 
-    def clock(self, now_s: float) -> int:
+    def clock(self, now_ms: int) -> int:
         """The node's idea of the current timestamp: a u32 RTC, which
-        wraps past its top.  It counts whole seconds of integer ms: a
-        difference of float seconds can fall just short of one."""
-        elapsed_ms = round(now_s * 1000) - self._rtc_set_ms
-        return (self._rtc_base + elapsed_ms // 1000) % 2**32
+        counts the whole seconds since it was set and wraps past its top."""
+        return (self._rtc_base + (now_ms - self._rtc_set_ms) // MS_PER_S) % 2**32
 
     # -- timer and radio entry points ---------------------------------
 
-    def on_sample_timer(self, now_s: float) -> None:
+    def on_sample_timer(self, now_ms: int) -> None:
         """Periodic wake: pet the watchdog, sample, store, queue the uplink."""
-        self._now = now_s
         if not self.hung:
-            self.watchdog_deadline = now_s + WATCHDOG_PERIOD_S
-        self._sample_and_store(now_s)
-        self.next_sample_at = now_s + self.effective_rate
+            self.watchdog_deadline_ms = now_ms + WATCHDOG_PERIOD_MS
+        self._sample_and_store(now_ms)
+        self.next_sample_ms = now_ms + self.effective_rate * MS_PER_S
 
-    def on_downlink(self, data: bytes, now_s: float) -> None:
+    def on_downlink(self, data: bytes, now_ms: int) -> None:
         """Execute a command received during a listen window."""
-        self._now = now_s
-        self.notify_activity(now_s)
+        self._now_ms = now_ms
+        self.notify_activity(now_ms)
         try:
             actions = decode_command(data)
         except DecodeError:
@@ -478,9 +479,8 @@ class SensorNode:
         for action in actions:
             self._execute(action)
 
-    def on_uplink_result(self, uplink: Uplink, delivered: bool, now_s: float) -> None:
+    def on_uplink_result(self, uplink: Uplink, delivered: bool) -> None:
         """Learn an uplink's fate; spool or flush the buffer accordingly."""
-        self._now = now_s
         buffer = self.buffer
         kind = uplink.kind
         if delivered:
@@ -521,7 +521,7 @@ class SensorNode:
             # reading the data file wakes the sensor; the fresh reading
             # goes out first, the answer holds the bytes read before it
             if file_id == SENSOR_DATA_FILE:
-                self._sample_and_store(self._now)
+                self._sample_and_store(self._now_ms)
             self._queue_uplink(
                 (AlpAction.return_data(file_id, offset, data),),
                 kind=_RESPONSE,
@@ -553,9 +553,9 @@ class SensorNode:
         self._reload()
         if new.rtc_time != old.rtc_time:
             self._rtc_base = new.rtc_time
-            self._rtc_set_ms = round(self._now * 1000)
+            self._rtc_set_ms = self._now_ms
         if new.sampling_rate != old.sampling_rate:
-            self.next_sample_at = self._now + self.effective_rate
+            self.next_sample_ms = self._now_ms + self.effective_rate * MS_PER_S
         if new.sensor_action != old.sensor_action:
             self._handle_sensor_action(new.sensor_action)
 
@@ -563,7 +563,7 @@ class SensorNode:
         if code == ACTION_NONE:
             return
         if code == ACTION_MEASURE_AND_TRANSMIT:
-            self._sample_and_store(self._now)
+            self._sample_and_store(self._now_ms)
             return
         self._queue_status(STATUS_RESERVED_ACTION_CODE)
 
@@ -580,7 +580,7 @@ class SensorNode:
         self._active_driver = driver
         self._active_address = self._config.sensor_address
 
-    def _sample_and_store(self, now_s: float) -> None:
+    def _sample_and_store(self, now_ms: int) -> None:
         driver = self._active_driver
         if driver is None:
             self._queue_status(STATUS_UNKNOWN_SENSOR_TYPE)
@@ -590,8 +590,8 @@ class SensorNode:
             # a failing driver, the wrong number of values, or one no i32
             # milli-unit holds (NaN, infinite or too large) leaves no
             # record: a driver fault
-            values = driver.measure(self._active_address, now_s)
-            record = _pack_reading(self.clock(now_s), driver.kind,
+            values = driver.measure(self._active_address, now_ms / MS_PER_S)
+            record = _pack_reading(self.clock(now_ms), driver.kind,
                                    [int(round(v * 1000.0)) for v in values])
         except (ValueError, OverflowError, struct.error):
             self.counters.driver_faults += 1
@@ -613,7 +613,7 @@ class SensorNode:
         if len(payload) > self.max_uplink_bytes and kind is not _STATUS:
             # the link cannot carry the frame: it counts as undelivered,
             # and a status echoing what it answered goes in its place
-            self.on_uplink_result(uplink, False, self._now)
+            self.on_uplink_result(uplink, False)
             self._queue_status(STATUS_FILE_ACCESS_ERROR, actions[0])
             return
         self.outbox.append(uplink)

@@ -21,7 +21,6 @@ from pathlib import Path
 from .netsim import (
     DEFAULT_LISTEN_INTERVAL_S,
     MAX_TIME_MS,
-    MS_PER_S,
     SITE_ID_RESERVED,
     LinkModel,
     PowerProfile,
@@ -30,6 +29,7 @@ from .netsim import (
 from .node import (
     CHANNELS,
     MAX_UID,
+    MS_PER_S,
     READING_FRAME_BYTES,
     ChannelSignal,
     ConfigError,

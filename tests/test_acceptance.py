@@ -221,7 +221,7 @@ def test_criterion_7_split_stack_remote_access():
     backend.attach_transport(sim)
     sim.start()
 
-    queued_at = sim.now_s
+    queued_at = sim.now_ms / 1000
     status = backend.remote_write_file(42, NODE_CONFIG_FILE, 3, b"\xAA",
                                        timeout_s=30.0)
     readings = [r for r in backend.sink.records if r.channel == "t_soil"]

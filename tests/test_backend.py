@@ -37,7 +37,7 @@ def reading_frame(timestamp: int = 1000,
 
 def envelope(uid: int = 7, dialog: int | None = None) -> Envelope:
     return Envelope(node_uid=uid, gateway_id="gw-north", site_id="north",
-                    rx_timestamp=12.5, dialog=dialog)
+                    rx_ms=12_500, dialog=dialog)
 
 
 def test_topic_layout():

@@ -44,9 +44,9 @@ COPIES, COPIES_HOURS = 10, 1
 REMOTE_ROUNDS, REMOTE_HOURS, REMOTE_TIMEOUT_S = 5, 24, 10.0
 
 #: ceilings, 5 % above the counts this code base makes
-MAX_SIM_CALLS_PER_SAMPLE = 44.1 * 1.05
+MAX_SIM_CALLS_PER_SAMPLE = 43.3 * 1.05
 MAX_BACKEND_CALLS_PER_ARRIVAL = 22.4 * 1.05
-MAX_CALLS_PER_REMOTE_OP = 123.2 * 1.05
+MAX_CALLS_PER_REMOTE_OP = 121.5 * 1.05
 #: how far calls per sample may drift from 58 nodes to 580
 MAX_NODE_COUNT_DRIFT = 0.05
 

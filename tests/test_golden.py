@@ -10,7 +10,7 @@ import pytest
 
 from geowsn.backend import Backend, RequestTimeoutError
 from geowsn.cli import main
-from geowsn.node import WATCHDOG_PERIOD_S
+from geowsn.node import WATCHDOG_PERIOD_MS
 from geowsn.scenario import (
     build_simulator,
     default_scenario,
@@ -32,7 +32,6 @@ GOLDEN_RUNS = [
 
 HANG_RUN_S = 6 * 3600
 SAMPLE_PERIOD_MS = 600_000
-WATCHDOG_PERIOD_MS = round(WATCHDOG_PERIOD_S * 1000)
 
 #: seed of a hang set -> hash_per_node of its run, computed with the
 #: per-tick watchdog (a WatchdogCheck event every period for every node)

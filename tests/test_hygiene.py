@@ -3,10 +3,11 @@ uses, a private name or a stored attribute nothing reads, or a package
 export that no longer resolves; and a text file opened without naming
 its encoding, which would make the locale an input; an enum member read
 by attribute inside a function, which on Python 3.11 costs several
-module-global reads at each call; and a typed array outside the one
-record store."""
+module-global reads at each call; a typed array outside the one
+record store; and a second time unit between the simulator and a node."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -234,3 +235,91 @@ def test_the_member_check_sees_function_bodies_only():
         "            return UplinkKind.READING\n"
         "        return Opcode.__members__, Opcode(1), kind.STATUS\n")
     assert _member_reads_in_functions(tree) == [3, 7, 10]
+
+
+def _event_path_conversions(tree: ast.Module) -> list[str]:
+    """``method:line`` of each ``MS_PER_S`` named and each ``round``
+    called on ``Simulator``'s event path: its ``_handle_*`` methods,
+    ``_settle``, ``_deliver`` and ``start``."""
+    found = []
+    for cls in tree.body:
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "Simulator"):
+            continue
+        for method in cls.body:
+            if not (isinstance(method, ast.FunctionDef)
+                    and (method.name.startswith("_handle_")
+                         or method.name in ("_settle", "_deliver", "start"))):
+                continue
+            for node in ast.walk(method):
+                if ((isinstance(node, ast.Name) and node.id == "MS_PER_S")
+                        or (isinstance(node, ast.Attribute)
+                            and node.attr == "MS_PER_S")
+                        or (isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Name)
+                            and node.func.id == "round")):
+                    found.append(f"{method.name}:{node.lineno}")
+    return found
+
+
+#: a parameter name that reads as a time
+_TIME_NAME = re.compile(r"(^|_)(now|at|time|when)(_|$)|_m?s$")
+#: the ``SensorNode`` entry points that take the time
+TIMED_ENTRY_POINTS = ("boot", "reset", "notify_activity", "clock",
+                      "on_sample_timer", "on_downlink")
+
+
+def _time_parameters(tree: ast.Module) -> dict[str, list[str]]:
+    """Each public ``SensorNode`` method that takes a time -> each such
+    parameter, with its annotation if it has one."""
+    found = {}
+    for cls in tree.body:
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "SensorNode"):
+            continue
+        for method in cls.body:
+            if (not isinstance(method, ast.FunctionDef)
+                    or method.name.startswith("_")):
+                continue
+            params = [ast.unparse(arg) for arg in
+                      method.args.posonlyargs + method.args.args
+                      + method.args.kwonlyargs if _TIME_NAME.search(arg.arg)]
+            if params:
+                found[method.name] = params
+    return found
+
+
+def test_the_simulator_hands_a_node_its_ms_as_is():
+    tree = ast.parse((REPO / "src" / "geowsn" / "netsim.py").read_text(
+        encoding="utf-8"))
+    assert _event_path_conversions(tree) == []
+
+
+def test_every_time_a_node_takes_is_whole_ms():
+    tree = ast.parse((REPO / "src" / "geowsn" / "node.py").read_text(
+        encoding="utf-8"))
+    assert _time_parameters(tree) == {
+        name: ["now_ms: int"] for name in TIMED_ENTRY_POINTS}
+
+
+def test_the_unit_checks_see_each_form():
+    tree = ast.parse(
+        "class Simulator:\n"
+        "    def start(self):\n"
+        "        node.boot(0 * MS_PER_S)\n"
+        "    def _handle_x(self, at):\n"
+        "        node.clock(at / netsim.MS_PER_S)\n"
+        "    def _settle(self, at):\n"
+        "        return round(node.next_sample)\n"
+        "    def step(self):\n"
+        "        return round(MS_PER_S)\n"
+        "class SensorNode:\n"
+        "    def boot(self, now_s: float): ...\n"
+        "    def on_uplink_result(self, uplink, delivered, now_ms: int): ...\n"
+        "    def on_downlink(self, data: bytes, at): ...\n"
+        "    def inject_hang(self, *, time=None): ...\n"
+        "    def _sample(self, now_s): ...\n"
+        "    def drain_outbox(self): ...\n")
+    assert _event_path_conversions(tree) == [
+        "start:3", "_handle_x:5", "_settle:7"]
+    assert _time_parameters(tree) == {
+        "boot": ["now_s: float"], "on_uplink_result": ["now_ms: int"],
+        "on_downlink": ["at"], "inject_hang": ["time"]}

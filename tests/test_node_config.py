@@ -149,7 +149,7 @@ def booted_node() -> SensorNode:
     node = SensorNode(1, NodeConfig(sensor_type=1, sampling_rate=60),
                       {1: SignalDriver(SensorKind.SOIL_TEMPERATURE,
                                        (ConstantSignal(4.0),))})
-    node.boot(0.0)
+    node.boot(0)
     return node
 
 
@@ -157,13 +157,13 @@ def spool(node: SensorNode, records) -> None:
     """Report each record's reading lost, so it goes to flash."""
     for record in records:
         node.on_uplink_result(Uplink(b"", (record,), UplinkKind.READING),
-                              False, 30.0)
+                              False)
 
 
 def flush_frame(node: SensorNode) -> Uplink:
     """Deliver a fresh reading; return the flush frame it sets off."""
-    node.on_sample_timer(60.0)
-    node.on_uplink_result(node.drain_outbox()[0], True, 60.0)
+    node.on_sample_timer(60_000)
+    node.on_uplink_result(node.drain_outbox()[0], True)
     (flush,) = node.drain_outbox()
     assert flush.kind is UplinkKind.FLUSH
     return flush
@@ -184,7 +184,7 @@ def test_flash_buffer_peek_is_nondestructive():
     flush = flush_frame(node)
     assert flush.records == tuple(records)
     assert list(node.buffer) == records  # until the flush is acknowledged
-    node.on_uplink_result(flush, False, 60.0)
+    node.on_uplink_result(flush, False)
     assert list(node.buffer) == records  # a lost flush spools nothing twice
 
 
@@ -199,7 +199,7 @@ def test_flash_buffer_pop_head_matches_identity():
     copies = [bytes(bytearray(record)) for record in records]
     assert copies == records and copies[0] is not records[0]
     spool(node, copies)
-    node.on_uplink_result(flush, True, 61.0)
+    node.on_uplink_result(flush, True)
     assert len(node.buffer) == FLASH_CAPACITY_RECORDS
     assert node.buffer[0] is copies[0]
     assert node.counters.records_delivered == 1  # the fresh reading only

@@ -4,7 +4,7 @@ import math
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from geowsn.alp import (
     AlpAction,
@@ -20,12 +20,13 @@ from geowsn.alp import (
     decode_command,
     encode_command,
 )
+from geowsn.netsim import MAX_TIME_MS
 from geowsn.node import (
     ACTION_MEASURE_AND_TRANSMIT,
     CHANNELS,
     FLASH_CAPACITY_RECORDS,
     FLUSH_BATCH_RECORDS,
-    WATCHDOG_PERIOD_S,
+    WATCHDOG_PERIOD_MS,
     ConfigError,
     ConstantSignal,
     NodeConfig,
@@ -50,7 +51,7 @@ def make_node(rate_s: int = 60, value_c: float = 3.5) -> SensorNode:
         uid=1, config=config,
         drivers={int(SensorKind.SOIL_TEMPERATURE): soil_driver(value_c)},
     )
-    node.boot(0.0)
+    node.boot(0)
     return node
 
 
@@ -74,18 +75,18 @@ def test_boot_creates_both_files():
     node = make_node()
     assert node.files.file_ids() == (SENSOR_DATA_FILE, NODE_CONFIG_FILE)
     assert node.files.raw(NODE_CONFIG_FILE) == node.config.to_bytes()
-    assert node.next_sample_at == 60.0
+    assert node.next_sample_ms == 60_000
 
 
 def test_double_boot_rejected():
     node = make_node()
     with pytest.raises(RuntimeError):
-        node.boot(1.0)
+        node.boot(1_000)
 
 
 def test_sample_timer_emits_fresh_reading():
     node = make_node(value_c=3.456)
-    node.on_sample_timer(60.0)
+    node.on_sample_timer(60_000)
     uplinks = node.drain_outbox()
     assert len(uplinks) == 1
     assert uplinks[0].kind is UplinkKind.READING
@@ -95,13 +96,13 @@ def test_sample_timer_emits_fresh_reading():
     reading = SensorReading.from_bytes(action.payload)
     assert reading.timestamp == 60
     assert reading.values_milli == (3456,)
-    assert node.next_sample_at == 120.0
+    assert node.next_sample_ms == 120_000
     assert node.counters.samples_produced == 1
 
 
 def test_action_write_triggers_immediate_measurement():
     node = make_node(rate_s=600)
-    node.on_downlink(write_command(NODE_CONFIG_FILE, 3, b"\xAA"), 5.0)
+    node.on_downlink(write_command(NODE_CONFIG_FILE, 3, b"\xAA"), 5_000)
     actions = sent_actions(node)
     # the triggered reading goes out ahead of the write acknowledgment
     assert [a.opcode for a in actions] == [Opcode.RETURN_FILE_DATA,
@@ -118,9 +119,9 @@ def test_action_write_triggers_immediate_measurement():
 
 def test_rewriting_same_action_byte_does_not_retrigger():
     node = make_node(rate_s=600)
-    node.on_downlink(write_command(NODE_CONFIG_FILE, 3, b"\xAA"), 5.0)
+    node.on_downlink(write_command(NODE_CONFIG_FILE, 3, b"\xAA"), 5_000)
     node.drain_outbox()
-    node.on_downlink(write_command(NODE_CONFIG_FILE, 3, b"\xAA"), 6.0)
+    node.on_downlink(write_command(NODE_CONFIG_FILE, 3, b"\xAA"), 6_000)
     actions = sent_actions(node)
     assert [a.opcode for a in actions] == [Opcode.STATUS]
     assert actions[0].payload[0] == STATUS_OK
@@ -129,10 +130,10 @@ def test_rewriting_same_action_byte_does_not_retrigger():
 
 def test_clearing_then_setting_action_byte_triggers_again():
     node = make_node(rate_s=600)
-    node.on_downlink(write_command(NODE_CONFIG_FILE, 3, b"\xAA"), 5.0)
-    node.on_downlink(write_command(NODE_CONFIG_FILE, 3, b"\x00"), 6.0)
+    node.on_downlink(write_command(NODE_CONFIG_FILE, 3, b"\xAA"), 5_000)
+    node.on_downlink(write_command(NODE_CONFIG_FILE, 3, b"\x00"), 6_000)
     node.drain_outbox()
-    node.on_downlink(write_command(NODE_CONFIG_FILE, 3, b"\xAA"), 7.0)
+    node.on_downlink(write_command(NODE_CONFIG_FILE, 3, b"\xAA"), 7_000)
     kinds = [u.kind for u in node.outbox]
     assert kinds == [UplinkKind.READING, UplinkKind.STATUS]
     assert node.counters.samples_produced == 2
@@ -140,7 +141,7 @@ def test_clearing_then_setting_action_byte_triggers_again():
 
 def test_reserved_action_code_reports_status():
     node = make_node()
-    node.on_downlink(write_command(NODE_CONFIG_FILE, 3, b"\x42"), 5.0)
+    node.on_downlink(write_command(NODE_CONFIG_FILE, 3, b"\x42"), 5_000)
     actions = sent_actions(node)
     codes = [a.payload[0] for a in actions if a.opcode is Opcode.STATUS]
     assert STATUS_RESERVED_ACTION_CODE in codes
@@ -150,61 +151,94 @@ def test_reserved_action_code_reports_status():
 
 def test_rate_write_reschedules_next_sample():
     node = make_node(rate_s=600)
-    assert node.next_sample_at == 600.0
+    assert node.next_sample_ms == 600_000
     node.on_downlink(write_command(NODE_CONFIG_FILE, 4,
-                                   (30).to_bytes(4, "little")), 100.0)
+                                   (30).to_bytes(4, "little")), 100_000)
     assert node.config.sampling_rate == 30
-    assert node.next_sample_at == 130.0
+    assert node.next_sample_ms == 130_000
 
 
 def test_zero_rate_cannot_wedge_the_timer():
     node = make_node(rate_s=600)
-    node.on_downlink(write_command(NODE_CONFIG_FILE, 4, bytes(4)), 100.0)
+    node.on_downlink(write_command(NODE_CONFIG_FILE, 4, bytes(4)), 100_000)
     assert node.config.sampling_rate == 0
     assert node.effective_rate == 1
-    assert node.next_sample_at == 101.0
+    assert node.next_sample_ms == 101_000
 
 
 def test_rtc_write_rebases_timestamps():
     node = make_node(rate_s=600)
     epoch = 1_700_000_000
     node.on_downlink(write_command(NODE_CONFIG_FILE, 8,
-                                   epoch.to_bytes(4, "little")), 50.0)
-    assert node.clock(50.0) == epoch
-    assert node.clock(53.0) == epoch + 3
+                                   epoch.to_bytes(4, "little")), 50_000)
+    assert node.clock(50_000) == epoch
+    assert node.clock(53_000) == epoch + 3
     node.drain_outbox()
-    node.on_sample_timer(60.0)
+    node.on_sample_timer(60_000)
     reading = SensorReading.from_bytes(
         decode_command(node.drain_outbox()[0].payload)[0].payload)
     assert reading.timestamp == epoch + 10
 
 
 def test_rtc_counts_whole_seconds_after_a_rebase_at_a_fraction_of_a_second():
-    # 38,238.664 - 31,663.664 is 6,574.999999999996 in float seconds
+    # in float seconds, 38,238.664 - 31,663.664 is 6,574.999999999996
     node = make_node(rate_s=600)
     node.on_downlink(write_command(NODE_CONFIG_FILE, 8,
-                                   (1000).to_bytes(4, "little")), 31_663.664)
-    assert node.clock(38_238.664) == 7575
+                                   (1000).to_bytes(4, "little")), 31_663_664)
+    assert node.clock(38_238_664) == 7575
+
+
+@st.composite
+def _rtc_settings(draw):
+    """A base, the ms the RTC is set at, and a later ms to sample at."""
+    set_ms = draw(st.integers(0, MAX_TIME_MS))
+    return (draw(st.integers(1, 2**32 - 1)), set_ms,
+            draw(st.integers(set_ms, MAX_TIME_MS)))
+
+
+@pytest.mark.parametrize("over_the_air", [False, True],
+                         ids=["boot", "config-write"])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(setting=_rtc_settings())
+@example(setting=(1000, 31_663_664, 38_238_664))
+def test_a_reading_is_stamped_with_the_whole_seconds_since_the_rtc_was_set(
+        over_the_air, setting):
+    base, set_ms, now_ms = setting
+    config = NodeConfig(sensor_type=int(SensorKind.SOIL_TEMPERATURE),
+                        sampling_rate=60, rtc_time=0 if over_the_air else base)
+    node = SensorNode(uid=1, config=config,
+                      drivers={int(SensorKind.SOIL_TEMPERATURE): soil_driver()})
+    if over_the_air:
+        node.boot(0)
+        node.on_downlink(write_command(NODE_CONFIG_FILE, 8,
+                                       base.to_bytes(4, "little")), set_ms)
+        node.drain_outbox()
+    else:
+        node.boot(set_ms)
+    node.on_sample_timer(now_ms)
+    (uplink,) = node.drain_outbox()
+    reading = SensorReading.from_bytes(uplink.records[0])
+    assert reading.timestamp == (base + (now_ms - set_ms) // 1000) % 2**32
 
 
 def test_full_config_write_applies_all_fields():
     node = make_node(rate_s=600)
     image = NodeConfig(sensor_type=1, sensor_address=7, sensor_action=0,
                        sampling_rate=45, rtc_time=1000).to_bytes()
-    node.on_downlink(write_command(NODE_CONFIG_FILE, 0, image), 10.0)
+    node.on_downlink(write_command(NODE_CONFIG_FILE, 0, image), 10_000)
     assert node.config == NodeConfig.from_bytes(image)
-    assert node.next_sample_at == 55.0
-    assert node.clock(12.0) == 1002
+    assert node.next_sample_ms == 55_000
+    assert node.clock(12_000) == 1002
 
 
 def test_unknown_sensor_type_write_reports_status():
     node = make_node(rate_s=600)
-    node.on_downlink(write_command(NODE_CONFIG_FILE, 0, b"\x09"), 10.0)
+    node.on_downlink(write_command(NODE_CONFIG_FILE, 0, b"\x09"), 10_000)
     actions = sent_actions(node)
     codes = [a.payload[0] for a in actions if a.opcode is Opcode.STATUS]
     assert codes == [STATUS_UNKNOWN_SENSOR_TYPE, STATUS_OK]
     # the previous binding keeps sampling
-    node.on_sample_timer(600.0)
+    node.on_sample_timer(600_000)
     assert node.counters.samples_produced == 1
 
 
@@ -218,8 +252,8 @@ class FaultyDriver(SensorDriver):
 def test_driver_fault_reports_status():
     config = NodeConfig(sensor_type=1, sampling_rate=60)
     node = SensorNode(uid=1, config=config, drivers={1: FaultyDriver()})
-    node.boot(0.0)
-    node.on_sample_timer(60.0)
+    node.boot(0)
+    node.on_sample_timer(60_000)
     actions = sent_actions(node)
     assert [a.payload[0] for a in actions] == [STATUS_DRIVER_FAULT]
     assert node.counters.samples_produced == 0
@@ -272,9 +306,9 @@ def test_every_sample_queues_one_reading_or_one_driver_fault(run, rtc):
                         rtc_time=rtc)
     node = SensorNode(uid=1, config=config,
                       drivers={int(kind): ScriptedDriver(kind, measurements)})
-    node.boot(0.0)
+    node.boot(0)
     for at_s, values in zip(range(60, 3600, 60), measurements):
-        node.on_sample_timer(float(at_s))
+        node.on_sample_timer(at_s * 1000)
         (uplink,) = node.drain_outbox()
         (action,) = decode_command(uplink.payload)
         if (isinstance(values, tuple) and values
@@ -294,7 +328,7 @@ def test_every_sample_queues_one_reading_or_one_driver_fault(run, rtc):
 
 def test_remote_read_returns_config_bytes():
     node = make_node()
-    node.on_downlink(read_command(NODE_CONFIG_FILE, 0, 12), 5.0)
+    node.on_downlink(read_command(NODE_CONFIG_FILE, 0, 12), 5_000)
     actions = sent_actions(node)
     assert len(actions) == 1
     assert actions[0].opcode is Opcode.RETURN_FILE_DATA
@@ -303,10 +337,10 @@ def test_remote_read_returns_config_bytes():
 
 def test_remote_read_of_data_file_triggers_fresh_sample():
     node = make_node(rate_s=600)
-    node.on_sample_timer(600.0)
+    node.on_sample_timer(600_000)
     before = node.files.raw(SENSOR_DATA_FILE)[:10]
     node.drain_outbox()
-    node.on_downlink(read_command(SENSOR_DATA_FILE, 0, 10), 605.0)
+    node.on_downlink(read_command(SENSOR_DATA_FILE, 0, 10), 605_000)
     uplinks = node.drain_outbox()
     kinds = [u.kind for u in uplinks]
     assert kinds == [UplinkKind.READING, UplinkKind.RESPONSE]
@@ -321,7 +355,7 @@ def test_remote_read_of_data_file_triggers_fresh_sample():
 
 def test_remote_write_to_data_file_is_echoed_without_measuring():
     node = make_node(rate_s=600)
-    node.on_downlink(write_command(SENSOR_DATA_FILE, 2, b"\x01\x02"), 5.0)
+    node.on_downlink(write_command(SENSOR_DATA_FILE, 2, b"\x01\x02"), 5_000)
     uplinks = node.drain_outbox()
     assert [(u.kind, u.records) for u in uplinks] == [
         (UplinkKind.RESPONSE, ()), (UplinkKind.STATUS, ())]
@@ -335,7 +369,7 @@ def test_remote_write_to_data_file_is_echoed_without_measuring():
 
 def test_out_of_bounds_read_reports_file_access_error():
     node = make_node()
-    node.on_downlink(read_command(NODE_CONFIG_FILE, 0, 13), 5.0)
+    node.on_downlink(read_command(NODE_CONFIG_FILE, 0, 13), 5_000)
     actions = sent_actions(node)
     assert [a.payload[0] for a in actions] == [STATUS_FILE_ACCESS_ERROR]
 
@@ -344,7 +378,7 @@ def test_out_of_bounds_config_write_changes_nothing():
     node = make_node(rate_s=600)
     before = node.files.raw(NODE_CONFIG_FILE)
     # the range covers the action byte, so a partial write would measure
-    node.on_downlink(write_command(NODE_CONFIG_FILE, 3, b"\xAA" * 10), 5.0)
+    node.on_downlink(write_command(NODE_CONFIG_FILE, 3, b"\xAA" * 10), 5_000)
     actions = sent_actions(node)
     assert [a.payload[0] for a in actions] == [STATUS_FILE_ACCESS_ERROR]
     assert node.files.raw(NODE_CONFIG_FILE) == before
@@ -354,7 +388,7 @@ def test_out_of_bounds_config_write_changes_nothing():
 
 def test_malformed_downlink_reports_status():
     node = make_node()
-    node.on_downlink(b"\x99garbage", 5.0)
+    node.on_downlink(b"\x99garbage", 5_000)
     actions = sent_actions(node)
     assert [a.payload[0] for a in actions] == [STATUS_MALFORMED_COMMAND]
     assert node.counters.command_errors == 1
@@ -365,12 +399,12 @@ def test_sample_timer_without_a_driver_for_the_sensor_type_reports_it():
                         sampling_rate=60)
     node = SensorNode(uid=1, config=config,
                       drivers={int(SensorKind.SOIL_TEMPERATURE): soil_driver()})
-    node.boot(0.0)
+    node.boot(0)
     # the boot's reload finds no driver for the type, and so does each timer
     assert [a.payload[0] for a in sent_actions(node)] == [
         STATUS_UNKNOWN_SENSOR_TYPE]
-    for now_s in (60.0, 120.0):
-        node.on_sample_timer(now_s)
+    for now_ms in (60_000, 120_000):
+        node.on_sample_timer(now_ms)
         assert [a.payload[0] for a in sent_actions(node)] == [
             STATUS_UNKNOWN_SENSOR_TYPE]
     assert node.counters.samples_produced == 0
@@ -380,9 +414,9 @@ def test_sample_timer_without_a_driver_for_the_sensor_type_reports_it():
 
 def test_dropped_reading_lands_in_flash():
     node = make_node()
-    node.on_sample_timer(60.0)
+    node.on_sample_timer(60_000)
     uplink = node.drain_outbox()[0]
-    node.on_uplink_result(uplink, delivered=False, now_s=60.0)
+    node.on_uplink_result(uplink, delivered=False)
     assert len(node.buffer) == 1
     assert node.buffer[0] is uplink.records[0]
     assert node.counters.records_delivered == 0
@@ -390,31 +424,31 @@ def test_dropped_reading_lands_in_flash():
 
 def test_delivered_reading_flushes_backlog():
     node = make_node()
-    node.on_sample_timer(60.0)
+    node.on_sample_timer(60_000)
     first = node.drain_outbox()[0]
-    node.on_uplink_result(first, delivered=False, now_s=60.0)
-    node.on_sample_timer(120.0)
+    node.on_uplink_result(first, delivered=False)
+    node.on_sample_timer(120_000)
     second = node.drain_outbox()[0]
-    node.on_uplink_result(second, delivered=True, now_s=120.0)
+    node.on_uplink_result(second, delivered=True)
     flush = node.drain_outbox()
     assert len(flush) == 1
     assert flush[0].kind is UplinkKind.FLUSH
     assert flush[0].records == (first.records[0],)
-    node.on_uplink_result(flush[0], delivered=True, now_s=121.0)
+    node.on_uplink_result(flush[0], delivered=True)
     assert len(node.buffer) == 0
     assert node.counters.records_delivered == 2
 
 
 def test_flush_failure_keeps_records_spooled():
     node = make_node()
-    node.on_sample_timer(60.0)
+    node.on_sample_timer(60_000)
     reading = node.drain_outbox()[0]
-    node.on_uplink_result(reading, delivered=False, now_s=60.0)
-    node.on_sample_timer(120.0)
+    node.on_uplink_result(reading, delivered=False)
+    node.on_sample_timer(120_000)
     delivered = node.drain_outbox()[0]
-    node.on_uplink_result(delivered, delivered=True, now_s=120.0)
+    node.on_uplink_result(delivered, delivered=True)
     flush = node.drain_outbox()[0]
-    node.on_uplink_result(flush, delivered=False, now_s=121.0)
+    node.on_uplink_result(flush, delivered=False)
     # the batch stays at the head of the buffer, not duplicated
     assert len(node.buffer) == 1
     assert node.counters.records_delivered == 1
@@ -423,18 +457,17 @@ def test_flush_failure_keeps_records_spooled():
 def spool(node: SensorNode, count: int) -> None:
     """Sample ``count`` times a minute apart, each reading lost to flash."""
     for i in range(count):
-        node.on_sample_timer(60.0 * (i + 1))
+        node.on_sample_timer(60_000 * (i + 1))
         uplink = node.drain_outbox()[0]
-        node.on_uplink_result(uplink, delivered=False, now_s=60.0 * (i + 1))
+        node.on_uplink_result(uplink, delivered=False)
 
 
 def flush_after(node: SensorNode, count: int):
     """Spool ``count`` records, then deliver a fresh reading: the flush
     frame it sets off."""
     spool(node, count)
-    now_s = 60.0 * (count + 1)
-    node.on_sample_timer(now_s)
-    node.on_uplink_result(node.drain_outbox()[0], delivered=True, now_s=now_s)
+    node.on_sample_timer(60_000 * (count + 1))
+    node.on_uplink_result(node.drain_outbox()[0], delivered=True)
     return node.drain_outbox()[0]
 
 
@@ -463,30 +496,30 @@ def test_flush_batch_respects_uplink_frame_budget():
 
 def test_reset_clears_outbox_keeps_flash_and_config():
     node = make_node(rate_s=600)
-    node.on_sample_timer(600.0)
+    node.on_sample_timer(600_000)
     spooled = node.drain_outbox()[0]
-    node.on_uplink_result(spooled, delivered=False, now_s=600.0)
+    node.on_uplink_result(spooled, delivered=False)
     node.on_downlink(write_command(NODE_CONFIG_FILE, 4,
-                                   (120).to_bytes(4, "little")), 601.0)
+                                   (120).to_bytes(4, "little")), 601_000)
     node.inject_hang()
     assert node.hung
-    node.reset(700.0)
+    node.reset(700_000)
     assert not node.hung
     assert node.outbox == type(node.outbox)()
     assert len(node.buffer) == 1
     assert node.config.sampling_rate == 120
-    assert node.next_sample_at == 820.0
+    assert node.next_sample_ms == 820_000
     assert node.counters.resets == 1
 
 
 def test_watchdog_pet_moves_deadline():
     node = make_node()
-    assert node.watchdog_deadline == WATCHDOG_PERIOD_S == 120.0
-    node.notify_activity(50.0)
-    assert node.watchdog_deadline == 170.0
+    assert node.watchdog_deadline_ms == WATCHDOG_PERIOD_MS == 120_000
+    node.notify_activity(50_000)
+    assert node.watchdog_deadline_ms == 170_000
     node.inject_hang()
-    node.notify_activity(60.0)
-    assert node.watchdog_deadline == 170.0  # a hung node cannot pet
+    node.notify_activity(60_000)
+    assert node.watchdog_deadline_ms == 170_000  # a hung node cannot pet
 
 
 def test_constructor_rejects_subsecond_rate():

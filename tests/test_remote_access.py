@@ -98,7 +98,7 @@ def test_remote_write_triggers_reading_into_sink():
     assert fresh[0].value == 4.2
     # the reading is stamped when the command lands, one listen
     # interval after it was queued
-    assert abs(fresh[0].timestamp - sim.now_s) <= 1.0
+    assert abs(fresh[0].timestamp - sim.now_ms / 1000) <= 1.0
 
 
 def test_remote_read_of_data_file_yields_fresh_sample():
