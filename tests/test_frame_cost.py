@@ -1,8 +1,8 @@
 """Per-frame cost, counted in Python calls.
 
 Wall time on a shared host drifts too much to show a change of a few
-calls per frame, but cProfile's ``total_calls`` of a fresh process
-repeats exactly.  This harness profiles ``Simulator.run`` of the
+calls per frame, but the calls cProfile counts in a fresh process
+repeat exactly.  This harness profiles ``Simulator.run`` of the
 bundled scenario for six simulated hours, first with the simulator
 alone and then with a ``Backend`` attached, each in a process of its
 own.  The simulator's cost is its calls per sample taken; the
@@ -13,12 +13,11 @@ bundled nodes do.  Remote access has its cost too: the calls per op of
 a 4-op session with every bundled node in turn, on the 1-day
 deployment with a ``Backend``.
 
-The gates read ``pstats``' ``total_calls``, which keeps one entry per
-``(file, line, name)`` label: every ``NamedTuple`` ``__new__`` shares
-one label, and so does every dataclass ``__init__``, so all but one
-function of each such label drop out.  Beside each gated figure the
-harness reports the same figure summed over every
-``profile.getstats()`` entry, which counts those calls too.
+Every figure is the calls summed over all ``profile.getstats()``
+entries.  ``pstats``' ``total_calls`` would keep one entry per ``(file,
+line, name)`` label: every ``NamedTuple`` ``__new__`` shares one label,
+and so does every dataclass ``__init__``, so all but one function of
+each such label would drop out, and which one stays depends on the code.
 
     PYTHONPATH=src python tests/test_frame_cost.py
 
@@ -28,7 +27,6 @@ prints the counts as JSON.
 import cProfile
 import json
 import os
-import pstats
 import subprocess
 import sys
 from pathlib import Path
@@ -44,18 +42,16 @@ COPIES, COPIES_HOURS = 10, 1
 REMOTE_ROUNDS, REMOTE_HOURS, REMOTE_TIMEOUT_S = 5, 24, 10.0
 
 #: ceilings, 5 % above the counts this code base makes
-MAX_SIM_CALLS_PER_SAMPLE = 43.3 * 1.05
-MAX_BACKEND_CALLS_PER_ARRIVAL = 22.4 * 1.05
-MAX_CALLS_PER_REMOTE_OP = 121.5 * 1.05
+MAX_SIM_CALLS_PER_SAMPLE = 44.32 * 1.05
+MAX_BACKEND_CALLS_PER_ARRIVAL = 22.36 * 1.05
+MAX_CALLS_PER_REMOTE_OP = 125.15 * 1.05
 #: how far calls per sample may drift from 58 nodes to 580
 MAX_NODE_COUNT_DRIFT = 0.05
 
 
-def call_counts(profile: cProfile.Profile) -> dict:
-    """The profile's ``pstats`` ``total_calls``, and its calls summed
-    over every ``getstats()`` entry."""
-    return {"calls": pstats.Stats(profile).total_calls,
-            "all_calls": sum(entry.callcount for entry in profile.getstats())}
+def call_count(profile: cProfile.Profile) -> int:
+    """The profile's calls, summed over every ``getstats()`` entry."""
+    return sum(entry.callcount for entry in profile.getstats())
 
 
 def scenario(copies: int, hours: float):
@@ -86,7 +82,7 @@ def profile_run(with_backend: bool, copies: int = 1, hours: float = HOURS) -> di
     log = profile.runcall(sim.run)
     return {
         "nodes": log.summary["nodes"],
-        **call_counts(profile),
+        "calls": call_count(profile),
         "samples": log.summary["records_produced"],
         "arrivals": sum(kind == "UplinkArrival" for _, kind, _, _ in log.rows),
     }
@@ -130,7 +126,7 @@ def profile_remote(rounds: int) -> dict:
     sim.start()
     profile = cProfile.Profile()
     ops, timeouts = profile.runcall(remote_sessions, sim, backend, rounds)
-    return {"ops": ops, "timeouts": timeouts, **call_counts(profile)}
+    return {"ops": ops, "timeouts": timeouts, "calls": call_count(profile)}
 
 
 def fresh_profiles(*runs: list[str]) -> list[dict]:
@@ -165,23 +161,17 @@ def frame_cost() -> dict:
         "samples": alone["samples"],
         "arrivals": alone["arrivals"],
         "sim_calls_per_sample": alone["calls"] / alone["samples"],
-        "sim_all_calls_per_sample": alone["all_calls"] / alone["samples"],
         "backend_calls_per_arrival":
             (joined["calls"] - alone["calls"]) / alone["arrivals"],
-        "backend_all_calls_per_arrival":
-            (joined["all_calls"] - alone["all_calls"]) / alone["arrivals"],
         "node_count_axis": {
             "hours": COPIES_HOURS,
             "nodes": [small["nodes"], large["nodes"]],
             "samples": [small["samples"], large["samples"]],
             "sim_calls_per_sample": [small["calls"] / small["samples"],
                                      large["calls"] / large["samples"]],
-            "sim_all_calls_per_sample": [small["all_calls"] / small["samples"],
-                                         large["all_calls"] / large["samples"]],
         },
         "remote_ops": dict(remote, hours=REMOTE_HOURS,
-                           calls_per_op=remote["calls"] / remote["ops"],
-                           all_calls_per_op=remote["all_calls"] / remote["ops"]),
+                           calls_per_op=remote["calls"] / remote["ops"]),
     }
 
 

@@ -10,22 +10,26 @@ size, far below the several copies of the text that building it whole
 takes.
 
 The rows themselves are ints, held in a ``geowsn.store.Store``: per
-spill a block of a time-and-code typed array and a number array, and a
-row table that grows with the nodes, not the rows.  A two-day run of the bundled
+spill a block of the time, code and number columns, each as its least
+value and narrow unsigned offsets from it, and a row table that grows
+with the nodes, not the rows.  A two-day run of the bundled
 deployment, simulator only, is traced: what the run leaves allocated,
 per log row, is gated, and so is the peak that reading every row
 through ``RunLog.rows`` adds.  A one-day run with a ``Backend`` and
 over a thousand remote ops, whose rows carry ticket numbers, is gated
 the same way; there only what the simulator holds is counted, not the
-Backend's sink.
+Backend's sink.  A synthetic log whose times start past ``2**32`` ms,
+after day 49.7, must hold no more per row than the same log from time
+0: its times are offsets from each block's least time, not ms since
+the start.
 
 A ``Backend``'s sink holds each record in a store too: per spill a
-block of a timestamp-and-key-code typed array and a value array, and a
-key table that grows with nodes and channels.  A two-day run with a ``Backend``
-is traced: what all but the simulator still holds when it has finished,
-per sink record, is gated, as is the peak that taking the length of
-``CsvSink.records`` adds.  A one-day run's ``readings.csv`` must read
-back as its sink's records.
+block of timestamp and key-code offsets and a float value array, and
+a key table that grows with nodes and channels.  A two-day run with a
+``Backend`` is traced: what all but the simulator still holds when it
+has finished, per sink record, is gated, as is the peak that taking
+the length of ``CsvSink.records`` adds.  A one-day run's
+``readings.csv`` must read back as its sink's records.
 
 A block allocated in ``store.py`` belongs to the store's owner, so each
 traced block is charged to the first frame of its traceback outside
@@ -34,6 +38,12 @@ traced block is charged to the first frame of its traceback outside
 
 A ``Backend`` keeps nothing of a status it was not waiting for: the
 bytes it holds after ingesting many of them are gated too.
+
+Held bytes are read with ``tracemalloc``, which does not see a tuple
+taken from CPython's free list, so a figure reads lower in a process
+that ran something before: the ceilings are set 15 % above the highest
+reading of this script, of this file under ``pytest``, of the whole
+suite and of each test run alone.
 
     PYTHONPATH=src python tests/test_log_memory.py
 
@@ -63,16 +73,23 @@ MAX_PEAK_SHARE = 0.25
 #: simulated days of the bundled deployment whose run is traced
 RUN_DAYS = 2
 #: ceiling on the bytes a finished run holds per log row (a tuple per
-#: row held about 105, four slots a row in a list about 60)
-MAX_HELD_BYTES_PER_ROW = 29.6 * 1.15
+#: row held about 105, four slots a row in a list about 60, a time and
+#: code ``array('q')`` and a number ``array('q')`` about 29)
+MAX_HELD_BYTES_PER_ROW = 12.0 * 1.15
 #: rounds of ``test_frame_cost``'s 4-op remote session with every
-#: bundled node, in a one-day run with a Backend
+#: bundled node, in a one-day run with a Backend, and the ceiling on
+#: the bytes the simulator holds per log row after them (fewer rows
+#: share the node tables than in the two-day run)
 REMOTE_ROUNDS = 5
+MAX_REMOTE_HELD_BYTES_PER_ROW = 15.1 * 1.15
+#: ms past which a time no longer fits 32 bits, reached on day 49.7
+LATE_MS = 2 ** 32
 #: ceiling on the peak that reading every row of that run adds
 MAX_READ_PEAK_BYTES = 4096
 #: ceiling on the bytes a finished run with a Backend holds outside
-#: the simulator per sink record (a list of named tuples held about 168)
-MAX_HELD_BYTES_PER_RECORD = 32.2 * 1.15
+#: the simulator per sink record (a list of named tuples held about
+#: 168, a timestamp and code ``array('q')`` and an ``array('d')`` about 31)
+MAX_HELD_BYTES_PER_RECORD = 19.3 * 1.15
 #: ceiling on the peak that taking the sink's record count adds: a few
 #: ints, where rendering the records would take over 100 bytes each
 MAX_LEN_PEAK_BYTES = 256
@@ -82,12 +99,14 @@ STATUS_FRAMES = 10_000
 MAX_STATUS_HELD_BYTES = 64 * 1024
 
 
-def synthetic_log(n_rows: int = ROWS) -> RunLog:
-    """Rows shaped like a deployment's uplink rows: a row code per node
-    and uplink kind, and the frame length as the row's number."""
+def synthetic_log(n_rows: int = ROWS, start_ms: int = 0) -> RunLog:
+    """Rows shaped like a deployment's uplink rows, one every 250 ms
+    from ``start_ms``: a row code per node and uplink kind, and the
+    frame length as the row's number."""
     table = [("UplinkTx", 1000 + i % 58, f"delivered len=%d kind={kind}")
              for kind in ("reading", "flush") for i in range(58)]
-    rows = [(i * 250, i % len(table), (20, 24, 29)[i % 3]) for i in range(n_rows)]
+    rows = [(start_ms + i * 250, i % len(table), (20, 24, 29)[i % 3])
+            for i in range(n_rows)]
     summary = {f"node.{1000 + i}.charge_c": repr(i / 7) for i in range(58)}
     return hand_log(table, rows, summary)
 
@@ -136,6 +155,21 @@ def log_memory() -> dict:
         "write_peak_share": write_peak / text_bytes,
         "hash_peak_share": hash_peak / text_bytes,
     }
+
+
+def late_memory() -> dict:
+    """Bytes a synthetic log holds per row, from time 0 and from
+    ``LATE_MS``."""
+    figures = {}
+    for name, start_ms in (("early", 0), ("late", LATE_MS)):
+        tracemalloc.start()
+        try:
+            log = synthetic_log(start_ms=start_ms)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        figures[f"{name}_held_bytes_per_row"] = held / len(log.rows)
+    return figures
 
 
 def run_memory() -> dict:
@@ -248,7 +282,15 @@ def test_a_finished_run_holds_few_bytes_per_log_row():
 def test_a_run_with_remote_ops_holds_few_bytes_per_log_row():
     figures = remote_memory()
     assert figures["remote_ops"] >= 1000, figures
-    assert figures["remote_held_bytes_per_row"] <= MAX_HELD_BYTES_PER_ROW, figures
+    assert figures["remote_held_bytes_per_row"] <= MAX_REMOTE_HELD_BYTES_PER_ROW, \
+        figures
+
+
+def test_a_log_past_day_49_holds_as_few_bytes_per_row_as_one_from_day_0():
+    figures = late_memory()
+    assert figures["late_held_bytes_per_row"] <= MAX_HELD_BYTES_PER_ROW, figures
+    assert figures["late_held_bytes_per_row"] \
+        <= 1.01 * figures["early_held_bytes_per_row"], figures
 
 
 def test_a_finished_run_holds_few_bytes_per_sink_record():
@@ -283,6 +325,6 @@ def test_writing_and_hashing_a_long_log_hold_a_bounded_share_of_its_text():
 
 if __name__ == "__main__":
     json.dump({**log_memory(), **run_memory(), **remote_memory(),
-               **sink_memory(), **status_memory()},
+               **late_memory(), **sink_memory(), **status_memory()},
               sys.stdout, indent=1)
     print()

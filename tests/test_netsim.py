@@ -3,10 +3,9 @@
 import contextlib
 import hashlib
 import re
-import sys
-from array import array
 
 import pytest
+from test_store import assert_packed
 
 from geowsn.alp import AlpAction, NODE_CONFIG_FILE, encode_command
 from geowsn.backend import Backend, RequestTimeoutError
@@ -602,17 +601,14 @@ def test_book_problems_names_each_broken_identity_once(log, problem):
 def test_a_finished_run_holds_its_rows_as_ints_and_nothing_per_row():
     sim = build_simulator(default_scenario().with_duration(86400))
     rows = sim.run().rows
-    # typed arrays hold no str and no int object, one per row or not;
-    # a block per spill of at most 1,024 events
-    assert {(keys.typecode, values.typecode) for keys, values in rows._blocks} \
-        == {("q", "q")}
-    assert all(len(keys) == 2 * len(values) for keys, values in rows._blocks)
-    assert sum(len(values) for _, values in rows._blocks) == len(rows) > 20_000
+    # typed arrays hold no str and no int object, one per row or not; a
+    # block per spill of at most 1,024 events: a base per column and its
+    # offsets in the narrowest type, each array made at its final size,
+    # so none grows
+    for block in rows._blocks:
+        assert_packed(block, "q")
+    assert sum(len(values) for *_, values in rows._blocks) == len(rows) > 20_000
     assert len(rows._blocks) < len(rows) / 100
-    # each array is made at its final size: no spare room, so none grows
-    empty = sys.getsizeof(array("q"))
-    assert all(sys.getsizeof(block) == empty + 8 * len(block)
-               for keys, values in rows._blocks for block in (keys, values))
     # the row table grows with the nodes and the shapes they logged, not
     # with the rows: 58 nodes, each with its four ledger rows and a few
     # shapes, and no rows wait outside the arrays
