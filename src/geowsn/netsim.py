@@ -29,9 +29,10 @@ on the first use of each shape of ``_SHAPES``; a template holds the
 number as ``%d``, or no number.  Handlers extend the store's pending
 list with a row's slots, with no call, and ``step`` spills it every
 ``_SPILL_EVENTS`` events.  A detail is an optional bare word (the
-outcome) and ``key=value`` fields; ``row_fields`` is the one decoder of
-that text, and ``book_problems`` the one statement of the identities a
-finished run's books keep.
+outcome) and ``key=value`` fields.  The energy ledger is kept as
+numbers, ``RunLog.ledger``, and its ``EnergyCharge`` rows are rendered
+from them; ``book_problems``, the one statement of the identities a
+finished run's books keep, reads the summary and that ledger, no row.
 """
 
 from __future__ import annotations
@@ -116,9 +117,6 @@ _HANG = _shape("HangInjection", "hang")
 #: ``_DOWNLINK_QUEUED + n``; its number is the ticket
 _DOWNLINK_QUEUED = len(_SHAPES)
 
-#: the type of each run-log detail field not held as a ``str``
-_FIELD_TYPES = {"len": int, "ticket": int, "time_ms": float, "charge_c": float}
-
 #: the run totals of the summary, in summary order
 _TOTALS = ("uplinks_attempted", "uplinks_delivered", "uplinks_dropped",
            "downlinks_queued", "downlinks_delivered", "downlinks_expired",
@@ -130,8 +128,8 @@ _BOOKS = (("records_produced", ("records_delivered", "records_buffered",
           ("uplinks_attempted", ("uplinks_delivered", "uplinks_dropped")),
           ("downlinks_queued", ("downlinks_delivered", "downlinks_expired",
                                 "downlinks_pending")))
-#: a node's ``EnergyCharge`` rows: Sleep, Sampling, Transmitting, Listening
-_LEDGER_ROWS = 4
+#: the modes of a node's energy ledger, in ledger order
+_MODES = ("Sleep", "Sampling", "Transmitting", "Listening")
 
 
 @dataclass(frozen=True)
@@ -246,16 +244,6 @@ def node_stream_seed(scenario_seed: int, site_id: str, node_uid: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def row_fields(detail: str) -> dict:
-    """The fields of a run-log detail: each ``key=value`` under its key,
-    typed by ``_FIELD_TYPES``, and the bare word, if any, as ``outcome``."""
-    fields = {}
-    for token in detail.split():
-        key, _, value = token.rpartition("=")
-        fields[key or "outcome"] = _FIELD_TYPES.get(key, str)(value)
-    return fields
-
-
 class _RowCodes(dict):
     """One node's row code for each shape it has logged: the code of
     its ``(kind, uid, template)`` entry in the run log, added on the
@@ -294,15 +282,18 @@ class RunLog:
 
     ``rows`` is the run log's store (``geowsn.store``), which yields
     each row as a ``(time_ms, event_kind, node_uid, detail)`` tuple.
+    ``ledger`` maps each node uid to its ``(mode, time_ms, charge_c)``
+    per mode of ``_MODES``, the numbers its ``EnergyCharge`` rows render.
     Rows serialize as ``time_ms,event_kind,node_uid,detail`` lines
     followed by a ``# summary`` block; the stable hash is the SHA-256 of
     that text.  The text is produced a spill's block of rows at a time,
     so writing and hashing a long log never hold more than one block's.
     """
 
-    def __init__(self, rows: Store, summary: dict):
+    def __init__(self, rows: Store, summary: dict, ledger: dict[int, tuple]):
         self.rows = rows
         self.summary = summary
+        self.ledger = ledger
 
     def _chunks(self) -> Iterator[bytes]:
         """The log's UTF-8 text: the rows a block at a time, then the
@@ -335,9 +326,9 @@ class RunLog:
 def book_problems(log: RunLog) -> list[str]:
     """Each identity of a finished run's books that the run breaks, in
     words; none for balanced books.  Records, uplinks and downlinks are
-    conserved (``_BOOKS``), and every node the summary names has one
-    ``EnergyCharge`` row per mode, with no negative time or charge, whose
-    times sum to the run's duration."""
+    conserved (``_BOOKS``), and every node the summary names, and no
+    other, has a ledger entry per mode, with no negative time or charge,
+    whose times sum to the run's duration.  No row is read."""
     s = log.summary
     problems = [f"{total} {s[total]} != {' + '.join(parts)}"
                 f" = {sum(s[part] for part in parts)}"
@@ -346,23 +337,20 @@ def book_problems(log: RunLog) -> list[str]:
     named = {int(key.split(".")[1]) for key in s if key.startswith("node.")}
     if len(named) != s["nodes"]:
         problems.append(f"the summary names {len(named)} nodes, not {s['nodes']}")
-    ledger: dict[int, list[dict]] = {uid: [] for uid in named}
-    for _, kind, uid, detail in log.rows:
-        if kind == ENERGY_ROW_KIND:
-            ledger.setdefault(uid, []).append(row_fields(detail))
-    for uid, modes in sorted(ledger.items()):
-        expected = _LEDGER_ROWS if uid in named else 0
+    for uid in sorted(named | log.ledger.keys()):
+        modes = log.ledger.get(uid, ())
+        expected = len(_MODES) if uid in named else 0
         if len(modes) != expected:
             problems.append(f"node {uid} has {len(modes)} {ENERGY_ROW_KIND}"
                             f" rows, not {expected}")
             continue
-        for fields in modes:
+        for mode, time_ms, charge_c in modes:
             # a negative time makes a negative charge: name the cause once
-            key = "time_ms" if fields["time_ms"] < 0 else "charge_c"
-            if fields[key] < 0:
-                problems.append(
-                    f"node {uid} {fields['mode']} {key} {fields[key]!r} < 0")
-        total_ms = sum(fields["time_ms"] for fields in modes)
+            if time_ms < 0:
+                problems.append(f"node {uid} {mode} time_ms {time_ms!r} < 0")
+            elif charge_c < 0:
+                problems.append(f"node {uid} {mode} charge_c {charge_c!r} < 0")
+        total_ms = sum(time_ms for _, time_ms, _ in modes)
         if not math.isclose(total_ms, s["duration_ms"], rel_tol=1e-9):
             problems.append(f"node {uid} mode times sum to {total_ms!r} ms,"
                             f" not {s['duration_ms']}")
@@ -534,7 +522,7 @@ class Simulator:
         if not self._finished:
             raise SimulationError("run log is available after run() completes")
         self._log.spill()
-        return RunLog(self._log, self._summary)
+        return self._run_log
 
     # -- event handlers -----------------------------------------------------
 
@@ -708,7 +696,10 @@ class Simulator:
         }
         totals = dict.fromkeys(_TOTALS, 0)
         per_node_lines: list[tuple[int, dict]] = []
+        ledger: dict[int, tuple] = {}
         profile = self.profile
+        currents = (profile.sleep_current_a, profile.sample_current_a,
+                    profile.tx_current_a, profile.listen_current_a)
         entries = self._log.entries
         code = len(entries)
         for rt in self._by_uid.values():
@@ -724,19 +715,19 @@ class Simulator:
             tx_ms = rt.uplinks_attempted * profile.tx_duration_ms
             listen_ms = sniffs * profile.sniff_duration_ms
             sleep_ms = self.duration_ms - tx_ms - sample_ms - listen_ms
-            for mode, ms, current_a in (
-                ("Sleep", sleep_ms, profile.sleep_current_a),
-                ("Sampling", sample_ms, profile.sample_current_a),
-                ("Transmitting", tx_ms, profile.tx_current_a),
-                ("Listening", listen_ms, profile.listen_current_a),
-            ):
+            uid = rt.node.uid
+            modes = ()
+            for mode, ms, current_a in zip(
+                    _MODES, (sleep_ms, sample_ms, tx_ms, listen_ms), currents):
                 charge = current_a * (ms / MS_PER_S)
                 rt.charge_c += charge
-                # its floats stay text: a row code of its own, no number
-                entries += ((ENERGY_ROW_KIND, rt.node.uid,
+                modes += ((mode, ms, charge),)
+                # the row renders the same numbers: a code of its own, no number
+                entries += ((ENERGY_ROW_KIND, uid,
                              f"mode={mode} time_ms={ms!r} charge_c={charge!r}"),)
                 self._log.pending += (self.duration_ms, code, 0)
                 code += 1
+            ledger[uid] = modes
             # this node's count of each total, in ``_TOTALS`` order
             for key, count in zip(_TOTALS, (
                     rt.uplinks_attempted, rt.uplinks_delivered, rt.uplinks_dropped,
@@ -745,7 +736,7 @@ class Simulator:
                     counters.records_delivered, len(rt.node.buffer),
                     counters.records_overwritten, counters.resets)):
                 totals[key] += count
-            per_node_lines.append((rt.node.uid, {
+            per_node_lines.append((uid, {
                 "site": rt.site_id,
                 "produced": counters.samples_produced,
                 "delivered_records": counters.records_delivered,
@@ -755,13 +746,13 @@ class Simulator:
                 "sniffs": sniffs,
                 "resets": counters.resets,
                 "charge_c": repr(rt.charge_c),
-                "mean_current_a": repr(self.mean_current_a(rt.node.uid)),
+                "mean_current_a": repr(self.mean_current_a(uid)),
             }))
         summary.update(totals)
         for uid, fields in sorted(per_node_lines):
             for key, value in fields.items():
                 summary[f"node.{uid}.{key}"] = value
-        self._summary = summary
+        self._run_log = RunLog(self._log, summary, ledger)
 
     # -- convenience -------------------------------------------------------
 

@@ -40,10 +40,12 @@ A ``Backend`` keeps nothing of a status it was not waiting for: the
 bytes it holds after ingesting many of them are gated too.
 
 Held bytes are read with ``tracemalloc``, which does not see a tuple
-taken from CPython's free list, so a figure reads lower in a process
-that ran something before: the ceilings are set 15 % above the highest
-reading of this script, of this file under ``pytest``, of the whole
-suite and of each test run alone.
+taken from CPython's free list, so a figure would read lower in a
+process that ran something before.  Each traced window therefore
+starts with ``gc.collect()``, which empties the free lists, and a
+figure reads within about 1 % whatever ran before it.  The ceilings
+are set 15 % above the highest reading of this script, of this file
+under ``pytest``, of the whole suite and of each test run alone.
 
     PYTHONPATH=src python tests/test_log_memory.py
 
@@ -51,6 +53,7 @@ prints the figures as JSON.
 """
 
 import csv
+import gc
 import json
 import sys
 import tempfile
@@ -108,7 +111,7 @@ def synthetic_log(n_rows: int = ROWS, start_ms: int = 0) -> RunLog:
     rows = [(start_ms + i * 250, i % len(table), (20, 24, 29)[i % 3])
             for i in range(n_rows)]
     summary = {f"node.{1000 + i}.charge_c": repr(i / 7) for i in range(58)}
-    return hand_log(table, rows, summary)
+    return hand_log(table, rows, summary, {})
 
 
 #: frames kept of each traced block's traceback: enough to reach the
@@ -128,9 +131,17 @@ def held_by_simulator(snapshot: tracemalloc.Snapshot) -> tuple[int, int]:
     return held[0], held[1]
 
 
+def start_tracing(frames: int = 1) -> None:
+    """Start ``tracemalloc`` on empty free lists, which a full
+    collection leaves, so that what it sees does not depend on what
+    ran before in the process."""
+    gc.collect()
+    tracemalloc.start(frames)
+
+
 def peak_above_baseline(call) -> int:
     """Peak bytes that ``call()`` allocated beyond what was live before it."""
-    tracemalloc.start()
+    start_tracing()
     try:
         baseline, _ = tracemalloc.get_traced_memory()
         call()
@@ -162,7 +173,7 @@ def late_memory() -> dict:
     ``LATE_MS``."""
     figures = {}
     for name, start_ms in (("early", 0), ("late", LATE_MS)):
-        tracemalloc.start()
+        start_tracing()
         try:
             log = synthetic_log(start_ms=start_ms)
             held, _ = tracemalloc.get_traced_memory()
@@ -177,7 +188,7 @@ def run_memory() -> dict:
     (its state built before tracing starts), and the traced peak that
     reading its rows as ``perfbench`` does adds on top."""
     sim = build_simulator(default_scenario().with_duration(RUN_DAYS * 86400))
-    tracemalloc.start()
+    start_tracing()
     try:
         log = sim.run()
         held, _ = tracemalloc.get_traced_memory()
@@ -206,7 +217,7 @@ def remote_memory() -> dict:
     sim = build_simulator(config)
     backend = Backend(directory=node_directory(config))
     backend.attach_transport(sim)
-    tracemalloc.start(TRACE_FRAMES)
+    start_tracing(TRACE_FRAMES)
     try:
         ops, _ = remote_sessions(sim, backend, REMOTE_ROUNDS)
         log = sim.run()
@@ -231,7 +242,7 @@ def sink_memory() -> dict:
     backend = Backend(directory=node_directory(config))
     backend.attach_transport(sim)
     records = backend.sink.records
-    tracemalloc.start(TRACE_FRAMES)
+    start_tracing(TRACE_FRAMES)
     try:
         sim.run()
         _, held = held_by_simulator(tracemalloc.take_snapshot())
@@ -254,7 +265,7 @@ def status_memory() -> dict:
     status frames, beyond what it held before."""
     backend = Backend()
     frame = encode_command((AlpAction.status(STATUS_OK, 0x41, 3, 1),))
-    tracemalloc.start()
+    start_tracing()
     try:
         before, _ = tracemalloc.get_traced_memory()
         for i in range(STATUS_FRAMES):

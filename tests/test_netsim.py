@@ -20,7 +20,6 @@ from geowsn.netsim import (
     Simulator,
     book_problems,
     node_stream_seed,
-    row_fields,
 )
 from geowsn.node import (
     ConstantSignal,
@@ -53,15 +52,10 @@ def build_sim(duration_s: float = 600.0, loss: float = 0.0,
 
 
 def energy_ledger(log, uid: int = 1) -> tuple[dict, dict]:
-    """Mode -> time_ms and mode -> charge_c, from a run's EnergyCharge
-    rows for one node, in row order."""
-    time_ms, charge_c = {}, {}
-    for _, kind, row_uid, detail in log.rows:
-        if kind == "EnergyCharge" and row_uid == uid:
-            fields = row_fields(detail)
-            time_ms[fields["mode"]] = fields["time_ms"]
-            charge_c[fields["mode"]] = fields["charge_c"]
-    return time_ms, charge_c
+    """Mode -> time_ms and mode -> charge_c, from one node's ledger."""
+    modes = log.ledger[uid]
+    return ({mode: ms for mode, ms, _ in modes},
+            {mode: charge for mode, _, charge in modes})
 
 
 def action_write(offset: int, payload: bytes) -> bytes:
@@ -130,7 +124,7 @@ def test_downlink_waits_for_listen_boundary():
     sim.queue_downlink(1, action_write(3, b"\xAA"), ttl_s=60)
     log = sim.run()
     delivered = [row for row in log.rows if row[1] == "ListenWindow"
-                 and row_fields(row[3])["outcome"] == "delivered"]
+                 and row[3].split()[0] == "delivered"]
     assert len(delivered) == 1
     # queued at t=0, the first boundary strictly after it is 1 s
     assert delivered[0][0] == 1000
@@ -142,7 +136,7 @@ def test_downlink_expires_after_ttl_on_dead_link():
     sim.start()
     sim.queue_downlink(1, action_write(3, b"\xAA"), ttl_s=60)
     log = sim.run()
-    outcomes = [(at, row_fields(detail)["outcome"])
+    outcomes = [(at, detail.split()[0])
                 for at, kind, _, detail in log.rows if kind == "ListenWindow"]
     assert [at for at, outcome in outcomes if outcome == "expired"] == [60000]
     # one offer per window from 1 s through 59 s
@@ -201,7 +195,7 @@ def test_rate_rewrite_cancels_stale_timer():
     sim.queue_downlink(1, action_write(4, (5).to_bytes(4, "little")),
                        ttl_s=60)
     log = sim.run()
-    timers = [(at, row_fields(detail)["outcome"])
+    timers = [(at, detail.split()[0])
               for at, kind, _, detail in log.rows if kind == "SampleTimer"]
     assert "stale" in {outcome for _, outcome in timers}
     # delivery at 1 s puts samples at 6, 11, ... instead of 30
@@ -433,7 +427,8 @@ def reference_text(log: RunLog) -> str:
 HAND_SPILL_ROWS = 1024
 
 
-def hand_log(table: list[tuple[str, int, str]], rows, summary: dict) -> RunLog:
+def hand_log(table: list[tuple[str, int, str]], rows, summary: dict,
+             ledger: dict) -> RunLog:
     """A run log built through the store API: the entries of ``table``
     take their codes in order, each row is ``(time_ms, code, number)``,
     and the rows are spilled ``HAND_SPILL_ROWS`` at a time."""
@@ -444,7 +439,7 @@ def hand_log(table: list[tuple[str, int, str]], rows, summary: dict) -> RunLog:
         if not at % HAND_SPILL_ROWS:
             store.spill()
     store.spill()
-    return RunLog(store, summary)
+    return RunLog(store, summary, ledger)
 
 
 @pytest.mark.parametrize("n_rows, n_chunks", [
@@ -459,7 +454,7 @@ def test_text_hash_and_file_come_from_one_rendering(tmp_path, n_rows, n_chunks):
     table = [*(("UplinkTx", uid, "delivered len=%d kind=reading") for uid in range(7)),
              *(("SampleTimer", uid, "ok") for uid in range(7))]
     log = hand_log(table, [(i * 10, i % 7 + 7 * (i % 2), i % 50) for i in range(n_rows)],
-                   {"seed": 3, "node.1.charge_c": "0.5"})
+                   {"seed": 3, "node.1.charge_c": "0.5"}, {})
     assert len(list(log._chunks())) == n_chunks  # the summary is the last
     text = log.to_text()
     assert text == reference_text(log)
@@ -504,13 +499,12 @@ DETAIL_SHAPES = {
     ("HangInjection", ("outcome",)),
     ("EnergyCharge", ("charge_c", "mode", "time_ms")),
 }
-#: the type of each decoded field; any other is a ``str``
-FIELD_TYPES = {"len": int, "ticket": int, "time_ms": float, "charge_c": float}
 
 
-def test_row_fields_decodes_every_detail_of_a_run():
+def test_energy_rows_render_the_ledger_of_a_run_that_logs_every_shape():
     """A bundled run with a hang and remote reads logs every detail shape;
-    its books balance, and the decoded ledger sums to each node's charge."""
+    each node's EnergyCharge rows are its ledger's numbers as text, its
+    ledger's charges add up to its charge, and its books balance."""
     config = default_scenario().with_duration(6 * 3600)
     sim = build_simulator(config)
     backend = Backend(directory=node_directory(config))
@@ -526,46 +520,58 @@ def test_row_fields_decodes_every_detail_of_a_run():
             backend.remote_read_file(uids[i % len(uids)], NODE_CONFIG_FILE, 0, 12)
     log = sim.run()
     shapes = set()
-    charge_c = dict.fromkeys(uids, 0.0)
+    energy_rows = {uid: [] for uid in uids}
     for _, kind, uid, detail in log.rows:
-        fields = row_fields(detail)
-        shapes.add((kind, tuple(sorted(fields))))
-        for key, value in fields.items():
-            assert type(value) is FIELD_TYPES.get(key, str), (key, detail)
+        # a field's name is what precedes its ``=``; the bare word is the outcome
+        shapes.add((kind, tuple(sorted(token.rpartition("=")[0] or "outcome"
+                                       for token in detail.split()))))
         if kind == "EnergyCharge":
-            charge_c[uid] += fields["charge_c"]
+            energy_rows[uid].append(detail)
     assert shapes == DETAIL_SHAPES
-    assert book_problems(log) == []
+    assert energy_rows == {
+        uid: [f"mode={mode} time_ms={ms!r} charge_c={charge!r}"
+              for mode, ms, charge in modes]
+        for uid, modes in log.ledger.items()}
     for uid in uids:
-        assert charge_c[uid] == sim.runtime(uid).charge_c
+        charge_c = 0.0
+        for _, _, charge in log.ledger[uid]:
+            charge_c += charge
+        assert charge_c == sim.runtime(uid).charge_c
+    assert book_problems(log) == []
 
 
-#: one node's (mode, time_ms) ledger rows in a run of 10 s
+#: one node's (mode, time_ms) ledger in a run of 10 s
 LEDGER = (("Sleep", 9000.0), ("Sampling", 750.0), ("Transmitting", 240.0),
           ("Listening", 10.0))
 
 
-def books(ledgers: dict[int, tuple], **totals) -> RunLog:
-    """A finished 10-s run by hand.  The summary names each node of
-    ``ledgers`` and its totals balance unless ``totals`` overrides them;
-    each node's rows are its ``(mode, time_ms)`` pairs, in order."""
+class UnreadRows:
+    """Rows that fail whoever iterates them."""
+
+    def __iter__(self):
+        raise AssertionError("the books read a row")
+
+
+def books(ledgers: dict[int, tuple], named=None, **totals) -> RunLog:
+    """A finished 10-s run by hand, over rows that cannot be read.  The
+    summary names each node of ``named`` (by default each of
+    ``ledgers``) and its totals balance unless ``totals`` overrides
+    them; each node's ledger is its ``(mode, time_ms)`` pairs, in order,
+    each charged at 1 mA."""
+    named = ledgers if named is None else named
     summary = {"seed": 0, "duration_ms": 10_000, "sites": 1,
-               "nodes": len(ledgers), "uplinks_attempted": 4,
+               "nodes": len(named), "uplinks_attempted": 4,
                "uplinks_delivered": 3, "uplinks_dropped": 1,
                "downlinks_queued": 2, "downlinks_delivered": 1,
                "downlinks_expired": 1, "downlinks_pending": 0,
                "records_produced": 5, "records_delivered": 3,
                "records_buffered": 1, "records_overwritten": 1, "resets": 0,
                **totals}
-    table = []
-    for uid, modes in ledgers.items():
+    for uid in named:
         summary[f"node.{uid}.site"] = "north"
-        for mode, time_ms in modes:
-            # a ledger row is a row code of its own, with no number
-            table.append(("EnergyCharge", uid, f"mode={mode}"
-                          f" time_ms={time_ms!r} charge_c={time_ms * 1e-6!r}"))
-    return hand_log(table, [(10_000, code, 0) for code in range(len(table))],
-                    summary)
+    return RunLog(UnreadRows(), summary, {
+        uid: tuple((mode, time_ms, time_ms * 1e-6) for mode, time_ms in modes)
+        for uid, modes in ledgers.items()})
 
 
 def test_balanced_books_of_two_nodes_have_no_problem():
@@ -592,8 +598,10 @@ def test_balanced_books_of_two_nodes_have_no_problem():
      "node 2 has 3 EnergyCharge rows, not 4"),
     (books({1: LEDGER, 2: LEDGER, 3: ()}),
      "node 3 has 0 EnergyCharge rows, not 4"),
+    (books({1: LEDGER, 2: LEDGER, 9: LEDGER}, named=(1, 2)),
+     "node 9 has 4 EnergyCharge rows, not 0"),
 ], ids=["records", "uplinks", "downlinks", "negative time", "time leak",
-        "three rows", "no rows"])
+        "three rows", "no rows", "unnamed node"])
 def test_book_problems_names_each_broken_identity_once(log, problem):
     assert book_problems(log) == [problem]
 

@@ -19,7 +19,7 @@ from geowsn.backend import (
     NodeUnknownError,
     RequestTimeoutError,
 )
-from geowsn.netsim import LinkModel, Simulator, book_problems, row_fields
+from geowsn.netsim import LinkModel, Simulator, book_problems
 from geowsn.node import (
     DATA_FILE_SIZE,
     NODE_CONFIG_SIZE,
@@ -205,7 +205,7 @@ def test_the_site_link_limits_what_a_node_flushes():
     assert node.max_uplink_bytes == 64
     assert book_problems(log) == []
     assert log.summary["records_produced"] == 60
-    sent = [row_fields(detail)["len"]
+    sent = [int(detail.split()[1].removeprefix("len="))
             for _, kind, _, detail in log.rows if kind == "UplinkTx"]
     assert max(sent) <= 64
 
