@@ -374,6 +374,7 @@ class Backend:
 
         Requests to the same file range need not wait for one another:
         an answer resolves only the request whose dialog it carries.
+        The command's TTL is the timeout, so one still queued then never runs.
         """
         if not 0 < timeout_s < float("inf"):
             raise ValueError(f"timeout_s {timeout_s!r} is not finite and > 0")
@@ -383,7 +384,7 @@ class Backend:
         dialog = next(self._dialogs)
         try:
             transport.queue_downlink(node_uid, encode_command((action,)),
-                                     dialog=dialog)
+                                     ttl_s=timeout_s, dialog=dialog)
         except NoSuchNodeError:
             raise NodeUnknownError(node_uid) from None
         except PayloadTooLargeError as exc:

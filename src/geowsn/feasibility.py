@@ -26,6 +26,9 @@ import numpy as np
 from .energy import TegParams, ThermalStack, delta_t_teg, teg_power
 
 TRACE_HEADER = ("timestamp_unix", "transect", "t_soil_c", "t_air_c")
+#: the fields of a trace row as :func:`trace_fields` takes them
+_TRACE_COLUMNS = (("timestamp", int, False), ("transect", str.strip, False),
+                  *((name, float, True) for name in TRACE_HEADER[2:]))
 REPORT_HEADER = ("date", "transect", "mean_dt_c", "mean_dt_teg_k",
                  "mean_power_mw")
 
@@ -76,6 +79,53 @@ class TraceFormatError(ValueError):
         self.line = line
 
 
+def trace_records(lines, line: int):
+    """Each csv record of ``lines`` and its line, the first at ``line``;
+    an unreadable or non-UTF-8 record raises :class:`TraceFormatError`."""
+    line -= 1    # the line of the last record read
+    try:
+        for line, row in enumerate(csv.reader(lines), start=line + 1):
+            if bad := _undecodable("".join(row)):
+                raise TraceFormatError(f"not UTF-8 text: {bad!r}", line)
+            yield line, row
+    except csv.Error as exc:
+        raise TraceFormatError(str(exc), line + 1) from None
+
+
+def trace_fields(row: list[str], line: int, columns, label: int | None,
+                 last: dict) -> list | None:
+    """The typed fields of the record ``row`` at ``line``, or ``None`` if
+    it is blank; the first rule it breaks raises :class:`TraceFormatError`.
+    ``columns`` holds each field's ``(name, convert, finite)``: its name
+    in error texts, its converter (an ``int`` must fit int64) and whether
+    it must be finite.  The first field is a time that never goes back
+    within a series, named by a later field at index ``label`` that is
+    not empty, or within the trace if ``label`` is None; ``last`` holds
+    each series' last time and takes this row's."""
+    if not row:
+        return None
+    if len(row) != len(columns):
+        raise TraceFormatError(
+            f"expected {len(columns)} fields, got {len(row)}", line)
+    try:
+        fields = [convert(text) for (_, convert, _), text in zip(columns, row)]
+    except ValueError as exc:
+        raise TraceFormatError(str(exc), line) from None
+    for (name, convert, finite), value in zip(columns, fields):
+        if convert is int and not _INT64.min <= value <= _INT64.max:
+            raise TraceFormatError(f"{name} out of range", line)
+        if finite and not math.isfinite(value):
+            raise TraceFormatError(f"{name} {value} is not finite", line)
+    series = None if label is None else fields[label]
+    if series == "":
+        raise TraceFormatError(f"empty {columns[label][0]} label", line)
+    if fields[0] < last.get(series, fields[0]):
+        within = f" within {columns[label][0]} {series}" if label else ""
+        raise TraceFormatError(f"{columns[0][0]} goes backwards{within}", line)
+    last[series] = fields[0]
+    return fields
+
+
 @dataclass(frozen=True)
 class TransectSeries:
     """All samples of one transect, as parallel arrays."""
@@ -108,11 +158,10 @@ def load_temperature_trace(path: str | Path) -> dict[str, TransectSeries]:
     cut short, and later chunks are read one character wider than that
     label.  A chunk with a label longer than ``_MAX_LABEL_WIDTH`` leaves
     the width as it was.  That chunk, every other chunk, and a plain one
-    that numpy refuses or warns about, is read by the csv module and
-    converted by ``int()`` and ``float()``, which decide what a valid
-    row is.  A malformed row, a record the csv module cannot read and
-    bytes that are not UTF-8 raise :class:`TraceFormatError` naming the
-    first such line, counted in CSV records with the header as line 1.
+    that numpy refuses or warns about, is read by :func:`trace_records`
+    and :func:`trace_fields`, which decide what a valid row is: the
+    first row they refuse raises :class:`TraceFormatError` naming its
+    line, counted in CSV records with the header as line 1.
     """
     columns: dict[str, tuple[array, array, array]] = {}
     last: dict[str, int] = {}
@@ -156,15 +205,8 @@ def _append_chunk(handle, line: int, width: int,
     if groups is None:
         # the csv module reads the same number of records, which a
         # quoted field may finish past the chunk's last line
-        rows: list[list[str]] = []
-        try:
-            rows.extend(islice(csv.reader(chain(lines, handle)), records))
-        except csv.Error as exc:
-            # a bad row before a record the csv module cannot read is
-            # reported first, as a row-by-row read would
-            _check_rows(rows, line, last)
-            raise TraceFormatError(str(exc), line + len(rows)) from None
-        records, groups = len(rows), _check_rows(rows, line, last)
+        records, groups = _check_rows(
+            islice(trace_records(chain(lines, handle), line), records), last)
     for transect, *group in groups:
         if transect not in columns:
             columns[transect] = tuple(map(array, _TYPECODES))
@@ -283,42 +325,17 @@ def _undecodable(text: str) -> bytes:
     return b""
 
 
-def _check_rows(chunk: list[list[str]], line: int, last: dict[str, int]):
-    """The rows of ``chunk`` converted, as :func:`_group` returns them.
-
-    Raises the error of the first row that breaks a rule.  ``line`` is
-    the first row's line; ``last`` as for :func:`_group`.
-    """
+def _check_rows(records, last: dict[str, int]):
+    """The number of ``records``, as :func:`trace_records` yields them,
+    and their rows as :func:`_group` returns them; ``last`` as there."""
     last = dict(last)
-    samples: dict[str, list[tuple[int, float, float]]] = {}
-    for line, row in enumerate(chunk, start=line):
-        if bad := _undecodable("".join(row)):
-            raise TraceFormatError(f"not UTF-8 text: {bad!r}", line)
-        if not row:
-            continue
-        if len(row) != 4:
-            raise TraceFormatError(f"expected 4 fields, got {len(row)}", line)
-        try:
-            timestamp = int(row[0])
-            t_soil, t_air = float(row[2]), float(row[3])
-        except ValueError as exc:
-            raise TraceFormatError(str(exc), line) from None
-        if not _INT64.min <= timestamp <= _INT64.max:
-            raise TraceFormatError("timestamp out of range", line)
-        for name, value in zip(TRACE_HEADER[2:], (t_soil, t_air)):
-            if not math.isfinite(value):
-                raise TraceFormatError(f"{name} {value} is not finite", line)
-        transect = row[1].strip()
-        if not transect:
-            raise TraceFormatError("empty transect label", line)
-        if timestamp < last.get(transect, timestamp):
-            raise TraceFormatError(
-                f"timestamp goes backwards within transect {transect}", line
-            )
-        last[transect] = timestamp
-        samples.setdefault(transect, []).append((timestamp, t_soil, t_air))
-    return [(transect, *map(np.array, zip(*rows), _TYPECODES))
-            for transect, rows in samples.items()]
+    samples: dict[str, list[list]] = {}
+    count = 0
+    for count, (line, row) in enumerate(records, start=1):
+        if fields := trace_fields(row, line, _TRACE_COLUMNS, 1, last):
+            samples.setdefault(fields.pop(1), []).append(fields)
+    return count, [(transect, *map(np.array, zip(*rows), _TYPECODES))
+                   for transect, rows in samples.items()]
 
 
 @dataclass(frozen=True)

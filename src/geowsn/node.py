@@ -23,7 +23,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from itertools import islice
-from math import isfinite, sin, tau
+from math import sin, tau
 from pathlib import Path
 from typing import NamedTuple
 
@@ -277,54 +277,35 @@ class TraceSignal(ChannelSignal):
 
 
 def load_sensor_trace(path: str | Path, kind: SensorKind) -> SignalDriver:
-    """Load a per-node sensor trace CSV: timestamp_unix plus one
-    column per channel of the given sensor kind, each column replayed
-    by a ``TraceSignal``.  A malformed or empty file, a timestamp that is
-    not finite or goes backwards, a record csv cannot read and bytes that
-    are not UTF-8 raise ``ValueError`` naming the file, and the first
-    line at fault if any."""
-    import csv
+    """Load a per-node sensor trace CSV: ``timestamp_unix`` and a column
+    per channel of the kind, each replayed by a ``TraceSignal``.  Rows
+    follow :func:`geowsn.feasibility.trace_fields`, the time finite and a
+    channel any float (a ``nan`` is a driver fault when sampled).  A
+    refused or empty file raises ``ValueError`` naming the file, and the
+    line at fault if any, counted in CSV records."""
+    from .feasibility import TraceFormatError, trace_fields, trace_records
 
-    want = len(CHANNELS[kind])
-    times: list[float] = []
-    columns: list[list[float]] = [[] for _ in range(want)]
-    with open(path, newline="", encoding="utf-8",
-              errors="surrogateescape") as handle:
-        reader = csv.reader(handle)
-        try:
-            for index, row in enumerate(reader):
-                where = f"{path}: line {reader.line_num}"
-                try:
-                    "".join(row).encode("utf-8")
-                except UnicodeEncodeError:  # an escaped byte, not UTF-8
-                    raise ValueError(f"{where}: not UTF-8 text") from None
-                if index == 0:
-                    if len(row) != want + 1 or row[0] != "timestamp_unix":
-                        raise ValueError(f"{path}: expected header timestamp_unix"
-                                         f" plus {want} channel columns")
-                    continue
-                if not row:
-                    continue
-                if len(row) != want + 1:
-                    raise ValueError(
-                        f"{where}: expected {want + 1} fields, got {len(row)}")
-                try:
-                    values = [float(field) for field in row]
-                except ValueError:
-                    raise ValueError(f"{where}: not a number in {row!r}") from None
-                if not isfinite(values[0]):
-                    raise ValueError(f"{where}: timestamp {row[0]} is not finite")
-                if times and values[0] < times[-1]:
-                    raise ValueError(f"{where}: timestamp {row[0]} goes backwards")
-                times.append(values[0])
-                for i in range(want):
-                    columns[i].append(values[i + 1])
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not times:
-        raise ValueError(f"{path}: empty sensor trace, no rows after the header")
-    return SignalDriver(kind, tuple(TraceSignal(times, column)
-                                    for column in columns))
+    columns = (("timestamp", float, True),
+               *((spec.name, float, False) for spec in CHANNELS[kind]))
+    last: dict[None, float] = {}
+    try:
+        with open(path, newline="", encoding="utf-8",
+                  errors="surrogateescape") as handle:
+            records = trace_records(handle, 1)
+            _, header = next(records, (1, []))
+            if len(header) != len(columns) or header[0] != "timestamp_unix":
+                raise TraceFormatError("expected header timestamp_unix plus"
+                                       f" {len(columns) - 1} channel columns")
+            rows = [fields for line, row in records if (
+                fields := trace_fields(row, line, columns, None, last))]
+        if not rows:
+            raise TraceFormatError(
+                "empty sensor trace, no rows after the header")
+    except TraceFormatError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    times, *channels = zip(*rows)
+    return SignalDriver(kind, tuple(TraceSignal(times, channel)
+                                    for channel in channels))
 
 
 class UplinkKind(Enum):

@@ -496,16 +496,17 @@ def test_sim_run_rejects_a_structure_of_the_wrong_type(capsys, tmp_path,
     (None, "cannot read"),
     (b"time,t_soil\n0,4.0\n", "expected header"),
     (b"timestamp_unix,t_soil\n0\n", "line 2: expected 2 fields"),
-    (b"timestamp_unix,t_soil\n0,4.0\n60,abc\n", "line 3: not a number"),
+    (b"timestamp_unix,t_soil\n0,4.0\n60,abc\n",
+     "line 3: could not convert string to float: 'abc'"),
     (b"timestamp_unix,t_soil\n0," + b"1" * 200_000 + b"\n",
      "line 2: field larger than field limit"),
     (b"timestamp_unix,t_soil\n", "empty sensor trace"),
     (b"timestamp_unix,t_soil\n0,4.0\n60,4\xff\n", "line 3: not UTF-8 text"),
     (b"timestamp_unix,t_\xe9\n0,4.0\n", "line 1: not UTF-8 text"),
     (b"timestamp_unix,t_soil\n60,abc\n60,\xff\n0," + b"1" * 200_000,
-     "line 2: not a number"),
+     "line 2: could not convert string to float: 'abc'"),
     (b"timestamp_unix,t_soil\n0,2.0\n1200,6.0\n600,4.0\n",
-     "line 4: timestamp 600 goes backwards"),
+     "line 4: timestamp goes backwards"),
 ], ids=["missing", "header", "short row", "not a number", "huge field",
         "header only", "not UTF-8", "header not UTF-8", "first fault first",
         "backwards"])

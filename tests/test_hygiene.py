@@ -4,7 +4,8 @@ export that no longer resolves; and a text file opened without naming
 its encoding, which would make the locale an input; an enum member read
 by attribute inside a function, which on Python 3.11 costs several
 module-global reads at each call; a typed array outside the one
-record store; and a second time unit between the simulator and a node."""
+record store; a second time unit between the simulator and a node; and
+a csv record read outside the one trace row grammar."""
 
 import ast
 import re
@@ -189,6 +190,44 @@ def test_the_encoding_check_sees_each_form():
         "p.read_text(encoding='utf-8')\n"
         "p.read_bytes()\n")
     assert _text_access_without_encoding(tree) == [1, 2, 3, 4, 5]
+
+
+#: the module of the trace row grammar, the one reader of trace text
+CSV_READER_MODULES = ("feasibility.py",)
+
+
+def _csv_reader_calls(tree: ast.Module) -> list[int]:
+    """Lines of each ``csv.reader`` call, by attribute or by a name
+    imported from ``csv``."""
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "csv"
+             for alias in node.names if alias.name == "reader"}
+    return sorted(
+        node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+        and (isinstance(node.func, ast.Name) and node.func.id in names
+             or isinstance(node.func, ast.Attribute)
+             and node.func.attr == "reader"
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "csv"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_the_trace_grammar_reads_csv_records(path):
+    # a second reader would state the rules of a trace row a second time
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert bool(_csv_reader_calls(tree)) == (path.name in CSV_READER_MODULES)
+
+
+def test_the_csv_reader_check_sees_each_form():
+    tree = ast.parse(
+        "import csv\n"
+        "from csv import reader as read\n"
+        "csv.reader(f)\n"
+        "read(f)\n"
+        "csv.writer(f)\n"
+        "reader(f)\n"
+        "other.reader(f)\n")
+    assert _csv_reader_calls(tree) == [3, 4]
 
 
 #: enums whose members a function reads through a module constant

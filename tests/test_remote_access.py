@@ -1,5 +1,7 @@
 """Backend-initiated file access across the simulated network."""
 
+import struct
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -33,8 +35,8 @@ from geowsn.node import (
 
 
 def wire_up(loss: float = 0.0, duration_s: float = 600.0, rate_s: int = 300,
-            max_payload: int = 256, latency_ms: int = 20):
-    sim = Simulator(seed=5, duration_s=duration_s)
+            max_payload: int = 256, latency_ms: int = 20, seed: int = 5):
+    sim = Simulator(seed=seed, duration_s=duration_s)
     sim.add_site("north", LinkModel(loss_probability=loss,
                                     latency_ms=latency_ms,
                                     max_payload=max_payload))
@@ -139,19 +141,48 @@ def test_remote_read_times_out_on_dead_link():
         backend.remote_read_file(42, NODE_CONFIG_FILE, 0, 12, timeout_s=5.0)
 
 
-def test_answer_to_a_timed_out_write_resolves_nothing():
+def test_a_write_that_times_out_before_its_first_window_never_runs():
     sim, backend, node = wire_up()
     with pytest.raises(RequestTimeoutError):
         backend.remote_write_file(42, NODE_CONFIG_FILE, 3, b"\xAA",
                                   timeout_s=0.5)
-    # the first write lands at 1000 ms and its answer is late; only the
-    # answer to the second write, a listen window later, resolves it
+    # the command's TTL was the timeout: it expires at the window at
+    # 1000 ms, so the config never holds 0xAA and no answer comes late
+    status = backend.remote_write_file(42, NODE_CONFIG_FILE, 3, b"\x01",
+                                       timeout_s=30.0)
+    assert status == 0
+    assert node.files.raw(NODE_CONFIG_FILE)[3] == 0x01
+    assert sim.now_ms == 1020
+    assert backend.late_answers == 0
+
+
+def test_answer_to_a_timed_out_write_resolves_nothing():
+    sim, backend, node = wire_up()
+    with pytest.raises(RequestTimeoutError):
+        backend.remote_write_file(42, NODE_CONFIG_FILE, 3, b"\xAA",
+                                  timeout_s=1.01)
+    # the first write lands at 1000 ms, before its 1010 ms deadline, and
+    # its answer at 1020 ms is late; only the answer to the second
+    # write, a listen window later, resolves it
+    assert node.files.raw(NODE_CONFIG_FILE)[3] == 0xAA
     status = backend.remote_write_file(42, NODE_CONFIG_FILE, 3, b"\x01",
                                        timeout_s=30.0)
     assert status == 0
     assert node.files.raw(NODE_CONFIG_FILE)[3] == 0x01
     assert sim.now_ms == 2020
     assert backend.late_answers == 1
+
+
+def test_a_write_timed_out_on_a_lossy_link_never_changes_the_config():
+    # at 80 % loss the write is still queued at its 2 s timeout; a later
+    # window must not deliver it
+    sim, backend, node = wire_up(loss=0.8, seed=0)
+    sim.run_until(lambda: False, deadline_ms=10_000)
+    with pytest.raises(RequestTimeoutError):
+        backend.remote_write_file(42, NODE_CONFIG_FILE, 4,
+                                  struct.pack("<I", 30), timeout_s=2)
+    sim.run()
+    assert node.config.sampling_rate == 300
 
 
 def test_timed_out_request_takes_its_timeout_in_simulated_time():

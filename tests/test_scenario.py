@@ -315,7 +315,7 @@ def test_trace_driver_refuses_an_empty_trace():
 
 
 @pytest.mark.parametrize("rows, named", [
-    ("0,2.0\n1200,6.0\n600,4.0\n", "line 4: timestamp 600 goes backwards"),
+    ("0,2.0\n1200,6.0\n600,4.0\n", "line 4: timestamp goes backwards"),
     ("0,2.0\nnan,4.0\n1200,6.0\n", "line 3: timestamp nan is not finite"),
     ("0,2.0\ninf,4.0\n", "line 3: timestamp inf is not finite"),
     ("-inf,2.0\n0,4.0\n", "line 2: timestamp -inf is not finite"),
