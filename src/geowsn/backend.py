@@ -10,15 +10,14 @@ with the same two methods can replace it.
 Decoded sensor readings land in a CSV sink.  Anything that
 does not decode is quarantined with its envelope rather than dropped.
 Remote reads and writes of node files are queued at the node's gateway,
-each in a dialog of its own; the node's answers ride the bus up with the
-dialog id, so an answer resolves its own request and no other.
+each as a ticket of its own; the node's answers ride the bus up with the
+ticket id as dialog, so an answer resolves its own request and no other.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -35,7 +34,7 @@ from .alp import (
 )
 from .netsim import (Envelope, Forwarder, NoSuchNodeError,
                      PayloadTooLargeError, Simulator)
-from .node import CHANNELS, MAX_UID, MS_PER_S, SensorKind, unpack_reading
+from .node import CHANNELS, MAX_UID, SensorKind, unpack_reading
 from .store import Store
 
 
@@ -50,7 +49,9 @@ class NodeUnknownError(BackendError):
 
 
 class RequestTimeoutError(BackendError):
-    pass
+    def __init__(self, node_uid: int, timeout_s: float, ticket_id: int):
+        super().__init__(f"node {node_uid} did not answer within {timeout_s} s")
+        self.ticket_id = ticket_id  # the run log's ``ticket=N``
 
 
 class DownlinkTooLargeError(BackendError):
@@ -264,7 +265,6 @@ class Backend:
         self.quarantine: list[QuarantineEntry] = []
         self.late_answers = 0
         self.ingested = 0
-        self._dialogs = itertools.count(1)
         self._pending: dict[int, _PendingRequest] = {}
         self._transport: Simulator | None = None
         #: (site, uid, transect, kind) -> its sink key code per channel
@@ -293,10 +293,11 @@ class Backend:
         """Decode one uplink into time-series records for the sink.
 
         A frame stamped with a dialog only answers that dialog's
-        request.  In an unstamped frame, sensor data becomes one record
-        per channel (milli-units scaled back exactly), a status is
-        dropped, and anything else undecodable or unasked for is
-        quarantined with its envelope.
+        request, or counts as late (its request is gone, or was queued
+        straight at the simulator).  In an unstamped frame, sensor data
+        becomes one record per channel (milli-units scaled back
+        exactly), a status is dropped, and anything else undecodable or
+        unasked for is quarantined with its envelope.
         """
         self.ingested += 1
         try:
@@ -368,35 +369,33 @@ class Backend:
     # -- remote file access --------------------------------------------------
 
     def _request(self, node_uid: int, action: AlpAction, timeout_s: float):
-        """Queue one action at the node's gateway in a dialog of its own,
-        and drive the attached network until the node answers in that
-        dialog or the timeout lapses.
+        """Queue one action at the node's gateway as a ticket of its own,
+        and drive the attached network until the node answers in the
+        ticket's dialog or the ticket's expiry, which is the timeout.
 
         Requests to the same file range need not wait for one another:
         an answer resolves only the request whose dialog it carries.
-        The command's TTL is the timeout, so one still queued then never runs.
+        A command still queued at its timeout expires and never runs.
         """
         if not 0 < timeout_s < float("inf"):
             raise ValueError(f"timeout_s {timeout_s!r} is not finite and > 0")
         transport = self._transport
         if transport is None:
             raise BackendError("remote file access needs an attached transport")
-        dialog = next(self._dialogs)
         try:
-            transport.queue_downlink(node_uid, encode_command((action,)),
-                                     ttl_s=timeout_s, dialog=dialog)
+            ticket = transport.queue_downlink(
+                node_uid, encode_command((action,)), ttl_s=timeout_s)
         except NoSuchNodeError:
             raise NodeUnknownError(node_uid) from None
         except PayloadTooLargeError as exc:
             raise DownlinkTooLargeError(f"node {node_uid}: {exc}") from exc
+        dialog = ticket.ticket_id
         request = self._pending[dialog] = _PendingRequest(action)
         try:
             transport.run_until(lambda: dialog not in self._pending,
-                                transport.now_ms + round(timeout_s * MS_PER_S))
+                                ticket.expires_at_ms)
             if dialog in self._pending:
-                raise RequestTimeoutError(
-                    f"node {node_uid} did not answer within {timeout_s} s"
-                )
+                raise RequestTimeoutError(node_uid, timeout_s, dialog)
         except BaseException:
             self._pending.pop(dialog, None)
             raise

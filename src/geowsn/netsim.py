@@ -58,7 +58,6 @@ from .node import (
 from .store import Store
 
 DEFAULT_LISTEN_INTERVAL_S = 1.0
-DEFAULT_DOWNLINK_TTL_S = 60.0
 #: characters a site id must not hold: the id is one level of its
 #: gateway's bus topic, where ``/`` ends a level and ``+`` and ``#`` are
 #: wildcards
@@ -181,17 +180,17 @@ class PowerProfile:
 
 
 class DownlinkTicket(NamedTuple):
-    """One queued downlink command waiting at a gateway."""
+    """One queued downlink command waiting at a gateway; its id is the
+    run log's ``ticket=N`` and the dialog its answers carry up."""
 
     ticket_id: int
     payload: bytes
     expires_at_ms: int
-    dialog: int | None = None
 
 
 class Envelope(NamedTuple):
     """Transport metadata a gateway attaches to forwarded bytes;
-    ``dialog`` ties a request to its answers (None on anything else)."""
+    ``dialog`` is the ticket id of the command answered (else None)."""
 
     node_uid: int
     gateway_id: str
@@ -562,12 +561,11 @@ class Simulator:
                                              rt.site_id, at, dialog))
 
     def queue_downlink(self, node_uid: int, payload: bytes,
-                       ttl_s: float = DEFAULT_DOWNLINK_TTL_S,
-                       dialog: int | None = None) -> DownlinkTicket:
+                       ttl_s: float) -> DownlinkTicket:
         """Hand a command to the target node's gateway.  It waits there
         and is offered at each of the node's listen windows until it is
         delivered or its TTL lapses, which must be finite and > 0.  The
-        node's answers to it carry ``dialog`` up to the forwarder."""
+        node's answers to it carry the ticket id up as their dialog."""
         rt = self.runtime(node_uid)
         if not 0 < ttl_s < math.inf:
             raise ValueError(f"ttl_s {ttl_s!r} must be finite and > 0")
@@ -576,7 +574,7 @@ class Simulator:
         if self._finished:
             raise SimulationError("run already finished")
         ticket = DownlinkTicket(self._ticket_seq, bytes(payload),
-                                self.now_ms + round(ttl_s * MS_PER_S), dialog)
+                                self.now_ms + round(ttl_s * MS_PER_S))
         self._ticket_seq += 1
         rt.pending.append(ticket)
         rt.downlinks_queued += 1
@@ -617,7 +615,7 @@ class Simulator:
                 self._log.pending += (at, rt.codes[_WINDOW_DELIVERED],
                                       ticket.ticket_id)
                 node.on_downlink(ticket.payload, at)
-                self._settle(rt, at, ticket.dialog)
+                self._settle(rt, at, ticket.ticket_id)
         if rt.pending:
             self._ensure_window(rt, at)
 
@@ -659,8 +657,8 @@ class Simulator:
         """Finish the node's interaction at this ms: transmit what it
         queued, and what the results of those transmissions queue in
         turn, then line the heap up with the node's own idea of its next
-        sample (it can move under remote commands).  Answers carry the
-        dialog of the command delivered at this ms, if any."""
+        sample (it can move under remote commands).  Answers carry
+        ``dialog``, the ticket id of a command delivered at this ms."""
         node = rt.node
         # oldest first, so what a result queues follows what was queued
         while node.outbox:

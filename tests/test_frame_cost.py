@@ -44,7 +44,7 @@ REMOTE_ROUNDS, REMOTE_HOURS, REMOTE_TIMEOUT_S = 5, 24, 10.0
 #: ceilings, 5 % above the counts this code base makes
 MAX_SIM_CALLS_PER_SAMPLE = 44.32 * 1.05
 MAX_BACKEND_CALLS_PER_ARRIVAL = 22.36 * 1.05
-MAX_CALLS_PER_REMOTE_OP = 125.15 * 1.05
+MAX_CALLS_PER_REMOTE_OP = 123.15 * 1.05
 #: how far calls per sample may drift from 58 nodes to 580
 MAX_NODE_COUNT_DRIFT = 0.05
 

@@ -166,7 +166,7 @@ def test_downlink_payload_cap_enforced():
     sim.add_node("north", soil_node())
     sim.start()
     with pytest.raises(PayloadTooLargeError):
-        sim.queue_downlink(1, bytes(17))
+        sim.queue_downlink(1, bytes(17), ttl_s=60)
 
 
 @pytest.mark.parametrize("ttl_s", [float("inf"), float("nan"), -5.0, 0.0])
@@ -392,7 +392,7 @@ def test_run_until_keeps_the_clock_on_whole_int_ms():
     assert sim.now_ms == 0
     sim.run_until(lambda: False, deadline_ms=1e6)
     assert type(sim.now_ms) is int and sim.now_ms == 1_000_000
-    sim.queue_downlink(sim.node_uids[0], action_write(3, b"\x00"))
+    sim.queue_downlink(sim.node_uids[0], action_write(3, b"\x00"), ttl_s=60)
     log = sim.run()
     assert {"DownlinkQueue", "ListenWindow"} <= {kind for _, kind, _, _ in log.rows}
     assert all(type(at) is int for at, _, _, _ in log.rows)

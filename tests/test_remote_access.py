@@ -10,9 +10,10 @@ from geowsn.alp import (
     NODE_CONFIG_FILE,
     SENSOR_DATA_FILE,
     STATUS_FILE_ACCESS_ERROR,
-    DecodeError,
+    AlpAction,
     Opcode,
     decode_command,
+    encode_command,
 )
 from geowsn.backend import (
     Backend,
@@ -130,6 +131,46 @@ def test_data_read_after_a_sample_returns_it_and_ingests_each_reading_once():
     stamps = [r.timestamp for r in backend.sink.records]
     assert stamps == [300, 301]
     assert backend.quarantine == []
+
+
+def test_answers_to_commands_queued_straight_at_the_simulator_are_late():
+    # a data-file read and a config read the backend did not ask for:
+    # their answers carry their tickets' ids, so neither is taken for a
+    # reading or an unexpected uplink
+    sim, backend, node = wire_up()
+    sim.run_until(lambda: False, deadline_ms=400_000)
+    for action in (AlpAction.read(SENSOR_DATA_FILE, 0, 10),
+                   AlpAction.read(NODE_CONFIG_FILE, 0, 4)):
+        sim.queue_downlink(42, encode_command((action,)), ttl_s=60)
+    sim.run()
+    assert [r.timestamp for r in backend.sink.records] == [300, 401]
+    assert backend.quarantine == []
+    assert backend.late_answers == 2
+
+
+def test_each_timeout_names_a_ticket_the_log_delivered_or_expired_once():
+    sim, backend, node = wire_up(loss=0.5, duration_s=3600, seed=3)
+    timed_out = []
+    for _ in range(300):
+        try:
+            backend.remote_read_file(42, NODE_CONFIG_FILE, 0, 4,
+                                     timeout_s=2.5)
+        except RequestTimeoutError as exc:
+            assert str(exc) == "node 42 did not answer within 2.5 s"
+            timed_out.append(exc.ticket_id)
+    log = sim.run()
+    still_queued = [ticket.ticket_id for ticket in sim.runtime(42).pending]
+    fates: dict[int, list[str]] = {}
+    for _, kind, _, detail in log.rows:
+        outcome, _, ticket = detail.partition(" ticket=")
+        if kind == "ListenWindow" and outcome in ("delivered", "expired"):
+            fates.setdefault(int(ticket), []).append(outcome)
+    assert len(set(timed_out)) == len(timed_out) > 0
+    for ticket_id in timed_out:
+        assert len(fates.get(ticket_id, [])) == 1 or ticket_id in still_queued
+    outcomes = {fates[ticket_id][0] for ticket_id in timed_out
+                if ticket_id not in still_queued}
+    assert outcomes == {"delivered", "expired"}
 
 
 def test_remote_read_times_out_on_dead_link():
@@ -328,15 +369,20 @@ def test_two_nodes_resolve_independently():
     assert NodeConfig.from_bytes(image_two).sampling_rate == 502
 
 
-def _inert(raw: bytes) -> bool:
-    """True for bytes a node executes nothing of: they do not decode, or
-    hold only answers, which a node ignores."""
-    try:
-        command = decode_command(raw)
-    except DecodeError:
-        return True
-    return all(action.opcode in (Opcode.RETURN_FILE_DATA, Opcode.STATUS)
-               for action in command)
+#: a command queued straight at the simulator: any bytes, or a read or
+#: write of one of the node's files or the one past them, whose offsets
+#: and lengths run past the file ends; its answers reach the backend late
+RAW_COMMANDS = st.one_of(
+    st.binary(max_size=20),
+    st.builds(lambda file_id, offset, length: encode_command(
+                  (AlpAction.read(file_id, offset, length),)),
+              st.integers(0x40, 0x42), st.integers(0, DATA_FILE_SIZE + 2),
+              st.integers(0, DATA_FILE_SIZE + 2)),
+    st.builds(lambda file_id, offset, payload: encode_command(
+                  (AlpAction.write(file_id, offset, payload),)),
+              st.integers(0x40, 0x42), st.integers(0, DATA_FILE_SIZE + 2),
+              st.binary(max_size=10)),
+)
 
 
 #: (op, offset, length or byte value); offsets and lengths run past the
@@ -351,8 +397,7 @@ REMOTE_OPS = st.one_of(
               st.integers(0, 12)),
     st.tuples(st.just("data_write"), st.integers(0, DATA_FILE_SIZE + 2),
               st.integers(0, 255)),
-    st.tuples(st.just("raw"), st.binary(max_size=20).filter(_inert),
-              st.none()),
+    st.tuples(st.just("raw"), RAW_COMMANDS, st.none()),
 )
 
 
@@ -369,7 +414,7 @@ def test_every_request_gets_its_own_answer_or_times_out(
     for (op, offset, arg), timeout_ms in script:
         timeout_s = timeout_ms / 1000
         if op == "raw":
-            sim.queue_downlink(42, offset)
+            sim.queue_downlink(42, offset, ttl_s=timeout_s)
             continue
         try:
             if op == "config_read":
